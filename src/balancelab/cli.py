@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import datagen, fusion, harness, metrics
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, coerce, parse_config
 from .errors import BalanceLabError
 
 ENV_SEED = "BALANCELAB_SEED"
@@ -30,11 +30,11 @@ ENV_SEED = "BALANCELAB_SEED"
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config)
     if os.environ.get(ENV_SEED):
-        cfg = cfg.with_key("seed", int(os.environ[ENV_SEED]))
+        cfg = cfg.with_key("seed", coerce(ENV_SEED, "int", os.environ[ENV_SEED]))
     if getattr(args, "master_seed", None) is not None:
         cfg = cfg.with_key("seed", args.master_seed)
     if getattr(args, "seeds", None):
-        cfg = cfg.with_key("seeds", tuple(int(s) for s in args.seeds.split(",")))
+        cfg = cfg.with_key("seeds", coerce("--seeds", "ints", args.seeds))
     if getattr(args, "out", None):
         cfg = cfg.with_key("output.dir", args.out)
     return cfg
@@ -61,7 +61,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    run_seed = int(args.run_seed) if args.run_seed is not None else cfg.seeds[0]
+    run_seed = cfg.seeds[0]
+    if args.run_seed is not None:
+        run_seed = coerce("--run-seed", "int", args.run_seed)
     data_seed, split_seed, _, _ = harness.derived_seeds(cfg.master_seed, run_seed)
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
@@ -92,7 +94,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",")]
+    values = list(coerce("--values", "floats", args.values))
     report = harness.run_sweep(cfg, args.param, values, out_dir=cfg.out_dir, jobs=args.jobs)
     print(report.csv_text(), end="")
     return 0 if not report.errors else 1

@@ -26,13 +26,9 @@ Key reference (every key is optional; defaults in parentheses)::
     train.epochs        int    (40)
     train.batch_size    int    (64)
     method.kind         str    (baseline)  one of the method kinds
-    method.w_uni        float  (1.0)
-    method.scale        float  (4.0)
-    method.kl_weight    float  (0.5)
-    method.alpha        float  (1.0)
-    method.rho_mask     float  (0.2)
-    method.p_max        float  (0.3)
-    method.tau          float  (0.5)
+    method.<param>      float  one key per method parameter (w_uni, scale,
+                               kl_weight, alpha, rho_mask, p_max, tau);
+                               defaults and ranges in ``methods.METHODS``
     eval.fractions      floats (0.8,0.1,0.1) train/val/test fractions
     eval.shapley        bool   (true)   compute Shapley contributions
     output.dir          str    (runs)
@@ -52,7 +48,7 @@ from dataclasses import dataclass
 
 from .datagen import SyntheticSpec
 from .errors import ConfigError
-from .methods import METHOD_KINDS, MethodSpec
+from .methods import METHODS, PARAMS, MethodSpec
 from .trainer import TrainConfig
 
 _SCHEMA: dict[str, tuple[str, object]] = {
@@ -74,13 +70,7 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "train.epochs": ("int", 40),
     "train.batch_size": ("int", 64),
     "method.kind": ("str", "baseline"),
-    "method.w_uni": ("float", 1.0),
-    "method.scale": ("float", 4.0),
-    "method.kl_weight": ("float", 0.5),
-    "method.alpha": ("float", 1.0),
-    "method.rho_mask": ("float", 0.2),
-    "method.p_max": ("float", 0.3),
-    "method.tau": ("float", 0.5),
+    **{f"method.{m.param}": ("float", m.default) for m in METHODS.values() if m.param},
     "eval.fractions": ("floats", (0.8, 0.1, 0.1)),
     "eval.shapley": ("bool", True),
     "output.dir": ("str", "runs"),
@@ -89,7 +79,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
-def _coerce(key: str, kind: str, raw: str):
+def coerce(key: str, kind: str, raw: str):
+    """Parse one raw value as ``kind``; failures raise ConfigError naming ``key``."""
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         raw = raw[1:-1]
@@ -157,16 +148,8 @@ class ExperimentConfig:
         )
 
     def method_spec(self) -> MethodSpec:
-        return MethodSpec(
-            kind=self.get("method.kind"),
-            w_uni=self.get("method.w_uni"),
-            scale=self.get("method.scale"),
-            kl_weight=self.get("method.kl_weight"),
-            alpha=self.get("method.alpha"),
-            rho_mask=self.get("method.rho_mask"),
-            p_max=self.get("method.p_max"),
-            tau=self.get("method.tau"),
-        )
+        params = {p: self.get(f"method.{p}") for p in PARAMS}
+        return MethodSpec(kind=self.get("method.kind"), **params)
 
     def arch(self, input_dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         hidden = self.get("model.hidden")
@@ -246,7 +229,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         kind, _ = _SCHEMA[key]
-        seen[key] = _coerce(key, kind, raw_val)
+        seen[key] = coerce(key, kind, raw_val)
     values = tuple((k, seen.get(k, default)) for k, (kind, default) in _SCHEMA.items())
     cfg = ExperimentConfig(values)
     _validate(cfg, explicit=set(seen))
@@ -279,11 +262,6 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
             cfg.synthetic_spec()
         except SpecError as exc:
             raise ConfigError(f"dataset.*: {exc}") from None
-    if cfg.get("method.kind") not in METHOD_KINDS:
-        raise ConfigError(
-            f"method.kind: unknown method {cfg.get('method.kind')!r}, "
-            f"choose from {', '.join(METHOD_KINDS)}"
-        )
     try:
         cfg.method_spec()
     except SpecError as exc:

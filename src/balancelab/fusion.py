@@ -89,7 +89,6 @@ class ForwardCache:
     block_products: list[np.ndarray]
     logits: np.ndarray
     mask: ModalityMask
-    inputs: list[np.ndarray]
 
 
 def init_model(
@@ -187,7 +186,7 @@ def forward(
         logits += p
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward produced non-finite logits")
-    return ForwardCache(features, enc_caches, block_products, logits, mask, list(batch))
+    return ForwardCache(features, enc_caches, block_products, logits, mask)
 
 
 def partial_logits(model: FusionModel, cache: ForwardCache, i: int) -> np.ndarray:

@@ -9,12 +9,16 @@ seed), executes the full pipeline, and produces one report row:
 
 Completed cells are written to ``<out>/cells/`` immediately, so partial
 results survive interruption and finished sweeps resume without recomputing.
+Each cell file carries a fingerprint of the config that produced it; a cell
+whose fingerprint differs, or that cannot be read, is recomputed.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import time
@@ -26,13 +30,9 @@ import numpy as np
 from . import datagen, fusion, metrics, trainer
 from .config import ExperimentConfig, parse_config_text
 from .errors import BalanceLabError, ConfigError
-from .methods import CATEGORY, METHOD_KINDS, MethodSpec
+from .methods import METHODS, PARAMS, MethodSpec
 
 _VERSION = "0.1.0"
-
-_SWEEPABLE = ("w_uni", "scale", "kl_weight", "alpha", "rho_mask", "p_max", "tau")
-
-_CATEGORY_ORDER = ("baseline", "objective", "optimization", "feed-forward", "data")
 
 
 @dataclass
@@ -225,14 +225,47 @@ def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
     )
 
 
+def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, sweep_value) -> str:
+    """sha256 of everything that decides a cell's result besides its run seed.
+
+    The seed list and output directory are left out: adding seeds or moving
+    the directory changes no existing cell.
+    """
+    kept = tuple((k, v) for k, v in cfg.values if k not in ("seeds", "output.dir"))
+    text = ExperimentConfig(kept).to_text()
+    text += f"sweep = {sweep_param} {sweep_value!r}\nversion = {_VERSION}\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _read_cell(path, fingerprint: str) -> tuple[RunRow | None, str]:
+    """The cached row at ``path``, or None and why it cannot be used."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            d = json.load(fh)
+        if d["fingerprint"] != fingerprint:
+            return None, "computed under a different config"
+        return RunRow.from_dict(d), ""
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return None, f"unreadable ({type(exc).__name__}: {exc})"
+
+
+def _write_cell(path, row_dict: dict) -> None:
+    """Write via a temporary file so an interrupted write leaves no partial cell."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        json.dump(row_dict, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def _cell_worker(payload: tuple) -> dict:
     """Top-level worker so cells can run in a process pool."""
     cfg_text, run_seed, sweep_param, sweep_value, ckpt_dir = payload
     cfg = parse_config_text(cfg_text)
     method = cfg.method_spec()
     if sweep_param:
-        field_name = sweep_param.split(".", 1)[1]
-        method = MethodSpec(**{**_method_kwargs(method), field_name: sweep_value})
+        method = dataclasses.replace(method, **{sweep_param.split(".", 1)[1]: sweep_value})
     ckpt_path = None
     if ckpt_dir is not None:
         os.makedirs(ckpt_dir, exist_ok=True)
@@ -241,19 +274,6 @@ def _cell_worker(payload: tuple) -> dict:
     row.sweep_param = sweep_param
     row.sweep_value = sweep_value
     return row.to_dict()
-
-
-def _method_kwargs(spec: MethodSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "w_uni": spec.w_uni,
-        "scale": spec.scale,
-        "kl_weight": spec.kl_weight,
-        "alpha": spec.alpha,
-        "rho_mask": spec.rho_mask,
-        "p_max": spec.p_max,
-        "tau": spec.tau,
-    }
 
 
 def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
@@ -305,30 +325,30 @@ def _run_cells(
     errors: list[dict],
     ckpt_dir=None,
 ) -> list[RunRow]:
-    """Run (seed, value) cells, reusing completed cell files when present."""
+    """Run (seed, value) cells, reusing completed cell files of the same config."""
     cfg_text = cfg.to_text()
     method_kind = cfg.get("method.kind")
+    fingerprints = {value: _cell_fingerprint(cfg, sweep_param, value) for _, value in cells}
     rows: dict[tuple[int, float | None], RunRow] = {}
     todo = []
     for run_seed, value in cells:
         if out_dir is not None:
             path = _cell_path(out_dir, method_kind, run_seed, value)
             if os.path.exists(path):
-                with open(path, "r", encoding="ascii") as fh:
-                    rows[(run_seed, value)] = RunRow.from_dict(json.load(fh))
-                _log(out_dir, f"reused cell {method_kind} seed={run_seed} value={value}")
-                continue
+                row, problem = _read_cell(path, fingerprints[value])
+                if row is not None:
+                    rows[(run_seed, value)] = row
+                    _log(out_dir, f"reused cell {method_kind} seed={run_seed} value={value}")
+                    continue
+                _log(out_dir, f"recomputing cell {method_kind} seed={run_seed} "
+                              f"value={value}: cached cell {problem}")
         todo.append((run_seed, value))
 
     def finish(key, row_dict):
-        row = RunRow.from_dict(row_dict)
-        rows[key] = row
+        rows[key] = RunRow.from_dict(row_dict)
         if out_dir is not None:
             path = _cell_path(out_dir, method_kind, key[0], key[1])
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path, "w", encoding="ascii") as fh:
-                json.dump(row_dict, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_cell(path, {**row_dict, "fingerprint": fingerprints[key[1]]})
             _log(out_dir, f"finished cell {method_kind} seed={key[0]} value={key[1]}")
 
     payloads = {key: (cfg_text, key[0], sweep_param, key[1], ckpt_dir) for key in todo}
@@ -385,9 +405,9 @@ def run_sweep(
     """One run per (value, seed); marks the argmin-imbalance and
     argmax-accuracy settings among the per-value means."""
     parts = param_path.split(".")
-    if len(parts) != 2 or parts[0] != "method" or parts[1] not in _SWEEPABLE:
+    if len(parts) != 2 or parts[0] != "method" or parts[1] not in PARAMS:
         raise ConfigError(
-            f"sweep parameter must be method.<{'|'.join(_SWEEPABLE)}>, got {param_path!r}"
+            f"sweep parameter must be method.<{'|'.join(PARAMS)}>, got {param_path!r}"
         )
     if not values:
         raise ConfigError("need at least one sweep value")
@@ -424,21 +444,13 @@ def run_sweep(
     return report
 
 
-def _method_order(kinds: list[str]) -> list[str]:
-    ordered = []
-    for cat in _CATEGORY_ORDER:
-        for kind in METHOD_KINDS:
-            if CATEGORY[kind] == cat and kind in kinds and kind not in ordered:
-                ordered.append(kind)
-    return ordered
-
-
 def compare_table(reports: list[RunReport]) -> tuple[str, str]:
     """Cross-method comparison from the reports' per-method mean rows.
 
-    Rows are ordered Baseline first, then by adjustment strategy (objective,
-    optimization, feed-forward, data). Best and second-best per column are
-    marked with ``*`` and ``+``. Returns (aligned_text, csv_text).
+    Rows follow the method registry: Baseline first, then by adjustment
+    strategy (objective, optimization, feed-forward, data). Best and
+    second-best per column are marked with ``*`` and ``+``. Returns
+    (aligned_text, csv_text).
     """
     if not reports:
         raise ConfigError("need at least one report")
@@ -453,7 +465,7 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
         for row in rep.aggregates:
             if row.seed == "mean" and row.method not in by_method:
                 by_method[row.method] = row
-    kinds = _method_order(list(by_method))
+    kinds = [kind for kind in METHODS if kind in by_method]
 
     def ranks(values, reverse):
         """Indices of best and second-best (None when unavailable)."""
@@ -491,7 +503,7 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
 
         cells = [
             kind,
-            CATEGORY[kind],
+            METHODS[kind].category,
             cell(row.acc, 0),
             cell(row.macro_f1, 1),
             cell(row.imbalance, 2),

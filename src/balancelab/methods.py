@@ -1,13 +1,24 @@
-"""Balancing method hooks for the four adjustment strategies.
+"""The balancing methods: one registry entry each, plus their hook functions.
 
-Each method intervenes at exactly one point of the training loop:
+``METHODS`` declares every method once: its strategy, its strength parameter
+(default, valid range, neutral value) and the hooks it implements. Config
+keys, ``MethodSpec`` fields, sweepable parameters, table order and the
+trainer's dispatch are all read from it. The hook signatures:
 
-- objective hooks (``unimodal_blend``, ``cosine``, ``kl_align``) replace the
-  plain cross-entropy LossBundle;
-- the optimization hook (``gradmod``) rescales encoder gradients;
-- feed-forward hooks (``feature_mask``, ``feature_drop``) transform encoder
-  outputs before the head, during training only;
-- the data hook (``resample``) reweights the batch sampler once per epoch.
+- ``objective(model, cache, labels, value, ledger) -> LossBundle`` replaces
+  the plain cross-entropy;
+- ``grad_scale(scores, value) -> kappa`` scales encoder i's gradients by
+  ``kappa[i]``;
+- ``feature_transform(features, scores, value, rng) -> (features, factors)``
+  transforms encoder outputs before the head, during training only;
+- ``sample_weights(model, data, value, ledger) -> weights`` reweights the
+  batch sampler once per epoch;
+- ``deploy(model) -> model`` gives the model that validation and evaluation
+  see.
+
+Entries name their hooks by attribute of this module and ``resolve`` looks
+them up when a run starts, never at import, so code that swaps a module
+attribute (a tracer, a test's counting wrapper) sees every call.
 
 Dominance is always judged by the trainer's running modality score (the
 exponentially smoothed batch-mean true-class probability of each modality's
@@ -21,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
@@ -32,78 +43,123 @@ from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger
 from .trainer import LossBundle, assemble_grads, cross_entropy, softmax
 
-METHOD_KINDS = (
-    "baseline",
-    "unimodal_blend",
-    "cosine",
-    "kl_align",
-    "gradmod",
-    "feature_mask",
-    "feature_drop",
-    "resample",
-)
 
-CATEGORY = {
-    "baseline": "baseline",
-    "unimodal_blend": "objective",
-    "cosine": "objective",
-    "kl_align": "objective",
-    "gradmod": "optimization",
-    "feature_mask": "feed-forward",
-    "feature_drop": "feed-forward",
-    "resample": "data",
-}
+@dataclass(frozen=True)
+class Method:
+    """One registry entry: a balancing method and the hooks it implements.
+
+    ``param`` is the method's strength parameter, valid in ``[low, high]``
+    (``(low, high]`` when ``low_open``); ``neutral`` is the value at which
+    training is exactly baseline (None: no such value). Hook fields hold the
+    name of a function in this module, or None.
+    """
+
+    name: str
+    category: str
+    param: str | None = None
+    default: float | None = None
+    low: float = 0.0
+    high: float = math.inf
+    low_open: bool = False
+    neutral: float | None = None
+    objective: str | None = None
+    grad_scale: str | None = None
+    feature_transform: str | None = None
+    sample_weights: str | None = None
+    deploy: str | None = None
+
+    def check(self, value: float) -> None:
+        """Raise SpecError unless ``value`` lies in the parameter's range."""
+        above = value > self.low if self.low_open else value >= self.low
+        if not (above and value <= self.high):
+            bounds = f"{'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
+            raise SpecError(f"{self.param} must be in {bounds}, got {value}")
+
+
+# Grouped by strategy in comparison-table order: baseline, objective,
+# optimization, feed-forward, data.
+METHODS = {m.name: m for m in (
+    Method("baseline", "baseline"),
+    # conflict projection after MMPareto (Wei & Hu, ICML 2024)
+    Method("unimodal_blend", "objective", "w_uni", 1.0, neutral=0.0,
+           objective="unimodal_blend_loss"),
+    Method("cosine", "objective", "scale", 4.0, low_open=True,
+           objective="cosine_objective", deploy="cosine_deploy"),
+    Method("kl_align", "objective", "kl_weight", 0.5, neutral=0.0,
+           objective="kl_align_loss"),
+    # OGM-GE's gradient modulation (Peng et al., CVPR 2022)
+    Method("gradmod", "optimization", "alpha", 1.0, neutral=0.0,
+           grad_scale="grad_modulation"),
+    Method("feature_mask", "feed-forward", "rho_mask", 0.2, high=1.0, neutral=0.0,
+           feature_transform="feature_mask"),
+    # after OPM's on-the-fly modality dropping (Wei et al., TPAMI 2024)
+    Method("feature_drop", "feed-forward", "p_max", 0.3, high=1.0, neutral=0.0,
+           feature_transform="feature_drop"),
+    # after sample-level modality valuation (Wei et al., CVPR 2024)
+    Method("resample", "data", "tau", 0.5, low_open=True, neutral=math.inf,
+           sample_weights="resample_weights"),
+)}
+
+# the strength parameters in registry order: MethodSpec fields, config keys
+PARAMS = tuple(m.param for m in METHODS.values() if m.param is not None)
 
 _COS_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """Which balancing method is active, and its hyperparameters.
+def resolve(hook: str | None):
+    """The function this module currently binds to ``hook`` (None for None)."""
+    return None if hook is None else globals()[hook]
 
-    Only the parameter belonging to ``kind`` is consumed; the rest keep
-    their defaults and are ignored.
-    """
 
-    kind: str = "baseline"
-    w_uni: float = 1.0       # unimodal_blend: weight of each unimodal loss
-    scale: float = 4.0       # cosine: logit scale
-    kl_weight: float = 0.5   # kl_align: weight of the symmetric divergence
-    alpha: float = 1.0       # gradmod: modulation strength
-    rho_mask: float = 0.2    # feature_mask: fraction of coordinates zeroed
-    p_max: float = 0.3       # feature_drop: drop probability ceiling
-    tau: float = 0.5         # resample: contribution temperature
-
+class _MethodSpecBase:
     def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
-            raise SpecError(f"unknown method kind {self.kind!r}")
-        if min(self.w_uni, self.kl_weight, self.alpha) < 0:
-            raise SpecError("method weights and strengths must be non-negative")
-        if not 0.0 <= self.rho_mask <= 1.0:
-            raise SpecError(f"rho_mask must be in [0, 1], got {self.rho_mask}")
-        if not 0.0 <= self.p_max <= 1.0:
-            raise SpecError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.scale <= 0:
-            raise SpecError(f"cosine scale must be positive, got {self.scale}")
-        if self.tau <= 0:
-            raise SpecError(f"tau must be positive, got {self.tau}")
+        if self.kind not in METHODS:
+            raise SpecError(
+                f"unknown method kind {self.kind!r}, choose from {', '.join(METHODS)}"
+            )
+        for method in METHODS.values():
+            if method.param is not None:
+                method.check(getattr(self, method.param))
+
+    @property
+    def method(self) -> Method:
+        return METHODS[self.kind]
 
     @property
     def category(self) -> str:
-        return CATEGORY[self.kind]
+        return self.method.category
+
+    @property
+    def value(self) -> float | None:
+        """The value of the active method's parameter (None for baseline)."""
+        param = self.method.param
+        return None if param is None else getattr(self, param)
 
     def is_neutral(self) -> bool:
         """True when the active parameter sits at its do-nothing value."""
-        return {
-            "baseline": True,
-            "unimodal_blend": self.w_uni == 0.0,
-            "cosine": False,
-            "kl_align": self.kl_weight == 0.0,
-            "gradmod": self.alpha == 0.0,
-            "feature_mask": self.rho_mask == 0.0,
-            "feature_drop": self.p_max == 0.0,
-            "resample": math.isinf(self.tau),
-        }[self.kind]
+        return self.method.param is None or self.value == self.method.neutral
+
+    def active(self) -> Method:
+        """The entry whose hooks training runs: baseline's when neutral."""
+        return METHODS["baseline"] if self.is_neutral() else self.method
+
+
+MethodSpec = make_dataclass(
+    "MethodSpec",
+    [("kind", str, "baseline")] + [(m.param, float, m.default)
+                                   for m in METHODS.values() if m.param is not None],
+    bases=(_MethodSpecBase,),
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Which balancing method is active, and its hyperparameters.
+
+    ``MethodSpec(kind="gradmod", alpha=2.0)``: one float field per registry
+    parameter, defaulting to the registry default. Only the parameter
+    belonging to ``kind`` is consumed, but every field is range-checked.
+    """,
+    },
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +225,7 @@ def cosine_logits(model: FusionModel, cache: ForwardCache, scale: float) -> np.n
     directions compete. The head bias is omitted. Norms below 1e-12 are
     clamped so zero vectors are safe.
     """
-    if scale <= 0:
-        raise SpecError(f"cosine scale must be positive, got {scale}")
+    METHODS["cosine"].check(scale)
     n = cache.logits.shape[0]
     logits = np.zeros((n, model.num_classes))
     for i in range(model.num_modalities):
@@ -329,8 +384,7 @@ def grad_modulation(scores, alpha: float) -> np.ndarray:
     positive, and a floor of 1e-12 keeps it so where tanh saturates to 1.0 in
     float64. Only encoders are rescaled; the head keeps its full gradient.
     """
-    if alpha < 0:
-        raise SpecError(f"alpha must be non-negative, got {alpha}")
+    METHODS["gradmod"].check(alpha)
     s = np.asarray(scores, dtype=np.float64)
     m = s.shape[0]
     kappa = np.ones(m)
@@ -356,8 +410,7 @@ def feature_mask(
     Returns the new feature list and per-modality multiplicative factors for
     the backward pass (None means identity).
     """
-    if not 0.0 <= rho_mask <= 1.0:
-        raise SpecError(f"rho_mask must be in [0, 1], got {rho_mask}")
+    METHODS["feature_mask"].check(rho_mask)
     factors: list[np.ndarray | None] = [None] * len(features)
     if rho_mask == 0.0:
         return features, factors
@@ -383,8 +436,7 @@ def feature_drop(
     preserve the expected feature value. A numerically saturated p is capped
     at 0.99 with a warning.
     """
-    if not 0.0 <= p_max <= 1.0:
-        raise SpecError(f"p_max must be in [0, 1], got {p_max}")
+    METHODS["feature_drop"].check(p_max)
     s = np.asarray(scores, dtype=np.float64)
     factors: list[np.ndarray | None] = [None] * len(features)
     if p_max == 0.0:
@@ -425,8 +477,7 @@ def resample_weights(
     sample k gets weight ``exp(contribution_k_weak / tau)``, normalized to
     mean 1. Larger tau flattens the weighting toward uniform.
     """
-    if tau <= 0:
-        raise SpecError(f"tau must be positive, got {tau}")
+    METHODS["resample"].check(tau)
     cache = fusion.forward(model, data.features, ledger=ledger)
     rows = np.arange(data.num_samples)
     contribs = []

@@ -163,9 +163,6 @@ def shapley(model: FusionModel, data: Dataset) -> ShapleyReport:
     return ShapleyReport(phi, values, imbalance(phi))
 
 
-_FLOP_CATEGORIES = ("forward_matmul", "backward_matmul", "elementwise", "softmax_loss")
-
-
 @dataclass
 class FlopsLedger:
     """Monotone counter of floating-point operations by category."""
@@ -217,7 +214,3 @@ class FlopsLedger:
             "total": self.total,
         }
 
-
-def flops_record(ledger: FlopsLedger, kind: str, shape, bias: bool = False) -> FlopsLedger:
-    """Functional alias for :meth:`FlopsLedger.record`."""
-    return ledger.record(kind, shape, bias=bias)

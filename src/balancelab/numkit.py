@@ -1,4 +1,4 @@
-"""Dense float64 matrix arithmetic and a hand-derived MLP forward/backward.
+"""A hand-derived float64 MLP forward/backward and its parameter containers.
 
 Conventions used throughout the package:
 
@@ -20,30 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError, SpecError
-
-
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce ``values`` to a 2-D float64 array, validating finiteness.
-
-    Raises ShapeError if the input is not 2-dimensional and NumericError if
-    any entry is not finite.
-    """
-    a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{name} contains non-finite entries")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product with an explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
+from .errors import ContractError, ShapeError
 
 
 @dataclass
@@ -175,35 +152,3 @@ def mlp_backward(
         dz = dz @ layer.weight
     return MlpGradients(grads), dz
 
-
-def finite_diff_check(
-    f, params: MlpParams, analytic: MlpGradients, eps: float = 1e-5
-) -> float:
-    """Compare analytic gradients of a scalar function against central differences.
-
-    ``f`` maps an MlpParams to a scalar and must be deterministic. For every
-    coordinate p the numeric gradient is ``(f(p+eps) - f(p-eps)) / (2 eps)``
-    and the relative error is ``|analytic - numeric| / max(1, |numeric|)``.
-    Returns the maximum relative error over all coordinates.
-    """
-    if eps <= 0:
-        raise SpecError(f"eps must be positive, got {eps}")
-    work = params.copy()
-    worst = 0.0
-    for layer, glayer in zip(work.layers, analytic.layers):
-        for arr, garr in ((layer.weight, glayer.weight), (layer.bias, glayer.bias)):
-            flat = arr.reshape(-1)
-            gflat = garr.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + eps
-                f_plus = float(f(work))
-                flat[k] = orig - eps
-                f_minus = float(f(work))
-                flat[k] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise NumericError("objective returned a non-finite value")
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(gflat[k] - numeric) / max(1.0, abs(numeric))
-                worst = max(worst, rel)
-    return worst

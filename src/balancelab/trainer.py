@@ -1,11 +1,13 @@
 """Cross-entropy training loop with SGD momentum, step decay, and method hooks.
 
-One epoch iterates index batches (weighted when the data-level method is
-active), runs the fusion forward with any feed-forward hook applied to the
-encoder outputs, computes the configured objective, backpropagates by hand,
-applies the optimization hook to the encoder gradients, and takes one SGD
-step. Every stochastic choice is a deterministic function of
-``(config.seed, epoch, batch index)``, so a run is bitwise reproducible.
+One epoch iterates index batches (weighted when the active method has a
+sample-weights hook), runs the fusion forward with any feature-transform
+hook applied to the encoder outputs, computes the method's objective (plain
+cross-entropy by default), backpropagates by hand, applies any
+encoder-gradient scale, and takes one SGD step. The hooks come from the
+active method's entry in ``methods.METHODS``. Every stochastic choice is a
+deterministic function of ``(config.seed, epoch, batch index)``, so a run is
+bitwise reproducible.
 
 Per-modality performance scores (batch mean of the true-class probability
 under each modality's partial logits) are tracked as an exponential moving
@@ -86,7 +88,6 @@ class TrainState:
     model: FusionModel
     velocity: ModelGradients
     epoch: int
-    seed: int
     running_scores: np.ndarray | None = None
 
 
@@ -307,32 +308,38 @@ def fit(
     train, val = splits
     if method is None:
         method = bm.MethodSpec()
-    if method.kind not in bm.METHOD_KINDS:
+    if method.kind not in bm.METHODS:
         from .errors import DispatchError
 
         raise DispatchError(f"unknown method kind {method.kind!r}")
     if ledger is None:
         ledger = FlopsLedger()
-    active = method.kind if not method.is_neutral() else "baseline"
+    active = method.active()
+    value = method.value
+    # looked up per run, so a swapped module attribute sees every call
+    objective = bm.resolve(active.objective)
+    grad_scale = bm.resolve(active.grad_scale)
+    transform = bm.resolve(active.feature_transform)
+    sample_weights = bm.resolve(active.sample_weights)
+    deploy = bm.resolve(active.deploy)
 
     log = TrainLog(records=[])
     if config.epochs == 0:
         return model, log
 
-    state = TrainState(model.copy(), zeros_like_model(model), 0, config.seed)
+    state = TrainState(model.copy(), zeros_like_model(model), 0)
     n_params = model_param_count(model)
     m = model.num_modalities
     best_acc = -1.0
     best_model = state.model.copy()
-    uses_running_scores = active in ("gradmod", "feature_mask", "feature_drop")
 
     for epoch in range(config.epochs):
         state.epoch = epoch
         lr = step_lr(config, epoch)
 
         weights = None
-        if active == "resample":
-            weights = bm.resample_weights(state.model, train, method.tau, ledger=ledger)
+        if sample_weights is not None:
+            weights = sample_weights(state.model, train, value, ledger)
         batch_seed = int(_derived_seed(config.seed, epoch, 0).generate_state(1)[0])
         idx_batches = datagen.batches(train, config.batch_size, batch_seed, weights)
 
@@ -343,7 +350,7 @@ def fit(
 
             hook_factors: list[np.ndarray | None] | None = None
             hook = None
-            if active in ("feature_mask", "feature_drop"):
+            if transform is not None:
                 hook_rng = np.random.default_rng(_derived_seed(config.seed, epoch, b, 1))
                 scores_for_hook = state.running_scores
 
@@ -353,10 +360,7 @@ def fit(
                         # no score history yet (first batch): pass through
                         hook_factors = [None] * m
                         return feats
-                    if active == "feature_mask":
-                        out, hook_factors = bm.feature_mask(feats, _scores, method.rho_mask, _rng)
-                    else:
-                        out, hook_factors = bm.feature_drop(feats, _scores, method.p_max, _rng)
+                    out, hook_factors = transform(feats, _scores, value, _rng)
                     return out
 
             cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=ledger)
@@ -369,27 +373,23 @@ def fit(
                     SCORE_SMOOTHING * state.running_scores
                     + (1.0 - SCORE_SMOOTHING) * batch_scores
                 )
-            if uses_running_scores:
-                # indicator overhead: partial softmax + mean per modality
+            if grad_scale is not None or transform is not None:
+                # the hook reads the scores: partial softmax + mean per modality
                 ledger.record("softmax_loss", m * cache.logits.size)
                 ledger.record("elementwise", m * (cache.logits.size + len(yb)))
 
-            if active == "unimodal_blend":
-                bundle = bm.unimodal_blend_loss(state.model, cache, yb, method.w_uni, ledger)
-            elif active == "kl_align":
-                bundle = bm.kl_align_loss(state.model, cache, yb, method.kl_weight, ledger)
-            elif active == "cosine":
-                bundle = bm.cosine_objective(state.model, cache, yb, method.scale, ledger)
-            else:
+            if objective is None:
                 bundle = baseline_loss(state.model, cache, yb, ledger)
+            else:
+                bundle = objective(state.model, cache, yb, value, ledger)
             if not math.isfinite(bundle.loss):
                 raise DivergenceError(epoch, b, bundle.loss)
             loss_sum += bundle.loss * len(idx)
 
             grads = _backward_into_model(state.model, cache, bundle, hook_factors, ledger)
 
-            if active == "gradmod":
-                kappa = bm.grad_modulation(state.running_scores, method.alpha)
+            if grad_scale is not None:
+                kappa = grad_scale(state.running_scores, value)
                 for i in range(m):
                     for layer in grads.encoders[i].layers:
                         layer.weight *= kappa[i]
@@ -399,11 +399,10 @@ def fit(
             sgd_step(state, grads, lr, config)
             ledger.record("elementwise", 6 * n_params)
 
-        # cosine-trained models deploy with unit-norm head rows; select on
-        # the deployed form so validation ranks what evaluation will see
+        # select on the deployed form so validation ranks what evaluation will see
         eval_model = state.model
-        if active == "cosine":
-            eval_model = bm.cosine_deploy(state.model)
+        if deploy is not None:
+            eval_model = deploy(state.model)
             ledger.record("elementwise", sum(b.size for b in eval_model.head_blocks))
         val_acc = evaluate_accuracy(eval_model, val, ledger=ledger)
         log.records.append(

@@ -37,28 +37,32 @@ def grad_arrays(grads: ModelGradients):
     return arrays
 
 
-def flat(arrays):
-    return np.concatenate([a.ravel() for a in arrays])
+def fd_max_rel_error(loss_fn, params, grads, eps=1e-6):
+    """Max relative error of analytic vs central-difference gradients.
 
-
-def fd_max_rel_error(loss_fn, model, analytic: ModelGradients, eps=1e-6):
-    """Max relative error of analytic vs central-difference gradients."""
-    params = model_arrays(model)
-    grads = flat(grad_arrays(analytic))
+    ``params`` and ``grads`` are matching lists of arrays. ``loss_fn()`` reads
+    the parameters, which are perturbed in place one coordinate at a time and
+    restored. At each coordinate the error is ``|analytic - numeric| /
+    max(1, |numeric|)``.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     worst = 0.0
-    k = 0
-    for arr in params:
+    for arr, garr in zip(params, grads, strict=True):
+        assert arr.shape == garr.shape, (arr.shape, garr.shape)
         view = arr.reshape(-1)
+        gview = garr.reshape(-1)
         for j in range(view.size):
             orig = view[j]
             view[j] = orig + eps
-            f_plus = loss_fn(model)
+            f_plus = float(loss_fn())
             view[j] = orig - eps
-            f_minus = loss_fn(model)
+            f_minus = float(loss_fn())
             view[j] = orig
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise FloatingPointError("objective returned a non-finite value")
             numeric = (f_plus - f_minus) / (2.0 * eps)
-            worst = max(worst, abs(grads[k] - numeric) / max(1.0, abs(numeric)))
-            k += 1
+            worst = max(worst, abs(gview[j] - numeric) / max(1.0, abs(numeric)))
     return worst
 
 

@@ -20,7 +20,6 @@ from balancelab.fusion import init_model
 from balancelab.methods import MethodSpec
 from balancelab.metrics import (
     FlopsLedger,
-    flops_record,
     imbalance,
     shapley,
     shapley_from_values,
@@ -28,7 +27,7 @@ from balancelab.metrics import (
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import fd_max_rel_error, shapley_subset_form
+from oracles import fd_max_rel_error, grad_arrays, model_arrays, shapley_subset_form
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -80,11 +79,11 @@ def test_c1_gradient_exactness():
         bundle = trainer.baseline_loss(model, cache, labels)
         grads = trainer._backward_into_model(model, cache, bundle, None, None)
 
-        def loss_fn(mdl):
-            c = fusion.forward(mdl, batch)
+        def loss_fn():
+            c = fusion.forward(model, batch)
             return cross_entropy(c.logits, labels)[0]
 
-        worst = max(worst, fd_max_rel_error(loss_fn, model, grads))
+        worst = max(worst, fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)))
     elapsed = time.time() - start
     ok = worst < 1e-5 and elapsed < 30.0
     report(1, ok, f"max relative gradient error {worst:.3g} over 20 models in {elapsed:.1f}s")
@@ -373,9 +372,9 @@ def test_c6_method_off_equivalence():
 def test_c7_flops_determinism_and_formulas():
     """Ledger totals repeat exactly; matmul conventions match the formulas."""
     led = FlopsLedger()
-    flops_record(led, "matmul_forward", (2, 3, 4), bias=True)
+    led.record("matmul_forward", (2, 3, 4), bias=True)
     assert led.total == 56  # 2*2*3*4 + 2*4
-    flops_record(led, "matmul_backward", (2, 3, 4))
+    led.record("matmul_backward", (2, 3, 4))
     assert led.total == 56 + 96  # + 4*2*3*4
 
     cfg = parse_config_text(TINY_CFG)

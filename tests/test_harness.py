@@ -124,6 +124,18 @@ class TestRunExperiment:
         cells = sorted(os.listdir(out / "cells"))
         assert cells == ["baseline__seed1__none.json", "baseline__seed2__none.json"]
 
+    def test_truncated_cell_recomputed(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("seeds", (1,))
+        out = tmp_path / "out"
+        first = harness.run_experiment(cfg, out_dir=str(out))
+        cell = out / "cells" / "baseline__seed1__none.json"
+        text = cell.read_text()
+        cell.write_text(text[: len(text) // 2])
+        again = harness.run_experiment(cfg, out_dir=str(out))
+        assert again.rows[0].to_dict() == first.rows[0].to_dict()
+        assert "cached cell unreadable" in (out / "run.log").read_text()
+        assert json.loads(cell.read_text())["acc"] == first.rows[0].acc
+
     def test_dataset_file_config(self, tmp_path):
         from balancelab import datagen
 
@@ -185,6 +197,17 @@ class TestRunSweep:
         again = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
         assert calls["n"] == 0  # every cell came from disk
         assert len(again.rows) == 4
+
+
+    def test_cell_of_another_config_recomputed(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
+        out = str(tmp_path / "out")
+        harness.run_sweep(cfg.with_key("train.epochs", 2), "method.alpha", [0.0], out_dir=out)
+        short = cfg.with_key("train.epochs", 1)
+        rerun = harness.run_sweep(short, "method.alpha", [0.0], out_dir=out)
+        fresh = harness.run_sweep(short, "method.alpha", [0.0])
+        assert rerun.rows[0].to_dict() == fresh.rows[0].to_dict()
+        assert "different config" in (tmp_path / "out" / "run.log").read_text()
 
 
 class TestCompareTable:
@@ -289,3 +312,19 @@ class TestCli:
         assert stamp.search((out / "run.log").read_text())
         assert not stamp.search((out / "report.csv").read_text())
         assert not stamp.search((out / "report.json").read_text())
+
+    @pytest.mark.parametrize("source, argv", [
+        ("BALANCELAB_SEED", ["train"]),
+        ("--seeds", ["train", "--seeds", "1,two"]),
+        ("--values", ["sweep", "--param", "method.alpha", "--values", "0,one"]),
+        ("--run-seed", ["evaluate", "--checkpoint", "c.mmck", "--run-seed", "one"]),
+    ])
+    def test_non_integer_input_names_its_source(self, tmp_path, monkeypatch, capsys,
+                                                 source, argv):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY)
+        monkeypatch.setenv("BALANCELAB_SEED", "seven" if source == "BALANCELAB_SEED" else "")
+        rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {source}: cannot parse")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from balancelab import fusion, trainer
+from balancelab import fusion, methods, trainer
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.errors import SpecError
 from balancelab.fusion import init_model
@@ -21,7 +21,7 @@ from balancelab.methods import (
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import fd_max_rel_error
+from oracles import fd_max_rel_error, grad_arrays, model_arrays
 
 
 def small_model_and_batch(seed=0, m=2, h=3):
@@ -239,11 +239,11 @@ class TestKlAlignLoss:
         bundle = kl_align_loss(model, cache, labels, 0.7)
         grads = trainer._backward_into_model(model, cache, bundle, None, None)
 
-        def loss_fn(mdl):
-            c = fusion.forward(mdl, batch)
-            return kl_align_loss(mdl, c, labels, 0.7).loss
+        def loss_fn():
+            c = fusion.forward(model, batch)
+            return kl_align_loss(model, c, labels, 0.7).loss
 
-        assert fd_max_rel_error(loss_fn, model, grads) < 1e-5
+        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
 
 
 class TestCosine:
@@ -287,11 +287,11 @@ class TestCosine:
         bundle = cosine_objective(model, cache, labels, 4.0)
         grads = trainer._backward_into_model(model, cache, bundle, None, None)
 
-        def loss_fn(mdl):
-            c = fusion.forward(mdl, batch)
-            return cosine_objective(mdl, c, labels, 4.0).loss
+        def loss_fn():
+            c = fusion.forward(model, batch)
+            return cosine_objective(model, c, labels, 4.0).loss
 
-        assert fd_max_rel_error(loss_fn, model, grads) < 1e-5
+        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
 
     def test_bias_gets_no_gradient(self):
         model, batch, labels = small_model_and_batch(11)
@@ -343,11 +343,11 @@ class TestUnimodalBlend:
         bundle = unimodal_blend_loss(model, cache, labels, 0.6)
         grads = trainer._backward_into_model(model, cache, bundle, None, None)
 
-        def loss_fn(mdl):
-            c = fusion.forward(mdl, batch)
-            return unimodal_blend_loss(mdl, c, labels, 0.6).loss
+        def loss_fn():
+            c = fusion.forward(model, batch)
+            return unimodal_blend_loss(model, c, labels, 0.6).loss
 
-        assert fd_max_rel_error(loss_fn, model, grads) < 1e-5
+        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
 
     def test_conflict_projection_orthogonalizes(self):
         # build a synthetic conflict: flip the multimodal gradient sign on one block
@@ -368,6 +368,38 @@ class TestUnimodalBlend:
         b = np.array([[0.0, 0.0], [1.0, 0.0]])
         inner = float(np.vdot(a, b))
         assert inner == 0.0  # the guard only fires on a negative inner product
+
+
+# every method hook that perfbench/tracer.py wraps, with a method that calls it
+WRAPPED_HOOKS = [
+    ("unimodal_blend_loss", "unimodal_blend"),
+    ("cosine_objective", "cosine"),
+    ("cosine_deploy", "cosine"),
+    ("kl_align_loss", "kl_align"),
+    ("grad_modulation", "gradmod"),
+    ("feature_mask", "feature_mask"),
+    ("feature_drop", "feature_drop"),
+    ("resample_weights", "resample"),
+]
+
+
+class TestHookDispatch:
+    @pytest.mark.parametrize("hook, kind", WRAPPED_HOOKS)
+    def test_fit_calls_the_module_attribute(self, monkeypatch, hook, kind):
+        """fit looks hooks up on the module per run, not at import, so swaps see the calls."""
+        calls = []
+        real = getattr(methods, hook)
+
+        def counting(*args, **kwargs):
+            calls.append(hook)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(methods, hook, counting)
+        data = generate(SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, 3))
+        tr, va, _ = split(data, (0.8, 0.1, 0.1), 1)
+        model = init_model([[6, 8, 4], [6, 8, 4]], 3, 2)
+        fit((tr, va), model, TrainConfig(epochs=1, seed=5), MethodSpec(kind=kind))
+        assert calls
 
 
 class TestNeutralEquivalence:

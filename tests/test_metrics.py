@@ -9,7 +9,6 @@ from balancelab.errors import ContractError
 from balancelab.metrics import (
     FlopsLedger,
     accuracy,
-    flops_record,
     imbalance,
     macro_f1,
     shapley,
@@ -203,12 +202,12 @@ class TestImbalance:
 class TestFlops:
     def test_linear_forward_count(self):
         led = FlopsLedger()
-        flops_record(led, "matmul_forward", (2, 3, 4), bias=True)
+        led.record("matmul_forward", (2, 3, 4), bias=True)
         assert led.total == 2 * 2 * 3 * 4 + 2 * 4 == 56
 
     def test_linear_backward_count(self):
         led = FlopsLedger()
-        flops_record(led, "matmul_backward", (2, 3, 4))
+        led.record("matmul_backward", (2, 3, 4))
         assert led.total == 4 * 2 * 3 * 4 == 96
 
     def test_empty_total(self):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from balancelab import numkit
-from balancelab.errors import ContractError, NumericError, ShapeError, SpecError
-from balancelab.numkit import (
-    LayerParams,
-    MlpParams,
-    finite_diff_check,
-    matmul,
-    mlp_backward,
-    mlp_forward,
-    zeros_like_params,
-)
+from balancelab.errors import ContractError, ShapeError
+from balancelab.numkit import LayerParams, MlpParams, mlp_backward, mlp_forward
+
+from oracles import fd_max_rel_error
+
+
+def layer_arrays(params):
+    return [a for layer in params.layers for a in (layer.weight, layer.bias)]
 
 
 def random_mlp(sizes, rng):
@@ -20,36 +17,6 @@ def random_mlp(sizes, rng):
         for t in range(len(sizes) - 1)
     ]
     return MlpParams(layers)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_by_hand(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[3.0], [7.0]]))
-
-    def test_scalar_case(self):
-        assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            p, q, r, s = rng.integers(1, 7, size=4)
-            a = rng.standard_normal((p, q))
-            b = rng.standard_normal((q, r))
-            c = rng.standard_normal((r, s))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = np.maximum(np.abs(right), 1.0)
-            assert np.max(np.abs(left - right) / denom) < 1e-9
 
 
 class TestMlpForward:
@@ -129,11 +96,11 @@ class TestMlpBackward:
             _, cache = mlp_forward(params, x)
             grads, _ = mlp_backward(params, cache, direction)
 
-            def loss(p):
-                out, _ = mlp_forward(p, x)
+            def loss():
+                out, _ = mlp_forward(params, x)
                 return float((out * direction).sum())
 
-            assert finite_diff_check(loss, params, grads, eps=1e-5) < 1e-5
+            assert fd_max_rel_error(loss, layer_arrays(params), layer_arrays(grads), 1e-5) < 1e-5
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(5)
@@ -147,44 +114,27 @@ class TestMlpBackward:
 
 
 class TestFiniteDiffCheck:
+    """The finite-difference oracle that every analytic gradient is checked against."""
+
     def test_quadratic_closed_form(self):
-        params = MlpParams([LayerParams(np.array([[3.0]]), np.zeros(1))])
-        analytic = zeros_like_params(params)
-        analytic.layers[0].weight[0, 0] = 6.0  # d/dw of w^2 at w=3
-
-        def f(p):
-            return float(p.layers[0].weight[0, 0] ** 2)
-
-        assert finite_diff_check(f, params, analytic, eps=1e-5) < 1e-8
+        w = np.array([3.0])
+        analytic = np.array([6.0])  # d/dw of w^2 at w=3
+        assert fd_max_rel_error(lambda: w[0] ** 2, [w], [analytic], eps=1e-5) < 1e-8
 
     def test_detects_zeroed_analytic(self):
         # numeric gradient is 0.6 < 1, so the error equals |numeric| exactly
-        params = MlpParams([LayerParams(np.array([[0.3]]), np.zeros(1))])
-        zeroed = zeros_like_params(params)
-
-        def f(p):
-            return float(p.layers[0].weight[0, 0] ** 2)
-
-        err = finite_diff_check(f, params, zeroed, eps=1e-5)
+        w = np.array([0.3])
+        err = fd_max_rel_error(lambda: w[0] ** 2, [w], [np.zeros(1)], eps=1e-5)
         assert err == pytest.approx(0.6, rel=1e-6)
 
     def test_constant_function_passes(self):
-        params = MlpParams([LayerParams(np.array([[3.0]]), np.zeros(1))])
-        assert finite_diff_check(lambda p: 2.5, params, zeros_like_params(params)) < 1e-12
+        w = np.array([3.0])
+        assert fd_max_rel_error(lambda: 2.5, [w], [np.zeros(1)]) < 1e-12
 
     def test_bad_eps(self):
-        params = MlpParams([LayerParams(np.array([[3.0]]), np.zeros(1))])
-        with pytest.raises(SpecError):
-            finite_diff_check(lambda p: 0.0, params, zeros_like_params(params), eps=0.0)
+        with pytest.raises(ValueError):
+            fd_max_rel_error(lambda: 0.0, [np.array([3.0])], [np.zeros(1)], eps=0.0)
 
     def test_non_finite_objective(self):
-        params = MlpParams([LayerParams(np.array([[3.0]]), np.zeros(1))])
-        with pytest.raises(NumericError):
-            finite_diff_check(lambda p: float("nan"), params, zeros_like_params(params))
-
-
-def test_as_matrix_guard():
-    with pytest.raises(ShapeError):
-        numkit.as_matrix(np.ones(3))
-    with pytest.raises(NumericError):
-        numkit.as_matrix(np.array([[np.inf, 1.0]]))
+        with pytest.raises(FloatingPointError):
+            fd_max_rel_error(lambda: float("nan"), [np.array([3.0])], [np.zeros(1)])
