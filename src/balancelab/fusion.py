@@ -27,12 +27,19 @@ ModalityMask = tuple[bool, ...]
 
 @dataclass
 class FusionModel:
-    """Per-modality encoders plus a blocked linear head.
+    """Per-modality encoders plus a blocked linear head, over one flat buffer.
 
     ``head_blocks[i]`` has shape (H, d_phi_i) and multiplies encoder i's
     features; ``head_bias`` has shape (H,). ``arch`` records the per-modality
     layer sizes used at init, ``seed`` the init seed (both checkpoint
     metadata only).
+
+    Every parameter array is a view into ``flat``, a float64 vector laid out
+    as encoder 0's layers (weight, then bias), encoder 1's, ..., the head
+    blocks, then the head bias; arrays passed in are copied into it. Change
+    values in place, not by rebinding an array, so that ``flat`` keeps
+    seeing them. A stacked model of R runs has ``flat`` of shape (R, P) and
+    every array gains the same leading run axis.
     """
 
     encoders: list[MlpParams]
@@ -40,18 +47,31 @@ class FusionModel:
     head_bias: np.ndarray
     arch: tuple[tuple[int, ...], ...]
     seed: int
+    flat: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.encoders) != len(self.head_blocks):
             raise ShapeError("one head block per encoder required")
-        h = self.head_bias.shape[0]
+        h = self.head_bias.shape[-1]
         if h < 2:
             raise ShapeError(f"need at least 2 classes, got {h}")
         for i, (enc, blk) in enumerate(zip(self.encoders, self.head_blocks)):
-            if blk.shape != (h, enc.output_dim):
+            if blk.shape[-2:] != (h, enc.output_dim):
                 raise ShapeError(
                     f"head block {i} has shape {blk.shape}, expected ({h}, {enc.output_dim})"
                 )
+        if self.flat is None:
+            lead = self.head_bias.shape[:-1]
+            arrays = [a for enc in self.encoders for l in enc.layers for a in (l.weight, l.bias)]
+            arrays += [*self.head_blocks, self.head_bias]
+            flat = np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+            self.encoders, self.head_blocks, self.head_bias = _views(flat, self.layout())
+            self.flat = flat
+
+    def layout(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """Per-encoder layer weight shapes and the class count: what fixes ``flat``."""
+        layers = tuple(tuple(l.weight.shape[-2:] for l in e.layers) for e in self.encoders)
+        return layers, self.num_classes
 
     @property
     def num_modalities(self) -> int:
@@ -59,19 +79,52 @@ class FusionModel:
 
     @property
     def num_classes(self) -> int:
-        return int(self.head_bias.shape[0])
+        return int(self.head_bias.shape[-1])
 
     def full_mask(self) -> ModalityMask:
         return tuple(True for _ in self.encoders)
 
+    def encoder_span(self, i: int) -> slice:
+        """Where encoder i's parameters sit along the last axis of ``flat``."""
+        sizes = [sum(d_out * (d_in + 1) for d_out, d_in in enc) for enc in self.layout()[0]]
+        return slice(sum(sizes[:i]), sum(sizes[: i + 1]))
+
+    def like(self, flat: np.ndarray) -> "FusionModel":
+        """A model with this layout and metadata whose arrays view ``flat``.
+
+        ``flat`` may have other leading run axes than ``self.flat``:
+        ``stack.like(stack.flat[r])`` is run r of a stacked model, and
+        ``model.like(grads)`` lays a gradient buffer out as parameters.
+        """
+        encoders, head_blocks, head_bias = _views(flat, self.layout())
+        return FusionModel(encoders, head_blocks, head_bias, self.arch, self.seed, flat)
+
     def copy(self) -> "FusionModel":
-        return FusionModel(
-            [e.copy() for e in self.encoders],
-            [b.copy() for b in self.head_blocks],
-            self.head_bias.copy(),
-            self.arch,
-            self.seed,
-        )
+        return self.like(self.flat.copy())
+
+
+def _views(flat: np.ndarray, layout) -> tuple[list[MlpParams], list[np.ndarray], np.ndarray]:
+    """Encoders, head blocks and head bias as views into ``flat``."""
+    enc_layers, h = layout
+    lead = flat.shape[:-1]
+    start = 0
+
+    def take(*shape: int) -> np.ndarray:
+        nonlocal start
+        size = int(np.prod(shape))
+        view = flat[..., start:start + size].reshape(lead + shape)
+        start += size
+        return view
+
+    encoders = [
+        MlpParams([LayerParams(take(d_out, d_in), take(d_out)) for d_out, d_in in layers])
+        for layers in enc_layers
+    ]
+    head_blocks = [take(h, layers[-1][0]) for layers in enc_layers]
+    head_bias = take(h)
+    if start != flat.shape[-1]:
+        raise ShapeError(f"flat buffer has {flat.shape[-1]} values, the layout needs {start}")
+    return encoders, head_blocks, head_bias
 
 
 @dataclass
@@ -89,6 +142,16 @@ class ForwardCache:
     block_products: list[np.ndarray]
     logits: np.ndarray
     mask: ModalityMask
+
+    def run(self, r: int) -> "ForwardCache":
+        """Run r's slice of a stacked forward pass, as views."""
+        enc_caches = [
+            None if c is None else MlpCache([x[r] for x in c.inputs], [z[r] for z in c.preacts],
+                                             c.shapes)
+            for c in self.enc_caches
+        ]
+        return ForwardCache([f[r] for f in self.features], enc_caches,
+                            [p[r] for p in self.block_products], self.logits[r], self.mask)
 
 
 def init_model(
@@ -134,6 +197,7 @@ def forward(
 ) -> ForwardCache:
     """Forward pass over a batch (one feature matrix per modality).
 
+    A stacked model takes a stacked batch, (R, B, d_i) per modality.
     Masked-out modalities contribute a zero feature vector and their encoder
     is not evaluated; an empty mask therefore yields the bias broadcast over
     the batch. ``feature_hook``, when given, maps the list of encoder outputs
@@ -149,9 +213,10 @@ def forward(
     mask = tuple(bool(b) for b in mask)
     if len(mask) != m:
         raise ShapeError(f"mask has length {len(mask)}, expected {m}")
-    n = batch[0].shape[0]
+    lead_n = batch[0].shape[:-1]
+    n = lead_n[-1]
     for i, x in enumerate(batch):
-        if x.ndim != 2 or x.shape[0] != n:
+        if x.ndim < 2 or x.shape[:-1] != lead_n:
             raise ShapeError(f"modality {i} batch must be ({n}, d), got {x.shape}")
 
     features: list[np.ndarray] = []
@@ -161,28 +226,31 @@ def forward(
             phi, cache = mlp_forward(model.encoders[i], batch[i])
             if ledger is not None:
                 for layer in model.encoders[i].layers:
-                    d_out, d_in = layer.weight.shape
+                    d_out, d_in = layer.weight.shape[-2:]
                     ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
                     ledger.record("elementwise", n * d_out)  # activation
             features.append(phi)
             enc_caches.append(cache)
         else:
-            features.append(np.zeros((n, model.encoders[i].output_dim)))
+            features.append(np.zeros(lead_n + (model.encoders[i].output_dim,)))
             enc_caches.append(None)
     if feature_hook is not None:
         features = feature_hook(features)
 
     block_products = []
-    logits = np.broadcast_to(model.head_bias, (n, model.num_classes)).copy()
+    h = model.num_classes
     for i in range(m):
         if mask[i]:
-            p = features[i] @ model.head_blocks[i].T
+            p = features[i] @ model.head_blocks[i].swapaxes(-1, -2)
             if ledger is not None:
-                ledger.record("matmul_forward", (n, features[i].shape[1], model.num_classes))
-                ledger.record("elementwise", logits.size)  # accumulate into logits
+                ledger.record("matmul_forward", (n, features[i].shape[-1], h))
+                ledger.record("elementwise", n * h)  # accumulate into logits
         else:
-            p = np.zeros((n, model.num_classes))
+            p = np.zeros(lead_n + (h,))
         block_products.append(p)
+    # (bias + p_0) + p_1 + ...: accumulated in modality order
+    logits = block_products[0] + model.head_bias[..., None, :]
+    for p in block_products[1:]:
         logits += p
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward produced non-finite logits")
@@ -193,16 +261,16 @@ def partial_logits(model: FusionModel, cache: ForwardCache, i: int) -> np.ndarra
     """Modality i's additive share of the logits: ``W_i phi_i + b/m``."""
     if not cache.mask[i]:
         raise ContractError(f"modality {i} was masked out of this forward pass")
-    return cache.block_products[i] + model.head_bias / model.num_modalities
+    return cache.block_products[i] + (model.head_bias / model.num_modalities)[..., None, :]
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
     """Row-wise argmax; ties break toward the lowest class index."""
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
-    if logits.ndim != 2 or logits.shape[1] < 2:
+    if logits.ndim < 2 or logits.shape[-1] < 2:
         raise ShapeError(f"logits must be (B, H>=2), got {logits.shape}")
-    return logits.argmax(axis=1)
+    return logits.argmax(axis=-1)
 
 
 def save_model(model: FusionModel, path) -> None:

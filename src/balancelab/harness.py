@@ -7,8 +7,13 @@ seed), executes the full pipeline, and produces one report row:
     method, seed, sweep_param, sweep_value, acc, macro_f1,
     phi_1..phi_m, imbalance, flops_total, best_epoch
 
-Completed cells are written to ``<out>/cells/`` immediately, so partial
-results survive interruption and finished sweeps resume without recomputing.
+The uncached cells of one call (a sweep's values x seeds, or an experiment's
+seeds) share one config and shapes, so they train together as one
+``trainer.fit`` stack; ``jobs`` splits that stack across worker processes.
+A stack's runs train in lockstep, so results are kept per stack: each cell
+is written to ``<out>/cells/`` as soon as it is evaluated after its stack
+has trained, and an interrupted call resumes without recomputing those
+cells, but it retrains every cell of a stack still training.
 Each cell file carries a fingerprint of the config that produced it; a cell
 whose fingerprint differs, or that cannot be read, is recomputed.
 Reports serialize to CSV and JSON with no timestamps (those go to the
@@ -171,8 +176,76 @@ def derived_seeds(master_seed: int, run_seed: int) -> tuple[int, int, int, int]:
 
 def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
     if cfg.dataset_path is not None:
-        return datagen.load(cfg.dataset_path)
+        try:
+            return datagen.load(cfg.dataset_path)
+        except OSError as exc:
+            raise ConfigError(
+                f"dataset.path {cfg.dataset_path!r}: {exc.strerror or exc}"
+            ) from None
     return datagen.generate(cfg.synthetic_spec(seed=data_seed))
+
+
+def _train_cells(
+    cfg: ExperimentConfig,
+    cells: list[tuple[int, MethodSpec, str | None]],
+    done=None,
+) -> tuple[list[RunRow], int]:
+    """Execute (run seed, method, checkpoint path) cells of one config together.
+
+    Each run seed's split is made once and only the split is kept (a
+    dataset file, the same data for every seed, is read once); every cell
+    trains in one ``trainer.fit`` stack, then saves its checkpoint,
+    evaluates and computes Shapley contributions on its own, after which
+    ``done(index, row)`` is called if given. Returns the rows and the
+    modality count.
+    """
+    prepared = {}
+    file_data = None
+    splits, models, configs, ledgers = [], [], [], []
+    for run_seed, _, _ in cells:
+        data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, run_seed)
+        if run_seed not in prepared:
+            data = file_data if file_data is not None else load_run_data(cfg, data_seed)
+            if cfg.dataset_path is not None:
+                file_data = data
+            prepared[run_seed] = datagen.split(data, cfg.fractions, split_seed)
+            del data
+        train_set, val_set, _ = prepared[run_seed]
+        splits.append((train_set, val_set))
+        models.append(
+            fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
+        )
+        configs.append(cfg.train_config(seed=train_seed))
+        ledgers.append(metrics.FlopsLedger())
+    del file_data
+    trained = trainer.fit(splits, models, configs, [method for _, method, _ in cells], ledgers)
+
+    rows = []
+    for k, ((run_seed, method, checkpoint_path), (best, log), ledger) in enumerate(
+            zip(cells, trained, ledgers)):
+        test_set = prepared[run_seed][2]
+        if checkpoint_path is not None:
+            fusion.save_model(best, checkpoint_path)
+        perf = metrics.evaluate_performance(best, test_set)
+        phi = None
+        imb = None
+        if cfg.shapley_enabled:
+            rep = metrics.shapley(best, test_set)
+            phi = tuple(float(p) for p in rep.phi)
+            imb = rep.imbalance
+        rows.append(RunRow(
+            method=method.kind,
+            seed=run_seed,
+            acc=perf.accuracy,
+            macro_f1=perf.macro_f1,
+            phi=phi,
+            imbalance=imb,
+            flops_total=ledger.total,
+            best_epoch=log.best_epoch,
+        ))
+        if done is not None:
+            done(k, rows[-1])
+    return rows, train_set.num_modalities
 
 
 def run_single(
@@ -184,33 +257,7 @@ def run_single(
     """Execute one (method, seed) cell and return its report row."""
     if method is None:
         method = cfg.method_spec()
-    data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, run_seed)
-    data = load_run_data(cfg, data_seed)
-    train_set, val_set, test_set = datagen.split(data, cfg.fractions, split_seed)
-    model = fusion.init_model(cfg.arch(data.dims), data.num_classes, init_seed)
-    ledger = metrics.FlopsLedger()
-    best, log = trainer.fit(
-        (train_set, val_set), model, cfg.train_config(seed=train_seed), method, ledger
-    )
-    if checkpoint_path is not None:
-        fusion.save_model(best, checkpoint_path)
-    perf = metrics.evaluate_performance(best, test_set)
-    phi = None
-    imb = None
-    if cfg.shapley_enabled:
-        rep = metrics.shapley(best, test_set)
-        phi = tuple(float(p) for p in rep.phi)
-        imb = rep.imbalance
-    return RunRow(
-        method=method.kind,
-        seed=run_seed,
-        acc=perf.accuracy,
-        macro_f1=perf.macro_f1,
-        phi=phi,
-        imbalance=imb,
-        flops_total=ledger.total,
-        best_epoch=log.best_epoch,
-    )
+    return _train_cells(cfg, [(run_seed, method, checkpoint_path)])[0][0]
 
 
 def _value_tag(value) -> str:
@@ -259,21 +306,54 @@ def _write_cell(path, row_dict: dict) -> None:
     os.replace(tmp, path)
 
 
-def _cell_worker(payload: tuple) -> dict:
-    """Top-level worker so cells can run in a process pool."""
-    cfg_text, run_seed, sweep_param, sweep_value, ckpt_dir = payload
+def _stack_worker(payload: tuple) -> tuple[int | None, list[tuple[dict | None, str]]]:
+    """Train one stack of (seed, value) cells; top-level so it can run in a pool.
+
+    With ``out_dir`` set, each cell's file is written as soon as that cell
+    is evaluated. Returns the modality count (None if no data loaded) and,
+    per cell, its row dict or its error text. If the stack fails, the cells
+    it did not finish are retrained one by one, so a failing cell fails
+    alone and the others keep their rows.
+    """
+    cfg_text, keys, sweep_param, ckpt_dir, out_dir = payload
     cfg = parse_config_text(cfg_text)
-    method = cfg.method_spec()
-    if sweep_param:
-        method = dataclasses.replace(method, **{sweep_param.split(".", 1)[1]: sweep_value})
-    ckpt_path = None
-    if ckpt_dir is not None:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        ckpt_path = os.path.join(ckpt_dir, f"ckpt_{method.kind}_seed{run_seed}.mmck")
-    row = run_single(cfg, run_seed, method, checkpoint_path=ckpt_path)
-    row.sweep_param = sweep_param
-    row.sweep_value = sweep_value
-    return row.to_dict()
+    method_kind = cfg.get("method.kind")
+    cells = []
+    for run_seed, value in keys:
+        method = cfg.method_spec()
+        if sweep_param:
+            method = dataclasses.replace(method, **{sweep_param.split(".", 1)[1]: value})
+        ckpt_path = None
+        if ckpt_dir is not None:
+            os.makedirs(ckpt_dir, exist_ok=True)
+            ckpt_path = os.path.join(ckpt_dir, f"ckpt_{method.kind}_seed{run_seed}.mmck")
+        cells.append((run_seed, method, ckpt_path))
+
+    outs: dict[int, tuple[dict | None, str]] = {}
+
+    def done(k: int, row: RunRow) -> None:
+        run_seed, value = keys[k]
+        row.sweep_param = sweep_param
+        row.sweep_value = value
+        outs[k] = (row.to_dict(), "")
+        if out_dir is not None:
+            path = _cell_path(out_dir, method_kind, run_seed, value)
+            fingerprint = _cell_fingerprint(cfg, sweep_param, value)
+            _write_cell(path, {**outs[k][0], "fingerprint": fingerprint})
+            _log(out_dir, f"finished cell {method_kind} seed={run_seed} value={value}")
+
+    try:
+        _, m = _train_cells(cfg, cells, done)
+    except Exception as exc:  # noqa: BLE001 - per-cell isolation
+        if len(keys) == 1:
+            return None, [(None, str(exc))]
+        m = None
+        for k, key in enumerate(keys):
+            if k not in outs:
+                cell_m, [outs[k]] = _stack_worker(
+                    (cfg_text, [key], sweep_param, ckpt_dir, out_dir))
+                m = cell_m if m is None else m
+    return m, [outs[k] for k in range(len(keys))]
 
 
 def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
@@ -324,8 +404,13 @@ def _run_cells(
     jobs: int,
     errors: list[dict],
     ckpt_dir=None,
-) -> list[RunRow]:
-    """Run (seed, value) cells, reusing completed cell files of the same config."""
+) -> tuple[list[RunRow], int | None]:
+    """Run (seed, value) cells, reusing completed cell files of the same config.
+
+    The cells left to compute train as one stack, split into ``jobs``
+    contiguous stacks when ``jobs > 1``. Also returns the modality count of
+    the data the cells loaded (None if they loaded none).
+    """
     cfg_text = cfg.to_text()
     method_kind = cfg.get("method.kind")
     fingerprints = {value: _cell_fingerprint(cfg, sweep_param, value) for _, value in cells}
@@ -344,38 +429,47 @@ def _run_cells(
                               f"value={value}: cached cell {problem}")
         todo.append((run_seed, value))
 
-    def finish(key, row_dict):
-        rows[key] = RunRow.from_dict(row_dict)
-        if out_dir is not None:
-            path = _cell_path(out_dir, method_kind, key[0], key[1])
-            _write_cell(path, {**row_dict, "fingerprint": fingerprints[key[1]]})
-            _log(out_dir, f"finished cell {method_kind} seed={key[0]} value={key[1]}")
-
-    payloads = {key: (cfg_text, key[0], sweep_param, key[1], ckpt_dir) for key in todo}
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {key: pool.submit(_cell_worker, payloads[key]) for key in todo}
-            for key, fut in futures.items():
+    # contiguous stacks in cell order, so errors list in the same order for any jobs
+    n_stacks = min(max(jobs, 1), len(todo))
+    stacks = [todo[k * len(todo) // n_stacks:(k + 1) * len(todo) // n_stacks]
+              for k in range(n_stacks)]
+    payloads = [(cfg_text, stack, sweep_param, ckpt_dir, out_dir) for stack in stacks]
+    if n_stacks > 1:
+        with ProcessPoolExecutor(max_workers=n_stacks) as pool:
+            futures = [pool.submit(_stack_worker, payload) for payload in payloads]
+            results = []
+            for stack, fut in zip(stacks, futures):
                 try:
-                    finish(key, fut.result())
-                except Exception as exc:  # noqa: BLE001 - per-seed isolation
-                    errors.append({"seed": key[0], "sweep_value": key[1], "error": str(exc)})
-                    _log(out_dir, f"cell failed seed={key[0]} value={key[1]}: {exc}")
+                    results.append(fut.result())
+                except Exception as exc:  # noqa: BLE001 - a lost worker fails its cells
+                    results.append((None, [(None, str(exc))] * len(stack)))
     else:
-        for key in todo:
-            try:
-                finish(key, _cell_worker(payloads[key]))
-            except Exception as exc:  # noqa: BLE001 - per-seed isolation
-                errors.append({"seed": key[0], "sweep_value": key[1], "error": str(exc)})
-                _log(out_dir, f"cell failed seed={key[0]} value={key[1]}: {exc}")
+        results = [_stack_worker(payload) for payload in payloads]
 
-    return [rows[key] for key in cells if key in rows]
+    m = None
+    for stack, (stack_m, outs) in zip(stacks, results):
+        m = stack_m if m is None else m
+        for key, (row_dict, error) in zip(stack, outs):
+            if row_dict is not None:
+                rows[key] = RunRow.from_dict(row_dict)
+            else:
+                errors.append({"seed": key[0], "sweep_value": key[1], "error": error})
+                _log(out_dir, f"cell failed seed={key[0]} value={key[1]}: {error}")
+
+    return [rows[key] for key in cells if key in rows], m
 
 
-def _dataset_m(cfg: ExperimentConfig) -> int:
-    if cfg.dataset_path is not None:
-        return datagen.load(cfg.dataset_path).num_modalities
-    return cfg.get("dataset.modalities")
+def _modalities(cfg: ExperimentConfig, loaded: int | None, rows: list[RunRow]) -> int:
+    """The dataset's modality count, read from data only when no cell shows it."""
+    if loaded is not None:
+        return loaded
+    for row in rows:
+        if row.phi is not None:
+            return len(row.phi)
+    if cfg.dataset_path is None:
+        return cfg.get("dataset.modalities")
+    # every cell cached with Shapley off, or every cell failed
+    return load_run_data(cfg, 0).num_modalities
 
 
 def run_experiment(
@@ -385,8 +479,8 @@ def run_experiment(
     errors: list[dict] = []
     cells = [(s, None) for s in cfg.seeds]
     ckpt_dir = out_dir if (save_checkpoints and out_dir is not None) else None
-    rows = _run_cells(cfg, cells, "", out_dir, jobs, errors, ckpt_dir=ckpt_dir)
-    m = _dataset_m(cfg)
+    rows, loaded = _run_cells(cfg, cells, "", out_dir, jobs, errors, ckpt_dir=ckpt_dir)
+    m = _modalities(cfg, loaded, rows)
     report = RunReport(rows, _aggregate(rows, m), m, cfg, errors=errors)
     if out_dir is not None:
         report.write(out_dir)
@@ -409,14 +503,19 @@ def run_sweep(
         raise ConfigError(
             f"sweep parameter must be method.<{'|'.join(PARAMS)}>, got {param_path!r}"
         )
+    active = METHODS[cfg.get("method.kind")]
+    if parts[1] != active.param:
+        reads = f"reads only method.{active.param}" if active.param else "has no parameter"
+        raise ConfigError(f"method {active.name} {reads}, so sweeping {param_path} "
+                          "would train identical cells")
     if not values:
         raise ConfigError("need at least one sweep value")
     values = [float(v) for v in values]
 
     errors: list[dict] = []
     cells = [(s, v) for v in values for s in cfg.seeds]
-    rows = _run_cells(cfg, cells, param_path, out_dir, jobs, errors)
-    m = _dataset_m(cfg)
+    rows, loaded = _run_cells(cfg, cells, param_path, out_dir, jobs, errors)
+    m = _modalities(cfg, loaded, rows)
     aggregates = _aggregate(rows, m)
 
     means = [r for r in aggregates if r.seed == "mean"]

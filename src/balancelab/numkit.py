@@ -6,12 +6,16 @@ Conventions used throughout the package:
 - An MLP layer stores ``weight`` with shape ``(d_out, d_in)`` and ``bias``
   with shape ``(d_out,)``; batches are row-major ``(B, d)`` matrices, so a
   layer maps ``x`` to ``x @ weight.T + bias``.
+- Parameters and batches may carry the same leading run axes, e.g. weights
+  ``(R, d_out, d_in)`` and batches ``(R, B, d)``: R models then run in
+  lockstep, and each run's slice is computed bit for bit as it would be
+  alone.
 - Hidden layers use the rectifier; the output layer is affine (identity).
   The rectifier subgradient at exactly 0 is defined as 0, so bit-exact
   reproducibility does not depend on how ties are broken.
 
-All functions here are pure: they never mutate their arguments and are safe
-to call concurrently.
+``mlp_forward`` is pure; ``mlp_backward`` writes only into the gradient
+container it is given.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ class LayerParams:
     bias: np.ndarray
 
     def __post_init__(self):
-        if self.weight.ndim != 2:
+        if self.weight.ndim < 2:
             raise ShapeError(f"layer weight must be 2-D, got {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
+        if self.bias.shape != self.weight.shape[:-1]:
             raise ShapeError(
                 f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
             )
@@ -53,8 +57,8 @@ class MlpParams:
         if not self.layers:
             raise ShapeError("an MLP needs at least one layer")
         for t in range(1, len(self.layers)):
-            d_out_prev = self.layers[t - 1].weight.shape[0]
-            d_in = self.layers[t].weight.shape[1]
+            d_out_prev = self.layers[t - 1].weight.shape[-2]
+            d_in = self.layers[t].weight.shape[-1]
             if d_out_prev != d_in:
                 raise ShapeError(
                     f"layer {t - 1} outputs {d_out_prev} features but layer {t} expects {d_in}"
@@ -62,26 +66,16 @@ class MlpParams:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
 
     def copy(self) -> "MlpParams":
         return type(self)(
             [LayerParams(l.weight.copy(), l.bias.copy()) for l in self.layers]
         )
-
-
-class MlpGradients(MlpParams):
-    """Per-layer gradients, shaped exactly like the parameters they differentiate."""
-
-
-def zeros_like_params(params: MlpParams) -> MlpGradients:
-    return MlpGradients(
-        [LayerParams(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in params.layers]
-    )
 
 
 @dataclass
@@ -99,15 +93,15 @@ class MlpCache:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Run the MLP on a batch ``x`` of shape (B, d_in).
+    """Run the MLP on a batch ``x`` of shape (B, d_in), or (R, B, d_in) for R runs.
 
     Returns the (B, d_out) output and a cache for :func:`mlp_backward`.
     """
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ShapeError(f"input must be 2-D, got shape {x.shape}")
-    if x.shape[1] != params.input_dim:
+    if x.shape[-1] != params.input_dim:
         raise ShapeError(
-            f"input has {x.shape[1]} features, first layer expects {params.input_dim}"
+            f"input has {x.shape[-1]} features, first layer expects {params.input_dim}"
         )
     inputs: list[np.ndarray] = []
     preacts: list[np.ndarray] = []
@@ -115,24 +109,25 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
     last = len(params.layers) - 1
     for t, layer in enumerate(params.layers):
         inputs.append(h)
-        z = h @ layer.weight.T + layer.bias
+        z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
         preacts.append(z)
         h = z if t == last else np.maximum(z, 0.0)
-    shapes = tuple(l.weight.shape for l in params.layers)
+    shapes = tuple(l.weight.shape[-2:] for l in params.layers)
     return h, MlpCache(inputs, preacts, shapes)
 
 
 def mlp_backward(
-    params: MlpParams, cache: MlpCache, output_grad: np.ndarray
-) -> tuple[MlpGradients, np.ndarray]:
+    params: MlpParams, cache: MlpCache, output_grad: np.ndarray, out: MlpParams
+) -> np.ndarray:
     """Exact gradients of the forward map for a given output gradient.
 
-    ``output_grad`` must have the shape of the forward output. Returns the
-    parameter gradients and the gradient with respect to the input batch.
-    The rectifier contributes zero gradient where its pre-activation was
-    exactly 0.
+    ``output_grad`` must have the shape of the forward output. The parameter
+    gradients are written into ``out``, which is shaped like ``params`` (in
+    training, views into the flat gradient buffer); the gradient with respect
+    to the input batch is returned. The rectifier contributes zero gradient
+    where its pre-activation was exactly 0.
     """
-    shapes = tuple(l.weight.shape for l in params.layers)
+    shapes = tuple(l.weight.shape[-2:] for l in params.layers)
     if cache.shapes != shapes:
         raise ContractError(
             f"cache built for layer shapes {cache.shapes}, params have {shapes}"
@@ -142,13 +137,13 @@ def mlp_backward(
             f"output_grad shape {output_grad.shape} does not match forward "
             f"output {cache.preacts[-1].shape}"
         )
-    grads = [None] * len(params.layers)
     dz = output_grad
     for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
         if t < len(params.layers) - 1:
             dz = dz * (cache.preacts[t] > 0.0)
-        grads[t] = LayerParams(dz.T @ cache.inputs[t], dz.sum(axis=0))
+        np.matmul(dz.swapaxes(-1, -2), cache.inputs[t], out=out.layers[t].weight)
+        dz.sum(axis=-2, out=out.layers[t].bias)
         dz = dz @ layer.weight
-    return MlpGradients(grads), dz
+    return dz
 

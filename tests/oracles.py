@@ -11,36 +11,21 @@ import math
 
 import numpy as np
 
-from balancelab import datagen
-from balancelab.trainer import ModelGradients
+from balancelab import datagen, trainer
 
 
-def model_arrays(model):
-    arrays = []
-    for enc in model.encoders:
-        for layer in enc.layers:
-            arrays.append(layer.weight)
-            arrays.append(layer.bias)
-    arrays.extend(model.head_blocks)
-    arrays.append(model.head_bias)
-    return arrays
-
-
-def grad_arrays(grads: ModelGradients):
-    arrays = []
-    for enc in grads.encoders:
-        for layer in enc.layers:
-            arrays.append(layer.weight)
-            arrays.append(layer.bias)
-    arrays.extend(grads.head_blocks)
-    arrays.append(grads.head_bias)
-    return arrays
+def model_gradient(model, cache, bundle):
+    """The trainer's analytic gradient of ``bundle``, as a flat vector like ``model.flat``."""
+    grads = model.like(np.empty_like(model.flat))
+    trainer._backward_into_model(model, cache, bundle, grads, None)
+    return grads.flat
 
 
 def fd_max_rel_error(loss_fn, params, grads, eps=1e-6):
     """Max relative error of analytic vs central-difference gradients.
 
-    ``params`` and ``grads`` are matching lists of arrays. ``loss_fn()`` reads
+    ``params`` and ``grads`` are matching lists of arrays (for a model, its
+    flat buffer and the flat gradient). ``loss_fn()`` reads
     the parameters, which are perturbed in place one coordinate at a time and
     restored. At each coordinate the error is ``|analytic - numeric| /
     max(1, |numeric|)``.

@@ -27,7 +27,7 @@ from balancelab.metrics import (
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import fd_max_rel_error, grad_arrays, model_arrays, shapley_subset_form
+from oracles import fd_max_rel_error, model_gradient, shapley_subset_form
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -77,13 +77,13 @@ def test_c1_gradient_exactness():
         labels = rng.integers(0, h, 5)
         cache = fusion.forward(model, batch)
         bundle = trainer.baseline_loss(model, cache, labels)
-        grads = trainer._backward_into_model(model, cache, bundle, None, None)
+        grads = model_gradient(model, cache, bundle)
 
         def loss_fn():
             c = fusion.forward(model, batch)
             return cross_entropy(c.logits, labels)[0]
 
-        worst = max(worst, fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)))
+        worst = max(worst, fd_max_rel_error(loss_fn, [model.flat], [grads]))
     elapsed = time.time() - start
     ok = worst < 1e-5 and elapsed < 30.0
     report(1, ok, f"max relative gradient error {worst:.3g} over 20 models in {elapsed:.1f}s")

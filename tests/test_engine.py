@@ -1,0 +1,82 @@
+"""The run-axis engine: cells trained as one stack equal each cell trained alone."""
+
+import pytest
+
+from balancelab import harness, methods
+from balancelab.config import parse_config_text
+from balancelab.datagen import SyntheticSpec, generate, split
+from balancelab.fusion import init_model
+from balancelab.methods import METHODS, MethodSpec
+from balancelab.metrics import FlopsLedger
+from balancelab.trainer import TrainConfig, fit
+
+TINY = """
+dataset.samples = 300
+dataset.dims = 6,6
+dataset.signal = 3.0,1.0
+model.hidden = 8
+model.feature_dim = 4
+train.epochs = 3
+train.batch_size = 32
+method.kind = gradmod
+seeds = 1,2
+"""
+
+
+def strengths(kind):
+    """The default strength and the neutral one; cosine has none, so a second scale."""
+    entry = METHODS[kind]
+    if entry.param is None:
+        return [None]
+    return [entry.default, 2.0 if entry.neutral is None else entry.neutral]
+
+
+def cell(kind, value, seed):
+    """One run's inputs; each seed has its own data, split, init and batch order."""
+    data = generate(SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, seed))
+    train, val, _ = split(data, (0.8, 0.1, 0.1), seed)
+    kwargs = {} if value is None else {METHODS[kind].param: value}
+    model = init_model([[6, 8, 4], [6, 8, 4]], 3, 10 + seed)
+    return (train, val), model, TrainConfig(epochs=3, batch_size=32, seed=100 + seed), \
+        MethodSpec(kind=kind, **kwargs)
+
+
+@pytest.mark.parametrize("kind", list(METHODS))
+def test_stack_matches_each_cell_alone(kind):
+    cells = [cell(kind, value, seed) for value in strengths(kind) for seed in (1, 2, 3)]
+    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    assert len(stacked) == len(cells) >= 3
+    for inputs, (best, log) in zip(cells, stacked):
+        alone, alone_log = fit(*inputs, FlopsLedger())
+        assert best.flat.tobytes() == alone.flat.tobytes()
+        assert log.best_epoch == alone_log.best_epoch
+        # repr is exact for floats, so this compares every record bit for bit
+        assert repr(log.records) == repr(alone_log.records)
+
+
+def test_failing_cell_fails_alone(monkeypatch):
+    cfg = parse_config_text(TINY).with_key("seeds", (1,))
+    real = methods.grad_modulation
+
+    def fails_at_two(scores, alpha):
+        if alpha == 2.0:
+            raise RuntimeError("hook failed at alpha 2")
+        return real(scores, alpha)
+
+    monkeypatch.setattr(methods, "grad_modulation", fails_at_two)
+    report = harness.run_sweep(cfg, "method.alpha", [0.5, 2.0, 1.0])
+    assert [(e["seed"], e["sweep_value"]) for e in report.errors] == [(1, 2.0)]
+    assert report.errors[0]["error"] == "hook failed at alpha 2"
+    assert [row.sweep_value for row in report.rows] == [0.5, 1.0]
+    for row in report.rows:
+        alone = harness.run_sweep(cfg, "method.alpha", [row.sweep_value]).rows[0]
+        assert row.to_dict() == alone.to_dict()
+
+
+def test_jobs_split_the_stack_without_changing_reports(tmp_path):
+    cfg = parse_config_text(TINY)
+    for jobs in (1, 2):
+        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0, 2.0], out_dir=str(tmp_path / str(jobs)),
+                          jobs=jobs)
+    for name in ("report.csv", "report.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from balancelab import cli, harness
+from balancelab import cli, harness, trainer
 from balancelab.config import parse_config, parse_config_text
 from balancelab.errors import ConfigError
 
@@ -150,6 +150,25 @@ class TestRunExperiment:
         report = harness.run_experiment(cfg)
         assert len(report.rows) == 1
 
+    def test_failed_cells_report_the_file_modality_count(self, tmp_path, monkeypatch):
+        from balancelab import datagen
+
+        spec = datagen.SyntheticSpec(num_modalities=3, num_classes=4, dims=(4, 4, 4),
+                                     signal=(3.0, 1.0, 1.0), sigma=1.0, samples=200, seed=0)
+        path = tmp_path / "d.mmds"
+        datagen.save(datagen.generate(spec), path)
+        cfg = parse_config_text(f'dataset.path = "{path}"\ntrain.epochs = 1\nseeds = 1,2\n')
+
+        def diverges(*args, **kwargs):
+            raise FloatingPointError("diverged")
+
+        monkeypatch.setattr(trainer, "fit", diverges)
+        out = tmp_path / "out"
+        with pytest.raises(harness.BalanceLabError, match="all 2 runs failed"):
+            harness.run_experiment(cfg, out_dir=str(out))
+        header = (out / "report.csv").read_text().splitlines()[0]
+        assert "phi_3" in header.split(",")
+
 
 class TestRunSweep:
     def test_zero_alpha_matches_baseline_rows(self, tmp_path):
@@ -180,24 +199,54 @@ class TestRunSweep:
             harness.run_sweep(cfg, "train.lr", [0.1])
         with pytest.raises(ConfigError):
             harness.run_sweep(cfg, "method.kind", [1.0])
+        # a parameter the active method never reads would train identical cells
+        with pytest.raises(ConfigError):
+            harness.run_sweep(cfg, "method.alpha", [0.0, 4.0])
+        with pytest.raises(ConfigError):
+            harness.run_sweep(cfg.with_key("method.kind", "gradmod"), "method.tau", [1.0])
 
     def test_resume_reuses_cells(self, tmp_path, monkeypatch):
-        cfg = parse_config_text(TINY)
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
         out = str(tmp_path / "out")
-        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
-
         calls = {"n": 0}
-        real = harness.run_single
+        real = trainer.fit
 
         def counting(*args, **kwargs):
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "run_single", counting)
+        monkeypatch.setattr(trainer, "fit", counting)
+        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
+        assert calls["n"] > 0
+        calls["n"] = 0
         again = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
         assert calls["n"] == 0  # every cell came from disk
         assert len(again.rows) == 4
 
+    def test_interrupt_keeps_cells_already_evaluated(self, tmp_path, monkeypatch):
+        from balancelab import metrics
+
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
+        out = tmp_path / "out"
+        real = metrics.evaluate_performance
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "evaluate_performance", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
+        # the first cell was written before the second was evaluated
+        assert os.listdir(out / "cells") == ["gradmod__seed1__0p0.json"]
+        monkeypatch.setattr(metrics, "evaluate_performance", real)
+        resumed = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
+        fresh = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0])
+        assert [r.to_dict() for r in resumed.rows] == [r.to_dict() for r in fresh.rows]
+        assert "reused cell gradmod seed=1 value=0.0" in (out / "run.log").read_text()
 
     def test_cell_of_another_config_recomputed(self, tmp_path):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
@@ -263,7 +312,7 @@ class TestCli:
 
     def test_sweep_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(TINY)
+        cfg_path.write_text(TINY + "method.kind = gradmod\n")
         rc = cli.main([
             "sweep", "--config", str(cfg_path), "--param", "method.alpha",
             "--values", "0,1", "--out", str(tmp_path / "sw"), "--seeds", "1",
@@ -272,6 +321,15 @@ class TestCli:
         report = json.loads((tmp_path / "sw" / "report.json").read_text())
         assert report["sweep_param"] == "method.alpha"
         assert len(report["rows"]) == 2
+
+    def test_missing_dataset_path_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        missing = tmp_path / "missing.mmds"
+        cfg_path.write_text(f'dataset.path = "{missing}"\ntrain.epochs = 1\nseeds = 1\n')
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"

@@ -21,7 +21,7 @@ from balancelab.methods import (
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import fd_max_rel_error, grad_arrays, model_arrays
+from oracles import fd_max_rel_error, model_gradient
 
 
 def small_model_and_batch(seed=0, m=2, h=3):
@@ -237,13 +237,13 @@ class TestKlAlignLoss:
         model, batch, labels = small_model_and_batch(7, m=m)
         cache = fusion.forward(model, batch)
         bundle = kl_align_loss(model, cache, labels, 0.7)
-        grads = trainer._backward_into_model(model, cache, bundle, None, None)
+        grads = model_gradient(model, cache, bundle)
 
         def loss_fn():
             c = fusion.forward(model, batch)
             return kl_align_loss(model, c, labels, 0.7).loss
 
-        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
+        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
 
 class TestCosine:
@@ -285,13 +285,13 @@ class TestCosine:
         model, batch, labels = small_model_and_batch(10, m=m)
         cache = fusion.forward(model, batch)
         bundle = cosine_objective(model, cache, labels, 4.0)
-        grads = trainer._backward_into_model(model, cache, bundle, None, None)
+        grads = model_gradient(model, cache, bundle)
 
         def loss_fn():
             c = fusion.forward(model, batch)
             return cosine_objective(model, c, labels, 4.0).loss
 
-        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
+        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
     def test_bias_gets_no_gradient(self):
         model, batch, labels = small_model_and_batch(11)
@@ -341,13 +341,13 @@ class TestUnimodalBlend:
             conflict = conflict or inner < 0
         assert not conflict, "pick a seed without gradient conflict for the FD check"
         bundle = unimodal_blend_loss(model, cache, labels, 0.6)
-        grads = trainer._backward_into_model(model, cache, bundle, None, None)
+        grads = model_gradient(model, cache, bundle)
 
         def loss_fn():
             c = fusion.forward(model, batch)
             return unimodal_blend_loss(model, c, labels, 0.6).loss
 
-        assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
+        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
     def test_conflict_projection_orthogonalizes(self):
         # build a synthetic conflict: flip the multimodal gradient sign on one block

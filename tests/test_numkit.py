@@ -72,7 +72,8 @@ class TestMlpBackward:
         rng = np.random.default_rng(4)
         params = random_mlp([3, 5, 2], rng)
         out, cache = mlp_forward(params, rng.standard_normal((4, 3)))
-        grads, dx = mlp_backward(params, cache, np.zeros_like(out))
+        grads = params.copy()
+        dx = mlp_backward(params, cache, np.zeros_like(out), grads)
         assert not dx.any()
         for layer in grads.layers:
             assert not layer.weight.any() and not layer.bias.any()
@@ -82,7 +83,8 @@ class TestMlpBackward:
         params = MlpParams([LayerParams(np.full((2, 3), 0.5), np.zeros(2))])
         x = np.arange(12.0).reshape(4, 3)
         out, cache = mlp_forward(params, x)
-        grads, _ = mlp_backward(params, cache, np.ones_like(out))
+        grads = params.copy()
+        mlp_backward(params, cache, np.ones_like(out), grads)
         assert np.array_equal(grads.layers[0].weight, np.tile(x.sum(axis=0), (2, 1)))
 
     def test_matches_finite_differences(self):
@@ -94,7 +96,8 @@ class TestMlpBackward:
             x = rng.standard_normal((5, sizes[0]))
             direction = rng.standard_normal((5, sizes[-1]))
             _, cache = mlp_forward(params, x)
-            grads, _ = mlp_backward(params, cache, direction)
+            grads = params.copy()
+            mlp_backward(params, cache, direction, grads)
 
             def loss():
                 out, _ = mlp_forward(params, x)
@@ -108,9 +111,9 @@ class TestMlpBackward:
         other = random_mlp([3, 5, 2], rng)
         out, cache = mlp_forward(params, rng.standard_normal((2, 3)))
         with pytest.raises(ContractError):
-            mlp_backward(other, cache, np.zeros_like(out))
+            mlp_backward(other, cache, np.zeros_like(out), other.copy())
         with pytest.raises(ContractError):
-            mlp_backward(params, cache, np.zeros((2, 7)))
+            mlp_backward(params, cache, np.zeros((2, 7)), params.copy())
 
 
 class TestFiniteDiffCheck:

@@ -19,10 +19,9 @@ from balancelab.trainer import (
     sgd_step,
     softmax,
     step_lr,
-    zeros_like_model,
 )
 
-from oracles import fd_max_rel_error, grad_arrays, model_arrays
+from oracles import fd_max_rel_error, model_gradient
 
 
 def tiny_data(seed=0, m=2, signal=(2.0, 2.0), n=240, sigma=1.0, h=3, d=6):
@@ -66,11 +65,11 @@ class TestSgdStep:
         model = init_model([[1, 1], [1, 1]], 2, 0)
         model.head_blocks[0][:] = 0.0
         model.head_blocks[0][0, 0] = w
-        return TrainState(model, zeros_like_model(model), 0)
+        return TrainState(model, np.zeros_like(model.flat), 0)
 
     def grads_like(self, state, g):
-        grads = zeros_like_model(state.model)
-        grads.head_blocks[0][0, 0] = g
+        grads = np.zeros_like(state.model.flat)
+        state.model.like(grads).head_blocks[0][0, 0] = g
         return grads
 
     def test_reduces_to_plain_gradient_descent(self):
@@ -83,7 +82,7 @@ class TestSgdStep:
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0, epochs=1)
         state = self.make_state(0.7)
         before = state.model.head_blocks[0].copy()
-        sgd_step(state, zeros_like_model(state.model), 0.1, cfg)
+        sgd_step(state, np.zeros_like(state.model.flat), 0.1, cfg)
         assert np.array_equal(state.model.head_blocks[0], before)
 
     def test_weight_decay_worked_example(self):
@@ -158,13 +157,13 @@ class TestGradientsThroughModel:
             labels = rng.integers(0, 3, 6)
             cache = fusion.forward(model, batch)
             bundle = baseline_loss(model, cache, labels)
-            grads = trainer._backward_into_model(model, cache, bundle, None, None)
+            grads = model_gradient(model, cache, bundle)
 
             def loss_fn():
                 c = fusion.forward(model, batch)
                 return cross_entropy(c.logits, labels)[0]
 
-            assert fd_max_rel_error(loss_fn, model_arrays(model), grad_arrays(grads)) < 1e-5
+            assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
 
 class TestFit:
