@@ -10,7 +10,8 @@ Subcommands::
 
 Master-seed precedence: ``--master-seed`` flag, then the ``BALANCELAB_SEED``
 environment variable, then the config ``seed`` key. ``--seeds`` replaces the
-config seed list. Exit code is 0 only when every run succeeded.
+config seed list. Each subcommand accepts only the flags it reads. Exit code
+is 0 only when every run succeeded.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _cmd_evaluate(args) -> int:
     data_seed, split_seed, _, _ = harness.derived_seeds(cfg.master_seed, run_seed)
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
-    model = fusion.load_model(args.checkpoint)
+    model = harness.read_input("--checkpoint", fusion.load_model, args.checkpoint)
     perf = metrics.evaluate_performance(model, test_set)
     out = {
         "checkpoint": args.checkpoint,
@@ -101,7 +102,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    reports = [harness.load_report(p) for p in args.reports]
+    reports = [harness.read_input("--reports", harness.load_report, p) for p in args.reports]
     text, csv_text = harness.compare_table(reports)
     print(text, end="")
     if args.out:
@@ -117,15 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="balancelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="config file or text")
+    def common(p, seeds=True, jobs=True):
+        p.add_argument("--config", required=True, help="config file or text")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--seeds", default=None, help="comma-separated run seeds")
-        p.add_argument("--master-seed", type=int, default=None, dest="master_seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel (method, seed) cells")
+        if seeds:
+            p.add_argument("--seeds", default=None, help="comma-separated run seeds")
+            p.add_argument("--master-seed", type=int, default=None, dest="master_seed")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel (method, seed) cells")
 
     p = sub.add_parser("generate", help="write a synthetic dataset file")
-    common(p)
+    common(p, seeds=False, jobs=False)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="run the configured method over all seeds")
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics for a saved checkpoint")
-    common(p)
+    common(p, jobs=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--run-seed", default=None, help="run seed whose test split to use")
     p.set_defaults(func=_cmd_evaluate)

@@ -275,7 +275,3 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
     fr = cfg.fractions
     if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError(f"eval.fractions: need three positive values summing to 1, got {fr}")
-
-
-def default_config() -> ExperimentConfig:
-    return parse_config_text("")

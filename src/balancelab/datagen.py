@@ -118,20 +118,6 @@ class Dataset:
         )
 
 
-def class_means(spec: SyntheticSpec) -> list[np.ndarray]:
-    """Unit-norm per-class mean directions, one (H, d_i) array per modality.
-
-    These are the first draws from the spec's generator, so they match the
-    means used inside :func:`generate` exactly.
-    """
-    rng = np.random.default_rng(spec.seed)
-    means = []
-    for d in spec.dims:
-        raw = rng.standard_normal((spec.num_classes, d))
-        means.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    return means
-
-
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw one dataset from the spec. Identical specs give identical bytes.
 

@@ -4,11 +4,8 @@ The model is m per-modality MLP encoders feeding one blocked linear head:
 ``logits = sum_i head_blocks[i] @ phi_i + head_bias``, which is exactly the
 concatenation of encoder features through a single linear classifier. The
 blocked form keeps each modality's additive share of the logits explicit.
-
-Masked evaluation zeroes a modality's feature vector (the encoder is not
-even run), so the empty mask yields the pure bias predictor. Partial logits
-carry ``head_bias / m`` so the per-modality partials sum back to the full
-logits.
+Partial logits carry ``head_bias / m`` so the per-modality partials sum back
+to the full logits.
 """
 
 from __future__ import annotations
@@ -17,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError, NumericError, ShapeError
+from .errors import FormatError, NumericError, ShapeError
 from .numkit import LayerParams, MlpCache, MlpParams, mlp_forward
 
 _FLOAT_FMT = "%.17g"
-
-ModalityMask = tuple[bool, ...]
 
 
 @dataclass
@@ -81,9 +76,6 @@ class FusionModel:
     def num_classes(self) -> int:
         return int(self.head_bias.shape[-1])
 
-    def full_mask(self) -> ModalityMask:
-        return tuple(True for _ in self.encoders)
-
     def encoder_span(self, i: int) -> slice:
         """Where encoder i's parameters sit along the last axis of ``flat``."""
         sizes = [sum(d_out * (d_in + 1) for d_out, d_in in enc) for enc in self.layout()[0]]
@@ -132,26 +124,24 @@ class ForwardCache:
     """Everything one forward pass computed.
 
     ``features[i]`` is the (possibly hook-transformed) encoder output used
-    for the logits; masked-out modalities hold zeros and a None encoder
-    cache. ``block_products[i]`` is ``features[i] @ head_blocks[i].T``, so
-    ``logits = sum(block_products) + head_bias`` exactly as computed.
+    for the logits. ``block_products[i]`` is ``features[i] @ head_blocks[i].T``,
+    so ``logits = (head_bias + block_products[0]) + block_products[1] + ...``
+    exactly as computed.
     """
 
     features: list[np.ndarray]
-    enc_caches: list[MlpCache | None]
+    enc_caches: list[MlpCache]
     block_products: list[np.ndarray]
     logits: np.ndarray
-    mask: ModalityMask
 
     def run(self, r: int) -> "ForwardCache":
         """Run r's slice of a stacked forward pass, as views."""
         enc_caches = [
-            None if c is None else MlpCache([x[r] for x in c.inputs], [z[r] for z in c.preacts],
-                                             c.shapes)
+            MlpCache([x[r] for x in c.inputs], [z[r] for z in c.preacts], c.shapes)
             for c in self.enc_caches
         ]
         return ForwardCache([f[r] for f in self.features], enc_caches,
-                            [p[r] for p in self.block_products], self.logits[r], self.mask)
+                            [p[r] for p in self.block_products], self.logits[r])
 
 
 def init_model(
@@ -191,16 +181,13 @@ def init_model(
 def forward(
     model: FusionModel,
     batch: list[np.ndarray],
-    mask: ModalityMask | None = None,
     feature_hook=None,
     ledger=None,
 ) -> ForwardCache:
     """Forward pass over a batch (one feature matrix per modality).
 
     A stacked model takes a stacked batch, (R, B, d_i) per modality.
-    Masked-out modalities contribute a zero feature vector and their encoder
-    is not evaluated; an empty mask therefore yields the bias broadcast over
-    the batch. ``feature_hook``, when given, maps the list of encoder outputs
+    ``feature_hook``, when given, maps the list of encoder outputs
     to a transformed list before the head (used by feed-forward balancing
     methods during training). ``ledger`` is an optional FlopsLedger that
     records the matmul work.
@@ -208,11 +195,6 @@ def forward(
     m = model.num_modalities
     if len(batch) != m:
         raise ShapeError(f"batch has {len(batch)} modalities, model expects {m}")
-    if mask is None:
-        mask = model.full_mask()
-    mask = tuple(bool(b) for b in mask)
-    if len(mask) != m:
-        raise ShapeError(f"mask has length {len(mask)}, expected {m}")
     lead_n = batch[0].shape[:-1]
     n = lead_n[-1]
     for i, x in enumerate(batch):
@@ -220,47 +202,37 @@ def forward(
             raise ShapeError(f"modality {i} batch must be ({n}, d), got {x.shape}")
 
     features: list[np.ndarray] = []
-    enc_caches: list[MlpCache | None] = []
+    enc_caches: list[MlpCache] = []
     for i in range(m):
-        if mask[i]:
-            phi, cache = mlp_forward(model.encoders[i], batch[i])
-            if ledger is not None:
-                for layer in model.encoders[i].layers:
-                    d_out, d_in = layer.weight.shape[-2:]
-                    ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
-                    ledger.record("elementwise", n * d_out)  # activation
-            features.append(phi)
-            enc_caches.append(cache)
-        else:
-            features.append(np.zeros(lead_n + (model.encoders[i].output_dim,)))
-            enc_caches.append(None)
+        phi, cache = mlp_forward(model.encoders[i], batch[i])
+        if ledger is not None:
+            for layer in model.encoders[i].layers:
+                d_out, d_in = layer.weight.shape[-2:]
+                ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
+                ledger.record("elementwise", n * d_out)  # activation
+        features.append(phi)
+        enc_caches.append(cache)
     if feature_hook is not None:
         features = feature_hook(features)
 
     block_products = []
     h = model.num_classes
     for i in range(m):
-        if mask[i]:
-            p = features[i] @ model.head_blocks[i].swapaxes(-1, -2)
-            if ledger is not None:
-                ledger.record("matmul_forward", (n, features[i].shape[-1], h))
-                ledger.record("elementwise", n * h)  # accumulate into logits
-        else:
-            p = np.zeros(lead_n + (h,))
-        block_products.append(p)
+        block_products.append(features[i] @ model.head_blocks[i].swapaxes(-1, -2))
+        if ledger is not None:
+            ledger.record("matmul_forward", (n, features[i].shape[-1], h))
+            ledger.record("elementwise", n * h)  # accumulate into logits
     # (bias + p_0) + p_1 + ...: accumulated in modality order
     logits = block_products[0] + model.head_bias[..., None, :]
     for p in block_products[1:]:
         logits += p
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward produced non-finite logits")
-    return ForwardCache(features, enc_caches, block_products, logits, mask)
+    return ForwardCache(features, enc_caches, block_products, logits)
 
 
 def partial_logits(model: FusionModel, cache: ForwardCache, i: int) -> np.ndarray:
     """Modality i's additive share of the logits: ``W_i phi_i + b/m``."""
-    if not cache.mask[i]:
-        raise ContractError(f"modality {i} was masked out of this forward pass")
     return cache.block_products[i] + (model.head_bias / model.num_modalities)[..., None, :]
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import datagen, fusion, metrics, trainer
 from .config import ExperimentConfig, parse_config_text
-from .errors import BalanceLabError, ConfigError
+from .errors import BalanceLabError, ConfigError, FormatError
 from .methods import METHODS, PARAMS, MethodSpec
 
 _VERSION = "0.1.0"
@@ -174,14 +174,19 @@ def derived_seeds(master_seed: int, run_seed: int) -> tuple[int, int, int, int]:
     return tuple(int(x) for x in ss.generate_state(4))
 
 
+def read_input(name: str, load, path):
+    """``load(path)``; a file that cannot be read is a ConfigError naming ``name``."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{name} {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{name} {path!r}: not an ASCII text file") from None
+
+
 def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
     if cfg.dataset_path is not None:
-        try:
-            return datagen.load(cfg.dataset_path)
-        except OSError as exc:
-            raise ConfigError(
-                f"dataset.path {cfg.dataset_path!r}: {exc.strerror or exc}"
-            ) from None
+        return read_input("dataset.path", datagen.load, cfg.dataset_path)
     return datagen.generate(cfg.synthetic_spec(seed=data_seed))
 
 
@@ -623,18 +628,24 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
 def load_report(path) -> RunReport:
     """Rebuild a RunReport from a report.json file."""
     with open(path, "r", encoding="ascii") as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not JSON ({exc})") from None
     cfg_pairs = []
     from .config import _SCHEMA  # canonical key order
 
-    for key, (kind, default) in _SCHEMA.items():
-        v = d["config"].get(key, default)
-        if isinstance(v, list):
-            v = tuple(v)
-        cfg_pairs.append((key, v))
+    try:
+        for key, (kind, default) in _SCHEMA.items():
+            v = d["config"].get(key, default)
+            if isinstance(v, list):
+                v = tuple(v)
+            cfg_pairs.append((key, v))
+        rows = [RunRow.from_dict(r) for r in d["rows"]]
+        aggregates = [RunRow.from_dict(r) for r in d["aggregates"]]
+    except KeyError as exc:
+        raise FormatError(f"{path}: not a report, missing key {exc}") from None
     cfg = ExperimentConfig(tuple(cfg_pairs))
-    rows = [RunRow.from_dict(r) for r in d["rows"]]
-    aggregates = [RunRow.from_dict(r) for r in d["aggregates"]]
     m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")
     return RunReport(
         rows, aggregates, m, cfg,

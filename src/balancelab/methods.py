@@ -217,26 +217,6 @@ def unimodal_blend_loss(
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
-def cosine_logits(model: FusionModel, cache: ForwardCache, scale: float) -> np.ndarray:
-    """Norm-free logits: ``scale * sum_i cos(angle(W_i[h], phi_i))``.
-
-    Invariant to positive rescaling of any feature vector or head row, which
-    strips the magnitude advantage a dominant modality earns; only
-    directions compete. The head bias is omitted. Norms below 1e-12 are
-    clamped so zero vectors are safe.
-    """
-    METHODS["cosine"].check(scale)
-    n = cache.logits.shape[0]
-    logits = np.zeros((n, model.num_classes))
-    for i in range(model.num_modalities):
-        w = model.head_blocks[i]
-        phi = cache.features[i]
-        wn = np.maximum(np.linalg.norm(w, axis=1), _COS_EPS)
-        fn = np.maximum(np.linalg.norm(phi, axis=1), _COS_EPS)
-        logits += (phi @ w.T) / (fn[:, None] * wn[None, :])
-    return scale * logits
-
-
 def cosine_objective(
     model: FusionModel,
     cache: ForwardCache,
@@ -308,14 +288,6 @@ def cosine_deploy(model: FusionModel) -> FusionModel:
         blk /= norms
     out.head_bias[:] = 0.0
     return out
-
-
-def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p||q) + KL(q||p) in nats for two probability vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    s = np.log(p) - np.log(q)
-    return float(np.sum(p * s) - np.sum(q * s))
 
 
 def kl_align_loss(

@@ -1,13 +1,20 @@
 """Performance, Shapley-based modality contribution, and FLOPs accounting.
 
 The value function v(A) is the masked-evaluation accuracy of the model when
-only the modalities in subset A are active; v on the empty set is the
-accuracy of the pure bias predictor. Modality contributions phi_i average
-the marginal gain v(S + i) - v(S) over all orderings of modality inclusion;
-the imbalance index is the mean absolute pairwise difference of the phi
-(plain |phi_1 - phi_2| for two modalities). With accuracy-valued v the index
-lies in [0, 1], is 0 exactly when contributions are equal, and is invariant
-to relabeling modalities.
+only the modalities in subset A are active: the features of every other
+modality are zeroed, so v on the empty set is the accuracy of the pure bias
+predictor. The head is linear in each modality's features, so a zeroed
+modality adds an exact zero block to the logits. v(A) is therefore read from
+one unmasked forward pass as the argmax of ``head_bias + sum_{i in A}
+block_products[i]``, added in modality order as ``fusion.forward`` adds
+them, which reproduces the masked logits bit for bit; all 2^m values cost
+one forward pass.
+
+Modality contributions phi_i average the marginal gain v(S + i) - v(S) over
+all orderings of modality inclusion; the imbalance index is the mean
+absolute pairwise difference of the phi (plain |phi_1 - phi_2| for two
+modalities). With accuracy-valued v the index lies in [0, 1], is 0 exactly
+when contributions are equal, and is invariant to relabeling modalities.
 
 FLOPs conventions (fixed, so totals are reproducible):
 
@@ -29,7 +36,7 @@ import numpy as np
 from . import fusion
 from .datagen import Dataset
 from .errors import ContractError
-from .fusion import FusionModel, ModalityMask
+from .fusion import ForwardCache, FusionModel
 
 
 def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -89,16 +96,25 @@ def evaluate_performance(model: FusionModel, data: Dataset) -> PerfReport:
     )
 
 
-def value_function(model: FusionModel, data: Dataset, subset: ModalityMask) -> float:
-    """Masked-evaluation accuracy using only the modalities in ``subset``."""
+def _subset_accuracy(model: FusionModel, cache: ForwardCache, labels: np.ndarray,
+                     kept) -> float:
+    """v(A) for the modality indices ``kept`` (ascending) from an unmasked pass."""
+    logits = np.broadcast_to(model.head_bias, cache.logits.shape)
+    for i in kept:
+        logits = logits + cache.block_products[i]
+    return accuracy(fusion.predict(logits), labels)
+
+
+def value_function(model: FusionModel, data: Dataset, subset: tuple[bool, ...]) -> float:
+    """Masked-evaluation accuracy using only the modalities flagged in ``subset``."""
     if data.num_samples == 0:
         raise ContractError("cannot evaluate on an empty dataset")
     if len(subset) != model.num_modalities:
         raise ContractError(
             f"subset length {len(subset)} does not match m={model.num_modalities}"
         )
-    cache = fusion.forward(model, data.features, mask=subset)
-    return accuracy(fusion.predict(cache.logits), data.labels)
+    cache = fusion.forward(model, data.features)
+    return _subset_accuracy(model, cache, data.labels, [i for i, on in enumerate(subset) if on])
 
 
 @dataclass
@@ -148,17 +164,17 @@ def shapley_from_values(values: dict[frozenset[int], float], m: int) -> tuple[fl
 def shapley(model: FusionModel, data: Dataset) -> ShapleyReport:
     """Modality contributions on ``data`` via exhaustive masked evaluation.
 
-    Evaluates v once per subset (2^m evaluations, memoized) before the
-    permutation average, so the cost is 2^m forward passes.
+    Evaluates v once per subset, all 2^m of them from one forward pass,
+    before the permutation average.
     """
     m = model.num_modalities
     if m not in (2, 3):
         raise ContractError(f"shapley supports 2 or 3 modalities, got {m}")
+    cache = fusion.forward(model, data.features)
     values: dict[frozenset[int], float] = {}
     for bits in range(1 << m):
-        subset = frozenset(i for i in range(m) if bits >> i & 1)
-        mask = tuple(i in subset for i in range(m))
-        values[subset] = value_function(model, data, mask)
+        kept = [i for i in range(m) if bits >> i & 1]
+        values[frozenset(kept)] = _subset_accuracy(model, cache, data.labels, kept)
     phi = shapley_from_values(values, m)
     return ShapleyReport(phi, values, imbalance(phi))
 
@@ -204,13 +220,3 @@ class FlopsLedger:
         else:
             raise ContractError(f"unknown op kind {kind!r}")
         return self
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "forward_matmul": self.forward_matmul,
-            "backward_matmul": self.backward_matmul,
-            "elementwise": self.elementwise,
-            "softmax_loss": self.softmax_loss,
-            "total": self.total,
-        }
-

@@ -156,8 +156,6 @@ def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray)
 
     Shape (m,); (R, m) for a stacked forward with (R, B) labels.
     """
-    if not all(cache.mask):
-        raise ContractError("modality scores need a full-mask forward cache")
     true = _true_class(labels)
     scores = np.empty(labels.shape[:-1] + (model.num_modalities,))
     for i in range(model.num_modalities):
@@ -251,9 +249,6 @@ def _backward_into_model(
     (``model.like(buffer)``); every value of it is overwritten.
     """
     for i in range(model.num_modalities):
-        if cache.enc_caches[i] is None:
-            grads.flat[..., model.encoder_span(i)] = 0.0
-            continue
         fgrad = bundle.feature_grads[i]
         mlp_backward(model.encoders[i], cache.enc_caches[i], fgrad, grads.encoders[i])
         if ledger is not None:

@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own gradient/Shapley code paths:
 finite differences run over a flat parameter vector, the Bayes classifier
-uses the true generative means, and the Shapley check uses the
-subset-weighted formula instead of permutation averaging.
+uses the true generative means, the Shapley check uses the
+subset-weighted formula instead of permutation averaging, masked evaluation
+zeroes features through a forward hook, and the cosine and KL references
+restate their methods' definitions directly.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from balancelab import datagen, trainer
+from balancelab import fusion, metrics, trainer
 
 
 def model_gradient(model, cache, bundle):
@@ -51,11 +53,25 @@ def fd_max_rel_error(loss_fn, params, grads, eps=1e-6):
     return worst
 
 
+def class_means(spec):
+    """Unit-norm per-class mean directions, one (H, d_i) array per modality.
+
+    These are the first draws from the spec's generator, so they match the
+    means used inside ``datagen.generate`` exactly.
+    """
+    rng = np.random.default_rng(spec.seed)
+    means = []
+    for d in spec.dims:
+        raw = rng.standard_normal((spec.num_classes, d))
+        means.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    return means
+
+
 def bayes_accuracy(spec, modalities=None, n_samples=10_000, sample_seed=123_456):
     """Monte-Carlo accuracy of the Bayes classifier on true class means."""
     if modalities is None:
         modalities = list(range(spec.num_modalities))
-    means = datagen.class_means(spec)
+    means = class_means(spec)
     rng = np.random.default_rng(sample_seed)
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     correct = 0
@@ -87,3 +103,30 @@ def shapley_subset_form(values, m):
                 weight = fact(len(a)) * fact(m - len(a) - 1) / fact(m)
                 phi[i] += weight * (values[a | {i}] - values[a])
     return tuple(phi)
+
+
+def masked_accuracy(model, data, subset):
+    """Accuracy with the features of every modality outside ``subset`` zeroed."""
+
+    def zero_left_out(features):
+        return [f if i in subset else np.zeros_like(f) for i, f in enumerate(features)]
+
+    cache = fusion.forward(model, data.features, feature_hook=zero_left_out)
+    return metrics.accuracy(fusion.predict(cache.logits), data.labels)
+
+
+def cosine_logits(model, cache, scale, eps=1e-12):
+    """Norm-free logits: ``scale * sum_i cos(angle(W_i[h], phi_i))``, norms clamped at eps."""
+    logits = np.zeros((cache.logits.shape[0], model.num_classes))
+    for w, phi in zip(model.head_blocks, cache.features):
+        wn = np.maximum(np.linalg.norm(w, axis=1), eps)
+        fn = np.maximum(np.linalg.norm(phi, axis=1), eps)
+        logits += (phi @ w.T) / (fn[:, None] * wn[None, :])
+    return scale * logits
+
+
+def symmetric_kl(p, q):
+    """KL(p||q) + KL(q||p) in nats for two probability vectors."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    return float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from balancelab import datagen, fusion, harness, trainer
-from balancelab.config import default_config, parse_config_text
+from balancelab.config import parse_config_text
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.fusion import init_model
 from balancelab.methods import MethodSpec
@@ -190,7 +190,7 @@ def test_c3_worked_shapley_oracle():
 
 
 def _benchmark_cfg():
-    return default_config()  # defaults pin the benchmark dataset and recipe
+    return parse_config_text("")  # defaults pin the benchmark dataset and recipe
 
 
 def _solo_accuracy(cfg, run_seed, modality):

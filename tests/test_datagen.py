@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from balancelab import datagen
 from balancelab.datagen import SyntheticSpec, batches, generate, load, save, split
 from balancelab.errors import FormatError, SpecError
 
-from oracles import bayes_accuracy
+from oracles import bayes_accuracy, class_means
 
 SPEC = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 400, 7)
 
@@ -59,7 +58,7 @@ class TestGenerate:
     def test_class_conditional_means(self, seed):
         spec = SyntheticSpec(2, 4, (3, 3), (3.0, 1.0), 1.0, 4000, seed)
         data = generate(spec)
-        means = datagen.class_means(spec)
+        means = class_means(spec)
         bound = 3.0 * spec.sigma / np.sqrt(spec.samples / spec.num_classes)
         for i in range(2):
             for h in range(4):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balancelab.errors import ContractError, FormatError, NumericError, ShapeError
+from balancelab.errors import FormatError, NumericError, ShapeError
 from balancelab.fusion import (
     FusionModel,
     forward,
@@ -54,47 +54,25 @@ class TestInit:
 
 
 class TestForward:
-    def test_all_masked_gives_bias(self):
-        model = init_model(ARCH, 3, 1)
-        model.head_bias[:] = [0.3, -0.2, 0.1]
-        batch = make_batch(np.random.default_rng(0))
-        cache = forward(model, batch, mask=(False, False))
-        assert np.array_equal(cache.logits, np.tile(model.head_bias, (7, 1)))
-        assert cache.enc_caches == [None, None]
-
-    def test_full_mask_bitwise_matches_default(self):
-        model = init_model(ARCH, 3, 2)
-        batch = make_batch(np.random.default_rng(1))
-        a = forward(model, batch)
-        b = forward(model, batch, mask=(True, True))
-        assert a.logits.tobytes() == b.logits.tobytes()
-
     def test_full_equals_sum_of_single_masks_minus_bias(self):
         model = init_model(ARCH, 3, 3)
         model.head_bias[:] = np.random.default_rng(9).standard_normal(3)
         batch = make_batch(np.random.default_rng(2))
-        full = forward(model, batch).logits
-        only = [forward(model, batch, mask=(i == 0, i == 1)).logits for i in range(2)]
+        cache = forward(model, batch)
+        only = [cache.block_products[i] + model.head_bias for i in range(2)]
         recombined = only[0] + only[1] - model.head_bias
-        assert np.abs(full - recombined).max() < 1e-12
+        assert np.abs(cache.logits - recombined).max() < 1e-12
 
     def test_linearity_of_fusion(self):
         model = init_model(ARCH, 3, 4)
         batch = make_batch(np.random.default_rng(3))
         full = forward(model, batch)
-        dropped = forward(model, batch, mask=(True, False))
         contribution = full.features[1] @ model.head_blocks[1].T
         # the cached block product is the contribution, bit for bit
         assert full.block_products[1].tobytes() == contribution.tobytes()
-        # the logits difference agrees up to one accumulation rounding
-        assert np.abs((full.logits - dropped.logits) - contribution).max() < 1e-12
-
-    def test_masked_encoder_not_evaluated(self):
-        model = init_model(ARCH, 3, 5)
-        batch = make_batch(np.random.default_rng(4))
-        cache = forward(model, batch, mask=(False, True))
-        assert cache.enc_caches[0] is None
-        assert not cache.features[0].any()
+        # leaving modality 1 out removes its partial logits, up to one rounding
+        dropped = partial_logits(model, full, 0) + model.head_bias / 2
+        assert np.abs((full.logits - dropped) - contribution).max() < 1e-12
 
     def test_dim_mismatch(self):
         model = init_model(ARCH, 3, 6)
@@ -143,14 +121,6 @@ class TestPartialLogits:
         )
         cache = forward(model, [np.array([[3.0]]), np.array([[5.0]])])
         assert partial_logits(model, cache, 0)[0, 0] == 6.5
-
-    def test_masked_out_partial_rejected(self):
-        model = init_model(ARCH, 3, 11)
-        batch = make_batch(np.random.default_rng(7))
-        cache = forward(model, batch, mask=(True, False))
-        with pytest.raises(ContractError):
-            partial_logits(model, cache, 1)
-
 
 class TestPredict:
     def test_examples(self):

@@ -331,6 +331,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
+    @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
+                                      "report_without_config", "report_not_json"])
+    def test_unreadable_input_file_exits_1(self, tmp_path, capsys, case):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY)
+        bad = tmp_path / "input"
+        if case == "report_without_config":
+            bad.write_text('{"rows": [], "aggregates": []}')
+        elif case == "report_not_json":
+            bad.write_text("rows,acc\n")
+        elif case == "binary_checkpoint":
+            bad.write_bytes(b"MMCK v1\n\xff\xfe")
+        if case.endswith("checkpoint"):
+            argv = ["evaluate", "--config", str(cfg_path), "--checkpoint", str(bad)]
+        else:
+            argv = ["table", "--reports", str(bad)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("argv", [["generate", "--jobs", "2"],
+                                      ["generate", "--seeds", "1,2"],
+                                      ["evaluate", "--checkpoint", "m.mmck", "--jobs", "2"]])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", "seeds = 1"])
+        assert exc.value.code == 2
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)

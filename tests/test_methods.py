@@ -9,19 +9,17 @@ from balancelab.errors import SpecError
 from balancelab.fusion import init_model
 from balancelab.methods import (
     MethodSpec,
-    cosine_logits,
     cosine_objective,
     feature_drop,
     feature_mask,
     grad_modulation,
     kl_align_loss,
     resample_weights,
-    symmetric_kl,
     unimodal_blend_loss,
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import fd_max_rel_error, model_gradient
+from oracles import cosine_logits, fd_max_rel_error, model_gradient, symmetric_kl
 
 
 def small_model_and_batch(seed=0, m=2, h=3):
@@ -232,6 +230,16 @@ class TestKlAlignLoss:
         bundle = kl_align_loss(model, cache, labels, 1.0)
         assert bundle.loss == pytest.approx(base.loss)
 
+    def test_loss_adds_mean_symmetric_kl(self):
+        model, batch, labels = small_model_and_batch(7, m=3)
+        cache = fusion.forward(model, batch)
+        probs = [trainer.softmax(fusion.partial_logits(model, cache, i)) for i in range(3)]
+        kl = [np.mean([symmetric_kl(p, q) for p, q in zip(probs[i], probs[j])])
+              for i, j in ((0, 1), (0, 2), (1, 2))]
+        base, _ = cross_entropy(cache.logits, labels)
+        bundle = kl_align_loss(model, cache, labels, 0.7)
+        assert bundle.loss == pytest.approx(base + 0.7 * sum(kl), rel=1e-12)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_gradients_match_finite_differences(self, m):
         model, batch, labels = small_model_and_batch(7, m=m)
@@ -292,6 +300,13 @@ class TestCosine:
             return cosine_objective(model, c, labels, 4.0).loss
 
         assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
+
+    def test_loss_is_cross_entropy_of_cosine_logits(self):
+        model, batch, labels = small_model_and_batch(10, m=3)
+        cache = fusion.forward(model, batch)
+        expected, _ = cross_entropy(cosine_logits(model, cache, 4.0), labels)
+        assert cosine_objective(model, cache, labels, 4.0).loss == pytest.approx(expected,
+                                                                                 rel=1e-12)
 
     def test_bias_gets_no_gradient(self):
         model, batch, labels = small_model_and_batch(11)

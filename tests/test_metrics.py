@@ -16,7 +16,7 @@ from balancelab.metrics import (
     value_function,
 )
 
-from oracles import shapley_subset_form
+from oracles import masked_accuracy, shapley_subset_form
 
 # the two worked subset-value tables used across the suite
 TABLE_M2 = {
@@ -165,6 +165,30 @@ class TestShapley:
         assert len(rep.subset_values) == 4
         assert 0.0 <= rep.imbalance <= 1.0
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_subset_values_equal_masked_evaluation(self, m):
+        model, data = trained_like_model(4, m=m)
+        model.head_bias[:] = np.random.default_rng(m).standard_normal(3)
+        rep = shapley(model, data)
+        assert len(rep.subset_values) == 1 << m
+        for subset, v in rep.subset_values.items():
+            expected = masked_accuracy(model, data, subset)
+            assert v == expected
+            assert value_function(model, data, tuple(i in subset for i in range(m))) == expected
+
+    def test_one_forward_per_call(self, monkeypatch):
+        model, data = trained_like_model(5, m=3)
+        calls = []
+        real = fusion.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fusion, "forward", counting)
+        shapley(model, data)
+        assert len(calls) == 1
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         values = {
@@ -218,10 +242,9 @@ class TestFlops:
         led.record("matmul_forward", (1, 2, 3))
         led.record("elementwise", 10)
         led.record("softmax_loss", 4)
-        snap = led.snapshot()
-        assert snap["total"] == snap["forward_matmul"] + snap["backward_matmul"] + snap[
-            "elementwise"
-        ] + snap["softmax_loss"]
+        assert led.total == led.forward_matmul + led.backward_matmul + led.elementwise + (
+            led.softmax_loss
+        ) == 2 * 1 * 2 * 3 + 10 + 5 * 4
 
     def test_unknown_kind(self):
         with pytest.raises(ContractError):
