@@ -134,15 +134,6 @@ class ForwardCache:
     block_products: list[np.ndarray]
     logits: np.ndarray
 
-    def run(self, r: int) -> "ForwardCache":
-        """Run r's slice of a stacked forward pass, as views."""
-        enc_caches = [
-            MlpCache([x[r] for x in c.inputs], [z[r] for z in c.preacts], c.shapes)
-            for c in self.enc_caches
-        ]
-        return ForwardCache([f[r] for f in self.features], enc_caches,
-                            [p[r] for p in self.block_products], self.logits[r])
-
 
 def init_model(
     arch: list[list[int]] | tuple[tuple[int, ...], ...], num_classes: int, seed: int

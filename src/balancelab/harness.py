@@ -184,6 +184,11 @@ def read_input(name: str, load, path):
         raise ConfigError(f"{name} {path!r}: not an ASCII text file") from None
 
 
+def make_output_dir(name: str, path) -> None:
+    """``os.makedirs(path)``, a failure mapped to ConfigError as ``read_input`` maps it."""
+    read_input(name, lambda p: os.makedirs(p, exist_ok=True), path)
+
+
 def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
     if cfg.dataset_path is not None:
         return read_input("dataset.path", datagen.load, cfg.dataset_path)
@@ -632,6 +637,8 @@ def load_report(path) -> RunReport:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(d, dict):
+        raise FormatError(f"{path}: not a report, its top level is a JSON {type(d).__name__}")
     cfg_pairs = []
     from .config import _SCHEMA  # canonical key order
 

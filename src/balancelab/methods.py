@@ -3,22 +3,29 @@
 ``METHODS`` declares every method once: its strategy, its strength parameter
 (default, valid range, neutral value) and the hooks it implements. Config
 keys, ``MethodSpec`` fields, sweepable parameters, table order and the
-trainer's dispatch are all read from it. The hook signatures:
+trainer's dispatch are all read from it.
+
+Every hook takes a stack of R runs along a leading run axis, as
+``fusion.forward`` does, and ``value``, the (R,) array of their strengths;
+a run's slice of a result is bitwise what the run alone (R = 1) gives, and
+a ``ledger`` records one run's work. ``trainer.fit`` calls each hook once
+per group of runs that share it, per batch unless noted:
 
 - ``objective(model, cache, labels, value, ledger) -> LossBundle`` replaces
   the plain cross-entropy;
-- ``grad_scale(scores, value) -> kappa`` scales encoder i's gradients by
-  ``kappa[i]``;
-- ``feature_transform(features, scores, value, rng) -> (features, factors)``
-  transforms encoder outputs before the head, during training only;
-- ``sample_weights(model, data, value, ledger) -> weights`` reweights the
-  batch sampler once per epoch;
-- ``deploy(model) -> model`` gives the model that validation and evaluation
-  see.
+- ``grad_scale(scores, value) -> kappa`` scales run r's encoder i gradients
+  by ``kappa[r, i]``;
+- ``feature_transform(features, scores, value, rngs) -> (factors, applied)``
+  multiplies modality i's features and their gradient by ``factors[i]``
+  (None: identity) in training; run r draws from ``rngs[r]``, and
+  ``applied[r, i]`` marks what changed;
+- ``sample_weights(model, data, value, ledger) -> weights``: (R, N)
+  batch-sampler weights for the runs' train sets, per epoch;
+- ``deploy(model) -> model``: what validation and evaluation see, per epoch.
 
 Entries name their hooks by attribute of this module and ``resolve`` looks
-them up when a run starts, never at import, so code that swaps a module
-attribute (a tracer, a test's counting wrapper) sees every call.
+them up once per ``trainer.fit`` call, never at import, so code that swaps
+a module attribute (a tracer, a test's counting wrapper) sees every call.
 
 Dominance is always judged by the trainer's running modality score (the
 exponentially smoothed batch-mean true-class probability of each modality's
@@ -68,10 +75,10 @@ class Method:
     sample_weights: str | None = None
     deploy: str | None = None
 
-    def check(self, value: float) -> None:
-        """Raise SpecError unless ``value`` lies in the parameter's range."""
+    def check(self, value) -> None:
+        """Raise SpecError unless ``value`` (a strength or an array of them) is in range."""
         above = value > self.low if self.low_open else value >= self.low
-        if not (above and value <= self.high):
+        if not np.all(above & (value <= self.high)):
             bounds = f"{'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
             raise SpecError(f"{self.param} must be in {bounds}, got {value}")
 
@@ -170,7 +177,7 @@ def unimodal_blend_loss(
     model: FusionModel,
     cache: ForwardCache,
     labels: np.ndarray,
-    w_uni: float,
+    w_uni: np.ndarray,
     ledger: FlopsLedger | None = None,
 ) -> LossBundle:
     """Multimodal loss plus weighted unimodal losses with a conflict guard.
@@ -183,34 +190,36 @@ def unimodal_blend_loss(
     multimodal step on that block.
     """
     m = model.num_modalities
-    n = cache.logits.shape[0]
+    n, h = cache.logits.shape[-2:]
     loss, g_mm = cross_entropy(cache.logits, labels)
     if ledger is not None:
-        ledger.record("softmax_loss", cache.logits.size)
+        ledger.record("softmax_loss", n * h)
 
     head_grads: list[np.ndarray] = []
     feature_grads: list[np.ndarray] = []
-    bias_grad = g_mm.sum(axis=0)
+    bias_grad = g_mm.sum(axis=-2)
     for i in range(m):
         z_i = fusion.partial_logits(model, cache, i)
         loss_i, g_i = cross_entropy(z_i, labels)
-        g_i = w_uni * g_i
+        g_i = w_uni[:, None, None] * g_i
         loss += w_uni * loss_i
 
-        gw_mm = g_mm.T @ cache.features[i]
-        gw_uni = g_i.T @ cache.features[i]
-        inner = float(np.vdot(gw_uni, gw_mm))
-        if inner < 0.0:
-            norm_sq = float(np.vdot(gw_mm, gw_mm))
-            if norm_sq > 0.0:
-                gw_uni = gw_uni - (inner / norm_sq) * gw_mm
+        gw_mm = g_mm.swapaxes(-1, -2) @ cache.features[i]
+        gw_uni = g_i.swapaxes(-1, -2) @ cache.features[i]
+        # per-run Frobenius inner products, as a stacked matmul: bitwise np.vdot's
+        col_mm = gw_mm.reshape(len(w_uni), -1, 1)
+        inner = (gw_uni.reshape(len(w_uni), 1, -1) @ col_mm)[:, 0, 0]
+        norm_sq = (gw_mm.reshape(len(w_uni), 1, -1) @ col_mm)[:, 0, 0]
+        # touch only the runs the guard fires for: x - 0 * y can flip a zero's sign
+        fire = (inner < 0.0) & (norm_sq > 0.0)
+        if fire.any():
+            gw_uni[fire] -= (inner[fire] / norm_sq[fire])[:, None, None] * gw_mm[fire]
         head_grads.append(gw_mm + gw_uni)
         feature_grads.append((g_mm + g_i) @ model.head_blocks[i])
-        bias_grad = bias_grad + g_i.sum(axis=0) / m
+        bias_grad = bias_grad + g_i.sum(axis=-2) / m
         if ledger is not None:
-            d = cache.features[i].shape[1]
-            h = model.num_classes
-            ledger.record("softmax_loss", z_i.size)
+            d = cache.features[i].shape[-1]
+            ledger.record("softmax_loss", n * h)
             ledger.record("matmul_backward", (n, d, h))  # dW(mm) + dPhi
             ledger.record("matmul", (n, d, h))           # dW(uni), separate for the guard
             ledger.record("elementwise", 4 * d * h)      # inner products + projection
@@ -221,7 +230,7 @@ def cosine_objective(
     model: FusionModel,
     cache: ForwardCache,
     labels: np.ndarray,
-    scale: float,
+    scale: np.ndarray,
     ledger: FlopsLedger | None = None,
 ) -> LossBundle:
     """Cross-entropy on the cosine logits, with exact gradients.
@@ -230,47 +239,47 @@ def cosine_objective(
     weight decay still applies to it in the optimizer.
     """
     m = model.num_modalities
-    n, h = cache.logits.shape
+    n, h = cache.logits.shape[-2:]
     per_mod = []
-    logits = np.zeros((n, h))
+    logits = np.zeros(cache.logits.shape)
     for i in range(m):
         w = model.head_blocks[i]
         phi = cache.features[i]
-        wnorm = np.linalg.norm(w, axis=1)
-        fnorm = np.linalg.norm(phi, axis=1)
+        wnorm = np.linalg.norm(w, axis=-1)
+        fnorm = np.linalg.norm(phi, axis=-1)
         wn = np.maximum(wnorm, _COS_EPS)
         fn = np.maximum(fnorm, _COS_EPS)
-        cos = (phi @ w.T) / (fn[:, None] * wn[None, :])
+        cos = (phi @ w.swapaxes(-1, -2)) / (fn[..., :, None] * wn[..., None, :])
         per_mod.append((w, phi, wn, fn, wnorm > _COS_EPS, fnorm > _COS_EPS, cos))
         logits += cos
-    logits *= scale
+    logits *= scale[:, None, None]
 
     loss, g = cross_entropy(logits, labels)
     head_grads = []
     feature_grads = []
     for i in range(m):
         w, phi, wn, fn, w_live, f_live, cos = per_mod[i]
-        gc = scale * g                      # dL/dcos for this modality
+        gc = scale[:, None, None] * g       # dL/dcos for this modality
         a = gc * cos
-        g_over_fn = gc / fn[:, None]
-        w_over_wn = w / wn[:, None]
+        g_over_fn = gc / fn[..., None]
+        w_over_wn = w / wn[..., None]
         dphi = g_over_fn @ w_over_wn
-        self_f = (a.sum(axis=1) / fn**2) * f_live
-        dphi -= self_f[:, None] * phi
-        dw = (g_over_fn.T @ phi) / wn[:, None]
-        self_w = (a.sum(axis=0) / wn**2) * w_live
-        dw -= self_w[:, None] * w
+        self_f = (a.sum(axis=-1) / fn**2) * f_live
+        dphi -= self_f[..., None] * phi
+        dw = (g_over_fn.swapaxes(-1, -2) @ phi) / wn[..., None]
+        self_w = (a.sum(axis=-2) / wn**2) * w_live
+        dw -= self_w[..., None] * w
         head_grads.append(dw)
         feature_grads.append(dphi)
         if ledger is not None:
-            d = phi.shape[1]
+            d = phi.shape[-1]
             ledger.record("matmul_forward", (n, d, h))      # cos products
             ledger.record("elementwise", n * d + h * d + 3 * n * h)  # norms + scaling
             ledger.record("matmul_backward", (n, d, h))     # dphi + dw products
             ledger.record("elementwise", 2 * (n * d + h * d))  # self terms
     if ledger is not None:
-        ledger.record("softmax_loss", logits.size)
-    return LossBundle(loss, head_grads, np.zeros(h), feature_grads)
+        ledger.record("softmax_loss", n * h)
+    return LossBundle(loss, head_grads, np.zeros(model.head_bias.shape), feature_grads)
 
 
 def cosine_deploy(model: FusionModel) -> FusionModel:
@@ -284,9 +293,9 @@ def cosine_deploy(model: FusionModel) -> FusionModel:
     """
     out = model.copy()
     for blk in out.head_blocks:
-        norms = np.maximum(np.linalg.norm(blk, axis=1, keepdims=True), _COS_EPS)
+        norms = np.maximum(np.linalg.norm(blk, axis=-1, keepdims=True), _COS_EPS)
         blk /= norms
-    out.head_bias[:] = 0.0
+    out.head_bias[...] = 0.0
     return out
 
 
@@ -294,7 +303,7 @@ def kl_align_loss(
     model: FusionModel,
     cache: ForwardCache,
     labels: np.ndarray,
-    kl_weight: float,
+    kl_weight: np.ndarray,
     ledger: FlopsLedger | None = None,
 ) -> LossBundle:
     """Cross-entropy plus a symmetric KL alignment of partial predictions.
@@ -304,36 +313,33 @@ def kl_align_loss(
     gradients flow into both operands of every divergence.
     """
     m = model.num_modalities
-    n, h = cache.logits.shape
+    n, h = cache.logits.shape[-2:]
     loss, g_mm = cross_entropy(cache.logits, labels)
     if ledger is not None:
-        ledger.record("softmax_loss", cache.logits.size)
+        ledger.record("softmax_loss", n * h)
 
-    partials = [fusion.partial_logits(model, cache, i) for i in range(m)]
     logps = []
-    probs = []
-    for z in partials:
-        zs = z - z.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(zs).sum(axis=1, keepdims=True))
-        lp = zs - lse
-        logps.append(lp)
-        probs.append(np.exp(lp))
+    for i in range(m):
+        zs = fusion.partial_logits(model, cache, i)
+        zs -= zs.max(axis=-1, keepdims=True)
+        logps.append(zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True)))
         if ledger is not None:
-            ledger.record("softmax_loss", z.size)
+            ledger.record("softmax_loss", n * h)
+    probs = [np.exp(lp) for lp in logps]
 
-    dz = [np.zeros((n, h)) for _ in range(m)]
-    addend = 0.0
+    dz = [np.zeros(cache.logits.shape) for _ in range(m)]
+    addend = np.zeros(kl_weight.shape)
     for i in range(m):
         for j in range(i + 1, m):
             s = logps[i] - logps[j]
-            kl_ij = (probs[i] * s).sum(axis=1)
-            kl_ji = -(probs[j] * s).sum(axis=1)
-            addend += float(kl_ij.mean() + kl_ji.mean())
-            dz[i] += probs[i] * (s - kl_ij[:, None]) + (probs[i] - probs[j])
-            dz[j] += probs[j] * (-s - kl_ji[:, None]) + (probs[j] - probs[i])
+            kl_ij = (probs[i] * s).sum(axis=-1)
+            kl_ji = -(probs[j] * s).sum(axis=-1)
+            addend += kl_ij.mean(axis=-1) + kl_ji.mean(axis=-1)
+            dz[i] += probs[i] * (s - kl_ij[..., None]) + (probs[i] - probs[j])
+            dz[j] += probs[j] * (-s - kl_ji[..., None]) + (probs[j] - probs[i])
             if ledger is not None:
                 ledger.record("elementwise", 10 * n * h)
-    scale = kl_weight / n
+    scale = (kl_weight / n)[:, None, None]
     partial_grads = [scale * d for d in dz]
     loss += kl_weight * addend
 
@@ -347,7 +353,13 @@ def kl_align_loss(
 # optimization hook
 
 
-def grad_modulation(scores, alpha: float) -> np.ndarray:
+def _score_ratio(scores) -> np.ndarray:
+    """Each modality's running score over the mean of the other modalities' scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    return s / ((s.sum(axis=-1, keepdims=True) - s) / (s.shape[-1] - 1))
+
+
+def grad_modulation(scores, alpha: np.ndarray) -> np.ndarray:
     """Slow-down coefficients for encoders of better-performing modalities.
 
     For modality i with score ratio ``rho_i = score_i / mean(others)``, the
@@ -357,14 +369,12 @@ def grad_modulation(scores, alpha: float) -> np.ndarray:
     float64. Only encoders are rescaled; the head keeps its full gradient.
     """
     METHODS["gradmod"].check(alpha)
-    s = np.asarray(scores, dtype=np.float64)
-    m = s.shape[0]
-    kappa = np.ones(m)
-    for i in range(m):
-        others = (s.sum() - s[i]) / (m - 1)
-        rho = s[i] / others
-        if rho > 1.0:
-            kappa[i] = max(1.0 - math.tanh(alpha * (rho - 1.0)), 1e-12)
+    rho = _score_ratio(scores)
+    kappa = np.ones(rho.shape)
+    slow = rho > 1.0
+    x = (alpha[:, None] * (rho - 1.0))[slow]
+    # math.tanh per element: np.tanh rounds differently on some inputs
+    kappa[slow] = np.maximum(1.0 - np.array([math.tanh(v) for v in x]), 1e-12)
     return kappa
 
 
@@ -373,34 +383,32 @@ def grad_modulation(scores, alpha: float) -> np.ndarray:
 
 
 def feature_mask(
-    features: list[np.ndarray], scores, rho_mask: float, rng: np.random.Generator
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    features: list[np.ndarray], scores, rho_mask: np.ndarray, rngs: list[np.random.Generator]
+) -> tuple[list[np.ndarray | None], np.ndarray]:
     """Zero a random fraction of the dominant modality's feature coordinates.
 
-    Only the highest-running-score modality is touched; the zeroed subset
-    (ceil(rho_mask * d) coordinates) is redrawn per batch from ``rng``.
-    Returns the new feature list and per-modality multiplicative factors for
-    the backward pass (None means identity).
+    Only each run's highest-running-score modality is touched; its zeroed
+    subset (ceil(rho_mask * d) coordinates) is redrawn per batch from the
+    run's generator in ``rngs``.
     """
     METHODS["feature_mask"].check(rho_mask)
+    dom = np.argmax(scores, axis=-1)
     factors: list[np.ndarray | None] = [None] * len(features)
-    if rho_mask == 0.0:
-        return features, factors
-    dom = int(np.argmax(scores))
-    d = features[dom].shape[1]
-    k = int(np.ceil(rho_mask * d))
-    coords = rng.choice(d, size=k, replace=False)
-    factor = np.ones(d)
-    factor[coords] = 0.0
-    out = list(features)
-    out[dom] = features[dom] * factor
-    factors[dom] = factor
-    return out, factors
+    applied = np.zeros((len(rngs), len(features)), dtype=bool)
+    for r in np.flatnonzero(rho_mask != 0.0):
+        i = dom[r]
+        runs, _, d = features[i].shape
+        coords = rngs[r].choice(d, size=int(np.ceil(rho_mask[r] * d)), replace=False)
+        if factors[i] is None:
+            factors[i] = np.ones((runs, 1, d))
+        factors[i][r, 0, coords] = 0.0
+        applied[r, i] = True
+    return factors, applied
 
 
 def feature_drop(
-    features: list[np.ndarray], scores, p_max: float, rng: np.random.Generator
-) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    features: list[np.ndarray], scores, p_max: np.ndarray, rngs: list[np.random.Generator]
+) -> tuple[list[np.ndarray | None], np.ndarray]:
     """Drop the dominant modality's whole feature vector per sample.
 
     The drop probability is ``p_max * clip(rho - 1, 0, 1)`` with rho the
@@ -409,26 +417,24 @@ def feature_drop(
     at 0.99 with a warning.
     """
     METHODS["feature_drop"].check(p_max)
-    s = np.asarray(scores, dtype=np.float64)
-    factors: list[np.ndarray | None] = [None] * len(features)
-    if p_max == 0.0:
-        return features, factors
-    dom = int(np.argmax(s))
-    others = (s.sum() - s[dom]) / (len(features) - 1)
-    rho = s[dom] / others
-    p = p_max * min(max(rho - 1.0, 0.0), 1.0)
-    if p >= 1.0:
+    rho = _score_ratio(scores)
+    runs, m = rho.shape
+    dom = np.argmax(scores, axis=-1)
+    p = p_max * np.clip(rho[np.arange(runs), dom] - 1.0, 0.0, 1.0)
+    if np.any(p >= 1.0):
         warnings.warn("feature_drop probability saturated; capping at 0.99")
-        p = 0.99
-    if p == 0.0:
-        return features, factors
-    n = features[dom].shape[0]
-    dropped = rng.random(n) < p
-    factor = np.where(dropped, 0.0, 1.0 / (1.0 - p))[:, None]
-    out = list(features)
-    out[dom] = features[dom] * factor
-    factors[dom] = factor
-    return out, factors
+        p = np.where(p >= 1.0, 0.99, p)
+    factors: list[np.ndarray | None] = [None] * m
+    applied = np.zeros((runs, m), dtype=bool)
+    for r in np.flatnonzero(p != 0.0):
+        i = dom[r]
+        n = features[i].shape[-2]
+        dropped = rngs[r].random(n) < p[r]
+        if factors[i] is None:
+            factors[i] = np.ones((runs, n, 1))
+        factors[i][r, :, 0] = np.where(dropped, 0.0, 1.0 / (1.0 - p[r]))
+        applied[r, i] = True
+    return factors, applied
 
 
 # ---------------------------------------------------------------------------
@@ -437,30 +443,31 @@ def feature_drop(
 
 def resample_weights(
     model: FusionModel,
-    data: Dataset,
-    tau: float,
+    data: list[Dataset],
+    tau: np.ndarray,
     ledger: FlopsLedger | None = None,
 ) -> np.ndarray:
     """Sampling weights that favor samples where the weak modality is informative.
 
-    One full forward over ``data`` yields each sample's per-modality
-    contribution (true-class probability under the partial logits). The
-    globally weakest modality is the one with the lowest mean contribution;
-    sample k gets weight ``exp(contribution_k_weak / tau)``, normalized to
-    mean 1. Larger tau flattens the weighting toward uniform.
+    One full forward over each run's data set yields each sample's
+    per-modality contribution (true-class probability under the partial
+    logits). The run's weakest modality is the one with the lowest mean
+    contribution; sample k gets weight ``exp(contribution_k_weak / tau)``,
+    normalized to mean 1. Larger tau flattens the weighting toward uniform.
     """
     METHODS["resample"].check(tau)
-    cache = fusion.forward(model, data.features, ledger=ledger)
-    rows = np.arange(data.num_samples)
-    contribs = []
+    features = [np.stack([d.features[i] for d in data]) for i in range(model.num_modalities)]
+    labels = np.stack([d.labels for d in data])[..., None]
+    cache = fusion.forward(model, features, ledger=ledger)
+    contribs = np.empty((len(data), model.num_modalities, labels.shape[1]))
     for i in range(model.num_modalities):
         p = softmax(fusion.partial_logits(model, cache, i))
-        contribs.append(p[rows, data.labels])
+        contribs[:, i] = np.take_along_axis(p, labels, axis=-1)[..., 0]
         if ledger is not None:
-            ledger.record("softmax_loss", p.size)
-    weak = int(np.argmin([c.mean() for c in contribs]))
-    w = np.exp(contribs[weak] / tau)
-    w /= w.mean()
+            ledger.record("softmax_loss", p[0].size)
+    weak = np.argmin(contribs.mean(axis=-1), axis=-1)
+    w = np.exp(contribs[np.arange(len(data)), weak] / tau[:, None])
+    w /= w.mean(axis=-1, keepdims=True)
     if ledger is not None:
-        ledger.record("elementwise", 3 * data.num_samples)
+        ledger.record("elementwise", 3 * labels.shape[1])
     return w

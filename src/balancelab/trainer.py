@@ -6,10 +6,11 @@ parameters, gradients and velocities each live in one (R, P) float64 buffer
 forward, loss, backward and running scores are stacked matmuls and axis
 reductions along a leading run axis. Each run's slice is computed bit for
 bit as it would be alone, so a result never depends on which runs shared
-its stack. Method hooks keep their one-run signatures and are called per
-run on row views, as are the steps whose control flow depends on a run's
-data (sample weights, feature transforms, deploy) and the once-per-epoch
-validation.
+its stack. The method hooks take the same run axis: ``fit`` groups the runs
+by active registry entry and calls each hook once per group, per batch for
+objectives, gradient scales and feature transforms, per epoch for sample
+weights and deploy. Runs without an objective share one plain
+cross-entropy call. Only validation runs per run, once per epoch.
 
 One epoch iterates index batches (weighted when the active method has a
 sample-weights hook), runs the fusion forward with any feature-transform
@@ -29,6 +30,7 @@ indicator read this running trace.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,7 @@ from .datagen import Dataset
 from .errors import ContractError, DispatchError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger, accuracy
-from .numkit import mlp_backward
+from .numkit import MlpCache, mlp_backward
 
 SCORE_SMOOTHING = 0.7  # running score = 0.7 * old + 0.3 * batch
 _FLOP_KINDS = tuple(f.name for f in dataclasses.fields(FlopsLedger))
@@ -94,19 +96,6 @@ class EpochRecord:
 class TrainLog:
     records: list[EpochRecord]
     best_epoch: int = -1
-
-    def write_csv(self, path) -> None:
-        m = len(self.records[0].scores) if self.records else 0
-        cols = ["epoch", "lr", "train_loss", "val_acc"]
-        cols += [f"score_{i + 1}" for i in range(m)]
-        cols += ["flops_cumulative"]
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.records:
-                row = [str(r.epoch), repr(r.lr), repr(r.train_loss), repr(r.val_accuracy)]
-                row += [repr(s) for s in r.scores]
-                row += [str(r.flops_total)]
-                fh.write(",".join(row) + "\n")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -273,13 +262,12 @@ def _derived_seed(*parts: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(list(parts))
 
 
-def _stack_bundles(bundles: list[LossBundle]) -> LossBundle:
-    return LossBundle(
-        np.array([b.loss for b in bundles]),
-        [np.stack(g) for g in zip(*(b.head_grads for b in bundles))],
-        np.stack([b.bias_grad for b in bundles]),
-        [np.stack(g) for g in zip(*(b.feature_grads for b in bundles))],
-    )
+def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
+    """The runs ``rows`` of a stacked forward pass, as views."""
+    enc_caches = [MlpCache([x[rows] for x in c.inputs], [z[rows] for z in c.preacts], c.shapes)
+                  for c in cache.enc_caches]
+    return ForwardCache([f[rows] for f in cache.features], enc_caches,
+                        [p[rows] for p in cache.block_products], cache.logits[rows])
 
 
 def fit(
@@ -323,30 +311,47 @@ def fit(
         raise ShapeError("runs trained together need train sets of equal shapes")
     if len({mdl.layout() for mdl in model}) > 1:
         raise ShapeError("runs trained together need models of one layout")
-
-    values = [spec.value for spec in method]
-    actives = [spec.active() for spec in method]
-
-    def hooks(name: str) -> list:
-        # looked up per run, so a swapped module attribute sees every call
-        return [bm.resolve(getattr(a, name)) for a in actives]
-
-    objective, grad_scale, transform, sample_weights, deploy = (
-        hooks(name) for name in
-        ("objective", "grad_scale", "feature_transform", "sample_weights", "deploy"))
-
     logs = [TrainLog(records=[]) for _ in range(runs)]
     if cfg.epochs == 0:
         return (model[0], logs[0]) if single else list(zip(model, logs))
 
+    # Sorted by active entry (objective-free first), the runs sharing a hook
+    # form one row range of the stack, and each hook is called once per range;
+    # all objective-free runs share one plain cross-entropy call.
+    actives = [spec.active() for spec in method]
+    order = sorted(range(runs), key=lambda r: (actives[r].objective or "", actives[r].name))
+    splits, model, config, method, ledgers, actives = (
+        [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives))
+    values = np.array([spec.value for spec in method], dtype=np.float64)  # baseline: nan
     stack = model[0].like(np.stack([mdl.flat for mdl in model]))
     state = TrainState(stack, np.zeros_like(stack.flat), 0)
-    views = [state.model.like(state.model.flat[r]) for r in range(runs)]
     grads = state.model.like(np.empty_like(state.model.flat))
+
+    def calls(field: str) -> list[tuple]:
+        """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
+        out, start = [], 0
+        for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
+            rows = slice(start, start + len(list(group)))
+            start = rows.stop
+            if name is not None or field == "objective":
+                # looked up once per fit, so a swapped module attribute sees every
+                # call; objective-free runs take the plain cross-entropy
+                hook = bm.resolve(name) or (
+                    lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
+                out.append((hook, rows, state.model.like(state.model.flat[rows]),
+                            grads.like(grads.flat[rows])))
+        return out
+
+    objectives, scalers, transforms, weighers, deployers = (calls(field) for field in (
+        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy"))
+    # per row range: the FLOPs each of its runs did, added to the runs'
+    # ledgers at the end of every epoch
+    work: dict[tuple, FlopsLedger] = {}
+
+    def charge(rows: slice) -> FlopsLedger:
+        return work.setdefault((rows.start, rows.stop), FlopsLedger())
+
     trains = [t for t, _ in splits]
-    # the work every run of the stack does, added to each run's ledger at
-    # the end of an epoch, before any run's total is read
-    shared = FlopsLedger()
     m = state.model.num_modalities
     h = state.model.num_classes
     n_params = state.model.flat.shape[-1]
@@ -359,13 +364,13 @@ def fit(
         state.epoch = epoch
         lr = step_lr(cfg, epoch)
 
+        weights = [None] * runs
+        for sample_weights, rows, view, _ in weighers:
+            weights[rows] = list(sample_weights(view, trains[rows], values[rows], charge(rows)))
         orders = []
         for r in range(runs):
-            weights = None
-            if sample_weights[r] is not None:
-                weights = sample_weights[r](views[r], trains[r], values[r], ledgers[r])
             batch_seed = int(_derived_seed(config[r].seed, epoch, 0).generate_state(1)[0])
-            orders.append(datagen.batches(trains[r], cfg.batch_size, batch_seed, weights))
+            orders.append(datagen.batches(trains[r], cfg.batch_size, batch_seed, weights[r]))
 
         loss_sum = np.zeros(runs)
         for b in range(len(orders[0])):
@@ -379,28 +384,28 @@ def fit(
                 np.take(t.labels, idx[r], out=yb[r])
             n = yb.shape[-1]
 
-            # per run and modality: the factor a feature transform applied
-            factors: list[list | None] = [None] * runs
+            # per modality: the stack's feature-transform factor (ones for runs
+            # left alone, an exact identity), reused in backward
+            factors: list[np.ndarray] = []
             hook = None
             # with no score history yet (first batch) features pass through
-            if state.running_scores is not None and any(transform):
+            if state.running_scores is not None and transforms:
 
                 def hook(feats):
-                    out = list(feats)
-                    for r, fn in enumerate(transform):
-                        if fn is None:
-                            continue
-                        rng = np.random.default_rng(_derived_seed(config[r].seed, epoch, b, 1))
-                        mine = [f[r] for f in feats]
-                        new, factors[r] = fn(mine, state.running_scores[r], values[r], rng)
-                        for i in range(m):
-                            if new[i] is not mine[i]:
-                                if out[i] is feats[i]:
-                                    out[i] = feats[i].copy()
-                                out[i][r] = new[i]
-                    return out
+                    factors.extend(np.ones(f.shape) for f in feats)
+                    for transform, rows, _, _ in transforms:
+                        rngs = [np.random.default_rng(_derived_seed(c.seed, epoch, b, 1))
+                                for c in config[rows]]
+                        made, applied = transform([f[rows] for f in feats],
+                                                  state.running_scores[rows], values[rows], rngs)
+                        for i, factor in enumerate(made):
+                            if factor is not None:
+                                factors[i][rows] = factor
+                        for r, i in np.argwhere(applied) + (rows.start, 0):
+                            charge(slice(r, r + 1)).record("elementwise", feats[i][0].size)
+                    return [f * c for f, c in zip(feats, factors)]
 
-            cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=shared)
+            cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=charge(slice(None)))
 
             batch_scores = modality_scores(state.model, cache, yb)
             if state.running_scores is None:
@@ -410,60 +415,46 @@ def fit(
                     SCORE_SMOOTHING * state.running_scores
                     + (1.0 - SCORE_SMOOTHING) * batch_scores
                 )
-            for r in range(runs):
-                if grad_scale[r] is not None or transform[r] is not None:
-                    # the hook reads the scores: partial softmax + mean per modality
-                    ledgers[r].record("softmax_loss", m * n * h)
-                    ledgers[r].record("elementwise", m * (n * h + n))
+            for _, rows, _, _ in scalers + transforms:
+                # the hook reads the scores: partial softmax + mean per modality
+                charge(rows).record("softmax_loss", m * n * h)
+                charge(rows).record("elementwise", m * (n * h + n))
 
-            if not any(objective):
-                bundle = baseline_loss(state.model, cache, yb, shared)
-            else:
-                bundle = _stack_bundles([
-                    baseline_loss(views[r], cache.run(r), yb[r], ledgers[r])
-                    if objective[r] is None else
-                    objective[r](views[r], cache.run(r), yb[r], values[r], ledgers[r])
-                    for r in range(runs)
-                ])
-            finite = np.isfinite(bundle.loss)
-            if not finite.all():
-                raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
-            loss_sum += bundle.loss * n
+            for objective, rows, view, view_grads in objectives:
+                view_cache = _cache_rows(cache, rows)
+                bundle = objective(view, view_cache, yb[rows], values[rows], charge(rows))
+                finite = np.isfinite(bundle.loss)
+                if not finite.all():
+                    raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
+                loss_sum[rows] += bundle.loss * n
+                for grad, factor in zip(bundle.feature_grads, factors):
+                    grad *= factor[rows]
+                _backward_into_model(view, view_cache, bundle, view_grads, charge(rows))
 
-            for r, run_factors in enumerate(factors):
-                for i, factor in enumerate(run_factors or ()):
-                    if factor is not None:
-                        bundle.feature_grads[i][r] *= factor
-                        ledgers[r].record("elementwise", bundle.feature_grads[i][r].size)
-            _backward_into_model(state.model, cache, bundle, grads, shared)
-
-            if any(grad_scale):
+            if scalers:
                 kappa = np.ones((runs, m))
-                for r, fn in enumerate(grad_scale):
-                    if fn is not None:
-                        kappa[r] = fn(state.running_scores[r], values[r])
-                        ledgers[r].record("elementwise", n_encoder_params)
+                for grad_scale, rows, _, _ in scalers:
+                    kappa[rows] = grad_scale(state.running_scores[rows], values[rows])
+                    charge(rows).record("elementwise", n_encoder_params)
                 for i, span in enumerate(spans):
                     grads.flat[:, span] *= kappa[:, i, None]
 
             sgd_step(state, grads.flat, lr, cfg)
-            shared.record("elementwise", 6 * n_params)
+            charge(slice(None)).record("elementwise", 6 * n_params)
 
         # select on the deployed form so validation ranks what evaluation will see
-        evaluated = views
-        if any(deploy):
-            evaluated = [view if fn is None else fn(view) for view, fn in zip(views, deploy)]
-            for r, fn in enumerate(deploy):
-                if fn is not None:
-                    ledgers[r].record("elementwise",
-                                      sum(b.size for b in evaluated[r].head_blocks))
-        for kind in _FLOP_KINDS:
-            for led in ledgers:
-                setattr(led, kind, getattr(led, kind) + getattr(shared, kind))
-            setattr(shared, kind, 0)
+        shown = state.model.flat.copy() if deployers else state.model.flat
+        for deploy, rows, view, _ in deployers:
+            shown[rows] = deploy(view).flat
+            charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
+        for (first, stop), led in work.items():
+            for kind in _FLOP_KINDS:
+                for target in ledgers[first:stop]:
+                    setattr(target, kind, getattr(target, kind) + getattr(led, kind))
+                setattr(led, kind, 0)
         for r, (_, val) in enumerate(splits):
             # per run: a stacked pass takes no less time and holds R runs' activations
-            val_acc = evaluate_accuracy(evaluated[r], val, ledger=ledgers[r])
+            val_acc = evaluate_accuracy(state.model.like(shown[r]), val, ledger=ledgers[r])
             logs[r].records.append(
                 EpochRecord(
                     epoch,
@@ -476,8 +467,9 @@ def fit(
             )
             if val_acc > best_acc[r]:
                 best_acc[r] = val_acc
-                best[r] = evaluated[r].flat
+                best[r] = shown[r]
                 logs[r].best_epoch = epoch
 
-    results = [(mdl.like(best[r]), log) for r, (mdl, log) in enumerate(zip(model, logs))]
+    # back to the caller's run order: argsort inverts the permutation
+    results = [(model[k].like(best[k]), logs[k]) for k in np.argsort(order)]
     return results[0] if single else results

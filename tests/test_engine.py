@@ -54,12 +54,51 @@ def test_stack_matches_each_cell_alone(kind):
         assert repr(log.records) == repr(alone_log.records)
 
 
+def test_mixed_stack_matches_each_cell_alone():
+    # every kind at its default plus a neutral gradmod run (baseline's group),
+    # in an order fit must regroup, over a mix of seeds
+    cells = [cell(kind, METHODS[kind].default, seed)
+             for kind, seed in zip(reversed(METHODS), (1, 2, 3, 1, 2, 3, 1, 2))]
+    cells.insert(3, cell("gradmod", 0.0, 2))
+    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    for inputs, (best, log) in zip(cells, stacked):
+        alone, alone_log = fit(*inputs, FlopsLedger())
+        assert best.flat.tobytes() == alone.flat.tobytes()
+        assert log.best_epoch == alone_log.best_epoch
+        assert repr(log.records) == repr(alone_log.records)
+
+
+@pytest.mark.parametrize("kind", [k for k in METHODS if k != "baseline"])
+def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
+    """A 5-run stack of one kind calls each of its hooks once per batch or per epoch."""
+    cells = [cell(kind, METHODS[kind].default, seed) for seed in (1, 2, 3, 4, 5)]
+    for _, _, train_config, _ in cells:
+        train_config.epochs = 1
+    batches = -(-cells[0][0][0].num_samples // cells[0][2].batch_size)
+    entry = METHODS[kind]
+    # feature transforms skip the first batch, which has no running scores
+    # yet; the hooks an entry lacks collapse into one None key
+    expected = {entry.objective: batches, entry.grad_scale: batches,
+                entry.feature_transform: batches - 1, entry.sample_weights: 1, entry.deploy: 1}
+    expected.pop(None, None)
+    calls = dict.fromkeys(expected, 0)
+    for hook in expected:
+
+        def counting(*args, real=getattr(methods, hook), hook=hook, **kwargs):
+            calls[hook] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(methods, hook, counting)
+    fit(*(list(part) for part in zip(*cells)))
+    assert calls == expected
+
+
 def test_failing_cell_fails_alone(monkeypatch):
     cfg = parse_config_text(TINY).with_key("seeds", (1,))
     real = methods.grad_modulation
 
     def fails_at_two(scores, alpha):
-        if alpha == 2.0:
+        if 2.0 in alpha:
             raise RuntimeError("hook failed at alpha 2")
         return real(scores, alpha)
 

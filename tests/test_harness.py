@@ -332,7 +332,8 @@ class TestCli:
         assert err.startswith("error: ") and str(missing) in err
 
     @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
-                                      "report_without_config", "report_not_json"])
+                                      "report_without_config", "report_not_json",
+                                      "report_not_an_object"])
     def test_unreadable_input_file_exits_1(self, tmp_path, capsys, case):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)
@@ -341,6 +342,8 @@ class TestCli:
             bad.write_text('{"rows": [], "aggregates": []}')
         elif case == "report_not_json":
             bad.write_text("rows,acc\n")
+        elif case == "report_not_an_object":
+            bad.write_text("[1, 2]")
         elif case == "binary_checkpoint":
             bad.write_bytes(b"MMCK v1\n\xff\xfe")
         if case.endswith("checkpoint"):
@@ -350,6 +353,29 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep", "evaluate", "table"])
+    def test_out_under_a_file_exits_1(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "method.kind = gradmod\n")
+        runs = tmp_path / "runs"
+        if command in ("evaluate", "table"):
+            assert cli.main(["train", "--config", str(cfg_path), "--seeds", "1",
+                             "--out", str(runs)]) == 0
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "out")
+        argv = {
+            "generate": ["--config", str(cfg_path)],
+            "train": ["--config", str(cfg_path), "--seeds", "1"],
+            "sweep": ["--config", str(cfg_path), "--param", "method.alpha", "--values", "1"],
+            "evaluate": ["--config", str(cfg_path), "--checkpoint",
+                         str(runs / "ckpt_gradmod_seed1.mmck"), "--run-seed", "1"],
+            "table": ["--reports", str(runs / "report.json")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([command, *argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and out in err
 
     @pytest.mark.parametrize("argv", [["generate", "--jobs", "2"],
                                       ["generate", "--seeds", "1,2"],

@@ -6,7 +6,7 @@ import pytest
 from balancelab import fusion, methods, trainer
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.errors import SpecError
-from balancelab.fusion import init_model
+from balancelab.fusion import FusionModel, init_model
 from balancelab.methods import (
     MethodSpec,
     cosine_objective,
@@ -30,6 +30,53 @@ def small_model_and_batch(seed=0, m=2, h=3):
     batch = [rng.standard_normal((6, d)) for d in dims]
     labels = rng.integers(0, h, 6)
     return model, batch, labels
+
+
+def stack(runs):
+    """(model, batch, labels) of R runs as one stack along a leading run axis."""
+    models, batches, labels = zip(*runs)
+    model = models[0].like(np.stack([mdl.flat for mdl in models]))
+    return model, [np.stack(xs) for xs in zip(*batches)], np.stack(labels)
+
+
+def one_run(seed=0, m=2, h=3):
+    """small_model_and_batch as a stack of one run."""
+    return stack([small_model_and_batch(seed, m, h)])
+
+
+def assert_bundles_bitwise(stacked, r, alone):
+    """Run r's slice of a stacked LossBundle equals an R = 1 bundle bit for bit."""
+    assert stacked.loss[r].tobytes() == alone.loss[0].tobytes()
+    assert stacked.bias_grad[r].tobytes() == alone.bias_grad[0].tobytes()
+    for a, b in zip(stacked.head_grads + stacked.feature_grads,
+                    alone.head_grads + alone.feature_grads, strict=True):
+        assert a[r].tobytes() == b[0].tobytes()
+
+
+def check_objective_fd(objective, runs, strengths):
+    """Finite-difference check of ``objective`` at R = 1 per run and on the R-run stack.
+
+    The strengths differ per run; each run's slice of the stacked call must
+    equal its R = 1 call bit for bit. Returns the stacked bundle.
+    """
+
+    def checked(model, batch, labels, values):
+        cache = fusion.forward(model, batch)
+        bundle = objective(model, cache, labels, values)
+        grads = model_gradient(model, cache, bundle)
+
+        def loss_fn():
+            # runs are independent, so the summed loss has every run's gradient
+            return objective(model, fusion.forward(model, batch), labels, values).loss.sum()
+
+        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
+        return bundle
+
+    alone = [checked(*stack([run]), np.array([v])) for run, v in zip(runs, strengths)]
+    together = checked(*stack(runs), np.array(strengths))
+    for r, bundle in enumerate(alone):
+        assert_bundles_bitwise(together, r, bundle)
+    return together
 
 
 class TestMethodSpec:
@@ -65,19 +112,19 @@ class TestMethodSpec:
 
 class TestGradModulation:
     def test_equal_scores_no_modulation(self):
-        assert np.array_equal(grad_modulation([0.5, 0.5], 2.0), [1.0, 1.0])
+        assert np.array_equal(grad_modulation([[0.5, 0.5]], np.array([2.0])), [[1.0, 1.0]])
 
     def test_zero_alpha(self):
-        assert np.array_equal(grad_modulation([0.9, 0.1], 0.0), [1.0, 1.0])
+        assert np.array_equal(grad_modulation([[0.9, 0.1]], np.array([0.0])), [[1.0, 1.0]])
 
     def test_worked_example(self):
-        kappa = grad_modulation([0.8, 0.4], 1.0)
+        [kappa] = grad_modulation([[0.8, 0.4]], np.array([1.0]))
         assert kappa[0] == pytest.approx(1.0 - math.tanh(1.0))
         assert kappa[1] == 1.0
 
     def test_negative_alpha(self):
         with pytest.raises(SpecError):
-            grad_modulation([0.5, 0.5], -0.5)
+            grad_modulation([[0.5, 0.5]], np.array([-0.5]))
 
     def test_range_and_ordering(self):
         rng = np.random.default_rng(0)
@@ -85,70 +132,87 @@ class TestGradModulation:
             m = int(rng.integers(2, 4))
             scores = rng.uniform(0.05, 0.95, m)
             alpha = float(rng.uniform(0.0, 4.0))
-            kappa = grad_modulation(scores, alpha)
+            [kappa] = grad_modulation([scores], np.array([alpha]))
             assert np.all(kappa > 0.0) and np.all(kappa <= 1.0)
             assert kappa[int(np.argmax(scores))] <= kappa.min() + 1e-12
+
+    def test_stacked_rows_equal_single_runs(self):
+        rng = np.random.default_rng(1)
+        scores = rng.uniform(0.05, 0.95, (40, 3))
+        alpha = rng.uniform(0.0, 4.0, 40)
+        kappa = grad_modulation(scores, alpha)
+        for r in range(40):
+            assert kappa[r].tobytes() == grad_modulation(scores[r:r + 1], alpha[r:r + 1]).tobytes()
 
 
 class TestFeatureMask:
     def feats(self, rng, dims=(6, 6)):
-        return [rng.standard_normal((5, d)) for d in dims]
+        return [rng.standard_normal((1, 5, d)) for d in dims]
 
     def test_zero_fraction_identity(self):
         rng = np.random.default_rng(1)
-        feats = self.feats(rng)
-        out, factors = feature_mask(feats, [0.6, 0.4], 0.0, rng)
-        assert out is feats and factors == [None, None]
+        factors, applied = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([0.0]), [rng])
+        assert factors == [None, None] and not applied.any()
 
     def test_full_fraction_zeroes_dominant(self):
         rng = np.random.default_rng(2)
-        feats = self.feats(rng)
-        out, factors = feature_mask(feats, [0.6, 0.4], 1.0, rng)
-        assert not out[0].any()
-        assert np.array_equal(out[1], feats[1])
+        factors, applied = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([1.0]), [rng])
+        assert not factors[0].any() and factors[1] is None
+        assert applied.tolist() == [[True, False]]
 
     def test_tie_goes_to_lowest_index(self):
         rng = np.random.default_rng(3)
-        feats = self.feats(rng)
-        out, factors = feature_mask(feats, [0.5, 0.5], 1.0, rng)
-        assert not out[0].any() and out[1].any()
+        factors, applied = feature_mask(self.feats(rng), [[0.5, 0.5]], np.array([1.0]), [rng])
+        assert not factors[0].any() and factors[1] is None
 
     def test_subset_size(self):
         rng = np.random.default_rng(4)
         feats = self.feats(rng, dims=(10, 10))
-        out, factors = feature_mask(feats, [0.9, 0.1], 0.25, rng)
+        factors, applied = feature_mask(feats, [[0.9, 0.1]], np.array([0.25]), [rng])
         zeroed = (factors[0] == 0.0).sum()
         assert zeroed == math.ceil(0.25 * 10)
+
+    def test_each_run_draws_from_its_own_generator(self):
+        feats = [np.ones((3, 5, 10)), np.ones((3, 5, 8))]
+        scores = [[0.9, 0.1], [0.5, 0.5], [0.2, 0.7]]
+        factors, applied = feature_mask(feats, scores, np.array([0.3, 0.0, 0.5]),
+                                        [np.random.default_rng(s) for s in (7, 8, 9)])
+        assert applied.tolist() == [[True, False], [False, False], [False, True]]
+        for r, i, rho in ((0, 0, 0.3), (2, 1, 0.5)):
+            alone, _ = feature_mask([f[r:r + 1] for f in feats], [scores[r]], np.array([rho]),
+                                    [np.random.default_rng(7 + r)])
+            assert factors[i][r].tobytes() == alone[i][0].tobytes()
+        assert (factors[0][1:] == 1.0).all() and (factors[1][:2] == 1.0).all()
 
 
 class TestFeatureDrop:
     def test_zero_ceiling_identity(self):
         rng = np.random.default_rng(5)
-        feats = [rng.standard_normal((5, 4)) for _ in range(2)]
-        out, factors = feature_drop(feats, [0.8, 0.4], 0.0, rng)
-        assert out is feats
+        feats = [rng.standard_normal((1, 5, 4)) for _ in range(2)]
+        factors, applied = feature_drop(feats, [[0.8, 0.4]], np.array([0.0]), [rng])
+        assert factors == [None, None] and not applied.any()
 
     def test_equal_scores_identity(self):
         rng = np.random.default_rng(6)
-        feats = [rng.standard_normal((5, 4)) for _ in range(2)]
-        out, factors = feature_drop(feats, [0.5, 0.5], 0.7, rng)
-        assert factors == [None, None]
+        feats = [rng.standard_normal((1, 5, 4)) for _ in range(2)]
+        factors, applied = feature_drop(feats, [[0.5, 0.5]], np.array([0.7]), [rng])
+        assert factors == [None, None] and not applied.any()
 
     def test_worked_probability_and_scaling(self):
         # scores (0.8, 0.4): rho = 2, p = 0.5 * min(1, 1) = 0.5
         rng = np.random.default_rng(7)
-        feats = [np.ones((4000, 3)), np.ones((4000, 3))]
-        out, factors = feature_drop(feats, [0.8, 0.4], 0.5, rng)
-        dropped = (factors[0][:, 0] == 0.0).mean()
+        feats = [np.ones((1, 4000, 3)), np.ones((1, 4000, 3))]
+        factors, applied = feature_drop(feats, [[0.8, 0.4]], np.array([0.5]), [rng])
+        dropped = (factors[0][0, :, 0] == 0.0).mean()
         assert dropped == pytest.approx(0.5, abs=0.03)
         kept = factors[0][factors[0] > 0]
         assert kept == pytest.approx(2.0)  # 1 / (1 - p)
 
     def test_saturated_probability_warns(self):
         rng = np.random.default_rng(8)
-        feats = [np.ones((500, 3)), np.ones((500, 3))]
+        feats = [np.ones((1, 500, 3)), np.ones((1, 500, 3))]
         with pytest.warns(UserWarning):
-            out, factors = feature_drop(feats, [0.9, 0.2], 1.0, rng)
+            factors, applied = feature_drop(feats, [[0.9, 0.2]], np.array([1.0]), [rng])
         kept = factors[0][factors[0] > 0]
         assert kept.size > 0
         assert kept == pytest.approx(1.0 / (1.0 - 0.99))
@@ -165,7 +229,7 @@ class TestResampleWeights:
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
             batch, labels, 3, "derived"
         )
-        w = resample_weights(model, data, 0.4)
+        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.4]))
         assert w == pytest.approx(np.ones(6))
 
     def test_large_tau_flattens(self):
@@ -173,7 +237,7 @@ class TestResampleWeights:
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
             batch, labels, 3, "derived"
         )
-        w = resample_weights(model, data, 1e9)
+        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([1e9]))
         assert np.abs(w - 1.0).max() < 1e-6
 
     def test_weight_ratio_worked_example(self):
@@ -186,14 +250,14 @@ class TestResampleWeights:
             batch, labels, 3, "derived"
         )
         with pytest.raises(SpecError):
-            resample_weights(model, data, 0.0)
+            resample_weights(model.like(model.flat[None]), [data], np.array([0.0]))
 
     def test_mean_one_normalization(self):
         model, batch, labels = small_model_and_batch(4)
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
             batch, labels, 3, "derived"
         )
-        w = resample_weights(model, data, 0.3)
+        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.3]))
         assert w.mean() == pytest.approx(1.0)
         assert np.all(w > 0)
 
@@ -212,46 +276,41 @@ class TestSymmetricKl:
 
 class TestKlAlignLoss:
     def test_zero_weight_matches_baseline(self):
-        model, batch, labels = small_model_and_batch(5)
+        model, batch, labels = one_run(5)
         cache = fusion.forward(model, batch)
         base = trainer.baseline_loss(model, cache, labels)
-        bundle = kl_align_loss(model, cache, labels, 0.0)
+        bundle = kl_align_loss(model, cache, labels, np.array([0.0]))
         assert bundle.loss == pytest.approx(base.loss)
         for a, b in zip(bundle.head_grads, base.head_grads):
             assert np.allclose(a, b)
 
     def test_identical_partials_add_nothing(self):
         model, batch, labels = small_model_and_batch(6)
-        model.encoders[1] = model.encoders[0].copy()
-        model.head_blocks[1] = model.head_blocks[0].copy()
-        twin = [batch[0], batch[0].copy()]
+        twin_model = FusionModel([model.encoders[0], model.encoders[0].copy()],
+                                 [model.head_blocks[0], model.head_blocks[0].copy()],
+                                 model.head_bias, model.arch, model.seed)
+        model, twin, labels = stack([(twin_model, [batch[0], batch[0].copy()], labels)])
         cache = fusion.forward(model, twin)
         base = trainer.baseline_loss(model, cache, labels)
-        bundle = kl_align_loss(model, cache, labels, 1.0)
+        bundle = kl_align_loss(model, cache, labels, np.array([1.0]))
         assert bundle.loss == pytest.approx(base.loss)
 
     def test_loss_adds_mean_symmetric_kl(self):
-        model, batch, labels = small_model_and_batch(7, m=3)
+        run = small_model_and_batch(7, m=3)
+        model, batch, labels = run
         cache = fusion.forward(model, batch)
         probs = [trainer.softmax(fusion.partial_logits(model, cache, i)) for i in range(3)]
         kl = [np.mean([symmetric_kl(p, q) for p, q in zip(probs[i], probs[j])])
               for i, j in ((0, 1), (0, 2), (1, 2))]
         base, _ = cross_entropy(cache.logits, labels)
-        bundle = kl_align_loss(model, cache, labels, 0.7)
-        assert bundle.loss == pytest.approx(base + 0.7 * sum(kl), rel=1e-12)
+        model, batch, labels = stack([run])
+        bundle = kl_align_loss(model, fusion.forward(model, batch), labels, np.array([0.7]))
+        assert bundle.loss[0] == pytest.approx(base + 0.7 * sum(kl), rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_gradients_match_finite_differences(self, m):
-        model, batch, labels = small_model_and_batch(7, m=m)
-        cache = fusion.forward(model, batch)
-        bundle = kl_align_loss(model, cache, labels, 0.7)
-        grads = model_gradient(model, cache, bundle)
-
-        def loss_fn():
-            c = fusion.forward(model, batch)
-            return kl_align_loss(model, c, labels, 0.7).loss
-
-        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
+        runs = [small_model_and_batch(seed, m=m) for seed in (7, 17, 27)]
+        check_objective_fd(kl_align_loss, runs, [0.7, 0.2, 1.5])
 
 
 class TestCosine:
@@ -290,37 +349,31 @@ class TestCosine:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_gradients_match_finite_differences(self, m):
-        model, batch, labels = small_model_and_batch(10, m=m)
-        cache = fusion.forward(model, batch)
-        bundle = cosine_objective(model, cache, labels, 4.0)
-        grads = model_gradient(model, cache, bundle)
-
-        def loss_fn():
-            c = fusion.forward(model, batch)
-            return cosine_objective(model, c, labels, 4.0).loss
-
-        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
+        runs = [small_model_and_batch(seed, m=m) for seed in (10, 20, 30)]
+        check_objective_fd(cosine_objective, runs, [4.0, 1.5, 7.0])
 
     def test_loss_is_cross_entropy_of_cosine_logits(self):
-        model, batch, labels = small_model_and_batch(10, m=3)
-        cache = fusion.forward(model, batch)
-        expected, _ = cross_entropy(cosine_logits(model, cache, 4.0), labels)
-        assert cosine_objective(model, cache, labels, 4.0).loss == pytest.approx(expected,
-                                                                                 rel=1e-12)
+        run = small_model_and_batch(10, m=3)
+        model, batch, labels = run
+        expected, _ = cross_entropy(cosine_logits(model, fusion.forward(model, batch), 4.0),
+                                    labels)
+        model, batch, labels = stack([run])
+        bundle = cosine_objective(model, fusion.forward(model, batch), labels, np.array([4.0]))
+        assert bundle.loss[0] == pytest.approx(expected, rel=1e-12)
 
     def test_bias_gets_no_gradient(self):
-        model, batch, labels = small_model_and_batch(11)
+        model, batch, labels = one_run(11)
         cache = fusion.forward(model, batch)
-        bundle = cosine_objective(model, cache, labels, 4.0)
+        bundle = cosine_objective(model, cache, labels, np.array([4.0]))
         assert not bundle.bias_grad.any()
 
 
 class TestUnimodalBlend:
     def test_zero_weight_matches_baseline(self):
-        model, batch, labels = small_model_and_batch(12)
+        model, batch, labels = one_run(12)
         cache = fusion.forward(model, batch)
         base = trainer.baseline_loss(model, cache, labels)
-        bundle = unimodal_blend_loss(model, cache, labels, 0.0)
+        bundle = unimodal_blend_loss(model, cache, labels, np.array([0.0]))
         assert bundle.loss == pytest.approx(base.loss)
         for a, b in zip(bundle.head_grads, base.head_grads):
             assert np.allclose(a, b)
@@ -336,33 +389,54 @@ class TestUnimodalBlend:
         assert l1 == l2
 
     def test_loss_is_sum_of_terms(self):
-        model, batch, labels = small_model_and_batch(14)
+        model, batch, labels = one_run(14)
         cache = fusion.forward(model, batch)
         l_mm, _ = cross_entropy(cache.logits, labels)
         l1, _ = cross_entropy(fusion.partial_logits(model, cache, 0), labels)
         l2, _ = cross_entropy(fusion.partial_logits(model, cache, 1), labels)
-        bundle = unimodal_blend_loss(model, cache, labels, 0.4)
+        bundle = unimodal_blend_loss(model, cache, labels, np.array([0.4]))
         assert bundle.loss == pytest.approx(l_mm + 0.4 * (l1 + l2))
 
-    def test_gradients_match_fd_when_no_conflict(self):
-        # the projected update is not a gradient, so check a conflict-free case
-        model, batch, labels = small_model_and_batch(15)
-        cache = fusion.forward(model, batch)
-        g_mm = cross_entropy(cache.logits, labels)[1]
-        conflict = False
-        for i in range(2):
+    @staticmethod
+    def conflicts(model, cache, labels, logits=None):
+        """Per modality: does the guard fire (negative head-block inner product)?"""
+        g_mm = cross_entropy(cache.logits if logits is None else logits, labels)[1]
+        out = []
+        for i in range(model.num_modalities):
             g_uni = cross_entropy(fusion.partial_logits(model, cache, i), labels)[1]
-            inner = np.vdot(g_uni.T @ cache.features[i], g_mm.T @ cache.features[i])
-            conflict = conflict or inner < 0
-        assert not conflict, "pick a seed without gradient conflict for the FD check"
-        bundle = unimodal_blend_loss(model, cache, labels, 0.6)
-        grads = model_gradient(model, cache, bundle)
+            out.append(bool(np.vdot(g_uni.T @ cache.features[i], g_mm.T @ cache.features[i]) < 0))
+        return out
 
-        def loss_fn():
-            c = fusion.forward(model, batch)
-            return unimodal_blend_loss(model, c, labels, 0.6).loss
+    def test_gradients_match_fd_when_no_conflict(self):
+        # the projected update is not a gradient, so check conflict-free cases
+        runs = [small_model_and_batch(seed) for seed in (15, 0, 1)]
+        for model, batch, labels in runs:
+            assert not any(self.conflicts(model, fusion.forward(model, batch), labels)), \
+                "pick seeds without gradient conflict for the FD check"
+        check_objective_fd(unimodal_blend_loss, runs, [0.6, 0.3, 1.2])
 
-        assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
+    def test_stacked_projection_touches_only_conflicting_runs(self):
+        # scaled, reversed fused logits make the guard fire for seed 4's modality 0
+        runs = [small_model_and_batch(seed) for seed in (4, 0, 1)]
+        flipped = (0, 2)
+        fires = []
+        for r, (model, batch, labels) in enumerate(runs):
+            cache = fusion.forward(model, batch)
+            logits = -3.0 * cache.logits if r in flipped else None
+            fires.append(self.conflicts(model, cache, labels, logits))
+        assert fires == [[True, False], [False, False], [False, False]]
+
+        def call(stacked_runs, rows, strengths):
+            model, batch, labels = stack(stacked_runs)
+            cache = fusion.forward(model, batch)
+            cache.logits[rows] *= -3.0
+            return unimodal_blend_loss(model, cache, labels, np.array(strengths))
+
+        strengths = [0.5, 1.0, 2.0]
+        together = call(runs, list(flipped), strengths)
+        for r, run in enumerate(runs):
+            alone = call([run], [0] if r in flipped else [], [strengths[r]])
+            assert_bundles_bitwise(together, r, alone)
 
     def test_conflict_projection_orthogonalizes(self):
         # build a synthetic conflict: flip the multimodal gradient sign on one block
@@ -401,7 +475,7 @@ WRAPPED_HOOKS = [
 class TestHookDispatch:
     @pytest.mark.parametrize("hook, kind", WRAPPED_HOOKS)
     def test_fit_calls_the_module_attribute(self, monkeypatch, hook, kind):
-        """fit looks hooks up on the module per run, not at import, so swaps see the calls."""
+        """fit looks hooks up on the module per call, not at import, so swaps see the calls."""
         calls = []
         real = getattr(methods, hook)
 

@@ -221,7 +221,7 @@ class TestFit:
             fit((tr, va), model, TrainConfig(epochs=1, lr=1e-9), MethodSpec())
         assert err.value.epoch == 0
 
-    def test_log_schema(self, tmp_path):
+    def test_log_schema(self):
         data = tiny_data(3)
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 0)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 1)
@@ -230,10 +230,6 @@ class TestFit:
         assert len(log.records) == 3
         assert log.records[-1].flops_total == ledger.total
         assert all(len(r.scores) == 2 for r in log.records)
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "epoch,lr,train_loss,val_acc,score_1,score_2,flops_cumulative"
 
     def test_flops_monotone(self):
         data = tiny_data(6)
