@@ -213,6 +213,15 @@ class ExperimentConfig:
             and not (has_path and k.startswith("dataset.") and k != "dataset.path")
         }
 
+    @staticmethod
+    def from_dict(d: dict) -> "ExperimentConfig":
+        """Inverse of :meth:`to_dict`: the keys it leaves out take their defaults."""
+        values = []
+        for key, (_, default) in _SCHEMA.items():
+            v = d.get(key, default)
+            values.append((key, tuple(v) if isinstance(v, list) else v))
+        return ExperimentConfig(tuple(values))
+
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys and bad values raise ConfigError."""

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, SpecError
 
-_FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"  # checkpoints (fusion.save_model) write with it too
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,12 @@ class SyntheticSpec:
 class Dataset:
     """Per-sample, per-modality feature matrices plus 0-based class labels.
 
-    ``origin`` is the generating SyntheticSpec, or a short tag for data that
-    came from a file. Values are immutable by convention once constructed.
+    Values are immutable by convention once constructed.
     """
 
     features: list[np.ndarray]
     labels: np.ndarray
     num_classes: int
-    origin: SyntheticSpec | str = "external"
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -105,7 +103,6 @@ class Dataset:
             [f[idx].copy() for f in self.features],
             self.labels[idx].copy(),
             self.num_classes,
-            self.origin,
         )
 
     def select_modalities(self, keep: list[int]) -> "Dataset":
@@ -114,7 +111,6 @@ class Dataset:
             [self.features[i].copy() for i in keep],
             self.labels.copy(),
             self.num_classes,
-            "derived",
         )
 
 
@@ -147,7 +143,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     for i, d in enumerate(spec.dims):
         eps = rng.standard_normal((spec.samples, d))
         features.append(spec.signal[i] * means[i][labels] + spec.sigma * eps)
-    return Dataset(features, labels, spec.num_classes, spec)
+    return Dataset(features, labels, spec.num_classes)
 
 
 def _largest_remainder(fractions: tuple[float, ...], total: int) -> list[int]:
@@ -252,14 +248,12 @@ def save(data: Dataset, path) -> None:
         for k in range(data.num_samples):
             cols = [str(int(data.labels[k]))]
             for f in data.features:
-                cols.append(" ".join(_FLOAT_FMT % v for v in f[k]))
+                cols.append(" ".join(FLOAT_FMT % v for v in f[k]))
             fh.write("|".join(cols) + "\n")
 
 
-def load(path) -> Dataset:
-    """Read an MMDS v1 file; inverse of :func:`save` bit for bit."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+def _parse_header(lines: list[str]) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(m, H, N, dims)`` from the first two lines of an MMDS v1 file."""
     if not lines:
         raise FormatError("empty file", line=1)
     if lines[0] != "MMDS v1":
@@ -281,6 +275,21 @@ def load(path) -> Dataset:
         raise FormatError(f"bad header: {exc}", line=2) from None
     if len(dims) != m:
         raise FormatError(f"dims lists {len(dims)} values for m={m}", line=2)
+    return m, num_classes, n, dims
+
+
+def read_header(path) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(m, H, N, dims)`` of an MMDS v1 file, reading only its first two lines."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [line.rstrip("\n") for line in (fh.readline(), fh.readline()) if line]
+    return _parse_header(lines)
+
+
+def load(path) -> Dataset:
+    """Read an MMDS v1 file; inverse of :func:`save` bit for bit."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    m, num_classes, n, dims = _parse_header(lines[:2])
     if len(lines) - 2 != n:
         raise FormatError(f"header declares N={n} but file has {len(lines) - 2} records", line=2)
 
@@ -308,4 +317,4 @@ def load(path) -> Dataset:
                 features[i][k] = [float(v) for v in vals]
             except ValueError:
                 raise FormatError(f"bad float in modality {i}", line=lineno) from None
-    return Dataset(features, labels, num_classes, origin="file")
+    return Dataset(features, labels, num_classes)

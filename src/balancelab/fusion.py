@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import FLOAT_FMT
 from .errors import FormatError, NumericError, ShapeError
 from .numkit import LayerParams, MlpCache, MlpParams, mlp_forward
-
-_FLOAT_FMT = "%.17g"
 
 
 @dataclass
@@ -248,7 +247,7 @@ def save_model(model: FusionModel, path) -> None:
         def block(name: str, arr: np.ndarray):
             shape = "x".join(str(s) for s in arr.shape)
             fh.write(f"{name} {shape}\n")
-            fh.write(" ".join(_FLOAT_FMT % v for v in arr.reshape(-1)) + "\n")
+            fh.write(" ".join(FLOAT_FMT % v for v in arr.reshape(-1)) + "\n")
 
         for i, enc in enumerate(model.encoders):
             for t, layer in enumerate(enc.layers):

@@ -7,9 +7,16 @@ seed), executes the full pipeline, and produces one report row:
     method, seed, sweep_param, sweep_value, acc, macro_f1,
     phi_1..phi_m, imbalance, flops_total, best_epoch
 
+``run_experiment`` (one value, None) and ``run_sweep`` (the swept values)
+share one report path: cells, then aggregates, then the written report.
+The modality count, which sets the report's phi columns, is read before
+any cell trains: ``dataset.modalities`` for synthetic data, the MMDS header
+(``datagen.read_header``) for a dataset file.
+
 The uncached cells of one call (a sweep's values x seeds, or an experiment's
 seeds) share one config and shapes, so they train together as one
-``trainer.fit`` stack; ``jobs`` splits that stack across worker processes.
+``trainer.fit`` stack; ``jobs`` (at least 1) splits that stack across
+worker processes.
 A stack's runs train in lockstep, so results are kept per stack: each cell
 is written to ``<out>/cells/`` as soon as it is evaluated after its stack
 has trained, and an interrupted call resumes without recomputing those
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen, fusion, metrics, trainer
-from .config import ExperimentConfig, parse_config_text
+from .config import ExperimentConfig
 from .errors import BalanceLabError, ConfigError, FormatError
 from .methods import METHODS, PARAMS, MethodSpec
 
@@ -54,33 +61,15 @@ class RunRow:
     best_epoch: float = -1
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "sweep_param": self.sweep_param,
-            "sweep_value": self.sweep_value,
-            "acc": self.acc,
-            "macro_f1": self.macro_f1,
-            "phi": list(self.phi) if self.phi is not None else None,
-            "imbalance": self.imbalance,
-            "flops_total": self.flops_total,
-            "best_epoch": self.best_epoch,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["phi"] = list(self.phi) if self.phi is not None else None
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "RunRow":
-        return RunRow(
-            d["method"],
-            d["seed"],
-            d.get("sweep_param", ""),
-            d.get("sweep_value"),
-            d["acc"],
-            d["macro_f1"],
-            tuple(d["phi"]) if d.get("phi") is not None else None,
-            d.get("imbalance"),
-            d["flops_total"],
-            d["best_epoch"],
-        )
+        row = RunRow(**{f.name: d[f.name] for f in dataclasses.fields(RunRow)})
+        row.phi = tuple(row.phi) if row.phi is not None else None
+        return row
 
 
 @dataclass
@@ -195,19 +184,21 @@ def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
     return datagen.generate(cfg.synthetic_spec(seed=data_seed))
 
 
-def _train_cells(
-    cfg: ExperimentConfig,
-    cells: list[tuple[int, MethodSpec, str | None]],
-    done=None,
-) -> tuple[list[RunRow], int]:
+def _modality_count(cfg: ExperimentConfig) -> int:
+    """The config's modality count, or for a dataset file its header's."""
+    if cfg.dataset_path is None:
+        return cfg.get("dataset.modalities")
+    return read_input("dataset.path", datagen.read_header, cfg.dataset_path)[0]
+
+
+def _train_cells(cfg: ExperimentConfig, cells: list[tuple[int, MethodSpec, str | None]]):
     """Execute (run seed, method, checkpoint path) cells of one config together.
 
     Each run seed's split is made once and only the split is kept (a
     dataset file, the same data for every seed, is read once); every cell
     trains in one ``trainer.fit`` stack, then saves its checkpoint,
-    evaluates and computes Shapley contributions on its own, after which
-    ``done(index, row)`` is called if given. Returns the rows and the
-    modality count.
+    evaluates and computes Shapley contributions on its own. Yields
+    ``(index, row)`` as each cell is evaluated.
     """
     prepared = {}
     file_data = None
@@ -230,7 +221,6 @@ def _train_cells(
     del file_data
     trained = trainer.fit(splits, models, configs, [method for _, method, _ in cells], ledgers)
 
-    rows = []
     for k, ((run_seed, method, checkpoint_path), (best, log), ledger) in enumerate(
             zip(cells, trained, ledgers)):
         test_set = prepared[run_seed][2]
@@ -243,7 +233,7 @@ def _train_cells(
             rep = metrics.shapley(best, test_set)
             phi = tuple(float(p) for p in rep.phi)
             imb = rep.imbalance
-        rows.append(RunRow(
+        yield k, RunRow(
             method=method.kind,
             seed=run_seed,
             acc=perf.accuracy,
@@ -252,10 +242,7 @@ def _train_cells(
             imbalance=imb,
             flops_total=ledger.total,
             best_epoch=log.best_epoch,
-        ))
-        if done is not None:
-            done(k, rows[-1])
-    return rows, train_set.num_modalities
+        )
 
 
 def run_single(
@@ -267,7 +254,7 @@ def run_single(
     """Execute one (method, seed) cell and return its report row."""
     if method is None:
         method = cfg.method_spec()
-    return _train_cells(cfg, [(run_seed, method, checkpoint_path)])[0][0]
+    return next(_train_cells(cfg, [(run_seed, method, checkpoint_path)]))[1]
 
 
 def _value_tag(value) -> str:
@@ -316,17 +303,15 @@ def _write_cell(path, row_dict: dict) -> None:
     os.replace(tmp, path)
 
 
-def _stack_worker(payload: tuple) -> tuple[int | None, list[tuple[dict | None, str]]]:
+def _stack_worker(payload: tuple) -> list[tuple[RunRow | None, str]]:
     """Train one stack of (seed, value) cells; top-level so it can run in a pool.
 
     With ``out_dir`` set, each cell's file is written as soon as that cell
-    is evaluated. Returns the modality count (None if no data loaded) and,
-    per cell, its row dict or its error text. If the stack fails, the cells
-    it did not finish are retrained one by one, so a failing cell fails
-    alone and the others keep their rows.
+    is evaluated. Returns, per cell, its row or its error text. If the
+    stack fails, the cells it did not finish are retrained one by one, so a
+    failing cell fails alone and the others keep their rows.
     """
-    cfg_text, keys, sweep_param, ckpt_dir, out_dir = payload
-    cfg = parse_config_text(cfg_text)
+    cfg, keys, sweep_param, ckpt_dir, out_dir = payload
     method_kind = cfg.get("method.kind")
     cells = []
     for run_seed, value in keys:
@@ -339,47 +324,35 @@ def _stack_worker(payload: tuple) -> tuple[int | None, list[tuple[dict | None, s
             ckpt_path = os.path.join(ckpt_dir, f"ckpt_{method.kind}_seed{run_seed}.mmck")
         cells.append((run_seed, method, ckpt_path))
 
-    outs: dict[int, tuple[dict | None, str]] = {}
-
-    def done(k: int, row: RunRow) -> None:
-        run_seed, value = keys[k]
-        row.sweep_param = sweep_param
-        row.sweep_value = value
-        outs[k] = (row.to_dict(), "")
-        if out_dir is not None:
-            path = _cell_path(out_dir, method_kind, run_seed, value)
-            fingerprint = _cell_fingerprint(cfg, sweep_param, value)
-            _write_cell(path, {**outs[k][0], "fingerprint": fingerprint})
-            _log(out_dir, f"finished cell {method_kind} seed={run_seed} value={value}")
-
+    outs: dict[int, tuple[RunRow | None, str]] = {}
     try:
-        _, m = _train_cells(cfg, cells, done)
+        for k, row in _train_cells(cfg, cells):
+            run_seed, value = keys[k]
+            row.sweep_param = sweep_param
+            row.sweep_value = value
+            outs[k] = (row, "")
+            if out_dir is not None:
+                path = _cell_path(out_dir, method_kind, run_seed, value)
+                fingerprint = _cell_fingerprint(cfg, sweep_param, value)
+                _write_cell(path, {**row.to_dict(), "fingerprint": fingerprint})
+                _log(out_dir, f"finished cell {method_kind} seed={run_seed} value={value}")
     except Exception as exc:  # noqa: BLE001 - per-cell isolation
         if len(keys) == 1:
-            return None, [(None, str(exc))]
-        m = None
+            return [(None, str(exc))]
         for k, key in enumerate(keys):
             if k not in outs:
-                cell_m, [outs[k]] = _stack_worker(
-                    (cfg_text, [key], sweep_param, ckpt_dir, out_dir))
-                m = cell_m if m is None else m
-    return m, [outs[k] for k in range(len(keys))]
+                [outs[k]] = _stack_worker((cfg, [key], sweep_param, ckpt_dir, out_dir))
+    return [outs[k] for k in range(len(keys))]
 
 
 def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
     """Mean and population-std rows per (method, sweep_value) group."""
-    groups: list[tuple[str, float | None]] = []
-    by_group: dict[tuple[str, float | None], list[RunRow]] = {}
+    groups: dict[tuple[str, float | None], list[RunRow]] = {}
     for row in rows:
-        key = (row.method, row.sweep_value)
-        if key not in by_group:
-            by_group[key] = []
-            groups.append(key)
-        by_group[key].append(row)
+        groups.setdefault((row.method, row.sweep_value), []).append(row)
 
     out = []
-    for key in groups:
-        members = by_group[key]
+    for (method, value), members in groups.items():
         have_phi = all(r.phi is not None for r in members)
         for stat, fn in (("mean", np.mean), ("std", np.std)):
             phi = None
@@ -391,10 +364,10 @@ def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
                 imb = float(fn([r.imbalance for r in members]))
             out.append(
                 RunRow(
-                    method=key[0],
+                    method=method,
                     seed=stat,
                     sweep_param=members[0].sweep_param,
-                    sweep_value=key[1],
+                    sweep_value=value,
                     acc=float(fn([r.acc for r in members])),
                     macro_f1=float(fn([r.macro_f1 for r in members])),
                     phi=phi,
@@ -414,14 +387,12 @@ def _run_cells(
     jobs: int,
     errors: list[dict],
     ckpt_dir=None,
-) -> tuple[list[RunRow], int | None]:
+) -> list[RunRow]:
     """Run (seed, value) cells, reusing completed cell files of the same config.
 
     The cells left to compute train as one stack, split into ``jobs``
-    contiguous stacks when ``jobs > 1``. Also returns the modality count of
-    the data the cells loaded (None if they loaded none).
+    contiguous stacks when ``jobs > 1``.
     """
-    cfg_text = cfg.to_text()
     method_kind = cfg.get("method.kind")
     fingerprints = {value: _cell_fingerprint(cfg, sweep_param, value) for _, value in cells}
     rows: dict[tuple[int, float | None], RunRow] = {}
@@ -440,10 +411,10 @@ def _run_cells(
         todo.append((run_seed, value))
 
     # contiguous stacks in cell order, so errors list in the same order for any jobs
-    n_stacks = min(max(jobs, 1), len(todo))
+    n_stacks = min(jobs, len(todo))
     stacks = [todo[k * len(todo) // n_stacks:(k + 1) * len(todo) // n_stacks]
               for k in range(n_stacks)]
-    payloads = [(cfg_text, stack, sweep_param, ckpt_dir, out_dir) for stack in stacks]
+    payloads = [(cfg, stack, sweep_param, ckpt_dir, out_dir) for stack in stacks]
     if n_stacks > 1:
         with ProcessPoolExecutor(max_workers=n_stacks) as pool:
             futures = [pool.submit(_stack_worker, payload) for payload in payloads]
@@ -452,51 +423,50 @@ def _run_cells(
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - a lost worker fails its cells
-                    results.append((None, [(None, str(exc))] * len(stack)))
+                    results.append([(None, str(exc))] * len(stack))
     else:
         results = [_stack_worker(payload) for payload in payloads]
 
-    m = None
-    for stack, (stack_m, outs) in zip(stacks, results):
-        m = stack_m if m is None else m
-        for key, (row_dict, error) in zip(stack, outs):
-            if row_dict is not None:
-                rows[key] = RunRow.from_dict(row_dict)
+    for stack, outs in zip(stacks, results):
+        for key, (row, error) in zip(stack, outs):
+            if row is not None:
+                rows[key] = row
             else:
                 errors.append({"seed": key[0], "sweep_value": key[1], "error": error})
                 _log(out_dir, f"cell failed seed={key[0]} value={key[1]}: {error}")
 
-    return [rows[key] for key in cells if key in rows], m
+    return [rows[key] for key in cells if key in rows]
 
 
-def _modalities(cfg: ExperimentConfig, loaded: int | None, rows: list[RunRow]) -> int:
-    """The dataset's modality count, read from data only when no cell shows it."""
-    if loaded is not None:
-        return loaded
-    for row in rows:
-        if row.phi is not None:
-            return len(row.phi)
-    if cfg.dataset_path is None:
-        return cfg.get("dataset.modalities")
-    # every cell cached with Shapley off, or every cell failed
-    return load_run_data(cfg, 0).num_modalities
+def _report(cfg: ExperimentConfig, sweep_param: str, values: list, out_dir, jobs: int,
+            ckpt_dir=None, balance=None) -> RunReport:
+    """Run every (value, seed) cell, aggregate, and write report.csv/.json.
+
+    ``balance(aggregates)`` gives the report's balance points. Raises when
+    every cell failed, after writing the report that lists the failures.
+    """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    m = _modality_count(cfg)
+    errors: list[dict] = []
+    cells = [(s, v) for v in values for s in cfg.seeds]
+    rows = _run_cells(cfg, cells, sweep_param, out_dir, jobs, errors, ckpt_dir)
+    aggregates = _aggregate(rows, m)
+    report = RunReport(rows, aggregates, m, cfg, sweep_param,
+                       balance(aggregates) if balance else None, errors)
+    if out_dir is not None:
+        report.write(out_dir)
+    if not rows:
+        raise BalanceLabError(f"all {len(cells)} runs failed: {errors}")
+    return report
 
 
 def run_experiment(
     cfg: ExperimentConfig, out_dir=None, jobs: int = 1, save_checkpoints: bool = False
 ) -> RunReport:
     """Run the configured method over every seed; write report.csv/.json."""
-    errors: list[dict] = []
-    cells = [(s, None) for s in cfg.seeds]
-    ckpt_dir = out_dir if (save_checkpoints and out_dir is not None) else None
-    rows, loaded = _run_cells(cfg, cells, "", out_dir, jobs, errors, ckpt_dir=ckpt_dir)
-    m = _modalities(cfg, loaded, rows)
-    report = RunReport(rows, _aggregate(rows, m), m, cfg, errors=errors)
-    if out_dir is not None:
-        report.write(out_dir)
-    if not rows:
-        raise BalanceLabError(f"all {len(cells)} runs failed: {errors}")
-    return report
+    ckpt_dir = out_dir if save_checkpoints else None
+    return _report(cfg, "", [None], out_dir, jobs, ckpt_dir)
 
 
 def run_sweep(
@@ -522,35 +492,23 @@ def run_sweep(
         raise ConfigError("need at least one sweep value")
     values = [float(v) for v in values]
 
-    errors: list[dict] = []
-    cells = [(s, v) for v in values for s in cfg.seeds]
-    rows, loaded = _run_cells(cfg, cells, param_path, out_dir, jobs, errors)
-    m = _modalities(cfg, loaded, rows)
-    aggregates = _aggregate(rows, m)
-
-    means = [r for r in aggregates if r.seed == "mean"]
-    balance_points = None
-    if means:
+    def balance(aggregates: list[RunRow]) -> dict | None:
+        means = [r for r in aggregates if r.seed == "mean"]
+        if not means:
+            return None
+        points = {}
         with_imb = [r for r in means if r.imbalance is not None]
-        balance_points = {}
         if with_imb:
             best_imb = min(with_imb, key=lambda r: (r.imbalance, values.index(r.sweep_value)))
-            balance_points["absolute"] = {
+            points["absolute"] = {
                 "sweep_value": best_imb.sweep_value,
                 "imbalance": best_imb.imbalance,
             }
         best_acc = max(means, key=lambda r: (r.acc, -values.index(r.sweep_value)))
-        balance_points["relative"] = {"sweep_value": best_acc.sweep_value, "acc": best_acc.acc}
+        points["relative"] = {"sweep_value": best_acc.sweep_value, "acc": best_acc.acc}
+        return points
 
-    report = RunReport(
-        rows, aggregates, m, cfg, sweep_param=param_path,
-        balance_points=balance_points, errors=errors,
-    )
-    if out_dir is not None:
-        report.write(out_dir)
-    if not rows:
-        raise BalanceLabError(f"all {len(cells)} runs failed: {errors}")
-    return report
+    return _report(cfg, param_path, values, out_dir, jobs, balance=balance)
 
 
 def compare_table(reports: list[RunReport]) -> tuple[str, str]:
@@ -639,20 +597,12 @@ def load_report(path) -> RunReport:
             raise FormatError(f"{path}: not JSON ({exc})") from None
     if not isinstance(d, dict):
         raise FormatError(f"{path}: not a report, its top level is a JSON {type(d).__name__}")
-    cfg_pairs = []
-    from .config import _SCHEMA  # canonical key order
-
     try:
-        for key, (kind, default) in _SCHEMA.items():
-            v = d["config"].get(key, default)
-            if isinstance(v, list):
-                v = tuple(v)
-            cfg_pairs.append((key, v))
+        cfg = ExperimentConfig.from_dict(d["config"])
         rows = [RunRow.from_dict(r) for r in d["rows"]]
         aggregates = [RunRow.from_dict(r) for r in d["aggregates"]]
     except KeyError as exc:
         raise FormatError(f"{path}: not a report, missing key {exc}") from None
-    cfg = ExperimentConfig(tuple(cfg_pairs))
     m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")
     return RunReport(
         rows, aggregates, m, cfg,

@@ -72,11 +72,6 @@ class MlpParams:
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[-2]
 
-    def copy(self) -> "MlpParams":
-        return type(self)(
-            [LayerParams(l.weight.copy(), l.bias.copy()) for l in self.layers]
-        )
-
 
 @dataclass
 class MlpCache:

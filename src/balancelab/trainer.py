@@ -78,7 +78,6 @@ class TrainState:
 
     model: FusionModel
     velocity: np.ndarray  # shaped like model.flat
-    epoch: int
     running_scores: np.ndarray | None = None
 
 
@@ -324,7 +323,7 @@ def fit(
         [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives))
     values = np.array([spec.value for spec in method], dtype=np.float64)  # baseline: nan
     stack = model[0].like(np.stack([mdl.flat for mdl in model]))
-    state = TrainState(stack, np.zeros_like(stack.flat), 0)
+    state = TrainState(stack, np.zeros_like(stack.flat))
     grads = state.model.like(np.empty_like(state.model.flat))
 
     def calls(field: str) -> list[tuple]:
@@ -361,7 +360,6 @@ def fit(
     best_acc = [-1.0] * runs
 
     for epoch in range(cfg.epochs):
-        state.epoch = epoch
         lr = step_lr(cfg, epoch)
 
         weights = [None] * runs

@@ -14,6 +14,12 @@ import math
 import numpy as np
 
 from balancelab import fusion, metrics, trainer
+from balancelab.numkit import LayerParams, MlpParams
+
+
+def mlp_copy(params):
+    """An MlpParams whose layers are copies of ``params``'s."""
+    return MlpParams([LayerParams(l.weight.copy(), l.bias.copy()) for l in params.layers])
 
 
 def model_gradient(model, cache, bundle):

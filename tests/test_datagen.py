@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from balancelab.datagen import SyntheticSpec, batches, generate, load, save, split
+from balancelab.datagen import SyntheticSpec, batches, generate, load, read_header, save, split
 from balancelab.errors import FormatError, SpecError
 
 from oracles import bayes_accuracy, class_means
@@ -197,6 +197,23 @@ class TestSaveLoad:
         path.write_text("MMDS v1\nm=2 H=2 N=3 dims=1,1\n0|1|2\n")
         with pytest.raises(FormatError):
             load(path)
+
+    @pytest.mark.parametrize("header", ["m=2 H=2 N=1", "m=2 H=2 N=1 dims=1,1 junk",
+                                        "m=3 H=2 N=1 dims=1,1", "m=two H=2 N=1 dims=1,1"])
+    def test_read_header_raises_as_load_does(self, tmp_path, header):
+        path = tmp_path / "bad.mmds"
+        path.write_text(f"MMDS v1\n{header}\n0|1|2\n")
+        with pytest.raises(FormatError) as from_load:
+            load(path)
+        with pytest.raises(FormatError) as from_header:
+            read_header(path)
+        assert from_header.value.line == from_load.value.line == 2
+        assert str(from_header.value) == str(from_load.value)
+
+    def test_read_header_reads_the_saved_shape(self, tmp_path):
+        path = tmp_path / "d.mmds"
+        save(generate(SPEC), path)
+        assert read_header(path) == (SPEC.num_modalities, SPEC.num_classes, SPEC.samples, SPEC.dims)
 
 
 def test_select_modalities():

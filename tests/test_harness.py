@@ -6,7 +6,7 @@ import pytest
 
 from balancelab import cli, harness, trainer
 from balancelab.config import parse_config, parse_config_text
-from balancelab.errors import ConfigError
+from balancelab.errors import ConfigError, FormatError
 
 TINY = """
 dataset.samples = 300
@@ -168,6 +168,69 @@ class TestRunExperiment:
             harness.run_experiment(cfg, out_dir=str(out))
         header = (out / "report.csv").read_text().splitlines()[0]
         assert "phi_3" in header.split(",")
+
+    def test_bad_file_body_fails_each_cell_in_the_report(self, tmp_path):
+        path = tmp_path / "d.mmds"
+        path.write_text("MMDS v1\nm=3 H=2 N=1 dims=1,1,1\n0|1|2\n")
+        cfg = parse_config_text(f'dataset.path = "{path}"\ntrain.epochs = 1\nseeds = 1,2\n')
+        out = tmp_path / "out"
+        with pytest.raises(harness.BalanceLabError, match="all 2 runs failed"):
+            harness.run_experiment(cfg, out_dir=str(out))
+        report = json.loads((out / "report.json").read_text())
+        assert [e["seed"] for e in report["errors"]] == [1, 2]
+        assert all("line 3" in e["error"] for e in report["errors"])
+        assert "phi_3" in (out / "report.csv").read_text().splitlines()[0].split(",")
+
+    def test_cached_file_cells_read_only_the_header(self, tmp_path, monkeypatch):
+        from balancelab import datagen
+
+        spec = datagen.SyntheticSpec(num_modalities=3, num_classes=4, dims=(4, 4, 4),
+                                     signal=(3.0, 1.0, 1.0), sigma=1.0, samples=200, seed=0)
+        path = tmp_path / "d.mmds"
+        datagen.save(datagen.generate(spec), path)
+        cfg = parse_config_text(f'dataset.path = "{path}"\nmodel.hidden = 8\n'
+                                "train.epochs = 1\nseeds = 1,2\neval.shapley = false\n")
+        out = tmp_path / "out"
+        first = harness.run_experiment(cfg, out_dir=str(out))
+
+        def unread(path):
+            raise AssertionError("every cell is cached, so the dataset body is not needed")
+
+        monkeypatch.setattr(datagen, "load", unread)
+        again = harness.run_experiment(cfg, out_dir=str(out))
+        assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in first.rows]
+        header = (out / "report.csv").read_text().splitlines()[0].split(",")
+        assert [c for c in header if c.startswith("phi_")] == ["phi_1", "phi_2", "phi_3"]
+
+
+class TestLoadReport:
+    @pytest.mark.parametrize("shapley", [True, False])
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_round_trip(self, tmp_path, sweep, shapley):
+        cfg = parse_config_text(TINY).with_key("eval.shapley", shapley)
+        out = tmp_path / "out"
+        if sweep:
+            cfg = cfg.with_key("method.kind", "gradmod")
+            report = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
+        else:
+            report = harness.run_experiment(cfg, out_dir=str(out))
+        back = harness.load_report(out / "report.json")
+        assert [r.to_dict() for r in back.rows] == [r.to_dict() for r in report.rows]
+        assert [r.to_dict() for r in back.aggregates] == [r.to_dict() for r in report.aggregates]
+        assert all((r.phi is None) == (not shapley) for r in back.rows + back.aggregates)
+        assert all((r.imbalance is None) == (not shapley) for r in back.rows + back.aggregates)
+        assert back.config == report.config
+        assert back.json_dict() == report.json_dict()
+        assert back.csv_text() == report.csv_text()
+
+    def test_row_missing_a_key_is_a_format_error(self, tmp_path):
+        out = tmp_path / "out"
+        harness.run_experiment(parse_config_text(TINY).with_key("seeds", (1,)), out_dir=str(out))
+        d = json.loads((out / "report.json").read_text())
+        del d["rows"][0]["sweep_param"]
+        (out / "report.json").write_text(json.dumps(d))
+        with pytest.raises(FormatError, match="missing key 'sweep_param'"):
+            harness.load_report(out / "report.json")
 
 
 class TestRunSweep:
@@ -376,6 +439,18 @@ class TestCli:
         assert cli.main([command, *argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --out ") and out in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_jobs_below_1_exits_1(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "method.kind = gradmod\n")
+        out = tmp_path / "o"
+        sweep = ["--param", "method.alpha", "--values", "1"] if command == "sweep" else []
+        rc = cli.main([command, "--config", str(cfg_path), "--seeds", "1", "--jobs", "0",
+                       "--out", str(out), *sweep])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --jobs must be at least 1, got 0")
+        assert not (out / "cells").exists()
 
     @pytest.mark.parametrize("argv", [["generate", "--jobs", "2"],
                                       ["generate", "--seeds", "1,2"],

@@ -19,7 +19,7 @@ from balancelab.methods import (
 )
 from balancelab.trainer import TrainConfig, cross_entropy, fit
 
-from oracles import cosine_logits, fd_max_rel_error, model_gradient, symmetric_kl
+from oracles import cosine_logits, fd_max_rel_error, mlp_copy, model_gradient, symmetric_kl
 
 
 def small_model_and_batch(seed=0, m=2, h=3):
@@ -227,7 +227,7 @@ class TestResampleWeights:
                 layer.weight[:] = 0.0
                 layer.bias[:] = 0.0
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3, "derived"
+            batch, labels, 3
         )
         [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.4]))
         assert w == pytest.approx(np.ones(6))
@@ -235,7 +235,7 @@ class TestResampleWeights:
     def test_large_tau_flattens(self):
         model, batch, labels = small_model_and_batch(2)
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3, "derived"
+            batch, labels, 3
         )
         [w] = resample_weights(model.like(model.flat[None]), [data], np.array([1e9]))
         assert np.abs(w - 1.0).max() < 1e-6
@@ -247,7 +247,7 @@ class TestResampleWeights:
     def test_bad_tau(self):
         model, batch, labels = small_model_and_batch(3)
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3, "derived"
+            batch, labels, 3
         )
         with pytest.raises(SpecError):
             resample_weights(model.like(model.flat[None]), [data], np.array([0.0]))
@@ -255,7 +255,7 @@ class TestResampleWeights:
     def test_mean_one_normalization(self):
         model, batch, labels = small_model_and_batch(4)
         data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3, "derived"
+            batch, labels, 3
         )
         [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.3]))
         assert w.mean() == pytest.approx(1.0)
@@ -286,7 +286,7 @@ class TestKlAlignLoss:
 
     def test_identical_partials_add_nothing(self):
         model, batch, labels = small_model_and_batch(6)
-        twin_model = FusionModel([model.encoders[0], model.encoders[0].copy()],
+        twin_model = FusionModel([model.encoders[0], mlp_copy(model.encoders[0])],
                                  [model.head_blocks[0], model.head_blocks[0].copy()],
                                  model.head_bias, model.arch, model.seed)
         model, twin, labels = stack([(twin_model, [batch[0], batch[0].copy()], labels)])
@@ -380,7 +380,7 @@ class TestUnimodalBlend:
 
     def test_duplicated_modalities_equal_unimodal_losses(self):
         model, batch, labels = small_model_and_batch(13)
-        model.encoders[1] = model.encoders[0].copy()
+        model.encoders[1] = mlp_copy(model.encoders[0])
         model.head_blocks[1] = model.head_blocks[0].copy()
         twin = [batch[0], batch[0].copy()]
         cache = fusion.forward(model, twin)

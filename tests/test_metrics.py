@@ -16,7 +16,7 @@ from balancelab.metrics import (
     value_function,
 )
 
-from oracles import masked_accuracy, shapley_subset_form
+from oracles import masked_accuracy, mlp_copy, shapley_subset_form
 
 # the two worked subset-value tables used across the suite
 TABLE_M2 = {
@@ -99,10 +99,10 @@ class TestValueFunction:
 
     def test_duplicated_modalities_symmetric(self):
         model, data = trained_like_model(2)
-        model.encoders[1] = model.encoders[0].copy()
+        model.encoders[1] = mlp_copy(model.encoders[0])
         model.head_blocks[1] = model.head_blocks[0].copy()
         shared = [data.features[0], data.features[0].copy()]
-        twin = type(data)(shared, data.labels, data.num_classes, "derived")
+        twin = type(data)(shared, data.labels, data.num_classes)
         assert value_function(model, twin, (True, False)) == value_function(
             model, twin, (False, True)
         )

@@ -4,7 +4,7 @@ import pytest
 from balancelab.errors import ContractError, ShapeError
 from balancelab.numkit import LayerParams, MlpParams, mlp_backward, mlp_forward
 
-from oracles import fd_max_rel_error
+from oracles import fd_max_rel_error, mlp_copy
 
 
 def layer_arrays(params):
@@ -72,7 +72,7 @@ class TestMlpBackward:
         rng = np.random.default_rng(4)
         params = random_mlp([3, 5, 2], rng)
         out, cache = mlp_forward(params, rng.standard_normal((4, 3)))
-        grads = params.copy()
+        grads = mlp_copy(params)
         dx = mlp_backward(params, cache, np.zeros_like(out), grads)
         assert not dx.any()
         for layer in grads.layers:
@@ -83,7 +83,7 @@ class TestMlpBackward:
         params = MlpParams([LayerParams(np.full((2, 3), 0.5), np.zeros(2))])
         x = np.arange(12.0).reshape(4, 3)
         out, cache = mlp_forward(params, x)
-        grads = params.copy()
+        grads = mlp_copy(params)
         mlp_backward(params, cache, np.ones_like(out), grads)
         assert np.array_equal(grads.layers[0].weight, np.tile(x.sum(axis=0), (2, 1)))
 
@@ -96,7 +96,7 @@ class TestMlpBackward:
             x = rng.standard_normal((5, sizes[0]))
             direction = rng.standard_normal((5, sizes[-1]))
             _, cache = mlp_forward(params, x)
-            grads = params.copy()
+            grads = mlp_copy(params)
             mlp_backward(params, cache, direction, grads)
 
             def loss():
@@ -111,9 +111,9 @@ class TestMlpBackward:
         other = random_mlp([3, 5, 2], rng)
         out, cache = mlp_forward(params, rng.standard_normal((2, 3)))
         with pytest.raises(ContractError):
-            mlp_backward(other, cache, np.zeros_like(out), other.copy())
+            mlp_backward(other, cache, np.zeros_like(out), mlp_copy(other))
         with pytest.raises(ContractError):
-            mlp_backward(params, cache, np.zeros((2, 7)), params.copy())
+            mlp_backward(params, cache, np.zeros((2, 7)), mlp_copy(params))
 
 
 class TestFiniteDiffCheck:

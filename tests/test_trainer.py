@@ -21,7 +21,7 @@ from balancelab.trainer import (
     step_lr,
 )
 
-from oracles import fd_max_rel_error, model_gradient
+from oracles import fd_max_rel_error, mlp_copy, model_gradient
 
 
 def tiny_data(seed=0, m=2, signal=(2.0, 2.0), n=240, sigma=1.0, h=3, d=6):
@@ -65,7 +65,7 @@ class TestSgdStep:
         model = init_model([[1, 1], [1, 1]], 2, 0)
         model.head_blocks[0][:] = 0.0
         model.head_blocks[0][0, 0] = w
-        return TrainState(model, np.zeros_like(model.flat), 0)
+        return TrainState(model, np.zeros_like(model.flat))
 
     def grads_like(self, state, g):
         grads = np.zeros_like(state.model.flat)
@@ -124,7 +124,7 @@ class TestModalityScores:
 
     def test_duplicate_modalities_equal(self):
         model = init_model([[4, 5], [4, 5]], 3, 1)
-        model.encoders[1] = model.encoders[0].copy()
+        model.encoders[1] = mlp_copy(model.encoders[0])
         model.head_blocks[1] = model.head_blocks[0].copy()
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 4))
