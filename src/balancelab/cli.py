@@ -63,9 +63,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    run_seed = cfg.seeds[0]
     if args.run_seed is not None:
-        run_seed = coerce("--run-seed", "int", args.run_seed)
+        cfg = cfg.with_key("seeds", (coerce("--run-seed", "int", args.run_seed),))
+    run_seed = cfg.seeds[0]
     data_seed, split_seed, _, _ = harness.derived_seeds(cfg.master_seed, run_seed)
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)

@@ -37,6 +37,7 @@ Key reference (every key is optional; defaults in parentheses)::
 
 Each run's generators derive from the pair (master seed, run seed), so the
 master seed shifts every run at once while the run seeds index repetitions.
+Every seed (``seed``, ``seeds``, ``dataset.seed``) must be non-negative.
 The ``BALANCELAB_SEED`` environment variable overrides the master seed; a
 CLI flag overrides both (flag > environment > config).
 """
@@ -179,9 +180,12 @@ class ExperimentConfig:
     # --- updates and serialization ---------------------------------------
 
     def with_key(self, key: str, value) -> "ExperimentConfig":
+        """This config with ``key`` set to ``value``, validated as a parsed config is."""
         if key not in _SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
-        return ExperimentConfig(tuple((k, value if k == key else v) for k, v in self.values))
+        cfg = ExperimentConfig(tuple((k, value if k == key else v) for k, v in self.values))
+        _validate(cfg, explicit={key})
+        return cfg
 
     def to_text(self) -> str:
         lines = []
@@ -281,6 +285,10 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
         raise ConfigError(f"train.*: {exc}") from None
     if len(cfg.seeds) < 1:
         raise ConfigError("seeds: need at least one seed")
+    for key in ("seed", "seeds", "dataset.seed"):
+        value = cfg.get(key)
+        if min(value if isinstance(value, tuple) else (value,)) < 0:
+            raise ConfigError(f"{key}: must be non-negative, got {value}")
     fr = cfg.fractions
     if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError(f"eval.fractions: need three positive values summing to 1, got {fr}")

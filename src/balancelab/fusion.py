@@ -6,11 +6,16 @@ concatenation of encoder features through a single linear classifier. The
 blocked form keeps each modality's additive share of the logits explicit.
 Partial logits carry ``head_bias / m`` so the per-modality partials sum back
 to the full logits.
+
+A model's shape is its ``arch`` and class count. They fix the one list of
+parameter blocks (``_blocks``) that lays out the flat parameter buffer, the
+order :func:`init_model` draws weights in, and the blocks of a checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,66 +24,85 @@ from .errors import FormatError, NumericError, ShapeError
 from .numkit import LayerParams, MlpCache, MlpParams, mlp_forward
 
 
+def _blocks(arch, num_classes: int) -> list[tuple[str, tuple[int, ...], slice]]:
+    """(checkpoint name, shape, span of ``flat``) of every parameter array, in ``flat`` order.
+
+    The order is encoder 0's layers (weight, then bias), encoder 1's, ...,
+    the head blocks, then the head bias.
+    """
+    shapes = []
+    for i, sizes in enumerate(arch):
+        for t, (d_in, d_out) in enumerate(zip(sizes, sizes[1:])):
+            shapes += [(f"enc{i}.layer{t}.weight", (d_out, d_in)),
+                       (f"enc{i}.layer{t}.bias", (d_out,))]
+    shapes += [(f"head{i}", (num_classes, sizes[-1])) for i, sizes in enumerate(arch)]
+    shapes.append(("bias", (num_classes,)))
+    blocks, start = [], 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        blocks.append((name, shape, slice(start, start + size)))
+        start += size
+    return blocks
+
+
+def _checked_arch(arch, num_classes: int) -> tuple[tuple[int, ...], ...]:
+    """``arch`` as int tuples, or a ShapeError if it or the class count fixes no model."""
+    arch = tuple(tuple(int(s) for s in sizes) for sizes in arch)
+    if num_classes < 2:
+        raise ShapeError(f"need at least 2 classes, got {num_classes}")
+    for sizes in arch:
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ShapeError(f"encoder arch {sizes} must chain at least two positive sizes")
+    return arch
+
+
 @dataclass
 class FusionModel:
     """Per-modality encoders plus a blocked linear head, over one flat buffer.
 
-    ``head_blocks[i]`` has shape (H, d_phi_i) and multiplies encoder i's
-    features; ``head_bias`` has shape (H,). ``arch`` records the per-modality
-    layer sizes used at init, ``seed`` the init seed (both checkpoint
-    metadata only).
-
-    Every parameter array is a view into ``flat``, a float64 vector laid out
-    as encoder 0's layers (weight, then bias), encoder 1's, ..., the head
-    blocks, then the head bias; arrays passed in are copied into it. Change
-    values in place, not by rebinding an array, so that ``flat`` keeps
-    seeing them. A stacked model of R runs has ``flat`` of shape (R, P) and
-    every array gains the same leading run axis.
+    ``arch[i]`` lists encoder i's layer sizes from input dim to feature dim,
+    e.g. ``(12, 24, 4)``; with ``num_classes`` H it fixes every array's
+    shape. ``seed`` records the init seed (checkpoint metadata only).
+    ``flat`` holds every parameter, laid out as ``_blocks`` lists them; it
+    defaults to zeros. ``encoders``, ``head_blocks`` (``head_blocks[i]`` is
+    (H, d_phi_i) and multiplies encoder i's features) and ``head_bias``
+    ((H,)) are views into it: change values in place, not by rebinding an
+    array, so that ``flat`` keeps seeing them. A stacked model of R runs has
+    ``flat`` of shape (R, P) and every array gains the same leading run axis.
     """
 
-    encoders: list[MlpParams]
-    head_blocks: list[np.ndarray]
-    head_bias: np.ndarray
     arch: tuple[tuple[int, ...], ...]
+    num_classes: int
     seed: int
     flat: np.ndarray | None = None
+    encoders: list[MlpParams] = field(init=False, repr=False)
+    head_blocks: list[np.ndarray] = field(init=False, repr=False)
+    head_bias: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.encoders) != len(self.head_blocks):
-            raise ShapeError("one head block per encoder required")
-        h = self.head_bias.shape[-1]
-        if h < 2:
-            raise ShapeError(f"need at least 2 classes, got {h}")
-        for i, (enc, blk) in enumerate(zip(self.encoders, self.head_blocks)):
-            if blk.shape[-2:] != (h, enc.output_dim):
-                raise ShapeError(
-                    f"head block {i} has shape {blk.shape}, expected ({h}, {enc.output_dim})"
-                )
+        self.arch = _checked_arch(self.arch, self.num_classes)
+        blocks = _blocks(self.arch, self.num_classes)
+        size = blocks[-1][2].stop
         if self.flat is None:
-            lead = self.head_bias.shape[:-1]
-            arrays = [a for enc in self.encoders for l in enc.layers for a in (l.weight, l.bias)]
-            arrays += [*self.head_blocks, self.head_bias]
-            flat = np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
-            self.encoders, self.head_blocks, self.head_bias = _views(flat, self.layout())
-            self.flat = flat
-
-    def layout(self) -> tuple[tuple[tuple[int, int], ...], int]:
-        """Per-encoder layer weight shapes and the class count: what fixes ``flat``."""
-        layers = tuple(tuple(l.weight.shape[-2:] for l in e.layers) for e in self.encoders)
-        return layers, self.num_classes
+            self.flat = np.zeros(size)
+        if self.flat.shape[-1] != size:
+            raise ShapeError(f"flat buffer has {self.flat.shape[-1]} values, the layout needs {size}")
+        lead = self.flat.shape[:-1]
+        views = iter(self.flat[..., span].reshape(lead + shape) for _, shape, span in blocks)
+        self.encoders = [MlpParams([LayerParams(next(views), next(views)) for _ in sizes[1:]])
+                         for sizes in self.arch]
+        self.head_blocks = [next(views) for _ in self.arch]
+        self.head_bias = next(views)
 
     @property
     def num_modalities(self) -> int:
-        return len(self.encoders)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.head_bias.shape[-1])
+        return len(self.arch)
 
     def encoder_span(self, i: int) -> slice:
         """Where encoder i's parameters sit along the last axis of ``flat``."""
-        sizes = [sum(d_out * (d_in + 1) for d_out, d_in in enc) for enc in self.layout()[0]]
-        return slice(sum(sizes[:i]), sum(sizes[: i + 1]))
+        spans = [span for name, _, span in _blocks(self.arch, self.num_classes)
+                 if name.startswith(f"enc{i}.")]
+        return slice(spans[0].start, spans[-1].stop)
 
     def like(self, flat: np.ndarray) -> "FusionModel":
         """A model with this layout and metadata whose arrays view ``flat``.
@@ -87,35 +111,10 @@ class FusionModel:
         ``stack.like(stack.flat[r])`` is run r of a stacked model, and
         ``model.like(grads)`` lays a gradient buffer out as parameters.
         """
-        encoders, head_blocks, head_bias = _views(flat, self.layout())
-        return FusionModel(encoders, head_blocks, head_bias, self.arch, self.seed, flat)
+        return FusionModel(self.arch, self.num_classes, self.seed, flat)
 
     def copy(self) -> "FusionModel":
         return self.like(self.flat.copy())
-
-
-def _views(flat: np.ndarray, layout) -> tuple[list[MlpParams], list[np.ndarray], np.ndarray]:
-    """Encoders, head blocks and head bias as views into ``flat``."""
-    enc_layers, h = layout
-    lead = flat.shape[:-1]
-    start = 0
-
-    def take(*shape: int) -> np.ndarray:
-        nonlocal start
-        size = int(np.prod(shape))
-        view = flat[..., start:start + size].reshape(lead + shape)
-        start += size
-        return view
-
-    encoders = [
-        MlpParams([LayerParams(take(d_out, d_in), take(d_out)) for d_out, d_in in layers])
-        for layers in enc_layers
-    ]
-    head_blocks = [take(h, layers[-1][0]) for layers in enc_layers]
-    head_bias = take(h)
-    if start != flat.shape[-1]:
-        raise ShapeError(f"flat buffer has {flat.shape[-1]} values, the layout needs {start}")
-    return encoders, head_blocks, head_bias
 
 
 @dataclass
@@ -144,28 +143,13 @@ def init_model(
     (encoder 0 layers, encoder 1 layers, ..., then head blocks), so equal
     seeds give equal models.
     """
-    arch = tuple(tuple(int(s) for s in sizes) for sizes in arch)
-    if num_classes < 2:
-        raise ShapeError(f"need at least 2 classes, got {num_classes}")
-    for sizes in arch:
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ShapeError(f"encoder arch {sizes} must chain at least two positive sizes")
+    model = FusionModel(arch, num_classes, seed)
     rng = np.random.default_rng(seed)
-
-    def glorot(d_out: int, d_in: int) -> np.ndarray:
+    for weight in [l.weight for enc in model.encoders for l in enc.layers] + model.head_blocks:
+        d_out, d_in = weight.shape
         a = np.sqrt(6.0 / (d_in + d_out))
-        return rng.uniform(-a, a, size=(d_out, d_in))
-
-    encoders = []
-    for sizes in arch:
-        layers = [
-            LayerParams(glorot(sizes[t + 1], sizes[t]), np.zeros(sizes[t + 1]))
-            for t in range(len(sizes) - 1)
-        ]
-        encoders.append(MlpParams(layers))
-    head_blocks = [glorot(num_classes, sizes[-1]) for sizes in arch]
-    head_bias = np.zeros(num_classes)
-    return FusionModel(encoders, head_blocks, head_bias, arch, seed)
+        weight[:] = rng.uniform(-a, a, size=(d_out, d_in))
+    return model
 
 
 def forward(
@@ -236,30 +220,30 @@ def predict(logits: np.ndarray) -> np.ndarray:
 
 
 def save_model(model: FusionModel, path) -> None:
-    """Write a checkpoint in the MMCK v1 text format (bitwise round-trip)."""
+    """Write a checkpoint in the MMCK v1 text format (bitwise round-trip).
+
+    After the two header lines, each block of ``_blocks`` takes two lines in
+    ``flat`` order: its name and shape (``enc0.layer0.weight 24x12``), then
+    its values.
+    """
     with open(path, "w", encoding="ascii") as fh:
         fh.write("MMCK v1\n")
         arch = ";".join(",".join(str(s) for s in sizes) for sizes in model.arch)
         fh.write(
             f"m={model.num_modalities} H={model.num_classes} seed={model.seed} arch={arch}\n"
         )
-
-        def block(name: str, arr: np.ndarray):
-            shape = "x".join(str(s) for s in arr.shape)
-            fh.write(f"{name} {shape}\n")
-            fh.write(" ".join(FLOAT_FMT % v for v in arr.reshape(-1)) + "\n")
-
-        for i, enc in enumerate(model.encoders):
-            for t, layer in enumerate(enc.layers):
-                block(f"enc{i}.layer{t}.weight", layer.weight)
-                block(f"enc{i}.layer{t}.bias", layer.bias)
-        for i, blk in enumerate(model.head_blocks):
-            block(f"head{i}", blk)
-        block("bias", model.head_bias)
+        for name, shape, span in _blocks(model.arch, model.num_classes):
+            fh.write(f"{name} {'x'.join(str(s) for s in shape)}\n")
+            fh.write(" ".join(FLOAT_FMT % v for v in model.flat[span]) + "\n")
 
 
 def load_model(path) -> FusionModel:
-    """Read an MMCK v1 checkpoint written by :func:`save_model`."""
+    """Read an MMCK v1 checkpoint written by :func:`save_model`.
+
+    The blocks must be exactly those :func:`save_model` writes for the
+    header's arch and class count, in its order; any other block, shape or
+    line is a FormatError naming its line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "MMCK v1":
@@ -278,36 +262,29 @@ def load_model(path) -> FusionModel:
         raise FormatError(f"bad header: {exc}", line=2) from None
     if len(arch) != m:
         raise FormatError(f"arch lists {len(arch)} encoders for m={m}", line=2)
-
-    blocks: dict[str, np.ndarray] = {}
-    k = 2
-    while k < len(lines):
-        if k + 1 >= len(lines):
-            raise FormatError("block header without values", line=k + 1)
-        try:
-            name, shape_s = lines[k].split()
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            vals = np.array([float(v) for v in lines[k + 1].split()], dtype=np.float64)
-            blocks[name] = vals.reshape(shape)
-        except ValueError as exc:
-            raise FormatError(f"bad block: {exc}", line=k + 1) from None
-        k += 2
-
     try:
-        encoders = []
-        for i, sizes in enumerate(arch):
-            layers = [
-                LayerParams(
-                    blocks[f"enc{i}.layer{t}.weight"], blocks[f"enc{i}.layer{t}.bias"]
-                )
-                for t in range(len(sizes) - 1)
-            ]
-            encoders.append(MlpParams(layers))
-        head_blocks = [blocks[f"head{i}"] for i in range(m)]
-        head_bias = blocks["bias"]
-    except KeyError as exc:
-        raise FormatError(f"missing block {exc}") from None
-    model = FusionModel(encoders, head_blocks, head_bias, arch, seed)
-    if model.num_classes != num_classes:
-        raise FormatError(f"bias has {model.num_classes} classes, header says {num_classes}")
-    return model
+        arch = _checked_arch(arch, num_classes)
+    except ShapeError as exc:
+        raise FormatError(f"bad header: {exc}", line=2) from None
+
+    # Each block is read into its own array, so memory follows the file,
+    # not the header's sizes.
+    k, parts = 2, []
+    for name, shape, span in _blocks(arch, num_classes):
+        expected = f"{name} {'x'.join(str(s) for s in shape)}"
+        got = lines[k] if k < len(lines) else "end of file"
+        if got != expected:
+            raise FormatError(f"expected block {expected!r}, got {got!r}", line=k + 1)
+        size = span.stop - span.start
+        try:
+            values = np.array([float(v) for v in lines[k + 1].split()])
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"block {name} needs {size} values: {exc}", line=k + 2) from None
+        if values.size != size:
+            raise FormatError(f"block {name} needs {size} values, got {values.size}",
+                              line=k + 2)
+        parts.append(values)
+        k += 2
+    if k < len(lines):
+        raise FormatError(f"unexpected line after the last block: {lines[k]!r}", line=k + 1)
+    return FusionModel(arch, num_classes, seed, np.concatenate(parts))

@@ -245,16 +245,9 @@ def _train_cells(cfg: ExperimentConfig, cells: list[tuple[int, MethodSpec, str |
         )
 
 
-def run_single(
-    cfg: ExperimentConfig,
-    run_seed: int,
-    method: MethodSpec | None = None,
-    checkpoint_path=None,
-) -> RunRow:
-    """Execute one (method, seed) cell and return its report row."""
-    if method is None:
-        method = cfg.method_spec()
-    return next(_train_cells(cfg, [(run_seed, method, checkpoint_path)]))[1]
+def run_single(cfg: ExperimentConfig, run_seed: int) -> RunRow:
+    """Execute one cell of the configured method and return its report row."""
+    return next(_train_cells(cfg, [(run_seed, cfg.method_spec(), None)]))[1]
 
 
 def _value_tag(value) -> str:
@@ -447,9 +440,13 @@ def _report(cfg: ExperimentConfig, sweep_param: str, values: list, out_dir, jobs
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    cells = [(s, v) for v in values for s in cfg.seeds]
+    repeated = next((c for k, c in enumerate(cells) if c in cells[:k]), None)
+    if repeated is not None:
+        raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
+                          f"(seed {repeated[0]}, value {repeated[1]}) twice")
     m = _modality_count(cfg)
     errors: list[dict] = []
-    cells = [(s, v) for v in values for s in cfg.seeds]
     rows = _run_cells(cfg, cells, sweep_param, out_dir, jobs, errors, ckpt_dir)
     aggregates = _aggregate(rows, m)
     report = RunReport(rows, aggregates, m, cfg, sweep_param,
@@ -597,10 +594,18 @@ def load_report(path) -> RunReport:
             raise FormatError(f"{path}: not JSON ({exc})") from None
     if not isinstance(d, dict):
         raise FormatError(f"{path}: not a report, its top level is a JSON {type(d).__name__}")
+
+    def rows_of(key: str) -> list[RunRow]:
+        if not isinstance(d[key], list) or not all(isinstance(r, dict) for r in d[key]):
+            raise FormatError(f"{path}: not a report, its {key!r} is not a list of objects")
+        return [RunRow.from_dict(r) for r in d[key]]
+
     try:
+        if not isinstance(d["config"], dict):
+            raise FormatError(f"{path}: not a report, its 'config' is not an object")
         cfg = ExperimentConfig.from_dict(d["config"])
-        rows = [RunRow.from_dict(r) for r in d["rows"]]
-        aggregates = [RunRow.from_dict(r) for r in d["aggregates"]]
+        rows = rows_of("rows")
+        aggregates = rows_of("aggregates")
     except KeyError as exc:
         raise FormatError(f"{path}: not a report, missing key {exc}") from None
     m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")

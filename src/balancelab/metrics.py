@@ -83,7 +83,6 @@ def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
 class PerfReport:
     accuracy: float
     macro_f1: float
-    confusion: np.ndarray
 
 
 def evaluate_performance(model: FusionModel, data: Dataset) -> PerfReport:
@@ -92,7 +91,6 @@ def evaluate_performance(model: FusionModel, data: Dataset) -> PerfReport:
     return PerfReport(
         accuracy(preds, data.labels),
         macro_f1(preds, data.labels, data.num_classes),
-        confusion_matrix(preds, data.labels, data.num_classes),
     )
 
 

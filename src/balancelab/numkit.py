@@ -68,10 +68,6 @@ class MlpParams:
     def input_dim(self) -> int:
         return self.layers[0].weight.shape[-1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weight.shape[-2]
-
 
 @dataclass
 class MlpCache:

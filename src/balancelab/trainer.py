@@ -308,7 +308,7 @@ def fit(
         raise ContractError("runs trained together must share every config field but seed")
     if len({(t.dims, t.num_samples) for t, _ in splits}) > 1:
         raise ShapeError("runs trained together need train sets of equal shapes")
-    if len({mdl.layout() for mdl in model}) > 1:
+    if len({(mdl.arch, mdl.num_classes) for mdl in model}) > 1:
         raise ShapeError("runs trained together need models of one layout")
     logs = [TrainLog(records=[]) for _ in range(runs)]
     if cfg.epochs == 0:

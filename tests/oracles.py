@@ -22,6 +22,28 @@ def mlp_copy(params):
     return MlpParams([LayerParams(l.weight.copy(), l.bias.copy()) for l in params.layers])
 
 
+def glorot_flat(arch, num_classes, seed):
+    """Seeded Glorot-uniform init, one array at a time, concatenated into a flat vector.
+
+    Encoder weights are drawn first (encoder 0's layers, encoder 1's, ...),
+    then the head blocks; biases are zero. The vector lists each encoder's
+    layers (weight, then bias), the head blocks, then the head bias.
+    """
+    rng = np.random.default_rng(seed)
+
+    def glorot(d_out, d_in):
+        a = np.sqrt(6.0 / (d_in + d_out))
+        return rng.uniform(-a, a, size=(d_out, d_in))
+
+    arrays = []
+    for sizes in arch:
+        for d_in, d_out in zip(sizes, sizes[1:]):
+            arrays += [glorot(d_out, d_in), np.zeros(d_out)]
+    arrays += [glorot(num_classes, sizes[-1]) for sizes in arch]
+    arrays.append(np.zeros(num_classes))
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
 def model_gradient(model, cache, bundle):
     """The trainer's analytic gradient of ``bundle``, as a flat vector like ``model.flat``."""
     grads = model.like(np.empty_like(model.flat))

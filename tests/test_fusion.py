@@ -11,7 +11,8 @@ from balancelab.fusion import (
     predict,
     save_model,
 )
-from balancelab.numkit import LayerParams, MlpParams
+
+from oracles import glorot_flat
 
 ARCH = [[5, 8, 6], [4, 8, 6]]
 
@@ -51,6 +52,14 @@ class TestInit:
     def test_bad_arch(self):
         with pytest.raises(ShapeError):
             init_model([[5], [4, 8, 6]], 3, 0)
+
+    @pytest.mark.parametrize("arch, h", [
+        (ARCH, 3),
+        ([[3, 6, 4], [3, 6, 4], [2, 6, 4]], 4),
+        ([[5, 7, 3], [2, 4], [6, 9, 8, 5]], 3),
+    ])
+    def test_matches_per_array_reference(self, arch, h):
+        assert init_model(arch, h, 21).flat.tobytes() == glorot_flat(arch, h, 21).tobytes()
 
 
 class TestForward:
@@ -111,14 +120,12 @@ class TestPartialLogits:
 
     def test_hand_value(self):
         # class-0 row: W=[2], phi=[3], b=[1], two modalities: 2*3 + 1/2 = 6.5
-        identity = lambda: MlpParams([LayerParams(np.eye(1), np.zeros(1))])
-        model = FusionModel(
-            encoders=[identity(), identity()],
-            head_blocks=[np.array([[2.0], [0.0]]), np.array([[4.0], [0.0]])],
-            head_bias=np.array([1.0, 0.0]),
-            arch=((1, 1), (1, 1)),
-            seed=0,
-        )
+        model = FusionModel(arch=((1, 1), (1, 1)), num_classes=2, seed=0)
+        for enc in model.encoders:
+            enc.layers[0].weight[:] = np.eye(1)
+        model.head_blocks[0][:] = [[2.0], [0.0]]
+        model.head_blocks[1][:] = [[4.0], [0.0]]
+        model.head_bias[:] = [1.0, 0.0]
         cache = forward(model, [np.array([[3.0]]), np.array([[5.0]])])
         assert partial_logits(model, cache, 0)[0, 0] == 6.5
 
@@ -157,3 +164,47 @@ class TestCheckpoint:
         path.write_text("WRONG\n")
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("case, line, message", [
+        ("misnamed", 3, "expected block 'enc0.layer0.weight 8x5'"),
+        ("out_of_order", 3, "expected block 'enc0.layer0.weight 8x5'"),
+        ("wrong_shape", 3, "expected block 'enc0.layer0.weight 8x5'"),
+        ("missing", 23, "expected block 'bias 3', got 'end of file'"),
+        ("extra", 25, "unexpected line after the last block"),
+        ("value_count", 4, "needs 40 values"),
+        ("one_value", 4, "needs 40 values, got 1"),
+        ("huge_header", 3, "expected block 'enc0.layer0.weight 100000x100000'"),
+        ("no_values", 24, "needs 3 values"),
+        ("zero_size", 2, "must chain at least two positive sizes"),
+        ("one_class", 2, "need at least 2 classes"),
+    ])
+    def test_rejects_any_other_block_list(self, tmp_path, case, line, message):
+        path = tmp_path / "m.mmck"
+        save_model(init_model(ARCH, 3, 13), path)
+        lines = path.read_text().splitlines()
+        if case == "misnamed":
+            lines[2] = "enc0.layer0.w 8x5"
+        elif case == "out_of_order":
+            lines[2:4], lines[4:6] = lines[4:6], lines[2:4]
+        elif case == "wrong_shape":
+            lines[2] = "enc0.layer0.weight 5x8"
+        elif case == "missing":
+            lines = lines[:-2]
+        elif case == "extra":
+            lines += ["bias2 3", "0 0 0"]
+        elif case == "value_count":
+            lines[3] = lines[3].rsplit(" ", 1)[0]
+        elif case == "one_value":
+            lines[3] = "0.5"
+        elif case == "huge_header":
+            lines[1] = lines[1].replace("arch=5,8,6", "arch=100000,100000,100000")
+        elif case == "no_values":
+            lines = lines[:-1]
+        elif case == "zero_size":
+            lines[1] = lines[1].replace("arch=5,8,6", "arch=5,0,6")
+        else:
+            lines[1] = lines[1].replace("H=3", "H=1")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=message) as exc:
+            load_model(path)
+        assert exc.value.line == line

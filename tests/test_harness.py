@@ -396,7 +396,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
                                       "report_without_config", "report_not_json",
-                                      "report_not_an_object"])
+                                      "report_not_an_object", "report_row_not_an_object",
+                                      "report_config_not_an_object"])
     def test_unreadable_input_file_exits_1(self, tmp_path, capsys, case):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)
@@ -407,6 +408,10 @@ class TestCli:
             bad.write_text("rows,acc\n")
         elif case == "report_not_an_object":
             bad.write_text("[1, 2]")
+        elif case == "report_row_not_an_object":
+            bad.write_text('{"config": {}, "rows": [1], "aggregates": []}')
+        elif case == "report_config_not_an_object":
+            bad.write_text('{"config": [], "rows": [], "aggregates": []}')
         elif case == "binary_checkpoint":
             bad.write_bytes(b"MMCK v1\n\xff\xfe")
         if case.endswith("checkpoint"):
@@ -439,6 +444,38 @@ class TestCli:
         assert cli.main([command, *argv, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --out ") and out in err
+
+    @pytest.mark.parametrize("key, cfg_line, env, argv", [
+        ("seed", "seed = -1", "", ["train"]),
+        ("seeds", "seeds = 1,-2", "", ["train"]),
+        ("dataset.seed", "dataset.seed = -2", "", ["generate"]),
+        ("seed", "", "-1", ["train"]),
+        ("seed", "", "", ["evaluate", "--checkpoint", "c.mmck", "--master-seed", "-1"]),
+        ("seeds", "", "", ["sweep", "--param", "method.alpha", "--values", "1",
+                           "--seeds", "2,-1"]),
+        ("seeds", "", "", ["evaluate", "--checkpoint", "c.mmck", "--run-seed", "-3"]),
+    ])
+    def test_negative_seed_exits_1(self, tmp_path, monkeypatch, capsys, key, cfg_line, env, argv):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY.replace("seeds = 1,2", cfg_line or "seeds = 1,2")
+                            + "method.kind = gradmod\n")
+        monkeypatch.setenv("BALANCELAB_SEED", env)
+        out = tmp_path / "o"
+        rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--seeds", "2,2"],
+                                      ["sweep", "--param", "method.alpha", "--values", "1,1.0"]])
+    def test_repeated_cell_exits_1(self, tmp_path, capsys, argv):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "method.kind = gradmod\n")
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run seeds and sweep values must be distinct")
+        assert not (out / "cells").exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_jobs_below_1_exits_1(self, tmp_path, capsys, command):

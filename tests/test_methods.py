@@ -286,9 +286,11 @@ class TestKlAlignLoss:
 
     def test_identical_partials_add_nothing(self):
         model, batch, labels = small_model_and_batch(6)
-        twin_model = FusionModel([model.encoders[0], mlp_copy(model.encoders[0])],
-                                 [model.head_blocks[0], model.head_blocks[0].copy()],
-                                 model.head_bias, model.arch, model.seed)
+        twin_model = FusionModel((model.arch[0], model.arch[0]), model.num_classes, model.seed)
+        for i in range(2):
+            twin_model.flat[twin_model.encoder_span(i)] = model.flat[model.encoder_span(0)]
+            twin_model.head_blocks[i][:] = model.head_blocks[0]
+        twin_model.head_bias[:] = model.head_bias
         model, twin, labels = stack([(twin_model, [batch[0], batch[0].copy()], labels)])
         cache = fusion.forward(model, twin)
         base = trainer.baseline_loss(model, cache, labels)
