@@ -219,12 +219,38 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`: the keys it leaves out take their defaults."""
-        values = []
-        for key, (_, default) in _SCHEMA.items():
-            v = d.get(key, default)
-            values.append((key, tuple(v) if isinstance(v, list) else v))
-        return ExperimentConfig(tuple(values))
+        """Inverse of :meth:`to_dict`, held to the parser's rules.
+
+        The keys it leaves out take their defaults. An unknown key, a value
+        of the wrong kind, or a config the parser would reject is a
+        ConfigError.
+        """
+        for key, value in d.items():
+            if key not in _SCHEMA:
+                raise ConfigError(f"unknown key {key!r}")
+            kind = _SCHEMA[key][0]
+            if not _is_kind(value, kind):
+                raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+        cfg = ExperimentConfig(tuple((key, _from_json(kind, d[key]) if key in d else default)
+                                     for key, (kind, default) in _SCHEMA.items()))
+        _validate(cfg, explicit=set(d))
+        return cfg
+
+
+def _is_kind(value, kind: str) -> bool:
+    """Whether a JSON value can stand for a schema ``kind`` value (a float kind takes ints)."""
+    if kind in ("ints", "floats"):
+        return isinstance(value, list) and all(_is_kind(v, kind[:-1]) for v in value)
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
+
+
+def _from_json(kind: str, value):
+    """A JSON value of schema ``kind`` as the parser would hold it."""
+    if kind in ("ints", "floats"):
+        return tuple(_from_json(kind[:-1], v) for v in value)
+    return float(value) if kind == "float" else value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

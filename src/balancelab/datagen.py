@@ -252,6 +252,20 @@ def save(data: Dataset, path) -> None:
             fh.write("|".join(cols) + "\n")
 
 
+def header_fields(line: str) -> dict[str, str]:
+    """The ``key=value`` tokens of a text file's header (line 2 of MMDS and MMCK files).
+
+    Any other token is a FormatError.
+    """
+    fields = {}
+    for tok in line.split():
+        if "=" not in tok:
+            raise FormatError(f"bad header token {tok!r}", line=2)
+        key, val = tok.split("=", 1)
+        fields[key] = val
+    return fields
+
+
 def _parse_header(lines: list[str]) -> tuple[int, int, int, tuple[int, ...]]:
     """``(m, H, N, dims)`` from the first two lines of an MMDS v1 file."""
     if not lines:
@@ -260,12 +274,7 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int, tuple[int, ...]]:
         raise FormatError(f"bad magic {lines[0]!r}, expected 'MMDS v1'", line=1)
     if len(lines) < 2:
         raise FormatError("missing header line", line=2)
-    header: dict[str, str] = {}
-    for tok in lines[1].split():
-        if "=" not in tok:
-            raise FormatError(f"bad header token {tok!r}", line=2)
-        key, val = tok.split("=", 1)
-        header[key] = val
+    header = header_fields(lines[1])
     try:
         m = int(header["m"])
         num_classes = int(header["H"])

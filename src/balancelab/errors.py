@@ -38,10 +38,6 @@ class ConfigError(BalanceLabError, ValueError):
     """Experiment configuration is malformed; the message names the key path."""
 
 
-class DispatchError(BalanceLabError, ValueError):
-    """The requested balancing method is not recognized."""
-
-
 class DivergenceError(BalanceLabError, ArithmeticError):
     """Training produced a non-finite loss."""
 

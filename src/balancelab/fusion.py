@@ -5,7 +5,7 @@ The model is m per-modality MLP encoders feeding one blocked linear head:
 concatenation of encoder features through a single linear classifier. The
 blocked form keeps each modality's additive share of the logits explicit.
 Partial logits carry ``head_bias / m`` so the per-modality partials sum back
-to the full logits.
+to the full logits; in logit space the m modalities are one array axis.
 
 A model's shape is its ``arch`` and class count. They fix the one list of
 parameter blocks (``_blocks``) that lays out the flat parameter buffer, the
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import FLOAT_FMT
+from .datagen import FLOAT_FMT, header_fields
 from .errors import FormatError, NumericError, ShapeError
 from .numkit import LayerParams, MlpCache, MlpParams, mlp_forward
 
@@ -122,14 +122,14 @@ class ForwardCache:
     """Everything one forward pass computed.
 
     ``features[i]`` is the (possibly hook-transformed) encoder output used
-    for the logits. ``block_products[i]`` is ``features[i] @ head_blocks[i].T``,
-    so ``logits = (head_bias + block_products[0]) + block_products[1] + ...``
-    exactly as computed.
+    for the logits. ``block_products`` stacks ``features[i] @ head_blocks[i].T``
+    over i into one (m, ..., B, H) array, so ``logits = (head_bias +
+    block_products[0]) + block_products[1] + ...`` exactly as computed.
     """
 
     features: list[np.ndarray]
     enc_caches: list[MlpCache]
-    block_products: list[np.ndarray]
+    block_products: np.ndarray
     logits: np.ndarray
 
 
@@ -189,10 +189,10 @@ def forward(
     if feature_hook is not None:
         features = feature_hook(features)
 
-    block_products = []
     h = model.num_classes
+    block_products = np.empty((m,) + lead_n + (h,))
     for i in range(m):
-        block_products.append(features[i] @ model.head_blocks[i].swapaxes(-1, -2))
+        np.matmul(features[i], model.head_blocks[i].swapaxes(-1, -2), out=block_products[i])
         if ledger is not None:
             ledger.record("matmul_forward", (n, features[i].shape[-1], h))
             ledger.record("elementwise", n * h)  # accumulate into logits
@@ -205,9 +205,9 @@ def forward(
     return ForwardCache(features, enc_caches, block_products, logits)
 
 
-def partial_logits(model: FusionModel, cache: ForwardCache, i: int) -> np.ndarray:
-    """Modality i's additive share of the logits: ``W_i phi_i + b/m``."""
-    return cache.block_products[i] + (model.head_bias / model.num_modalities)[..., None, :]
+def partial_logits(model: FusionModel, cache: ForwardCache) -> np.ndarray:
+    """Every modality's share of the logits, ``W_i phi_i + b/m``, stacked (m, ..., B, H)."""
+    return cache.block_products + (model.head_bias / model.num_modalities)[..., None, :]
 
 
 def predict(logits: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def load_model(path) -> FusionModel:
         raise FormatError("bad magic, expected 'MMCK v1'", line=1)
     if len(lines) < 2:
         raise FormatError("missing header", line=2)
-    header = dict(tok.split("=", 1) for tok in lines[1].split() if "=" in tok)
+    header = header_fields(lines[1])
     try:
         m = int(header["m"])
         num_classes = int(header["H"])

@@ -45,6 +45,17 @@ from .errors import BalanceLabError, ConfigError, FormatError
 from .methods import METHODS, PARAMS, MethodSpec
 
 _VERSION = "0.1.0"
+_NUMBER = (int, float)
+# the JSON types each RunRow field may hold; no field holds a bool
+_ROW_TYPES = {
+    "method": str, "seed": (int, str), "sweep_param": str, "sweep_value": (*_NUMBER, type(None)),
+    "acc": _NUMBER, "macro_f1": _NUMBER, "phi": (list, type(None)),
+    "imbalance": (*_NUMBER, type(None)), "flops_total": _NUMBER, "best_epoch": _NUMBER,
+}
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass
@@ -67,7 +78,13 @@ class RunRow:
 
     @staticmethod
     def from_dict(d: dict) -> "RunRow":
+        """Inverse of :meth:`to_dict`; a field of the wrong JSON type is a FormatError."""
         row = RunRow(**{f.name: d[f.name] for f in dataclasses.fields(RunRow)})
+        for name, types in _ROW_TYPES.items():
+            value = getattr(row, name)
+            items = value if name == "phi" and isinstance(value, list) else []
+            if not _is(value, types) or not all(_is(p, _NUMBER) for p in items):
+                raise FormatError(f"row field {name!r} has the wrong type: {value!r}")
         row.phi = tuple(row.phi) if row.phi is not None else None
         return row
 
@@ -586,7 +603,7 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
 
 
 def load_report(path) -> RunReport:
-    """Rebuild a RunReport from a report.json file."""
+    """Rebuild a RunReport from a report.json file; a malformed one is a FormatError naming it."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             d = json.load(fh)
@@ -597,17 +614,21 @@ def load_report(path) -> RunReport:
 
     def rows_of(key: str) -> list[RunRow]:
         if not isinstance(d[key], list) or not all(isinstance(r, dict) for r in d[key]):
-            raise FormatError(f"{path}: not a report, its {key!r} is not a list of objects")
+            raise FormatError(f"its {key!r} is not a list of objects")
         return [RunRow.from_dict(r) for r in d[key]]
 
     try:
         if not isinstance(d["config"], dict):
-            raise FormatError(f"{path}: not a report, its 'config' is not an object")
+            raise FormatError("its 'config' is not an object")
         cfg = ExperimentConfig.from_dict(d["config"])
         rows = rows_of("rows")
         aggregates = rows_of("aggregates")
     except KeyError as exc:
         raise FormatError(f"{path}: not a report, missing key {exc}") from None
+    except ConfigError as exc:
+        raise FormatError(f"{path}: not a report, its config is invalid: {exc}") from None
+    except FormatError as exc:
+        raise FormatError(f"{path}: not a report, {exc}") from None
     m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")
     return RunReport(
         rows, aggregates, m, cfg,

@@ -48,7 +48,7 @@ from .datagen import Dataset
 from .errors import SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger
-from .trainer import LossBundle, assemble_grads, cross_entropy, softmax
+from .trainer import LossBundle, assemble_grads, cross_entropy, true_class_probs
 
 
 @dataclass(frozen=True)
@@ -192,17 +192,17 @@ def unimodal_blend_loss(
     m = model.num_modalities
     n, h = cache.logits.shape[-2:]
     loss, g_mm = cross_entropy(cache.logits, labels)
+    loss_uni, g_uni = cross_entropy(fusion.partial_logits(model, cache),
+                                    np.broadcast_to(labels, (m,) + labels.shape))
+    g_uni *= w_uni[:, None, None]
     if ledger is not None:
-        ledger.record("softmax_loss", n * h)
+        ledger.record("softmax_loss", (1 + m) * n * h)
 
     head_grads: list[np.ndarray] = []
     feature_grads: list[np.ndarray] = []
     bias_grad = g_mm.sum(axis=-2)
-    for i in range(m):
-        z_i = fusion.partial_logits(model, cache, i)
-        loss_i, g_i = cross_entropy(z_i, labels)
-        g_i = w_uni[:, None, None] * g_i
-        loss += w_uni * loss_i
+    for i, g_i in enumerate(g_uni):
+        loss += w_uni * loss_uni[i]
 
         gw_mm = g_mm.swapaxes(-1, -2) @ cache.features[i]
         gw_uni = g_i.swapaxes(-1, -2) @ cache.features[i]
@@ -219,7 +219,6 @@ def unimodal_blend_loss(
         bias_grad = bias_grad + g_i.sum(axis=-2) / m
         if ledger is not None:
             d = cache.features[i].shape[-1]
-            ledger.record("softmax_loss", n * h)
             ledger.record("matmul_backward", (n, d, h))  # dW(mm) + dPhi
             ledger.record("matmul", (n, d, h))           # dW(uni), separate for the guard
             ledger.record("elementwise", 4 * d * h)      # inner products + projection
@@ -318,16 +317,14 @@ def kl_align_loss(
     if ledger is not None:
         ledger.record("softmax_loss", n * h)
 
-    logps = []
-    for i in range(m):
-        zs = fusion.partial_logits(model, cache, i)
-        zs -= zs.max(axis=-1, keepdims=True)
-        logps.append(zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True)))
-        if ledger is not None:
-            ledger.record("softmax_loss", n * h)
-    probs = [np.exp(lp) for lp in logps]
+    zs = fusion.partial_logits(model, cache)
+    zs -= zs.max(axis=-1, keepdims=True)
+    logps = zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
+    probs = np.exp(logps)
+    if ledger is not None:
+        ledger.record("softmax_loss", m * n * h)
 
-    dz = [np.zeros(cache.logits.shape) for _ in range(m)]
+    dz = np.zeros(logps.shape)
     addend = np.zeros(kl_weight.shape)
     for i in range(m):
         for j in range(i + 1, m):
@@ -339,8 +336,7 @@ def kl_align_loss(
             dz[j] += probs[j] * (-s - kl_ji[..., None]) + (probs[j] - probs[i])
             if ledger is not None:
                 ledger.record("elementwise", 10 * n * h)
-    scale = (kl_weight / n)[:, None, None]
-    partial_grads = [scale * d for d in dz]
+    partial_grads = (kl_weight / n)[:, None, None] * dz
     loss += kl_weight * addend
 
     head_grads, bias_grad, feature_grads = assemble_grads(
@@ -457,17 +453,14 @@ def resample_weights(
     """
     METHODS["resample"].check(tau)
     features = [np.stack([d.features[i] for d in data]) for i in range(model.num_modalities)]
-    labels = np.stack([d.labels for d in data])[..., None]
+    labels = np.stack([d.labels for d in data])
     cache = fusion.forward(model, features, ledger=ledger)
-    contribs = np.empty((len(data), model.num_modalities, labels.shape[1]))
-    for i in range(model.num_modalities):
-        p = softmax(fusion.partial_logits(model, cache, i))
-        contribs[:, i] = np.take_along_axis(p, labels, axis=-1)[..., 0]
-        if ledger is not None:
-            ledger.record("softmax_loss", p[0].size)
-    weak = np.argmin(contribs.mean(axis=-1), axis=-1)
-    w = np.exp(contribs[np.arange(len(data)), weak] / tau[:, None])
+    contribs = true_class_probs(model, cache, labels)  # (m, R, N)
+    m, runs, n = contribs.shape
+    weak = np.argmin(contribs.mean(axis=-1), axis=0)
+    w = np.exp(contribs[weak, np.arange(runs)] / tau[:, None])
     w /= w.mean(axis=-1, keepdims=True)
     if ledger is not None:
-        ledger.record("elementwise", 3 * labels.shape[1])
+        ledger.record("softmax_loss", m * n * model.num_classes)
+        ledger.record("elementwise", 3 * n)
     return w

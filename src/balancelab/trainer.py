@@ -37,7 +37,7 @@ import numpy as np
 
 from . import datagen, fusion
 from .datagen import Dataset
-from .errors import ContractError, DispatchError, DivergenceError, ShapeError, SpecError
+from .errors import ContractError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger, accuracy
 from .numkit import MlpCache, mlp_backward
@@ -139,17 +139,19 @@ def step_lr(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.gamma ** (epoch // config.step_size)
 
 
+def true_class_probs(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
+    """Each modality's true-class probability, (m, *labels.shape), from one softmax."""
+    probs = softmax(fusion.partial_logits(model, cache))
+    # all-advanced indexing keeps the gather C-ordered, so batch means sum as per modality
+    return probs[_true_class(np.broadcast_to(labels, (model.num_modalities,) + labels.shape))]
+
+
 def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     """Batch-mean true-class probability under each modality's partial logits.
 
-    Shape (m,); (R, m) for a stacked forward with (R, B) labels.
+    :func:`true_class_probs`'s batch mean, modality axis last: (m,); (R, m) for (R, B) labels.
     """
-    true = _true_class(labels)
-    scores = np.empty(labels.shape[:-1] + (model.num_modalities,))
-    for i in range(model.num_modalities):
-        probs = softmax(fusion.partial_logits(model, cache, i))
-        scores[..., i] = probs[true].mean(axis=-1)
-    return scores
+    return np.moveaxis(true_class_probs(model, cache, labels).mean(axis=-1), 0, -1)
 
 
 def sgd_step(state: TrainState, grads: np.ndarray, lr: float,
@@ -183,14 +185,14 @@ def assemble_grads(
     model: FusionModel,
     cache: ForwardCache,
     fused_grad: np.ndarray,
-    partial_grads: list[np.ndarray] | None = None,
+    partial_grads: np.ndarray | None = None,
     ledger: FlopsLedger | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """Turn logit-space gradients into head, bias, and feature gradients.
 
-    ``fused_grad`` is dL/d(logits); ``partial_grads[i]`` an optional extra
-    dL/d(partial_logits_i). The two are combined per modality before the
-    head products since both multiply the same feature block.
+    ``fused_grad`` is dL/d(logits); ``partial_grads`` an optional extra
+    dL/d(partial logits), stacked like them. The two are combined per modality
+    before the head products since both multiply the same feature block.
     """
     m = model.num_modalities
     n, h = fused_grad.shape[-2:]
@@ -199,7 +201,7 @@ def assemble_grads(
     bias_grad = fused_grad.sum(axis=-2)
     for i in range(m):
         eff = fused_grad
-        if partial_grads is not None and partial_grads[i] is not None:
+        if partial_grads is not None:
             eff = fused_grad + partial_grads[i]
             bias_grad = bias_grad + partial_grads[i].sum(axis=-2) / m
         head_grads.append(eff.swapaxes(-1, -2) @ cache.features[i])
@@ -266,7 +268,7 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
     enc_caches = [MlpCache([x[rows] for x in c.inputs], [z[rows] for z in c.preacts], c.shapes)
                   for c in cache.enc_caches]
     return ForwardCache([f[rows] for f in cache.features], enc_caches,
-                        [p[rows] for p in cache.block_products], cache.logits[rows])
+                        cache.block_products[:, rows], cache.logits[rows])
 
 
 def fit(
@@ -300,9 +302,6 @@ def fit(
     ledgers = [FlopsLedger() if l is None else l for l in (ledger or [None] * runs)]
     if not len(splits) == len(config) == len(method) == len(ledgers) == runs:
         raise ContractError("fit needs one split, model, config, method and ledger per run")
-    for spec in method:
-        if spec.kind not in bm.METHODS:
-            raise DispatchError(f"unknown method kind {spec.kind!r}")
     cfg = config[0]
     if any(dataclasses.replace(c, seed=cfg.seed) != cfg for c in config):
         raise ContractError("runs trained together must share every config field but seed")

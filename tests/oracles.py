@@ -4,8 +4,9 @@ These deliberately avoid the library's own gradient/Shapley code paths:
 finite differences run over a flat parameter vector, the Bayes classifier
 uses the true generative means, the Shapley check uses the
 subset-weighted formula instead of permutation averaging, masked evaluation
-zeroes features through a forward hook, and the cosine and KL references
-restate their methods' definitions directly.
+zeroes features through a forward hook, the modality scores take one
+softmax per modality, and the cosine and KL references restate their
+methods' definitions directly.
 """
 
 import itertools
@@ -49,6 +50,20 @@ def model_gradient(model, cache, bundle):
     grads = model.like(np.empty_like(model.flat))
     trainer._backward_into_model(model, cache, bundle, grads, None)
     return grads.flat
+
+
+def per_modality_scores(model, cache, labels):
+    """Batch-mean true-class probability, one softmax and gather per modality.
+
+    Shape (m,), or (R, m) for a stacked forward with (R, B) labels.
+    """
+    m = model.num_modalities
+    true = (*np.indices(labels.shape, sparse=True), labels)
+    scores = np.empty(labels.shape[:-1] + (m,))
+    for i in range(m):
+        partial = cache.block_products[i] + (model.head_bias / m)[..., None, :]
+        scores[..., i] = trainer.softmax(partial)[true].mean(axis=-1)
+    return scores
 
 
 def fd_max_rel_error(loss_fn, params, grads, eps=1e-6):

@@ -193,40 +193,50 @@ def _benchmark_cfg():
     return parse_config_text("")  # defaults pin the benchmark dataset and recipe
 
 
-def _solo_accuracy(cfg, run_seed, modality):
-    """Test accuracy of one modality trained alone with the cell's own seeds.
+def _fit_seeds(cfg, modality=None):
+    """Baseline fits of every run seed in SEEDS with the fused cells' own seeds.
 
     The data, split, init and train seeds are those of the fused cell for
-    ``run_seed``, so the solo model is scored on the same test rows.
+    each run seed, so every model is scored on that cell's test rows. With
+    ``modality`` given, only that modality is kept and trained alone. The
+    fits train as one ``fit`` stack, whose runs each equal their solo fit
+    bit for bit. Returns (best model, test split) per seed.
     """
-    data_seed, split_seed, init_seed, train_seed = harness.derived_seeds(cfg.master_seed, run_seed)
-    data = generate(cfg.synthetic_spec(seed=data_seed))
-    tr, va, te = split(data.select_modalities([modality]), cfg.fractions, split_seed)
-    solo = init_model([cfg.arch(data.dims)[modality]], data.num_classes, init_seed)
-    best, _ = fit((tr, va), solo, cfg.train_config(seed=train_seed), MethodSpec())
-    return trainer.evaluate_accuracy(best, te)
+    splits, models, configs, tests = [], [], [], []
+    for run_seed in SEEDS:
+        data_seed, split_seed, init_seed, train_seed = harness.derived_seeds(cfg.master_seed,
+                                                                              run_seed)
+        data = generate(cfg.synthetic_spec(seed=data_seed))
+        arch = cfg.arch(data.dims)
+        if modality is not None:
+            data, arch = data.select_modalities([modality]), [arch[modality]]
+        tr, va, te = split(data, cfg.fractions, split_seed)
+        splits.append((tr, va))
+        tests.append(te)
+        models.append(init_model(arch, data.num_classes, init_seed))
+        configs.append(cfg.train_config(seed=train_seed))
+    fitted = fit(splits, models, configs, [MethodSpec()] * len(SEEDS))
+    return [best for best, _ in fitted], tests
+
+
+def _solo_accuracies(cfg, modality):
+    """Per-seed test accuracy of ``modality`` trained alone (see ``_fit_seeds``)."""
+    return [trainer.evaluate_accuracy(best, te) for best, te in zip(*_fit_seeds(cfg, modality))]
 
 
 def test_c4_imbalance_phenomenon():
     """Joint training leaves the weak modality below its solo counterpart."""
     start = time.time()
     cfg = _benchmark_cfg()
+    assert cfg.master_seed == 0 and cfg.train_config().epochs == 40
     suppressed = 0
     phi_ordered = 0
     details = []
-    for run_seed in SEEDS:
-        data_seed, split_seed, init_seed, train_seed = harness.derived_seeds(0, run_seed)
-        data = generate(cfg.synthetic_spec(seed=data_seed))
-        tr, va, te = split(data, cfg.fractions, split_seed)
-        tc = cfg.train_config(seed=train_seed)
-        assert tc.epochs == 40
-
-        joint = init_model(cfg.arch(data.dims), data.num_classes, init_seed)
-        joint_best, _ = fit((tr, va), joint, tc, MethodSpec())
+    joints, tests = _fit_seeds(cfg)
+    solos = _solo_accuracies(cfg, 1)
+    for run_seed, joint_best, te, solo_acc in zip(SEEDS, joints, tests, solos):
         masked_weak = value_function(joint_best, te, (False, True))
         rep = shapley(joint_best, te)
-
-        solo_acc = _solo_accuracy(cfg, run_seed, 1)
 
         if masked_weak < solo_acc:
             suppressed += 1
@@ -301,7 +311,7 @@ def test_c5_method_efficacy(method_table):
     method_table, fixture_s = method_table
     start = time.time()
     cfg = _benchmark_cfg()
-    solo_strong = float(np.mean([_solo_accuracy(cfg, s, 0) for s in SEEDS]))
+    solo_strong = float(np.mean(_solo_accuracies(cfg, 0)))
     elapsed = fixture_s + time.time() - start
     base_acc, base_imb = method_table["baseline"]
     lines = []

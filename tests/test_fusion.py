@@ -80,7 +80,7 @@ class TestForward:
         # the cached block product is the contribution, bit for bit
         assert full.block_products[1].tobytes() == contribution.tobytes()
         # leaving modality 1 out removes its partial logits, up to one rounding
-        dropped = partial_logits(model, full, 0) + model.head_bias / 2
+        dropped = partial_logits(model, full)[0] + model.head_bias / 2
         assert np.abs((full.logits - dropped) - contribution).max() < 1e-12
 
     def test_dim_mismatch(self):
@@ -95,7 +95,7 @@ class TestPartialLogits:
         model.head_bias[:] = [1.0, 2.0, -3.0]
         batch = make_batch(np.random.default_rng(5))
         cache = forward(model, batch)
-        total = partial_logits(model, cache, 0) + partial_logits(model, cache, 1)
+        total = partial_logits(model, cache)[0] + partial_logits(model, cache)[1]
         assert np.abs(total - cache.logits).max() < 1e-12
 
     def test_three_modalities_sum(self):
@@ -105,7 +105,7 @@ class TestPartialLogits:
         rng = np.random.default_rng(6)
         batch = [rng.standard_normal((5, d)) for d in (3, 3, 2)]
         cache = forward(model, batch)
-        total = sum(partial_logits(model, cache, i) for i in range(3))
+        total = sum(partial_logits(model, cache)[i] for i in range(3))
         assert np.abs(total - cache.logits).max() < 1e-12
 
     def test_zero_features_give_bias_share(self):
@@ -116,7 +116,7 @@ class TestPartialLogits:
             for layer in enc.layers:
                 layer.weight[:] = 0.0
         cache = forward(model, batch)
-        assert np.array_equal(partial_logits(model, cache, 0), np.tile(model.head_bias / 2, (2, 1)))
+        assert np.array_equal(partial_logits(model, cache)[0], np.tile(model.head_bias / 2, (2, 1)))
 
     def test_hand_value(self):
         # class-0 row: W=[2], phi=[3], b=[1], two modalities: 2*3 + 1/2 = 6.5
@@ -127,7 +127,7 @@ class TestPartialLogits:
         model.head_blocks[1][:] = [[4.0], [0.0]]
         model.head_bias[:] = [1.0, 0.0]
         cache = forward(model, [np.array([[3.0]]), np.array([[5.0]])])
-        assert partial_logits(model, cache, 0)[0, 0] == 6.5
+        assert partial_logits(model, cache)[0][0, 0] == 6.5
 
 class TestPredict:
     def test_examples(self):
@@ -177,6 +177,7 @@ class TestCheckpoint:
         ("no_values", 24, "needs 3 values"),
         ("zero_size", 2, "must chain at least two positive sizes"),
         ("one_class", 2, "need at least 2 classes"),
+        ("junk_header", 2, "bad header token 'junk'"),
     ])
     def test_rejects_any_other_block_list(self, tmp_path, case, line, message):
         path = tmp_path / "m.mmck"
@@ -200,6 +201,8 @@ class TestCheckpoint:
             lines[1] = lines[1].replace("arch=5,8,6", "arch=100000,100000,100000")
         elif case == "no_values":
             lines = lines[:-1]
+        elif case == "junk_header":
+            lines[1] += " junk"
         elif case == "zero_size":
             lines[1] = lines[1].replace("arch=5,8,6", "arch=5,0,6")
         else:

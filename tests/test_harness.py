@@ -397,7 +397,8 @@ class TestCli:
     @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
                                       "report_without_config", "report_not_json",
                                       "report_not_an_object", "report_row_not_an_object",
-                                      "report_config_not_an_object"])
+                                      "report_config_not_an_object", "report_row_wrong_type",
+                                      "report_config_invalid"])
     def test_unreadable_input_file_exits_1(self, tmp_path, capsys, case):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)
@@ -412,6 +413,13 @@ class TestCli:
             bad.write_text('{"config": {}, "rows": [1], "aggregates": []}')
         elif case == "report_config_not_an_object":
             bad.write_text('{"config": [], "rows": [], "aggregates": []}')
+        elif case == "report_row_wrong_type":
+            bad.write_text('{"config": {}, "aggregates": [], "rows": [{"method": "baseline", '
+                           '"seed": 1, "sweep_param": "", "sweep_value": null, "acc": 0.5, '
+                           '"macro_f1": 0.5, "phi": 3, "imbalance": null, "flops_total": 0, '
+                           '"best_epoch": 0}]}')
+        elif case == "report_config_invalid":
+            bad.write_text('{"config": {"seed": -1, "seeds": "x"}, "rows": [], "aggregates": []}')
         elif case == "binary_checkpoint":
             bad.write_bytes(b"MMCK v1\n\xff\xfe")
         if case.endswith("checkpoint"):

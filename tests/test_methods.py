@@ -301,7 +301,7 @@ class TestKlAlignLoss:
         run = small_model_and_batch(7, m=3)
         model, batch, labels = run
         cache = fusion.forward(model, batch)
-        probs = [trainer.softmax(fusion.partial_logits(model, cache, i)) for i in range(3)]
+        probs = [trainer.softmax(fusion.partial_logits(model, cache)[i]) for i in range(3)]
         kl = [np.mean([symmetric_kl(p, q) for p, q in zip(probs[i], probs[j])])
               for i, j in ((0, 1), (0, 2), (1, 2))]
         base, _ = cross_entropy(cache.logits, labels)
@@ -386,16 +386,16 @@ class TestUnimodalBlend:
         model.head_blocks[1] = model.head_blocks[0].copy()
         twin = [batch[0], batch[0].copy()]
         cache = fusion.forward(model, twin)
-        l1, _ = cross_entropy(fusion.partial_logits(model, cache, 0), labels)
-        l2, _ = cross_entropy(fusion.partial_logits(model, cache, 1), labels)
+        l1, _ = cross_entropy(fusion.partial_logits(model, cache)[0], labels)
+        l2, _ = cross_entropy(fusion.partial_logits(model, cache)[1], labels)
         assert l1 == l2
 
     def test_loss_is_sum_of_terms(self):
         model, batch, labels = one_run(14)
         cache = fusion.forward(model, batch)
         l_mm, _ = cross_entropy(cache.logits, labels)
-        l1, _ = cross_entropy(fusion.partial_logits(model, cache, 0), labels)
-        l2, _ = cross_entropy(fusion.partial_logits(model, cache, 1), labels)
+        l1, _ = cross_entropy(fusion.partial_logits(model, cache)[0], labels)
+        l2, _ = cross_entropy(fusion.partial_logits(model, cache)[1], labels)
         bundle = unimodal_blend_loss(model, cache, labels, np.array([0.4]))
         assert bundle.loss == pytest.approx(l_mm + 0.4 * (l1 + l2))
 
@@ -405,7 +405,7 @@ class TestUnimodalBlend:
         g_mm = cross_entropy(cache.logits if logits is None else logits, labels)[1]
         out = []
         for i in range(model.num_modalities):
-            g_uni = cross_entropy(fusion.partial_logits(model, cache, i), labels)[1]
+            g_uni = cross_entropy(fusion.partial_logits(model, cache)[i], labels)[1]
             out.append(bool(np.vdot(g_uni.T @ cache.features[i], g_mm.T @ cache.features[i]) < 0))
         return out
 
@@ -446,7 +446,7 @@ class TestUnimodalBlend:
         cache = fusion.forward(model, batch)
         g_mm = cross_entropy(cache.logits, labels)[1]
         gw_mm = g_mm.T @ cache.features[0]
-        g_uni = cross_entropy(fusion.partial_logits(model, cache, 0), labels)[1]
+        g_uni = cross_entropy(fusion.partial_logits(model, cache)[0], labels)[1]
         gw_uni = -3.0 * gw_mm + 0.01 * g_uni.T @ cache.features[0]
         inner = float(np.vdot(gw_uni, gw_mm))
         assert inner < 0

@@ -5,7 +5,7 @@ import pytest
 
 from balancelab import fusion, trainer
 from balancelab.datagen import SyntheticSpec, generate, split
-from balancelab.errors import ContractError, DispatchError, DivergenceError
+from balancelab.errors import ContractError, DivergenceError
 from balancelab.fusion import init_model
 from balancelab.metrics import FlopsLedger, value_function
 from balancelab.methods import MethodSpec
@@ -21,7 +21,7 @@ from balancelab.trainer import (
     step_lr,
 )
 
-from oracles import fd_max_rel_error, mlp_copy, model_gradient
+from oracles import fd_max_rel_error, mlp_copy, model_gradient, per_modality_scores
 
 
 def tiny_data(seed=0, m=2, signal=(2.0, 2.0), n=240, sigma=1.0, h=3, d=6):
@@ -145,6 +145,28 @@ class TestModalityScores:
         assert scores[0] == pytest.approx(math.exp(2) / (math.exp(2) + 1))
         assert scores[1] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("runs", [None, 3])
+    def test_stacked_softmax_matches_per_modality_loop(self, m, runs):
+        rng = np.random.default_rng(10 * m + (runs or 0))
+        arch = [[d, 7, f] for d, f in zip((5, 6, 4), (4, 3, 5))][:m]
+        models = [init_model(arch, 4, seed) for seed in range(runs or 1)]
+        for mdl in models:
+            mdl.head_bias[:] = rng.standard_normal(4)
+            for blk in mdl.head_blocks:
+                blk *= 3.0  # spread the partial logits away from uniform
+        lead = (runs, 9) if runs else (9,)
+        batch = [rng.standard_normal(lead + (sizes[0],)) for sizes in arch]
+        labels = rng.integers(0, 4, lead)
+        model = models[0].like(np.stack([mdl.flat for mdl in models])) if runs else models[0]
+        cache = fusion.forward(model, batch)
+        expected = per_modality_scores(model, cache, labels)
+        # every score differs, so a swap of modalities or runs shows
+        assert len(np.unique(expected)) == expected.size
+        got = modality_scores(model, cache, labels)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestGradientsThroughModel:
     def test_loss_gradient_matches_finite_differences(self):
@@ -198,15 +220,6 @@ class TestFit:
                 assert la.weight.tobytes() == lb.weight.tobytes()
         for ba, bb in zip(a.head_blocks, b.head_blocks):
             assert ba.tobytes() == bb.tobytes()
-
-    def test_unknown_method(self):
-        data = tiny_data(1)
-        tr, va, _ = split(data, (0.8, 0.1, 0.1), 0)
-        model = init_model([[6, 8, 5], [6, 8, 5]], 3, 0)
-        bogus = MethodSpec()
-        object.__setattr__(bogus, "kind", "prototypes")
-        with pytest.raises(DispatchError):
-            fit((tr, va), model, TrainConfig(epochs=1), bogus)
 
     def test_divergence_reported(self):
         data = tiny_data(2)
