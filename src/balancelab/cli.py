@@ -29,12 +29,12 @@ ENV_SEED = "BALANCELAB_SEED"
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config)
+    cfg = harness.read_input("--config", parse_config, args.config)
     if os.environ.get(ENV_SEED):
         cfg = cfg.with_key("seed", coerce(ENV_SEED, "int", os.environ[ENV_SEED]))
     if getattr(args, "master_seed", None) is not None:
         cfg = cfg.with_key("seed", args.master_seed)
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         cfg = cfg.with_key("seeds", coerce("--seeds", "ints", args.seeds))
     if getattr(args, "out", None):
         cfg = cfg.with_key("output.dir", args.out)

@@ -6,6 +6,12 @@ type mismatches, and malformed lines are hard errors that name the key, so a
 typo can never silently fall back to a default. Lists are comma-separated;
 strings may be quoted.
 
+The ``train.*`` keys are the fields of ``trainer.TrainConfig`` but its
+``seed`` (each run derives one); the synthetic ``dataset.*`` keys are those of
+``datagen.SyntheticSpec`` (``modalities`` and ``classes`` name its
+``num_modalities`` and ``num_classes``). Each takes its kind and default from
+its field; the ``method.<param>`` keys come from ``methods.METHODS``.
+
 Key reference (every key is optional; defaults in parentheses)::
 
     dataset.path        str    dataset file to load instead of generating
@@ -44,32 +50,37 @@ CLI flag overrides both (flag > environment > config).
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .datagen import SyntheticSpec
 from .errors import ConfigError
 from .methods import METHODS, PARAMS, MethodSpec
 from .trainer import TrainConfig
 
+# each kind the parser reads, by the field annotation it fills
+_KINDS = {int: "int", float: "float", tuple[int, ...]: "ints", tuple[float, ...]: "floats"}
+
+
+def _field_entries(cls, keys: dict[str, str]) -> dict[str, tuple[str, object]]:
+    """Schema entries (kind, default) read off the annotated fields of ``cls``."""
+    hints, defaults = get_type_hints(cls), cls()
+    return {key: (_KINDS[hints[name]], getattr(defaults, name)) for key, name in keys.items()}
+
+
+_RENAMED = {"num_modalities": "modalities", "num_classes": "classes"}
+# config key -> field of the object it builds; the recipe's seed is derived per run
+_DATASET_KEYS = {f"dataset.{_RENAMED.get(f.name, f.name)}": f.name for f in fields(SyntheticSpec)}
+_TRAIN_KEYS = {f"train.{f.name}": f.name for f in fields(TrainConfig) if f.name != "seed"}
+
 _SCHEMA: dict[str, tuple[str, object]] = {
     "dataset.path": ("str", None),
-    "dataset.modalities": ("int", 2),
-    "dataset.classes": ("int", 4),
-    "dataset.dims": ("ints", (12, 12)),
-    "dataset.signal": ("floats", (3.0, 1.0)),
-    "dataset.sigma": ("float", 1.0),
-    "dataset.samples": ("int", 4000),
-    "dataset.seed": ("int", 0),
+    **_field_entries(SyntheticSpec, _DATASET_KEYS),
     "model.hidden": ("ints", (24,)),
     "model.feature_dim": ("int", 4),
-    "train.lr": ("float", 1e-3),
-    "train.momentum": ("float", 0.9),
-    "train.weight_decay": ("float", 1e-4),
-    "train.step_size": ("int", 30),
-    "train.gamma": ("float", 0.1),
-    "train.epochs": ("int", 40),
-    "train.batch_size": ("int", 64),
+    **_field_entries(TrainConfig, _TRAIN_KEYS),
     "method.kind": ("str", "baseline"),
     **{f"method.{m.param}": ("float", m.default) for m in METHODS.values() if m.param},
     "eval.fractions": ("floats", (0.8, 0.1, 0.1)),
@@ -126,27 +137,11 @@ class ExperimentConfig:
         return self.get("dataset.path")
 
     def synthetic_spec(self, seed: int | None = None) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_modalities=self.get("dataset.modalities"),
-            num_classes=self.get("dataset.classes"),
-            dims=self.get("dataset.dims"),
-            signal=self.get("dataset.signal"),
-            sigma=self.get("dataset.sigma"),
-            samples=self.get("dataset.samples"),
-            seed=self.get("dataset.seed") if seed is None else seed,
-        )
+        spec = SyntheticSpec(**{name: self.get(key) for key, name in _DATASET_KEYS.items()})
+        return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
     def train_config(self, seed: int = 0) -> TrainConfig:
-        return TrainConfig(
-            lr=self.get("train.lr"),
-            momentum=self.get("train.momentum"),
-            weight_decay=self.get("train.weight_decay"),
-            step_size=self.get("train.step_size"),
-            gamma=self.get("train.gamma"),
-            epochs=self.get("train.epochs"),
-            batch_size=self.get("train.batch_size"),
-            seed=seed,
-        )
+        return TrainConfig(seed=seed, **{name: self.get(key) for key, name in _TRAIN_KEYS.items()})
 
     def method_spec(self) -> MethodSpec:
         params = {p: self.get(f"method.{p}") for p in PARAMS}
@@ -186,27 +181,6 @@ class ExperimentConfig:
         cfg = ExperimentConfig(tuple((k, value if k == key else v) for k, v in self.values))
         _validate(cfg, explicit={key})
         return cfg
-
-    def to_text(self) -> str:
-        lines = []
-        has_path = self.dataset_path is not None
-        for k, v in self.values:
-            if v is None:
-                continue
-            if has_path and k.startswith("dataset.") and k != "dataset.path":
-                continue
-            if isinstance(v, bool):
-                s = "true" if v else "false"
-            elif isinstance(v, tuple):
-                s = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            elif isinstance(v, float):
-                s = repr(v)
-            elif isinstance(v, str):
-                s = f'"{v}"'
-            else:
-                s = str(v)
-            lines.append(f"{k} = {s}")
-        return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         has_path = self.dataset_path is not None

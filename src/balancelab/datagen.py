@@ -34,13 +34,13 @@ FLOAT_FMT = "%.17g"  # checkpoints (fusion.save_model) write with it too
 class SyntheticSpec:
     """Recipe for one synthetic dataset; equal specs generate equal datasets."""
 
-    num_modalities: int
-    num_classes: int
-    dims: tuple[int, ...]
-    signal: tuple[float, ...]
-    sigma: float
-    samples: int
-    seed: int
+    num_modalities: int = 2
+    num_classes: int = 4
+    dims: tuple[int, ...] = (12, 12)
+    signal: tuple[float, ...] = (3.0, 1.0)
+    sigma: float = 1.0
+    samples: int = 4000
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))

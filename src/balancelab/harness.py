@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__ as _VERSION
 from . import datagen, fusion, metrics, trainer
 from .config import ExperimentConfig
 from .errors import BalanceLabError, ConfigError, FormatError
 from .methods import METHODS, PARAMS, MethodSpec
 
-_VERSION = "0.1.0"
 _NUMBER = (int, float)
 # the JSON types each RunRow field may hold; no field holds a bool
 _ROW_TYPES = {
@@ -186,8 +186,8 @@ def read_input(name: str, load, path):
         return load(path)
     except OSError as exc:
         raise ConfigError(f"{name} {path!r}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{name} {path!r}: not an ASCII text file") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{name} {path!r}: not {exc.encoding} text") from None
 
 
 def make_output_dir(name: str, path) -> None:
@@ -285,9 +285,8 @@ def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, sweep_value) -> s
     The seed list and output directory are left out: adding seeds or moving
     the directory changes no existing cell.
     """
-    kept = tuple((k, v) for k, v in cfg.values if k not in ("seeds", "output.dir"))
-    text = ExperimentConfig(kept).to_text()
-    text += f"sweep = {sweep_param} {sweep_value!r}\nversion = {_VERSION}\n"
+    kept = {k: v for k, v in cfg.to_dict().items() if k not in ("seeds", "output.dir")}
+    text = json.dumps([kept, sweep_param, sweep_value, _VERSION], sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -133,10 +133,6 @@ class _MethodSpecBase:
         return METHODS[self.kind]
 
     @property
-    def category(self) -> str:
-        return self.method.category
-
-    @property
     def value(self) -> float | None:
         """The value of the active method's parameter (None for baseline)."""
         param = self.method.param

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from balancelab import cli, harness, trainer
-from balancelab.config import parse_config, parse_config_text
+from balancelab import cli, config, harness, trainer
+from balancelab.config import ExperimentConfig, coerce, parse_config, parse_config_text
+from balancelab.datagen import SyntheticSpec
 from balancelab.errors import ConfigError, FormatError
+from balancelab.methods import PARAMS
 
 TINY = """
 dataset.samples = 300
@@ -54,9 +56,32 @@ class TestParseConfig:
 
     def test_round_trip_semantics(self):
         cfg = parse_config_text(TINY)
-        again = parse_config_text(cfg.to_text())
-        assert again.values == cfg.values
-        assert again.to_text() == cfg.to_text()
+        assert ExperimentConfig.from_dict(cfg.to_dict()).values == cfg.values
+
+    def test_empty_config_builds_the_default_objects(self):
+        cfg = parse_config_text("")
+        assert cfg.train_config() == trainer.TrainConfig()
+        assert cfg.synthetic_spec() == SyntheticSpec()
+
+    def test_docstring_key_table_matches_schema(self):
+        table = config.__doc__.split("::", 1)[1].split("\n\n")[1]
+        rows = {}
+        for line in table.splitlines():
+            if not line[4].isspace():  # a continuation line extends the row above
+                key = line.split()[0]
+                rows[key] = ""
+            rows[key] += line
+        assert set(rows) == set(config._SCHEMA) - {f"method.{p}" for p in PARAMS} | {
+            "method.<param>"}
+        assert all(p in rows["method.<param>"] for p in PARAMS)
+        for key, (kind, default) in config._SCHEMA.items():
+            if key in rows:
+                _, shown_kind, rest = rows[key].split(maxsplit=2)
+                assert shown_kind == kind, key
+                if rest.startswith("("):
+                    assert coerce(key, kind, rest[1:rest.index(")")]) == default, key
+                else:
+                    assert default is None, key
 
     def test_path_or_text(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -321,6 +346,19 @@ class TestRunSweep:
         assert rerun.rows[0].to_dict() == fresh.rows[0].to_dict()
         assert "different config" in (tmp_path / "out" / "run.log").read_text()
 
+    def test_fingerprint_covers_every_section_but_seeds_and_out_dir(self):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        base = harness._cell_fingerprint(cfg, "method.alpha", 1.0)
+        changed = {"dataset.samples": 301, "model.feature_dim": 5, "train.epochs": 3,
+                   "method.alpha": 0.5, "eval.shapley": False, "seed": 9}
+        for key, value in changed.items():
+            assert harness._cell_fingerprint(
+                cfg.with_key(key, value), "method.alpha", 1.0) != base, key
+        assert harness._cell_fingerprint(cfg, "method.alpha", 2.0) != base
+        for key, value in {"seeds": (7,), "output.dir": "elsewhere"}.items():
+            assert harness._cell_fingerprint(
+                cfg.with_key(key, value), "method.alpha", 1.0) == base, key
+
 
 class TestCompareTable:
     def make_report(self, kind):
@@ -398,7 +436,8 @@ class TestCli:
                                       "report_without_config", "report_not_json",
                                       "report_not_an_object", "report_row_not_an_object",
                                       "report_config_not_an_object", "report_row_wrong_type",
-                                      "report_config_invalid"])
+                                      "report_config_invalid", "config_directory",
+                                      "config_not_utf8"])
     def test_unreadable_input_file_exits_1(self, tmp_path, capsys, case):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)
@@ -422,7 +461,13 @@ class TestCli:
             bad.write_text('{"config": {"seed": -1, "seeds": "x"}, "rows": [], "aggregates": []}')
         elif case == "binary_checkpoint":
             bad.write_bytes(b"MMCK v1\n\xff\xfe")
-        if case.endswith("checkpoint"):
+        elif case == "config_directory":
+            bad.mkdir()
+        elif case == "config_not_utf8":
+            bad.write_bytes(b"\xff\xfeseed = 1\n")
+        if case.startswith("config"):
+            argv = ["train", "--config", str(bad), "--out", str(tmp_path / "o")]
+        elif case.endswith("checkpoint"):
             argv = ["evaluate", "--config", str(cfg_path), "--checkpoint", str(bad)]
         else:
             argv = ["table", "--reports", str(bad)]
@@ -550,6 +595,7 @@ class TestCli:
         ("--seeds", ["train", "--seeds", "1,two"]),
         ("--values", ["sweep", "--param", "method.alpha", "--values", "0,one"]),
         ("--run-seed", ["evaluate", "--checkpoint", "c.mmck", "--run-seed", "one"]),
+        ("--seeds", ["train", "--seeds", ""]),
     ])
     def test_non_integer_input_names_its_source(self, tmp_path, monkeypatch, capsys,
                                                  source, argv):

@@ -104,10 +104,10 @@ class TestMethodSpec:
         assert not MethodSpec(kind="gradmod", alpha=1.0).is_neutral()
 
     def test_categories(self):
-        assert MethodSpec(kind="kl_align").category == "objective"
-        assert MethodSpec(kind="gradmod").category == "optimization"
-        assert MethodSpec(kind="feature_drop").category == "feed-forward"
-        assert MethodSpec(kind="resample").category == "data"
+        assert MethodSpec(kind="kl_align").method.category == "objective"
+        assert MethodSpec(kind="gradmod").method.category == "optimization"
+        assert MethodSpec(kind="feature_drop").method.category == "feed-forward"
+        assert MethodSpec(kind="resample").method.category == "data"
 
 
 class TestGradModulation:
