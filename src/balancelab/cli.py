@@ -36,7 +36,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg = cfg.with_key("seed", args.master_seed)
     if getattr(args, "seeds", None) is not None:
         cfg = cfg.with_key("seeds", coerce("--seeds", "ints", args.seeds))
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg = cfg.with_key("output.dir", args.out)
     return cfg
 
@@ -44,7 +44,7 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_generate(args) -> int:
     cfg = _load_config(args)
     data = datagen.generate(cfg.synthetic_spec())
-    harness.make_output_dir("--out" if args.out else "output.dir", cfg.out_dir)
+    harness.make_output_dir("--out" if args.out is not None else "output.dir", cfg.out_dir)
     path = os.path.join(cfg.out_dir, "dataset.mmds")
     datagen.save(data, path)
     print(path)
@@ -53,7 +53,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
-    harness.make_output_dir("--out" if args.out else "output.dir", cfg.out_dir)
+    harness.make_output_dir("--out" if args.out is not None else "output.dir", cfg.out_dir)
     report = harness.run_experiment(
         cfg, out_dir=cfg.out_dir, jobs=args.jobs, save_checkpoints=True
     )
@@ -87,7 +87,7 @@ def _cmd_evaluate(args) -> int:
         }
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
-    if args.out:
+    if args.out is not None:
         harness.make_output_dir("--out", args.out)
         with open(os.path.join(args.out, "evaluate.json"), "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -97,7 +97,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = list(coerce("--values", "floats", args.values))
-    harness.make_output_dir("--out" if args.out else "output.dir", cfg.out_dir)
+    harness.make_output_dir("--out" if args.out is not None else "output.dir", cfg.out_dir)
     report = harness.run_sweep(cfg, args.param, values, out_dir=cfg.out_dir, jobs=args.jobs)
     print(report.csv_text(), end="")
     return 0 if not report.errors else 1
@@ -107,7 +107,7 @@ def _cmd_table(args) -> int:
     reports = [harness.read_input("--reports", harness.load_report, p) for p in args.reports]
     text, csv_text = harness.compare_table(reports)
     print(text, end="")
-    if args.out:
+    if args.out is not None:
         harness.make_output_dir("--out", args.out)
         with open(os.path.join(args.out, "table.txt"), "w", encoding="ascii") as fh:
             fh.write(text)

@@ -12,14 +12,14 @@ objectives, gradient scales and feature transforms, per epoch for sample
 weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-One epoch iterates index batches (weighted when the active method has a
-sample-weights hook), runs the fusion forward with any feature-transform
-hook applied to the encoder outputs, computes the method's objective (plain
-cross-entropy by default), backpropagates by hand, applies any
-encoder-gradient scale, and takes one SGD step. The hooks come from the
-active method's entry in ``methods.METHODS``. Every stochastic choice is a
-deterministic function of ``(config.seed, epoch, batch index)``, so a run is
-bitwise reproducible.
+``fit`` holds a stack's state in one ``TrainState`` and calls ``_epoch`` once
+per epoch. An epoch draws each run's batch order (weighted by any
+sample-weights hook); per batch it calls ``_gather``, ``_forward`` (feature
+transforms, fusion forward, running scores), ``_objectives`` (objectives and
+backward), ``_scale_grads`` and ``sgd_step``; then ``_validate`` deploys,
+flushes the ledgers, validates and keeps each run's best model. Every
+stochastic choice is a deterministic function of ``(config.seed, epoch,
+batch index)``, so a run is bitwise reproducible.
 
 Per-modality performance scores (batch mean of the true-class probability
 under each modality's partial logits) are tracked as an exponential moving
@@ -74,11 +74,26 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Mutable state owned by one training stack."""
+    """Mutable state owned by one training stack, its runs sorted by active entry."""
 
     model: FusionModel
     velocity: np.ndarray  # shaped like model.flat
     running_scores: np.ndarray | None = None
+    grads: FusionModel | None = None  # the gradient buffer, laid out like model
+    splits: list[tuple[Dataset, Dataset]] = dataclasses.field(default_factory=list)
+    seeds: list[int] = dataclasses.field(default_factory=list)
+    values: np.ndarray | None = None  # each run's method strength
+    ledgers: list[FlopsLedger] = dataclasses.field(default_factory=list)
+    hooks: dict[str, list[tuple]] = dataclasses.field(default_factory=dict)  # _ranges per field
+    spans: list[slice] = dataclasses.field(default_factory=list)  # each encoder's span of flat
+    # per row range, the FLOPs each of its runs did since the last epoch's end
+    work: dict[tuple[int, int], FlopsLedger] = dataclasses.field(default_factory=dict)
+    best: np.ndarray | None = None  # each run's best-validation parameters
+    logs: list[TrainLog] = dataclasses.field(default_factory=list)
+
+    def charge(self, rows: slice) -> FlopsLedger:
+        """The ledger of the row range ``rows``."""
+        return self.work.setdefault((rows.start, rows.stop), FlopsLedger())
 
 
 @dataclass
@@ -259,16 +274,155 @@ def evaluate_accuracy(model: FusionModel, data: Dataset,
     return accuracy(fusion.predict(cache.logits), data.labels)
 
 
-def _derived_seed(*parts: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(list(parts))
-
-
 def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
     """The runs ``rows`` of a stacked forward pass, as views."""
     enc_caches = [MlpCache([x[rows] for x in c.inputs], [z[rows] for z in c.preacts], c.shapes)
                   for c in cache.enc_caches]
     return ForwardCache([f[rows] for f in cache.features], enc_caches,
                         cache.block_products[:, rows], cache.logits[rows])
+
+
+def _ranges(state: TrainState, actives: list, field: str, resolve) -> list[tuple]:
+    """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
+    out, start = [], 0
+    for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
+        rows = slice(start, start + len(list(group)))
+        start = rows.stop
+        if name is not None or field == "objective":
+            # looked up once per fit, so a swapped module attribute sees every
+            # call; objective-free runs take the plain cross-entropy
+            hook = resolve(name) or (
+                lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
+            out.append((hook, rows, state.model.like(state.model.flat[rows]),
+                        state.grads.like(state.grads.flat[rows])))
+    return out
+
+
+def _gather(state: TrainState, orders: list[list[np.ndarray]], b: int):
+    """Batch ``b`` of every run: (per-modality features, labels), stacked over runs."""
+    idx = np.stack([order[b] for order in orders])
+    # each run takes from its own train set, so no joined copy is held
+    xb = [np.empty(idx.shape + (d,)) for d in state.splits[0][0].dims]
+    yb = np.empty(idx.shape, dtype=np.int64)
+    for r, (t, _) in enumerate(state.splits):
+        for x, f in zip(xb, t.features):
+            np.take(f, idx[r], axis=0, out=x[r])
+        np.take(t.labels, idx[r], out=yb[r])
+    return xb, yb
+
+
+def _forward(state: TrainState, xb: list[np.ndarray], yb: np.ndarray, epoch: int, b: int):
+    """The fusion forward with feature transforms applied, then the running-score update."""
+    transforms = state.hooks["feature_transform"]
+    # per modality: the stack's feature-transform factor (ones for runs
+    # left alone, an exact identity), returned with the cache for backward
+    factors: list[np.ndarray] = []
+    hook = None
+    # with no score history yet (first batch) features pass through
+    if state.running_scores is not None and transforms:
+
+        def hook(feats):
+            factors.extend(np.ones(f.shape) for f in feats)
+            for transform, rows, _, _ in transforms:
+                rngs = [np.random.default_rng([seed, epoch, b, 1]) for seed in state.seeds[rows]]
+                made, applied = transform([f[rows] for f in feats],
+                                          state.running_scores[rows], state.values[rows], rngs)
+                for i, factor in enumerate(made):
+                    if factor is not None:
+                        factors[i][rows] = factor
+                for r, i in np.argwhere(applied) + (rows.start, 0):
+                    state.charge(slice(r, r + 1)).record("elementwise", feats[i][0].size)
+            return [f * c for f, c in zip(feats, factors)]
+
+    cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=state.charge(slice(None)))
+
+    scores = modality_scores(state.model, cache, yb)
+    if state.running_scores is not None:
+        scores = (
+            SCORE_SMOOTHING * state.running_scores
+            + (1.0 - SCORE_SMOOTHING) * scores
+        )
+    state.running_scores = scores
+    m, (n, h) = state.model.num_modalities, cache.logits.shape[-2:]
+    for _, rows, _, _ in state.hooks["grad_scale"] + transforms:
+        # the hook reads the scores: partial softmax + mean per modality
+        state.charge(rows).record("softmax_loss", m * n * h)
+        state.charge(rows).record("elementwise", m * (n * h + n))
+    return cache, factors
+
+
+def _objectives(state: TrainState, cache: ForwardCache, factors: list[np.ndarray],
+                yb: np.ndarray, loss_sum: np.ndarray, epoch: int, b: int) -> None:
+    """Each range's objective, backpropagated into ``state.grads``; adds loss * n to loss_sum."""
+    for objective, rows, view, view_grads in state.hooks["objective"]:
+        view_cache = _cache_rows(cache, rows)
+        bundle = objective(view, view_cache, yb[rows], state.values[rows], state.charge(rows))
+        finite = np.isfinite(bundle.loss)
+        if not finite.all():
+            raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
+        loss_sum[rows] += bundle.loss * yb.shape[-1]
+        for grad, factor in zip(bundle.feature_grads, factors):
+            grad *= factor[rows]
+        _backward_into_model(view, view_cache, bundle, view_grads, state.charge(rows))
+
+
+def _scale_grads(state: TrainState) -> None:
+    """Scale each encoder's gradient by its range's grad-scale hook (runs without one: 1)."""
+    if state.hooks["grad_scale"]:
+        kappa = np.ones((len(state.seeds), state.model.num_modalities))
+        n_encoder_params = sum(span.stop - span.start for span in state.spans)
+        for grad_scale, rows, _, _ in state.hooks["grad_scale"]:
+            kappa[rows] = grad_scale(state.running_scores[rows], state.values[rows])
+            state.charge(rows).record("elementwise", n_encoder_params)
+        for i, span in enumerate(state.spans):
+            state.grads.flat[:, span] *= kappa[:, i, None]
+
+
+def _validate(state: TrainState, epoch: int, lr: float, loss_sum: np.ndarray) -> None:
+    """Deploy, add the range ledgers to the runs', validate each run and keep its best."""
+    deployers = state.hooks["deploy"]
+    # select on the deployed form so validation ranks what evaluation will see
+    shown = state.model.flat.copy() if deployers else state.model.flat
+    for deploy, rows, view, _ in deployers:
+        shown[rows] = deploy(view).flat
+        state.charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
+    for (first, stop), led in state.work.items():
+        for kind in _FLOP_KINDS:
+            for target in state.ledgers[first:stop]:
+                setattr(target, kind, getattr(target, kind) + getattr(led, kind))
+            # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
+            setattr(led, kind, 0)
+    for r, ((train, val), log, ledger) in enumerate(zip(state.splits, state.logs, state.ledgers)):
+        # per run: a stacked pass takes no less time and holds R runs' activations
+        val_acc = evaluate_accuracy(state.model.like(shown[r]), val, ledger=ledger)
+        log.records.append(EpochRecord(epoch, lr, float(loss_sum[r]) / train.num_samples,
+                                       val_acc, tuple(float(s) for s in state.running_scores[r]),
+                                       ledger.total))
+        if log.best_epoch < 0 or val_acc > log.records[log.best_epoch].val_accuracy:
+            state.best[r] = shown[r]
+            log.best_epoch = epoch
+
+
+def _epoch(state: TrainState, cfg: TrainConfig, epoch: int) -> None:
+    """One pass over every run's train set, then validation."""
+    lr = step_lr(cfg, epoch)
+    trains = [t for t, _ in state.splits]
+    weights = [None] * len(trains)
+    for sample_weights, rows, view, _ in state.hooks["sample_weights"]:
+        weights[rows] = sample_weights(view, trains[rows], state.values[rows], state.charge(rows))
+    orders = []
+    for t, seed, w in zip(trains, state.seeds, weights):
+        batch_seed = int(np.random.SeedSequence([seed, epoch, 0]).generate_state(1)[0])
+        orders.append(datagen.batches(t, cfg.batch_size, batch_seed, w))
+    loss_sum = np.zeros(len(trains))
+    for b in range(len(orders[0])):
+        xb, yb = _gather(state, orders, b)
+        cache, factors = _forward(state, xb, yb, epoch, b)
+        _objectives(state, cache, factors, yb, loss_sum, epoch, b)
+        _scale_grads(state)
+        sgd_step(state, state.grads.flat, lr, cfg)
+        state.charge(slice(None)).record("elementwise", 6 * state.model.flat.shape[-1])
+    _validate(state, epoch, lr, loss_sum)
 
 
 def fit(
@@ -318,155 +472,18 @@ def fit(
     # all objective-free runs share one plain cross-entropy call.
     actives = [spec.active() for spec in method]
     order = sorted(range(runs), key=lambda r: (actives[r].objective or "", actives[r].name))
-    splits, model, config, method, ledgers, actives = (
-        [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives))
-    values = np.array([spec.value for spec in method], dtype=np.float64)  # baseline: nan
+    splits, model, config, method, ledgers, actives, logs = (
+        [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives, logs))
     stack = model[0].like(np.stack([mdl.flat for mdl in model]))
-    state = TrainState(stack, np.zeros_like(stack.flat))
-    grads = state.model.like(np.empty_like(state.model.flat))
-
-    def calls(field: str) -> list[tuple]:
-        """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
-        out, start = [], 0
-        for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
-            rows = slice(start, start + len(list(group)))
-            start = rows.stop
-            if name is not None or field == "objective":
-                # looked up once per fit, so a swapped module attribute sees every
-                # call; objective-free runs take the plain cross-entropy
-                hook = bm.resolve(name) or (
-                    lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
-                out.append((hook, rows, state.model.like(state.model.flat[rows]),
-                            grads.like(grads.flat[rows])))
-        return out
-
-    objectives, scalers, transforms, weighers, deployers = (calls(field) for field in (
-        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy"))
-    # per row range: the FLOPs each of its runs did, added to the runs'
-    # ledgers at the end of every epoch
-    work: dict[tuple, FlopsLedger] = {}
-
-    def charge(rows: slice) -> FlopsLedger:
-        return work.setdefault((rows.start, rows.stop), FlopsLedger())
-
-    trains = [t for t, _ in splits]
-    m = state.model.num_modalities
-    h = state.model.num_classes
-    n_params = state.model.flat.shape[-1]
-    spans = [state.model.encoder_span(i) for i in range(m)]
-    n_encoder_params = sum(span.stop - span.start for span in spans)
-    best = state.model.flat.copy()
-    best_acc = [-1.0] * runs
-
+    state = TrainState(
+        stack, np.zeros_like(stack.flat), grads=stack.like(np.empty_like(stack.flat)),
+        splits=splits, seeds=[c.seed for c in config], ledgers=ledgers, logs=logs,
+        values=np.array([spec.value for spec in method], dtype=np.float64),  # baseline: nan
+        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], best=stack.flat.copy())
+    state.hooks = {field: _ranges(state, actives, field, bm.resolve) for field in (
+        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
     for epoch in range(cfg.epochs):
-        lr = step_lr(cfg, epoch)
-
-        weights = [None] * runs
-        for sample_weights, rows, view, _ in weighers:
-            weights[rows] = list(sample_weights(view, trains[rows], values[rows], charge(rows)))
-        orders = []
-        for r in range(runs):
-            batch_seed = int(_derived_seed(config[r].seed, epoch, 0).generate_state(1)[0])
-            orders.append(datagen.batches(trains[r], cfg.batch_size, batch_seed, weights[r]))
-
-        loss_sum = np.zeros(runs)
-        for b in range(len(orders[0])):
-            idx = np.stack([order[b] for order in orders])
-            # each run takes from its own train set, so no joined copy is held
-            xb = [np.empty(idx.shape + (d,)) for d in trains[0].dims]
-            yb = np.empty(idx.shape, dtype=np.int64)
-            for r, t in enumerate(trains):
-                for x, f in zip(xb, t.features):
-                    np.take(f, idx[r], axis=0, out=x[r])
-                np.take(t.labels, idx[r], out=yb[r])
-            n = yb.shape[-1]
-
-            # per modality: the stack's feature-transform factor (ones for runs
-            # left alone, an exact identity), reused in backward
-            factors: list[np.ndarray] = []
-            hook = None
-            # with no score history yet (first batch) features pass through
-            if state.running_scores is not None and transforms:
-
-                def hook(feats):
-                    factors.extend(np.ones(f.shape) for f in feats)
-                    for transform, rows, _, _ in transforms:
-                        rngs = [np.random.default_rng(_derived_seed(c.seed, epoch, b, 1))
-                                for c in config[rows]]
-                        made, applied = transform([f[rows] for f in feats],
-                                                  state.running_scores[rows], values[rows], rngs)
-                        for i, factor in enumerate(made):
-                            if factor is not None:
-                                factors[i][rows] = factor
-                        for r, i in np.argwhere(applied) + (rows.start, 0):
-                            charge(slice(r, r + 1)).record("elementwise", feats[i][0].size)
-                    return [f * c for f, c in zip(feats, factors)]
-
-            cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=charge(slice(None)))
-
-            batch_scores = modality_scores(state.model, cache, yb)
-            if state.running_scores is None:
-                state.running_scores = batch_scores
-            else:
-                state.running_scores = (
-                    SCORE_SMOOTHING * state.running_scores
-                    + (1.0 - SCORE_SMOOTHING) * batch_scores
-                )
-            for _, rows, _, _ in scalers + transforms:
-                # the hook reads the scores: partial softmax + mean per modality
-                charge(rows).record("softmax_loss", m * n * h)
-                charge(rows).record("elementwise", m * (n * h + n))
-
-            for objective, rows, view, view_grads in objectives:
-                view_cache = _cache_rows(cache, rows)
-                bundle = objective(view, view_cache, yb[rows], values[rows], charge(rows))
-                finite = np.isfinite(bundle.loss)
-                if not finite.all():
-                    raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
-                loss_sum[rows] += bundle.loss * n
-                for grad, factor in zip(bundle.feature_grads, factors):
-                    grad *= factor[rows]
-                _backward_into_model(view, view_cache, bundle, view_grads, charge(rows))
-
-            if scalers:
-                kappa = np.ones((runs, m))
-                for grad_scale, rows, _, _ in scalers:
-                    kappa[rows] = grad_scale(state.running_scores[rows], values[rows])
-                    charge(rows).record("elementwise", n_encoder_params)
-                for i, span in enumerate(spans):
-                    grads.flat[:, span] *= kappa[:, i, None]
-
-            sgd_step(state, grads.flat, lr, cfg)
-            charge(slice(None)).record("elementwise", 6 * n_params)
-
-        # select on the deployed form so validation ranks what evaluation will see
-        shown = state.model.flat.copy() if deployers else state.model.flat
-        for deploy, rows, view, _ in deployers:
-            shown[rows] = deploy(view).flat
-            charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
-        for (first, stop), led in work.items():
-            for kind in _FLOP_KINDS:
-                for target in ledgers[first:stop]:
-                    setattr(target, kind, getattr(target, kind) + getattr(led, kind))
-                setattr(led, kind, 0)
-        for r, (_, val) in enumerate(splits):
-            # per run: a stacked pass takes no less time and holds R runs' activations
-            val_acc = evaluate_accuracy(state.model.like(shown[r]), val, ledger=ledgers[r])
-            logs[r].records.append(
-                EpochRecord(
-                    epoch,
-                    lr,
-                    float(loss_sum[r]) / trains[r].num_samples,
-                    val_acc,
-                    tuple(float(s) for s in state.running_scores[r]),
-                    ledgers[r].total,
-                )
-            )
-            if val_acc > best_acc[r]:
-                best_acc[r] = val_acc
-                best[r] = shown[r]
-                logs[r].best_epoch = epoch
-
+        _epoch(state, cfg, epoch)
     # back to the caller's run order: argsort inverts the permutation
-    results = [(model[k].like(best[k]), logs[k]) for k in np.argsort(order)]
+    results = [(model[k].like(state.best[k]), logs[k]) for k in np.argsort(order)]
     return results[0] if single else results

@@ -2,7 +2,7 @@
 
 import pytest
 
-from balancelab import harness, methods
+from balancelab import fusion, harness, methods
 from balancelab.config import parse_config_text
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.fusion import init_model
@@ -91,6 +91,32 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
         monkeypatch.setattr(methods, hook, counting)
     fit(*(list(part) for part in zip(*cells)))
     assert calls == expected
+
+
+@pytest.mark.parametrize("kind", ["gradmod", "cosine"])
+def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
+    """Row views, encoder spans and hook lookups are built once per fit.
+
+    Every model view walks ``fusion._blocks``, so an extra epoch may add one
+    walk per run (its validation view) and one per deploy range, and no more
+    at any batch count.
+    """
+    walks = []
+    real = fusion._blocks
+    monkeypatch.setattr(fusion, "_blocks", lambda *args: walks.append(1) or real(*args))
+    entry = METHODS[kind]
+    extra = []
+    for batch_size in (16, 32):
+        counts = []
+        for epochs in (1, 2):
+            cells = [cell(kind, entry.default, seed) for seed in (1, 2, 3, 4, 5)]
+            for _, _, train_config, _ in cells:
+                train_config.epochs, train_config.batch_size = epochs, batch_size
+            walks.clear()
+            fit(*(list(part) for part in zip(*cells)))
+            counts.append(len(walks))
+        extra.append(counts[1] - counts[0])
+    assert extra[0] == extra[1] <= len(cells) + (entry.deploy is not None)
 
 
 def test_failing_cell_fails_alone(monkeypatch):

@@ -475,8 +475,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
-    @pytest.mark.parametrize("command", ["generate", "train", "sweep", "evaluate", "table"])
-    def test_out_under_a_file_exits_1(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, empty", [
+        pytest.param(command, empty, id=command + ("-empty" if empty else ""))
+        for empty in (False, True)
+        for command in ("generate", "train", "sweep", "evaluate", "table")])
+    def test_out_under_a_file_exits_1(self, tmp_path, capsys, command, empty):
+        """``--out`` under a regular file, or ``--out ""``, exits 1 naming ``--out``."""
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY + "method.kind = gradmod\n")
         runs = tmp_path / "runs"
@@ -484,7 +488,7 @@ class TestCli:
             assert cli.main(["train", "--config", str(cfg_path), "--seeds", "1",
                              "--out", str(runs)]) == 0
         (tmp_path / "afile").write_text("")
-        out = str(tmp_path / "afile" / "out")
+        out = "" if empty else str(tmp_path / "afile" / "out")
         argv = {
             "generate": ["--config", str(cfg_path)],
             "train": ["--config", str(cfg_path), "--seeds", "1"],

@@ -254,6 +254,36 @@ class TestFit:
         assert totals == sorted(totals) and totals[0] > 0
 
 
+class TestNamesLookedUpAtCallTime:
+    @pytest.mark.parametrize("path, per_epoch, per_batch", [
+        ("trainer.sgd_step", 0, 1),
+        ("trainer.modality_scores", 0, 1),
+        ("trainer.baseline_loss", 0, 1),
+        ("trainer.evaluate_accuracy", 1, 0),
+        ("trainer.mlp_backward", 0, 2),  # one per modality
+        ("fusion.forward", 1, 1),  # validation runs one more
+    ])
+    def test_swapped_name_sees_every_call(self, monkeypatch, path, per_epoch, per_batch):
+        """A span tracer swaps these module attributes, so fit must look each up per call."""
+        module, name = path.split(".")
+        owner = {"trainer": trainer, "fusion": fusion}[module]
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        tr, va, _ = split(tiny_data(1), (0.8, 0.1, 0.1), 0)
+        epochs, batch_size = 3, 50
+        batches = -(-tr.num_samples // batch_size)
+        assert batches == 4
+        model = init_model([[6, 8, 5], [6, 8, 5]], 3, 0)
+        fit((tr, va), model, TrainConfig(epochs=epochs, batch_size=batch_size, seed=4), MethodSpec())
+        assert len(calls) == epochs * (per_epoch + per_batch * batches)
+
+
 class TestDominanceSuppression:
     def test_weak_modality_starves_in_joint_training(self):
         """Joint training leaves the weak branch worse than solo training."""
