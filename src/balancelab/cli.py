@@ -10,8 +10,9 @@ Subcommands::
 
 Master-seed precedence: ``--master-seed`` flag, then the ``BALANCELAB_SEED``
 environment variable, then the config ``seed`` key. ``--seeds`` replaces the
-config seed list. Each subcommand accepts only the flags it reads. Exit code
-is 0 only when every run succeeded.
+config seed list; ``evaluate`` reads one run seed, from ``--run-seed``. Each
+subcommand accepts only the flags it reads. Exit code is 0 only when every
+run succeeded.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 from . import datagen, fusion, harness, metrics
 from .config import ExperimentConfig, coerce, parse_config
-from .errors import BalanceLabError
+from .errors import BalanceLabError, ConfigError
 
 ENV_SEED = "BALANCELAB_SEED"
 
@@ -70,6 +71,9 @@ def _cmd_evaluate(args) -> int:
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
     model = harness.read_input("--checkpoint", fusion.load_model, args.checkpoint)
+    if model.num_classes != test_set.num_classes:
+        raise ConfigError(f"--checkpoint {args.checkpoint!r}: a {model.num_classes}-class "
+                          f"model, but the config's data has {test_set.num_classes} classes")
     perf = metrics.evaluate_performance(model, test_set)
     out = {
         "checkpoint": args.checkpoint,
@@ -120,17 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="balancelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=True, jobs=True):
+    def common(p, seeds=("--seeds", "--master-seed"), jobs=True):
         p.add_argument("--config", required=True, help="config file or text")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        if seeds:
+        if "--seeds" in seeds:
             p.add_argument("--seeds", default=None, help="comma-separated run seeds")
+        if "--master-seed" in seeds:
             p.add_argument("--master-seed", type=int, default=None, dest="master_seed")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel (method, seed) cells")
 
     p = sub.add_parser("generate", help="write a synthetic dataset file")
-    common(p, seeds=False, jobs=False)
+    common(p, seeds=(), jobs=False)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("train", help="run the configured method over all seeds")
@@ -138,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics for a saved checkpoint")
-    common(p, jobs=False)
+    common(p, seeds=("--master-seed",), jobs=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--run-seed", default=None, help="run seed whose test split to use")
     p.set_defaults(func=_cmd_evaluate)

@@ -56,8 +56,8 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .datagen import SyntheticSpec
-from .errors import ConfigError
-from .methods import METHODS, PARAMS, MethodSpec
+from .errors import ConfigError, SpecError
+from .methods import METHODS, MethodSpec
 from .trainer import TrainConfig
 
 # each kind the parser reads, by the field annotation it fills
@@ -143,9 +143,11 @@ class ExperimentConfig:
     def train_config(self, seed: int = 0) -> TrainConfig:
         return TrainConfig(seed=seed, **{name: self.get(key) for key, name in _TRAIN_KEYS.items()})
 
-    def method_spec(self) -> MethodSpec:
-        params = {p: self.get(f"method.{p}") for p in PARAMS}
-        return MethodSpec(kind=self.get("method.kind"), **params)
+    def method_spec(self, kind: str | None = None) -> MethodSpec:
+        """The configured method, or registry ``kind``, at its ``method.<param>`` value."""
+        kind = self.get("method.kind") if kind is None else kind
+        param = METHODS[kind].param if kind in METHODS else None
+        return MethodSpec(kind, None if param is None else self.get(f"method.{param}"))
 
     def arch(self, input_dims: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         hidden = self.get("model.hidden")
@@ -262,8 +264,6 @@ def parse_config(source) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
-    from .errors import SpecError
-
     if cfg.dataset_path is not None:
         clash = [k for k in explicit if k.startswith("dataset.") and k != "dataset.path"]
         if clash:
@@ -277,8 +277,14 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
             raise ConfigError(f"dataset.*: {exc}") from None
     try:
         cfg.method_spec()
+        for kind in METHODS:
+            cfg.method_spec(kind)
     except SpecError as exc:
         raise ConfigError(f"method.*: {exc}") from None
+    hidden, feat = cfg.get("model.hidden"), cfg.get("model.feature_dim")
+    if min(hidden + (feat,)) < 1:
+        raise ConfigError(f"model.*: every layer size must be at least 1, got hidden {hidden} "
+                          f"and feature_dim {feat}")
     try:
         cfg.train_config()
     except SpecError as exc:

@@ -43,7 +43,7 @@ from . import __version__ as _VERSION
 from . import datagen, fusion, metrics, trainer
 from .config import ExperimentConfig
 from .errors import BalanceLabError, ConfigError, FormatError
-from .methods import METHODS, PARAMS, MethodSpec
+from .methods import METHODS, MethodSpec
 
 _NUMBER = (int, float)
 # the JSON types each RunRow field may hold; no field holds a bool
@@ -321,12 +321,10 @@ def _stack_worker(payload: tuple) -> list[tuple[RunRow | None, str]]:
     failing cell fails alone and the others keep their rows.
     """
     cfg, keys, sweep_param, ckpt_dir, out_dir = payload
-    method_kind = cfg.get("method.kind")
+    spec = cfg.method_spec()
     cells = []
     for run_seed, value in keys:
-        method = cfg.method_spec()
-        if sweep_param:
-            method = dataclasses.replace(method, **{sweep_param.split(".", 1)[1]: value})
+        method = dataclasses.replace(spec, value=value) if sweep_param else spec
         ckpt_path = None
         if ckpt_dir is not None:
             os.makedirs(ckpt_dir, exist_ok=True)
@@ -341,10 +339,10 @@ def _stack_worker(payload: tuple) -> list[tuple[RunRow | None, str]]:
             row.sweep_value = value
             outs[k] = (row, "")
             if out_dir is not None:
-                path = _cell_path(out_dir, method_kind, run_seed, value)
+                path = _cell_path(out_dir, spec.kind, run_seed, value)
                 fingerprint = _cell_fingerprint(cfg, sweep_param, value)
                 _write_cell(path, {**row.to_dict(), "fingerprint": fingerprint})
-                _log(out_dir, f"finished cell {method_kind} seed={run_seed} value={value}")
+                _log(out_dir, f"finished cell {spec.kind} seed={run_seed} value={value}")
     except Exception as exc:  # noqa: BLE001 - per-cell isolation
         if len(keys) == 1:
             return [(None, str(exc))]
@@ -491,19 +489,15 @@ def run_sweep(
 ) -> RunReport:
     """One run per (value, seed); marks the argmin-imbalance and
     argmax-accuracy settings among the per-value means."""
-    parts = param_path.split(".")
-    if len(parts) != 2 or parts[0] != "method" or parts[1] not in PARAMS:
-        raise ConfigError(
-            f"sweep parameter must be method.<{'|'.join(PARAMS)}>, got {param_path!r}"
-        )
-    active = METHODS[cfg.get("method.kind")]
-    if parts[1] != active.param:
-        reads = f"reads only method.{active.param}" if active.param else "has no parameter"
-        raise ConfigError(f"method {active.name} {reads}, so sweeping {param_path} "
-                          "would train identical cells")
+    spec = cfg.method_spec()
+    param = spec.method.param
+    if param_path != f"method.{param}":
+        reads = f"can sweep only method.{param}" if param else "has no parameter to sweep"
+        raise ConfigError(f"method {spec.kind} {reads}, got {param_path!r}")
     if not values:
         raise ConfigError("need at least one sweep value")
-    values = [float(v) for v in values]
+    # every setting is built, so range-checked, before any cell trains
+    values = [dataclasses.replace(spec, value=float(v)).value for v in values]
 
     def balance(aggregates: list[RunRow]) -> dict | None:
         means = [r for r in aggregates if r.seed == "mean"]
@@ -529,8 +523,9 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
 
     Rows follow the method registry: Baseline first, then by adjustment
     strategy (objective, optimization, feed-forward, data). Best and
-    second-best per column are marked with ``*`` and ``+``. Returns
-    (aligned_text, csv_text).
+    second-best per column are marked with ``*`` and ``+``. A method has one
+    row, so two of its settings (a sweep's values, or two reports of one
+    kind) are a ConfigError. Returns (aligned_text, csv_text).
     """
     if not reports:
         raise ConfigError("need at least one report")
@@ -541,54 +536,35 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
             raise ConfigError("reports were produced on different dataset specs")
 
     by_method: dict[str, RunRow] = {}
-    for rep in reports:
-        for row in rep.aggregates:
-            if row.seed == "mean" and row.method not in by_method:
-                by_method[row.method] = row
+    for row in (r for rep in reports for r in rep.aggregates if r.seed == "mean"):
+        if row.method in by_method:
+            raise ConfigError(f"the reports hold two settings of method {row.method}; "
+                              "the table compares one setting per method")
+        by_method[row.method] = row
     kinds = [kind for kind in METHODS if kind in by_method]
 
-    def ranks(values, reverse):
-        """Indices of best and second-best (None when unavailable)."""
-        pairs = [(v, i) for i, v in enumerate(values) if v is not None]
-        pairs.sort(key=lambda t: (-t[0] if reverse else t[0], t[1]))
-        best = pairs[0][1] if pairs else None
-        second = pairs[1][1] if len(pairs) > 1 else None
-        return best, second
-
-    accs = [by_method[k].acc for k in kinds]
-    f1s = [by_method[k].macro_f1 for k in kinds]
-    imbs = [by_method[k].imbalance for k in kinds]
-    flops = [by_method[k].flops_total for k in kinds]
+    fields = ("acc", "macro_f1", "imbalance", "flops_total")
+    # the best and second-best value per column: highest acc and F1, lowest imbalance and FLOPs
     marks: dict[tuple[int, int], str] = {}
-    for col, (vals, reverse) in enumerate(
-        ((accs, True), (f1s, True), (imbs, False), (flops, False))
-    ):
-        best, second = ranks(vals, reverse)
-        if best is not None:
-            marks[(best, col)] = "*"
-        if second is not None:
-            marks[(second, col)] = "+"
+    for col, name in enumerate(fields):
+        sign = -1 if col < 2 else 1
+        values = [getattr(by_method[kind], name) for kind in kinds]
+        ranked = sorted((sign * v, i) for i, v in enumerate(values) if v is not None)
+        for (_, i), mark in zip(ranked, "*+"):
+            marks[(i, col)] = mark
 
     header = ["method", "category", "acc", "macro_f1", "imbalance", "flops"]
     table_rows = [header]
     csv_lines = [",".join(header)]
     for i, kind in enumerate(kinds):
-        row = by_method[kind]
-
-        def cell(value, col, ndigits=4):
+        cells = [kind, METHODS[kind].category]
+        for col, name in enumerate(fields):
+            value = getattr(by_method[kind], name)
             if value is None:
-                return "-"
-            s = f"{value:.{ndigits}f}" if col < 3 else f"{value:.3g}"
-            return s + marks.get((i, col), "")
-
-        cells = [
-            kind,
-            METHODS[kind].category,
-            cell(row.acc, 0),
-            cell(row.macro_f1, 1),
-            cell(row.imbalance, 2),
-            cell(float(row.flops_total), 3),
-        ]
+                cells.append("-")
+            else:
+                text = f"{value:.4f}" if col < 3 else f"{float(value):.3g}"
+                cells.append(text + marks.get((i, col), ""))
         table_rows.append(cells)
         csv_lines.append(",".join(cells))
 

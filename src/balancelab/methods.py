@@ -2,8 +2,9 @@
 
 ``METHODS`` declares every method once: its strategy, its strength parameter
 (default, valid range, neutral value) and the hooks it implements. Config
-keys, ``MethodSpec`` fields, sweepable parameters, table order and the
-trainer's dispatch are all read from it.
+keys, sweepable parameters, table order and the trainer's dispatch are all
+read from it. A setting is one ``MethodSpec(kind, value)``: a registry kind
+and the strength of its parameter.
 
 Every hook takes a stack of R runs along a leading run axis, as
 ``fusion.forward`` does, and ``value``, the (R,) array of their strengths;
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,9 +108,6 @@ METHODS = {m.name: m for m in (
            sample_weights="resample_weights"),
 )}
 
-# the strength parameters in registry order: MethodSpec fields, config keys
-PARAMS = tuple(m.param for m in METHODS.values() if m.param is not None)
-
 _COS_EPS = 1e-12
 
 
@@ -118,51 +116,41 @@ def resolve(hook: str | None):
     return None if hook is None else globals()[hook]
 
 
-class _MethodSpecBase:
+@dataclass(frozen=True)
+class MethodSpec:
+    """Which balancing method is active, and its strength.
+
+    ``MethodSpec("gradmod", 2.0)``: ``value`` is the strength of ``kind``'s
+    registry parameter, range-checked against that entry; None takes the
+    registry default. Baseline has no parameter, so its value stays None.
+    """
+
+    kind: str = "baseline"
+    value: float | None = None
+
     def __post_init__(self):
         if self.kind not in METHODS:
             raise SpecError(
                 f"unknown method kind {self.kind!r}, choose from {', '.join(METHODS)}"
             )
-        for method in METHODS.values():
-            if method.param is not None:
-                method.check(getattr(self, method.param))
+        if self.value is None:
+            object.__setattr__(self, "value", self.method.default)
+        elif self.method.param is None:
+            raise SpecError(f"method {self.kind} has no parameter, got value {self.value}")
+        else:
+            self.method.check(self.value)
 
     @property
     def method(self) -> Method:
         return METHODS[self.kind]
 
-    @property
-    def value(self) -> float | None:
-        """The value of the active method's parameter (None for baseline)."""
-        param = self.method.param
-        return None if param is None else getattr(self, param)
-
     def is_neutral(self) -> bool:
-        """True when the active parameter sits at its do-nothing value."""
-        return self.method.param is None or self.value == self.method.neutral
+        """True when the value is the entry's do-nothing value (baseline's is None)."""
+        return self.value == self.method.neutral
 
     def active(self) -> Method:
         """The entry whose hooks training runs: baseline's when neutral."""
         return METHODS["baseline"] if self.is_neutral() else self.method
-
-
-MethodSpec = make_dataclass(
-    "MethodSpec",
-    [("kind", str, "baseline")] + [(m.param, float, m.default)
-                                   for m in METHODS.values() if m.param is not None],
-    bases=(_MethodSpecBase,),
-    frozen=True,
-    namespace={
-        "__module__": __name__,
-        "__doc__": """Which balancing method is active, and its hyperparameters.
-
-    ``MethodSpec(kind="gradmod", alpha=2.0)``: one float field per registry
-    parameter, defaulting to the registry default. Only the parameter
-    belonging to ``kind`` is consumed, but every field is range-checked.
-    """,
-    },
-)
 
 
 # ---------------------------------------------------------------------------

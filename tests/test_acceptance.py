@@ -362,12 +362,12 @@ def test_c6_method_off_equivalence():
     base, _ = fit((tr, va), init_model(arch, 3, 4), cfg, MethodSpec())
     base_bytes = params_bytes(base)
     neutrals = [
-        MethodSpec(kind="unimodal_blend", w_uni=0.0),
-        MethodSpec(kind="kl_align", kl_weight=0.0),
-        MethodSpec(kind="gradmod", alpha=0.0),
-        MethodSpec(kind="feature_mask", rho_mask=0.0),
-        MethodSpec(kind="feature_drop", p_max=0.0),
-        MethodSpec(kind="resample", tau=math.inf),
+        MethodSpec("unimodal_blend", 0.0),
+        MethodSpec("kl_align", 0.0),
+        MethodSpec("gradmod", 0.0),
+        MethodSpec("feature_mask", 0.0),
+        MethodSpec("feature_drop", 0.0),
+        MethodSpec("resample", math.inf),
     ]
     mismatched = []
     for method in neutrals:

@@ -35,10 +35,9 @@ def cell(kind, value, seed):
     """One run's inputs; each seed has its own data, split, init and batch order."""
     data = generate(SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, seed))
     train, val, _ = split(data, (0.8, 0.1, 0.1), seed)
-    kwargs = {} if value is None else {METHODS[kind].param: value}
     model = init_model([[6, 8, 4], [6, 8, 4]], 3, 10 + seed)
     return (train, val), model, TrainConfig(epochs=3, batch_size=32, seed=100 + seed), \
-        MethodSpec(kind=kind, **kwargs)
+        MethodSpec(kind, value)
 
 
 @pytest.mark.parametrize("kind", list(METHODS))

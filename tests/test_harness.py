@@ -7,8 +7,8 @@ import pytest
 from balancelab import cli, config, harness, trainer
 from balancelab.config import ExperimentConfig, coerce, parse_config, parse_config_text
 from balancelab.datagen import SyntheticSpec
-from balancelab.errors import ConfigError, FormatError
-from balancelab.methods import PARAMS
+from balancelab.errors import ConfigError, FormatError, SpecError
+from balancelab.methods import METHODS, MethodSpec
 
 TINY = """
 dataset.samples = 300
@@ -34,7 +34,7 @@ class TestParseConfig:
     def test_method_mapping(self):
         cfg = parse_config_text('method.kind = "gradmod"\nmethod.alpha = 1.0\n')
         spec = cfg.method_spec()
-        assert spec.kind == "gradmod" and spec.alpha == 1.0
+        assert spec.kind == "gradmod" and spec.value == 1.0
 
     def test_misspelled_key_is_named(self):
         with pytest.raises(ConfigError) as err:
@@ -71,9 +71,10 @@ class TestParseConfig:
                 key = line.split()[0]
                 rows[key] = ""
             rows[key] += line
-        assert set(rows) == set(config._SCHEMA) - {f"method.{p}" for p in PARAMS} | {
+        params = [m.param for m in METHODS.values() if m.param is not None]
+        assert set(rows) == set(config._SCHEMA) - {f"method.{p}" for p in params} | {
             "method.<param>"}
-        assert all(p in rows["method.<param>"] for p in PARAMS)
+        assert all(p in rows["method.<param>"] for p in params)
         for key, (kind, default) in config._SCHEMA.items():
             if key in rows:
                 _, shown_kind, rest = rows[key].split(maxsplit=2)
@@ -101,6 +102,22 @@ class TestParseConfig:
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):
             parse_config_text("eval.fractions = 0.5,0.4,0.2\n")
+
+    @pytest.mark.parametrize("line", ["model.hidden = 0", "model.hidden = 24,0",
+                                      "model.feature_dim = -1"])
+    def test_layer_size_below_1(self, line):
+        with pytest.raises(ConfigError, match=r"^model\.\*: "):
+            parse_config_text(line + "\n")
+
+    def test_method_key_the_kind_never_reads_is_checked(self):
+        with pytest.raises(ConfigError, match=r"^method\.\*: tau must be in"):
+            parse_config_text("method.kind = gradmod\nmethod.tau = 0\n")
+
+    def test_method_spec_of_any_kind(self):
+        cfg = parse_config_text("method.kind = gradmod\nmethod.tau = 0.7\n")
+        assert cfg.method_spec("resample") == MethodSpec("resample", 0.7)
+        assert cfg.method_spec("baseline") == MethodSpec()
+        assert cfg.method_spec() == MethodSpec("gradmod")
 
 
 class TestRunExperiment:
@@ -293,6 +310,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             harness.run_sweep(cfg.with_key("method.kind", "gradmod"), "method.tau", [1.0])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_out_of_range_value_fails_before_any_cell_trains(self, tmp_path, jobs):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        out = tmp_path / "out"
+        with pytest.raises(SpecError, match="alpha must be in"):
+            harness.run_sweep(cfg, "method.alpha", [1.0, -1.0], out_dir=str(out), jobs=jobs)
+        assert not (out / "report.json").exists()
+        assert not (out / "cells").exists()
+
     def test_resume_reuses_cells(self, tmp_path, monkeypatch):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
         out = str(tmp_path / "out")
@@ -384,6 +410,15 @@ class TestCompareTable:
         with pytest.raises(ConfigError):
             harness.compare_table([a, b])
 
+    def test_two_settings_of_one_method_rejected(self):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
+        sweep = harness.run_sweep(cfg, "method.alpha", [0.0, 4.0])
+        with pytest.raises(ConfigError, match="two settings of method gradmod"):
+            harness.compare_table([sweep])
+        one, other = (harness.run_experiment(cfg.with_key("method.alpha", a)) for a in (0.0, 4.0))
+        with pytest.raises(ConfigError, match="two settings of method gradmod"):
+            harness.compare_table([self.make_report("baseline"), one, other])
+
 
 class TestCli:
     def test_generate_train_evaluate_table(self, tmp_path, capsys):
@@ -422,6 +457,19 @@ class TestCli:
         report = json.loads((tmp_path / "sw" / "report.json").read_text())
         assert report["sweep_param"] == "method.alpha"
         assert len(report["rows"]) == 2
+
+    def test_checkpoint_of_another_class_count_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY)
+        runs = tmp_path / "runs"
+        assert cli.main(["train", "--config", TINY + "dataset.classes = 5\n", "--seeds", "1",
+                         "--out", str(runs)]) == 0
+        ckpt = runs / "ckpt_baseline_seed1.mmck"
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--run-seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --checkpoint '{ckpt}'") and "5-class" in err
 
     def test_missing_dataset_path_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -548,7 +596,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [["generate", "--jobs", "2"],
                                       ["generate", "--seeds", "1,2"],
-                                      ["evaluate", "--checkpoint", "m.mmck", "--jobs", "2"]])
+                                      ["evaluate", "--checkpoint", "m.mmck", "--jobs", "2"],
+                                      ["evaluate", "--checkpoint", "m.mmck", "--seeds", "1"]])
     def test_unread_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--config", "seeds = 1"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.errors import SpecError
 from balancelab.fusion import FusionModel, init_model
 from balancelab.methods import (
+    METHODS,
     MethodSpec,
     cosine_objective,
     feature_drop,
@@ -86,22 +88,34 @@ class TestMethodSpec:
 
     def test_negative_strength(self):
         with pytest.raises(SpecError):
-            MethodSpec(kind="gradmod", alpha=-1.0)
+            MethodSpec("gradmod", -1.0)
 
     def test_rho_range(self):
         with pytest.raises(SpecError):
-            MethodSpec(kind="feature_mask", rho_mask=1.5)
+            MethodSpec("feature_mask", 1.5)
 
     def test_neutral_values(self):
         assert MethodSpec().is_neutral()
-        assert MethodSpec(kind="unimodal_blend", w_uni=0.0).is_neutral()
-        assert MethodSpec(kind="kl_align", kl_weight=0.0).is_neutral()
-        assert MethodSpec(kind="gradmod", alpha=0.0).is_neutral()
-        assert MethodSpec(kind="feature_mask", rho_mask=0.0).is_neutral()
-        assert MethodSpec(kind="feature_drop", p_max=0.0).is_neutral()
-        assert MethodSpec(kind="resample", tau=math.inf).is_neutral()
+        assert MethodSpec("unimodal_blend", 0.0).is_neutral()
+        assert MethodSpec("kl_align", 0.0).is_neutral()
+        assert MethodSpec("gradmod", 0.0).is_neutral()
+        assert MethodSpec("feature_mask", 0.0).is_neutral()
+        assert MethodSpec("feature_drop", 0.0).is_neutral()
+        assert MethodSpec("resample", math.inf).is_neutral()
         assert not MethodSpec(kind="cosine").is_neutral()
-        assert not MethodSpec(kind="gradmod", alpha=1.0).is_neutral()
+        assert not MethodSpec("gradmod", 1.0).is_neutral()
+
+    def test_a_setting_is_a_kind_and_a_value(self):
+        assert [f.name for f in dataclasses.fields(MethodSpec)] == ["kind", "value"]
+        assert MethodSpec().value is None
+        for kind, entry in METHODS.items():
+            if entry.param is not None:
+                assert MethodSpec(kind).value == entry.default
+                assert MethodSpec(kind, entry.default) == MethodSpec(kind)
+
+    def test_baseline_takes_no_value(self):
+        with pytest.raises(SpecError, match="baseline has no parameter"):
+            MethodSpec("baseline", 0.0)
 
     def test_categories(self):
         assert MethodSpec(kind="kl_align").method.category == "objective"
@@ -497,12 +511,12 @@ class TestNeutralEquivalence:
     @pytest.mark.parametrize(
         "method",
         [
-            MethodSpec(kind="unimodal_blend", w_uni=0.0),
-            MethodSpec(kind="kl_align", kl_weight=0.0),
-            MethodSpec(kind="gradmod", alpha=0.0),
-            MethodSpec(kind="feature_mask", rho_mask=0.0),
-            MethodSpec(kind="feature_drop", p_max=0.0),
-            MethodSpec(kind="resample", tau=math.inf),
+            MethodSpec("unimodal_blend", 0.0),
+            MethodSpec("kl_align", 0.0),
+            MethodSpec("gradmod", 0.0),
+            MethodSpec("feature_mask", 0.0),
+            MethodSpec("feature_drop", 0.0),
+            MethodSpec("resample", math.inf),
         ],
     )
     def test_neutral_method_is_bitwise_baseline(self, method):
