@@ -1,28 +1,28 @@
 """Config-driven experiment runner: seeded runs, sweeps, comparison tables.
 
-Every run is one (method, seed) cell. A cell derives four independent
-generator seeds (data, split, init, train) from the pair (master seed, run
-seed), executes the full pipeline, and produces one report row:
+Every run is one (setting, seed) cell, a setting being one
+``MethodSpec(kind, value)``. A cell derives four independent generator
+seeds (data, split, init, train) from the pair (master seed, run seed),
+executes the full pipeline, and produces one report row:
 
     method, seed, sweep_param, sweep_value, acc, macro_f1,
     phi_1..phi_m, imbalance, flops_total, best_epoch
 
-``run_experiment`` (one value, None) and ``run_sweep`` (the swept values)
-share one report path: cells, then aggregates, then the written report.
-The modality count, which sets the report's phi columns, is read before
-any cell trains: ``dataset.modalities`` for synthetic data, the MMDS header
-(``datagen.read_header``) for a dataset file.
+``run_experiment`` (the configured setting) and ``run_sweep`` (one setting
+per value) share one report path: cells, then aggregates, then the written
+report. The modality count, which sets the report's phi columns, is read
+before any cell trains: ``dataset.modalities`` for synthetic data, the MMDS
+header (``datagen.read_header``) for a dataset file.
 
-The uncached cells of one call (a sweep's values x seeds, or an experiment's
-seeds) share one config and shapes, so they train together as one
-``trainer.fit`` stack; ``jobs`` (at least 1) splits that stack across
-worker processes.
-A stack's runs train in lockstep, so results are kept per stack: each cell
-is written to ``<out>/cells/`` as soon as it is evaluated after its stack
-has trained, and an interrupted call resumes without recomputing those
-cells, but it retrains every cell of a stack still training.
-Each cell file carries a fingerprint of the config that produced it; a cell
-whose fingerprint differs, or that cannot be read, is recomputed.
+Each cell's record (its cell file, fingerprint and checkpoint path) is made
+once per call, and both the cache read and the worker's write use it. The
+uncached cells of one call share one config and shapes, so they train as
+one ``trainer.fit`` stack; ``jobs`` (at least 1) splits it across worker
+processes. Each cell is written to ``<out>/cells/`` as soon as it is
+evaluated after its stack has trained, so an interrupted call resumes
+without recomputing those cells, but it retrains every cell of a stack
+still training. A cell file whose config fingerprint differs, that cannot
+be read, or whose asked-for checkpoint is missing, is recomputed.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
 """
@@ -52,6 +52,8 @@ _ROW_TYPES = {
     "acc": _NUMBER, "macro_f1": _NUMBER, "phi": (list, type(None)),
     "imbalance": (*_NUMBER, type(None)), "flops_total": _NUMBER, "best_epoch": _NUMBER,
 }
+# each balance point, and the marker its sweep value's mean row carries
+_MARKERS = (("absolute", "argmin_imbalance"), ("relative", "argmax_accuracy"))
 
 
 def _is(value, types) -> bool:
@@ -122,38 +124,21 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def json_dict(self) -> dict:
-        agg = []
-        markers = self._markers()
+        points = self.balance_points or {}
+        aggregates = []
         for row in self.aggregates:
-            d = row.to_dict()
-            d["marker"] = markers.get((row.method, row.sweep_value, row.seed), [])
-            agg.append(d)
+            marker = [tag for key, tag in _MARKERS if row.seed == "mean" and points.get(key)
+                      and points[key]["sweep_value"] == row.sweep_value]
+            aggregates.append({**row.to_dict(), "marker": marker})
         return {
             "version": _VERSION,
             "config": self.config.to_dict(),
             "sweep_param": self.sweep_param,
             "rows": [r.to_dict() for r in self.rows],
-            "aggregates": agg,
+            "aggregates": aggregates,
             "balance_points": self.balance_points,
             "errors": self.errors,
         }
-
-    def _markers(self) -> dict:
-        out: dict = {}
-        if self.balance_points:
-            absol = self.balance_points.get("absolute")
-            rel = self.balance_points.get("relative")
-            for row in self.aggregates:
-                if row.seed != "mean":
-                    continue
-                tags = []
-                if absol is not None and row.sweep_value == absol["sweep_value"]:
-                    tags.append("argmin_imbalance")
-                if rel is not None and row.sweep_value == rel["sweep_value"]:
-                    tags.append("argmax_accuracy")
-                if tags:
-                    out[(row.method, row.sweep_value, row.seed)] = tags
-        return out
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -208,27 +193,39 @@ def _modality_count(cfg: ExperimentConfig) -> int:
     return read_input("dataset.path", datagen.read_header, cfg.dataset_path)[0]
 
 
-def _train_cells(cfg: ExperimentConfig, cells: list[tuple[int, MethodSpec, str | None]]):
-    """Execute (run seed, method, checkpoint path) cells of one config together.
+@dataclass(frozen=True)
+class _Cell:
+    """One (setting, seed) cell and where its results go; made once per call."""
+
+    seed: int
+    spec: MethodSpec
+    sweep_value: float | None = None  # the spec's value in a sweep, None in an experiment
+    path: str | None = None  # its cell file, None without an output directory
+    fingerprint: str = ""
+    ckpt: str | None = None  # its checkpoint file, None when none is asked for
+
+
+def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
+    """Execute cells of one config together.
 
     Each run seed's split is made once and only the split is kept (a
     dataset file, the same data for every seed, is read once); every cell
-    trains in one ``trainer.fit`` stack, then saves its checkpoint,
-    evaluates and computes Shapley contributions on its own. Yields
-    ``(index, row)`` as each cell is evaluated.
+    trains in one ``trainer.fit`` stack, then saves its checkpoint if it has
+    a path, evaluates and computes Shapley contributions on its own. Yields
+    ``(cell, row)`` as each cell is evaluated.
     """
     prepared = {}
     file_data = None
     splits, models, configs, ledgers = [], [], [], []
-    for run_seed, _, _ in cells:
-        data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, run_seed)
-        if run_seed not in prepared:
+    for cell in cells:
+        data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
+        if cell.seed not in prepared:
             data = file_data if file_data is not None else load_run_data(cfg, data_seed)
             if cfg.dataset_path is not None:
                 file_data = data
-            prepared[run_seed] = datagen.split(data, cfg.fractions, split_seed)
+            prepared[cell.seed] = datagen.split(data, cfg.fractions, split_seed)
             del data
-        train_set, val_set, _ = prepared[run_seed]
+        train_set, val_set, _ = prepared[cell.seed]
         splits.append((train_set, val_set))
         models.append(
             fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
@@ -236,27 +233,22 @@ def _train_cells(cfg: ExperimentConfig, cells: list[tuple[int, MethodSpec, str |
         configs.append(cfg.train_config(seed=train_seed))
         ledgers.append(metrics.FlopsLedger())
     del file_data
-    trained = trainer.fit(splits, models, configs, [method for _, method, _ in cells], ledgers)
+    trained = trainer.fit(splits, models, configs, [cell.spec for cell in cells], ledgers)
 
-    for k, ((run_seed, method, checkpoint_path), (best, log), ledger) in enumerate(
-            zip(cells, trained, ledgers)):
-        test_set = prepared[run_seed][2]
-        if checkpoint_path is not None:
-            fusion.save_model(best, checkpoint_path)
+    for cell, (best, log), ledger in zip(cells, trained, ledgers):
+        test_set = prepared[cell.seed][2]
+        if cell.ckpt is not None:
+            fusion.save_model(best, cell.ckpt)
         perf = metrics.evaluate_performance(best, test_set)
-        phi = None
-        imb = None
-        if cfg.shapley_enabled:
-            rep = metrics.shapley(best, test_set)
-            phi = tuple(float(p) for p in rep.phi)
-            imb = rep.imbalance
-        yield k, RunRow(
-            method=method.kind,
-            seed=run_seed,
+        rep = metrics.shapley(best, test_set) if cfg.shapley_enabled else None
+        yield cell, RunRow(
+            method=cell.spec.kind,
+            seed=cell.seed,
+            sweep_value=cell.sweep_value,
             acc=perf.accuracy,
             macro_f1=perf.macro_f1,
-            phi=phi,
-            imbalance=imb,
+            phi=None if rep is None else tuple(float(p) for p in rep.phi),
+            imbalance=None if rep is None else rep.imbalance,
             flops_total=ledger.total,
             best_epoch=log.best_epoch,
         )
@@ -264,19 +256,13 @@ def _train_cells(cfg: ExperimentConfig, cells: list[tuple[int, MethodSpec, str |
 
 def run_single(cfg: ExperimentConfig, run_seed: int) -> RunRow:
     """Execute one cell of the configured method and return its report row."""
-    return next(_train_cells(cfg, [(run_seed, cfg.method_spec(), None)]))[1]
-
-
-def _value_tag(value) -> str:
-    if value is None:
-        return "none"
-    return repr(float(value)).replace(".", "p").replace("-", "m")
+    return next(_train_cells(cfg, [_Cell(run_seed, cfg.method_spec())]))[1]
 
 
 def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
-    return os.path.join(
-        out_dir, "cells", f"{method_kind}__seed{run_seed}__{_value_tag(sweep_value)}.json"
-    )
+    value = "none" if sweep_value is None else repr(float(sweep_value))
+    tag = value.replace(".", "p").replace("-", "m")
+    return os.path.join(out_dir, "cells", f"{method_kind}__seed{run_seed}__{tag}.json")
 
 
 def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, sweep_value) -> str:
@@ -312,47 +298,34 @@ def _write_cell(path, row_dict: dict) -> None:
     os.replace(tmp, path)
 
 
-def _stack_worker(payload: tuple) -> list[tuple[RunRow | None, str]]:
-    """Train one stack of (seed, value) cells; top-level so it can run in a pool.
+def _stack_worker(cfg: ExperimentConfig, cells: list[_Cell], sweep_param: str,
+                  out_dir) -> list[tuple[RunRow | None, str]]:
+    """Train one stack of cells; top-level so it can run in a pool.
 
-    With ``out_dir`` set, each cell's file is written as soon as that cell
-    is evaluated. Returns, per cell, its row or its error text. If the
+    Each cell with a file path is written, under its fingerprint, as soon
+    as it is evaluated. Returns, per cell, its row or its error text. If the
     stack fails, the cells it did not finish are retrained one by one, so a
     failing cell fails alone and the others keep their rows.
     """
-    cfg, keys, sweep_param, ckpt_dir, out_dir = payload
-    spec = cfg.method_spec()
-    cells = []
-    for run_seed, value in keys:
-        method = dataclasses.replace(spec, value=value) if sweep_param else spec
-        ckpt_path = None
-        if ckpt_dir is not None:
-            os.makedirs(ckpt_dir, exist_ok=True)
-            ckpt_path = os.path.join(ckpt_dir, f"ckpt_{method.kind}_seed{run_seed}.mmck")
-        cells.append((run_seed, method, ckpt_path))
-
-    outs: dict[int, tuple[RunRow | None, str]] = {}
+    outs: dict[_Cell, tuple[RunRow | None, str]] = {}
     try:
-        for k, row in _train_cells(cfg, cells):
-            run_seed, value = keys[k]
+        for cell, row in _train_cells(cfg, cells):
             row.sweep_param = sweep_param
-            row.sweep_value = value
-            outs[k] = (row, "")
-            if out_dir is not None:
-                path = _cell_path(out_dir, spec.kind, run_seed, value)
-                fingerprint = _cell_fingerprint(cfg, sweep_param, value)
-                _write_cell(path, {**row.to_dict(), "fingerprint": fingerprint})
-                _log(out_dir, f"finished cell {spec.kind} seed={run_seed} value={value}")
+            outs[cell] = (row, "")
+            if cell.path is not None:
+                _write_cell(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
+                _log(out_dir, f"finished cell {cell.spec.kind} seed={cell.seed} "
+                              f"value={cell.sweep_value}")
     except Exception as exc:  # noqa: BLE001 - per-cell isolation
-        if len(keys) == 1:
+        if len(cells) == 1:
             return [(None, str(exc))]
-        for k, key in enumerate(keys):
-            if k not in outs:
-                [outs[k]] = _stack_worker((cfg, [key], sweep_param, ckpt_dir, out_dir))
-    return [outs[k] for k in range(len(keys))]
+        for cell in cells:
+            if cell not in outs:
+                [outs[cell]] = _stack_worker(cfg, [cell], sweep_param, out_dir)
+    return [outs[cell] for cell in cells]
 
 
-def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
+def _aggregate(rows: list[RunRow]) -> list[RunRow]:
     """Mean and population-std rows per (method, sweep_value) group."""
     groups: dict[tuple[str, float | None], list[RunRow]] = {}
     for row in rows:
@@ -362,69 +335,64 @@ def _aggregate(rows: list[RunRow], m: int) -> list[RunRow]:
     for (method, value), members in groups.items():
         have_phi = all(r.phi is not None for r in members)
         for stat, fn in (("mean", np.mean), ("std", np.std)):
-            phi = None
-            imb = None
+            agg = RunRow(method, stat, members[0].sweep_param, value)
+            for name in ("acc", "macro_f1", "imbalance", "flops_total", "best_epoch"):
+                if name != "imbalance" or have_phi:
+                    setattr(agg, name, float(fn([getattr(r, name) for r in members])))
             if have_phi:
-                phi = tuple(
-                    float(fn([r.phi[i] for r in members])) for i in range(m)
-                )
-                imb = float(fn([r.imbalance for r in members]))
-            out.append(
-                RunRow(
-                    method=method,
-                    seed=stat,
-                    sweep_param=members[0].sweep_param,
-                    sweep_value=value,
-                    acc=float(fn([r.acc for r in members])),
-                    macro_f1=float(fn([r.macro_f1 for r in members])),
-                    phi=phi,
-                    imbalance=imb,
-                    flops_total=float(fn([r.flops_total for r in members])),
-                    best_epoch=float(fn([r.best_epoch for r in members])),
-                )
-            )
+                agg.phi = tuple(float(fn(column)) for column in zip(*(r.phi for r in members)))
+            out.append(agg)
     return out
 
 
 def _run_cells(
     cfg: ExperimentConfig,
-    cells: list[tuple[int, float | None]],
+    cells: list[tuple[int, MethodSpec]],
     sweep_param: str,
     out_dir,
     jobs: int,
-    errors: list[dict],
     ckpt_dir=None,
-) -> list[RunRow]:
-    """Run (seed, value) cells, reusing completed cell files of the same config.
+) -> tuple[list[RunRow], list[dict]]:
+    """Run (seed, setting) cells, reusing completed cell files of the same config.
 
     The cells left to compute train as one stack, split into ``jobs``
-    contiguous stacks when ``jobs > 1``.
+    contiguous stacks when ``jobs > 1``. Returns the rows in cell order and
+    the failed cells.
     """
-    method_kind = cfg.get("method.kind")
-    fingerprints = {value: _cell_fingerprint(cfg, sweep_param, value) for _, value in cells}
-    rows: dict[tuple[int, float | None], RunRow] = {}
+    if ckpt_dir is not None:
+        os.makedirs(ckpt_dir, exist_ok=True)
+    records = []
+    for seed, spec in cells:
+        value = spec.value if sweep_param else None
+        fingerprint = _cell_fingerprint(cfg, sweep_param, value)
+        path = None if out_dir is None else _cell_path(out_dir, spec.kind, seed, value)
+        ckpt_name = f"ckpt_{spec.kind}_seed{seed}.mmck"
+        ckpt = None if ckpt_dir is None else os.path.join(ckpt_dir, ckpt_name)
+        records.append(_Cell(seed, spec, value, path, fingerprint, ckpt))
+
+    rows: dict[_Cell, RunRow] = {}
     todo = []
-    for run_seed, value in cells:
-        if out_dir is not None:
-            path = _cell_path(out_dir, method_kind, run_seed, value)
-            if os.path.exists(path):
-                row, problem = _read_cell(path, fingerprints[value])
-                if row is not None:
-                    rows[(run_seed, value)] = row
-                    _log(out_dir, f"reused cell {method_kind} seed={run_seed} value={value}")
-                    continue
-                _log(out_dir, f"recomputing cell {method_kind} seed={run_seed} "
-                              f"value={value}: cached cell {problem}")
-        todo.append((run_seed, value))
+    for cell in records:
+        name = f"cell {cell.spec.kind} seed={cell.seed} value={cell.sweep_value}"
+        if cell.path is not None and os.path.exists(cell.path):
+            row, problem = _read_cell(cell.path, cell.fingerprint)
+            if row is not None and cell.ckpt is not None and not os.path.exists(cell.ckpt):
+                row, problem = None, "has no checkpoint"
+            if row is not None:
+                rows[cell] = row
+                _log(out_dir, f"reused {name}")
+                continue
+            _log(out_dir, f"recomputing {name}: cached cell {problem}")
+        todo.append(cell)
 
     # contiguous stacks in cell order, so errors list in the same order for any jobs
     n_stacks = min(jobs, len(todo))
     stacks = [todo[k * len(todo) // n_stacks:(k + 1) * len(todo) // n_stacks]
               for k in range(n_stacks)]
-    payloads = [(cfg, stack, sweep_param, ckpt_dir, out_dir) for stack in stacks]
+    payloads = [(cfg, stack, sweep_param, out_dir) for stack in stacks]
     if n_stacks > 1:
         with ProcessPoolExecutor(max_workers=n_stacks) as pool:
-            futures = [pool.submit(_stack_worker, payload) for payload in payloads]
+            futures = [pool.submit(_stack_worker, *payload) for payload in payloads]
             results = []
             for stack, fut in zip(stacks, futures):
                 try:
@@ -432,39 +400,54 @@ def _run_cells(
                 except Exception as exc:  # noqa: BLE001 - a lost worker fails its cells
                     results.append([(None, str(exc))] * len(stack))
     else:
-        results = [_stack_worker(payload) for payload in payloads]
+        results = [_stack_worker(*payload) for payload in payloads]
 
+    errors = []
     for stack, outs in zip(stacks, results):
-        for key, (row, error) in zip(stack, outs):
+        for cell, (row, error) in zip(stack, outs):
             if row is not None:
-                rows[key] = row
+                rows[cell] = row
             else:
-                errors.append({"seed": key[0], "sweep_value": key[1], "error": error})
-                _log(out_dir, f"cell failed seed={key[0]} value={key[1]}: {error}")
+                errors.append({"seed": cell.seed, "sweep_value": cell.sweep_value, "error": error})
+                _log(out_dir, f"cell failed seed={cell.seed} value={cell.sweep_value}: {error}")
 
-    return [rows[key] for key in cells if key in rows]
+    return [rows[cell] for cell in records if cell in rows], errors
 
 
-def _report(cfg: ExperimentConfig, sweep_param: str, values: list, out_dir, jobs: int,
-            ckpt_dir=None, balance=None) -> RunReport:
-    """Run every (value, seed) cell, aggregate, and write report.csv/.json.
+def _balance_points(means: list[RunRow], values: list) -> dict:
+    """The argmin-imbalance ("absolute") and argmax-accuracy ("relative") settings
+    among a sweep's mean rows (at least one); a tie goes to the earlier value."""
+    points = {}
+    with_imb = [r for r in means if r.imbalance is not None]
+    if with_imb:
+        best_imb = min(with_imb, key=lambda r: (r.imbalance, values.index(r.sweep_value)))
+        points["absolute"] = {"sweep_value": best_imb.sweep_value, "imbalance": best_imb.imbalance}
+    best_acc = max(means, key=lambda r: (r.acc, -values.index(r.sweep_value)))
+    points["relative"] = {"sweep_value": best_acc.sweep_value, "acc": best_acc.acc}
+    return points
 
-    ``balance(aggregates)`` gives the report's balance points. Raises when
-    every cell failed, after writing the report that lists the failures.
+
+def _report(cfg: ExperimentConfig, sweep_param: str, specs: list[MethodSpec], out_dir,
+            jobs: int, ckpt_dir=None) -> RunReport:
+    """Run every (setting, seed) cell, aggregate, and write report.csv/.json.
+
+    A sweep's report carries its balance points. Raises when every cell
+    failed, after writing the report that lists the failures.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cells = [(s, v) for v in values for s in cfg.seeds]
+    cells = [(s, spec) for spec in specs for s in cfg.seeds]
     repeated = next((c for k, c in enumerate(cells) if c in cells[:k]), None)
     if repeated is not None:
+        value = repeated[1].value if sweep_param else None
         raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
-                          f"(seed {repeated[0]}, value {repeated[1]}) twice")
+                          f"(seed {repeated[0]}, value {value}) twice")
     m = _modality_count(cfg)
-    errors: list[dict] = []
-    rows = _run_cells(cfg, cells, sweep_param, out_dir, jobs, errors, ckpt_dir)
-    aggregates = _aggregate(rows, m)
-    report = RunReport(rows, aggregates, m, cfg, sweep_param,
-                       balance(aggregates) if balance else None, errors)
+    rows, errors = _run_cells(cfg, cells, sweep_param, out_dir, jobs, ckpt_dir)
+    aggregates = _aggregate(rows)
+    means = [r for r in aggregates if r.seed == "mean"]
+    points = _balance_points(means, [s.value for s in specs]) if sweep_param and means else None
+    report = RunReport(rows, aggregates, m, cfg, sweep_param, points, errors)
     if out_dir is not None:
         report.write(out_dir)
     if not rows:
@@ -477,7 +460,7 @@ def run_experiment(
 ) -> RunReport:
     """Run the configured method over every seed; write report.csv/.json."""
     ckpt_dir = out_dir if save_checkpoints else None
-    return _report(cfg, "", [None], out_dir, jobs, ckpt_dir)
+    return _report(cfg, "", [cfg.method_spec()], out_dir, jobs, ckpt_dir)
 
 
 def run_sweep(
@@ -497,25 +480,8 @@ def run_sweep(
     if not values:
         raise ConfigError("need at least one sweep value")
     # every setting is built, so range-checked, before any cell trains
-    values = [dataclasses.replace(spec, value=float(v)).value for v in values]
-
-    def balance(aggregates: list[RunRow]) -> dict | None:
-        means = [r for r in aggregates if r.seed == "mean"]
-        if not means:
-            return None
-        points = {}
-        with_imb = [r for r in means if r.imbalance is not None]
-        if with_imb:
-            best_imb = min(with_imb, key=lambda r: (r.imbalance, values.index(r.sweep_value)))
-            points["absolute"] = {
-                "sweep_value": best_imb.sweep_value,
-                "imbalance": best_imb.imbalance,
-            }
-        best_acc = max(means, key=lambda r: (r.acc, -values.index(r.sweep_value)))
-        points["relative"] = {"sweep_value": best_acc.sweep_value, "acc": best_acc.acc}
-        return points
-
-    return _report(cfg, param_path, values, out_dir, jobs, balance=balance)
+    specs = [dataclasses.replace(spec, value=float(v)) for v in values]
+    return _report(cfg, param_path, specs, out_dir, jobs)
 
 
 def compare_table(reports: list[RunReport]) -> tuple[str, str]:
@@ -525,15 +491,19 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
     strategy (objective, optimization, feed-forward, data). Best and
     second-best per column are marked with ``*`` and ``+``. A method has one
     row, so two of its settings (a sweep's values, or two reports of one
-    kind) are a ConfigError. Returns (aligned_text, csv_text).
+    kind) are a ConfigError, as is a report with no successful run.
+    Returns (aligned_text, csv_text).
     """
     if not reports:
         raise ConfigError("need at least one report")
     ds0 = {k: v for k, v in reports[0].config.to_dict().items() if k.startswith("dataset.")}
-    for rep in reports[1:]:
+    for rep in reports:
         ds = {k: v for k, v in rep.config.to_dict().items() if k.startswith("dataset.")}
         if ds != ds0:
             raise ConfigError("reports were produced on different dataset specs")
+        if all(r.seed != "mean" for r in rep.aggregates):
+            raise ConfigError(f"the report of method {rep.config.get('method.kind')} holds "
+                              "no successful run, so it has no row to compare")
 
     by_method: dict[str, RunRow] = {}
     for row in (r for rep in reports for r in rep.aggregates if r.seed == "mean"):

@@ -7,7 +7,7 @@ import pytest
 from balancelab import cli, config, harness, trainer
 from balancelab.config import ExperimentConfig, coerce, parse_config, parse_config_text
 from balancelab.datagen import SyntheticSpec
-from balancelab.errors import ConfigError, FormatError, SpecError
+from balancelab.errors import BalanceLabError, ConfigError, FormatError, SpecError
 from balancelab.methods import METHODS, MethodSpec
 
 TINY = """
@@ -321,7 +321,7 @@ class TestRunSweep:
 
     def test_resume_reuses_cells(self, tmp_path, monkeypatch):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
-        out = str(tmp_path / "out")
+        out = tmp_path / "out"
         calls = {"n": 0}
         real = trainer.fit
 
@@ -330,12 +330,38 @@ class TestRunSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(trainer, "fit", counting)
-        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
-        assert calls["n"] > 0
+        # written by two worker processes, reused by one
+        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out), jobs=2)
+        written = (out / "report.json").read_bytes()
         calls["n"] = 0
-        again = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=out)
+        again = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
         assert calls["n"] == 0  # every cell came from disk
         assert len(again.rows) == 4
+        assert (out / "report.json").read_bytes() == written
+        harness.run_sweep(cfg, "method.alpha", [0.0, 1.0, 2.0], out_dir=str(out))
+        assert calls["n"] == 1  # only the new value's cells trained, as one stack
+
+    def test_cached_cell_without_its_checkpoint_recomputed(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        out = tmp_path / "out"
+        first = harness.run_experiment(cfg, out_dir=str(out))
+        assert not list(out.glob("*.mmck"))
+        again = harness.run_experiment(cfg, out_dir=str(out), save_checkpoints=True)
+        for seed in (1, 2):
+            assert (out / f"ckpt_gradmod_seed{seed}.mmck").exists()
+        assert (out / "run.log").read_text().count("cached cell has no checkpoint") == 2
+        assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in first.rows]
+
+    def test_cache_key_pinned(self):
+        # cells cached by earlier versions stay valid only while these hold; a change
+        # that alters the key on purpose updates the literals
+        cfg = parse_config_text("method.kind = gradmod\n")
+        assert harness._cell_fingerprint(cfg, "method.alpha", 0.5) == (
+            "f334ed448fb620714358aa3ffda4cf09e2aa719f5eb33fc58411677ee829543b")
+        assert harness._cell_fingerprint(cfg, "", None) == (
+            "31c07103bbf0fa818707ecc4e400300742ef5b708e268ba65f30ce99f6ea6c90")
+        assert harness._cell_path("out", "gradmod", 3, 0.5) == os.path.join(
+            "out", "cells", "gradmod__seed3__0p5.json")
 
     def test_interrupt_keeps_cells_already_evaluated(self, tmp_path, monkeypatch):
         from balancelab import metrics
@@ -409,6 +435,16 @@ class TestCompareTable:
         b = harness.run_experiment(other.with_key("seeds", (1,)))
         with pytest.raises(ConfigError):
             harness.compare_table([a, b])
+
+    def test_report_without_a_successful_run_rejected(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("train.lr", 1e300)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BalanceLabError):
+            harness.run_experiment(cfg, out_dir=str(out))
+        failed = harness.load_report(out / "report.json")
+        assert failed.errors and not failed.aggregates
+        with pytest.raises(ConfigError, match="method gradmod holds no successful run"):
+            harness.compare_table([self.make_report("baseline"), failed])
 
     def test_two_settings_of_one_method_rejected(self):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
