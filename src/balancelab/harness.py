@@ -265,14 +265,17 @@ def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
     return os.path.join(out_dir, "cells", f"{method_kind}__seed{run_seed}__{tag}.json")
 
 
-def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, sweep_value) -> str:
+def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, spec: MethodSpec) -> str:
     """sha256 of everything that decides a cell's result besides its run seed.
 
     The seed list and output directory are left out: adding seeds or moving
-    the directory changes no existing cell.
+    the directory changes no existing cell. So are the config's ``method.*``
+    keys: the cell's own setting stands for them, so a key the cell never
+    reads (another kind's strength, or the one a sweep replaces) changes none.
     """
-    kept = {k: v for k, v in cfg.to_dict().items() if k not in ("seeds", "output.dir")}
-    text = json.dumps([kept, sweep_param, sweep_value, _VERSION], sort_keys=True)
+    kept = {k: v for k, v in cfg.to_dict().items()
+            if k not in ("seeds", "output.dir") and not k.startswith("method.")}
+    text = json.dumps([kept, sweep_param, spec.kind, spec.value, _VERSION], sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -364,7 +367,7 @@ def _run_cells(
     records = []
     for seed, spec in cells:
         value = spec.value if sweep_param else None
-        fingerprint = _cell_fingerprint(cfg, sweep_param, value)
+        fingerprint = _cell_fingerprint(cfg, sweep_param, spec)
         path = None if out_dir is None else _cell_path(out_dir, spec.kind, seed, value)
         ckpt_name = f"ckpt_{spec.kind}_seed{seed}.mmck"
         ckpt = None if ckpt_dir is None else os.path.join(ckpt_dir, ckpt_name)

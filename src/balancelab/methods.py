@@ -350,12 +350,10 @@ def grad_modulation(scores, alpha: np.ndarray) -> np.ndarray:
     """
     METHODS["gradmod"].check(alpha)
     rho = _score_ratio(scores)
-    kappa = np.ones(rho.shape)
-    slow = rho > 1.0
-    x = (alpha[:, None] * (rho - 1.0))[slow]
+    x = alpha[:, None] * (rho - 1.0)
     # math.tanh per element: np.tanh rounds differently on some inputs
-    kappa[slow] = np.maximum(1.0 - np.array([math.tanh(v) for v in x]), 1e-12)
-    return kappa
+    tanh = np.array([math.tanh(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.where(rho > 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
     last = len(params.layers) - 1
     for t, layer in enumerate(params.layers):
         inputs.append(h)
-        z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+        z = h @ layer.weight.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
         preacts.append(z)
         h = z if t == last else np.maximum(z, 0.0)
     shapes = tuple(l.weight.shape[-2:] for l in params.layers)
@@ -132,7 +133,7 @@ def mlp_backward(
     for t in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[t]
         if t < len(params.layers) - 1:
-            dz = dz * (cache.preacts[t] > 0.0)
+            dz *= cache.preacts[t] > 0.0  # dz is the product made below, never output_grad
         np.matmul(dz.swapaxes(-1, -2), cache.inputs[t], out=out.layers[t].weight)
         dz.sum(axis=-2, out=out.layers[t].bias)
         dz = dz @ layer.weight

@@ -14,12 +14,21 @@ cross-entropy call. Only validation runs per run, once per epoch.
 
 ``fit`` holds a stack's state in one ``TrainState`` and calls ``_epoch`` once
 per epoch. An epoch draws each run's batch order (weighted by any
-sample-weights hook); per batch it calls ``_gather``, ``_forward`` (feature
+sample-weights hook) and stacks the orders into one (R, N) index block;
+per batch it calls ``_gather``, ``_forward`` (feature
 transforms, fusion forward, running scores), ``_objectives`` (objectives and
 backward), ``_scale_grads`` and ``sgd_step``; then ``_validate`` deploys,
 flushes the ledgers, validates and keeps each run's best model. Every
 stochastic choice is a deterministic function of ``(config.seed, epoch,
 batch index)``, so a run is bitwise reproducible.
+
+A step costs numpy dispatch more than arithmetic, so it makes few calls.
+``_gather`` takes each modality once per train set, however many runs share
+it (the cells of one seed do), and puts the rows in stack order; distinct
+sets are never joined into one copy. ``softmax`` reduces its short class
+axis as a chain of column ``np.maximum`` and ``np.add`` calls, bitwise
+numpy's own reduction, and the losses reach true-class entries through one
+flat index.
 
 Per-modality performance scores (batch mean of the true-class probability
 under each modality's partial logits) are tracked as an exponential moving
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +91,9 @@ class TrainState:
     running_scores: np.ndarray | None = None
     grads: FusionModel | None = None  # the gradient buffer, laid out like model
     splits: list[tuple[Dataset, Dataset]] = dataclasses.field(default_factory=list)
+    # each distinct train set and the stack rows that train on it
+    sources: list[tuple[Dataset, np.ndarray]] = dataclasses.field(default_factory=list)
+    unsort: np.ndarray | None = None  # sources' rows joined -> stack order; None: already in it
     seeds: list[int] = dataclasses.field(default_factory=list)
     values: np.ndarray | None = None  # each run's method strength
     ledgers: list[FlopsLedger] = dataclasses.field(default_factory=list)
@@ -112,16 +125,33 @@ class TrainLog:
     best_epoch: int = -1
 
 
+def _fold(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc`` applied left to right across the last axis: ``ufunc(ufunc(x0, x1), x2)``..."""
+    out = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        out = ufunc(out, x[..., k])
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction for overflow safety.
+
+    Bitwise ``e = exp(x - x.max(-1))``, ``e / e.sum(-1)`` in fewer calls on a
+    short class axis: a max is exact in any order, and below 8 terms numpy's
+    sum adds left to right, as the ``np.add`` column chain does.
+    """
+    e = np.exp(logits - _fold(np.maximum, logits)[..., None])
+    total = _fold(np.add, e) if e.shape[-1] < 8 else e.sum(axis=-1)
+    e /= total[..., None]
+    return e
 
 
-def _true_class(labels: np.ndarray) -> tuple:
-    """Index of each sample's true-class entry in an array shaped labels.shape + (H,)."""
-    return (*np.indices(labels.shape, sparse=True), labels)
+def _true_index(labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Index of each true-class entry in the C-order flattening of an array of ``shape``.
+
+    ``labels`` broadcasts against ``shape[:-1]``, as one label row serves every modality.
+    """
+    return np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1]) + labels
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -135,14 +165,14 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise ContractError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= h):
         raise ContractError("label outside 0..H-1")
-    probs = softmax(logits)
-    true = _true_class(labels)
+    grad = softmax(logits)
+    at = _true_index(labels, grad.shape)
+    true = grad.take(at)  # take and put index the C-ordered flattening, whatever the layout
     with np.errstate(divide="ignore"):
         # an underflowed true-class probability yields inf, caught by the
         # trainer's divergence check
-        loss = -np.mean(np.log(probs[true]), axis=-1)
-    grad = probs
-    grad[true] -= 1.0
+        loss = -(np.log(true).sum(axis=-1) / n)
+    grad.put(at, true - 1.0)
     grad /= n
     return (float(loss) if loss.ndim == 0 else loss), grad
 
@@ -157,8 +187,8 @@ def step_lr(config: TrainConfig, epoch: int) -> float:
 def true_class_probs(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
     """Each modality's true-class probability, (m, *labels.shape), from one softmax."""
     probs = softmax(fusion.partial_logits(model, cache))
-    # all-advanced indexing keeps the gather C-ordered, so batch means sum as per modality
-    return probs[_true_class(np.broadcast_to(labels, (model.num_modalities,) + labels.shape))]
+    # a C-ordered result, so batch means sum as they do for one modality
+    return probs.take(_true_index(labels, probs.shape))
 
 
 def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
@@ -166,7 +196,8 @@ def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray)
 
     :func:`true_class_probs`'s batch mean, modality axis last: (m,); (R, m) for (R, B) labels.
     """
-    return np.moveaxis(true_class_probs(model, cache, labels).mean(axis=-1), 0, -1)
+    probs = true_class_probs(model, cache, labels)
+    return np.moveaxis(probs.sum(axis=-1) / probs.shape[-1], 0, -1)
 
 
 def sgd_step(state: TrainState, grads: np.ndarray, lr: float,
@@ -298,17 +329,16 @@ def _ranges(state: TrainState, actives: list, field: str, resolve) -> list[tuple
     return out
 
 
-def _gather(state: TrainState, orders: list[list[np.ndarray]], b: int):
-    """Batch ``b`` of every run: (per-modality features, labels), stacked over runs."""
-    idx = np.stack([order[b] for order in orders])
-    # each run takes from its own train set, so no joined copy is held
-    xb = [np.empty(idx.shape + (d,)) for d in state.splits[0][0].dims]
-    yb = np.empty(idx.shape, dtype=np.int64)
-    for r, (t, _) in enumerate(state.splits):
-        for x, f in zip(xb, t.features):
-            np.take(f, idx[r], axis=0, out=x[r])
-        np.take(t.labels, idx[r], out=yb[r])
-    return xb, yb
+def _gather(state: TrainState, idx: np.ndarray):
+    """Rows ``idx[r]`` of run r's train set, for every run: (per-modality features, labels)."""
+    # one take per train set, however many runs share it; sets are never joined
+    parts = [(train, idx[rows]) for train, rows in state.sources]
+    blocks = [[t.features[i].take(at, axis=0) for t, at in parts]
+              for i in range(state.model.num_modalities)] + [[t.labels.take(at) for t, at in parts]]
+    out = [np.concatenate(b) for b in blocks]
+    if state.unsort is not None:
+        out = [a.take(state.unsort, axis=0) for a in out]
+    return out[:-1], out[-1]
 
 
 def _forward(state: TrainState, xb: list[np.ndarray], yb: np.ndarray, epoch: int, b: int):
@@ -355,7 +385,7 @@ def _objectives(state: TrainState, cache: ForwardCache, factors: list[np.ndarray
                 yb: np.ndarray, loss_sum: np.ndarray, epoch: int, b: int) -> None:
     """Each range's objective, backpropagated into ``state.grads``; adds loss * n to loss_sum."""
     for objective, rows, view, view_grads in state.hooks["objective"]:
-        view_cache = _cache_rows(cache, rows)
+        view_cache = cache if rows == slice(0, len(state.seeds)) else _cache_rows(cache, rows)
         bundle = objective(view, view_cache, yb[rows], state.values[rows], state.charge(rows))
         finite = np.isfinite(bundle.loss)
         if not finite.all():
@@ -413,10 +443,11 @@ def _epoch(state: TrainState, cfg: TrainConfig, epoch: int) -> None:
     orders = []
     for t, seed, w in zip(trains, state.seeds, weights):
         batch_seed = int(np.random.SeedSequence([seed, epoch, 0]).generate_state(1)[0])
-        orders.append(datagen.batches(t, cfg.batch_size, batch_seed, w))
+        orders.append(np.concatenate(datagen.batches(t, cfg.batch_size, batch_seed, w)))
+    order = np.stack(orders)  # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size]
     loss_sum = np.zeros(len(trains))
-    for b in range(len(orders[0])):
-        xb, yb = _gather(state, orders, b)
+    for b, start in enumerate(range(0, order.shape[1], cfg.batch_size)):
+        xb, yb = _gather(state, order[:, start:start + cfg.batch_size])
         cache, factors = _forward(state, xb, yb, epoch, b)
         _objectives(state, cache, factors, yb, loss_sum, epoch, b)
         _scale_grads(state)
@@ -435,7 +466,8 @@ def fit(
     """Train on (train, val); return the best-validation-accuracy model and the log.
 
     Validation accuracy ties break toward the earlier epoch. A non-finite
-    training loss aborts with DivergenceError. With ``config.epochs == 0``
+    training loss aborts with DivergenceError, non-finite logits with
+    NumericError, and numpy does not warn on the way. With ``config.epochs == 0``
     the input model is returned unchanged with an empty log. Methods whose
     strength parameter sits at its neutral value run the exact baseline code
     path, so they are bitwise-identical to Baseline under the same seed.
@@ -482,8 +514,18 @@ def fit(
         spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], best=stack.flat.copy())
     state.hooks = {field: _ranges(state, actives, field, bm.resolve) for field in (
         "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
-    for epoch in range(cfg.epochs):
-        _epoch(state, cfg, epoch)
+    rows_of: dict[int, tuple[Dataset, list[int]]] = {}
+    for r, (train, _) in enumerate(splits):
+        rows_of.setdefault(id(train), (train, []))[1].append(r)
+    state.sources = [(train, np.array(rows)) for train, rows in rows_of.values()]
+    joined = np.concatenate([rows for _, rows in state.sources])
+    if (joined != np.arange(runs)).any():
+        state.unsort = np.argsort(joined)
+    # a diverging run overflows on its way to the finite checks, which raise
+    # NumericError or DivergenceError; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            _epoch(state, cfg, epoch)
     # back to the caller's run order: argsort inverts the permutation
     results = [(model[k].like(state.best[k]), logs[k]) for k in np.argsort(order)]
     return results[0] if single else results

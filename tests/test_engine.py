@@ -1,8 +1,12 @@
 """The run-axis engine: cells trained as one stack equal each cell trained alone."""
 
+import hashlib
+import importlib.util
+import pathlib
+
 import pytest
 
-from balancelab import fusion, harness, methods
+from balancelab import fusion, harness, methods, trainer
 from balancelab.config import parse_config_text
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.fusion import init_model
@@ -60,6 +64,30 @@ def test_mixed_stack_matches_each_cell_alone():
              for kind, seed in zip(reversed(METHODS), (1, 2, 3, 1, 2, 3, 1, 2))]
     cells.insert(3, cell("gradmod", 0.0, 2))
     stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    for inputs, (best, log) in zip(cells, stacked):
+        alone, alone_log = fit(*inputs, FlopsLedger())
+        assert best.flat.tobytes() == alone.flat.tobytes()
+        assert log.best_epoch == alone_log.best_epoch
+        assert repr(log.records) == repr(alone_log.records)
+
+
+def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch):
+    """Runs of one seed share its train set, as a sweep's cells do; _gather takes once per set."""
+    splits = {seed: cell("baseline", None, seed)[0] for seed in (1, 2)}
+    cells = [(splits[seed], *cell("gradmod", alpha, seed)[1:])
+             for alpha in (0.5, 0.0, 2.0) for seed in (2, 1)]
+    cells.insert(2, (splits[1], *cell("baseline", None, 1)[1:]))
+    sets = []
+    real = trainer._gather
+
+    def counting(state, idx):
+        sets.append((len(state.sources), state.unsort is None))
+        return real(state, idx)
+
+    monkeypatch.setattr(trainer, "_gather", counting)
+    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    # two sets, whose runs interleave in the stack
+    assert set(sets) == {(2, False)}
     for inputs, (best, log) in zip(cells, stacked):
         alone, alone_log = fit(*inputs, FlopsLedger())
         assert best.flat.tobytes() == alone.flat.tobytes()
@@ -144,3 +172,48 @@ def test_jobs_split_the_stack_without_changing_reports(tmp_path):
                           jobs=jobs)
     for name in ("report.csv", "report.json"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+RUN_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+# the numpy build the pinned hashes were recorded on; float results may differ on another
+PINNED_BUILD = {"numpy": "2.4.6", "blas_core": "SkylakeX"}
+PINNED_BITS = {2: "b2c47286005c4ef88e0d8b32eab78b2c59457473fa5909fa35d06c25f3d384aa",
+               3: "467ef57092c1183406a82a1c9b2f296f60fd6d11547cc9838ca6f2731bb2ba67"}
+
+
+def _build():
+    """The numpy version and OpenBLAS core, named as perfbench's digests name them."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run._build(run.env_stamp())
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_training_bits_pinned(m):
+    """A mixed fit's trained bits, logs and ledgers hash to a literal recorded once.
+
+    Every kind at its default for two seeds (each seed's runs share its
+    train set), plus three gradmod strengths on one more shared set, in an
+    order fit must regroup. A change that keeps "bit for bit" keeps the hash.
+    """
+    build = _build()
+    if build != PINNED_BUILD:
+        pytest.skip(f"training bits were pinned on {PINNED_BUILD}, not {build}")
+    dims, signal = (12, 8, 12)[:m], (3.0, 1.0, 0.5)[:m]
+    cells = []
+    for seed, settings in ((3, [MethodSpec("gradmod", a) for a in (2.0, 0.0, 0.5)]),
+                           (1, [MethodSpec(kind) for kind in METHODS]),
+                           (2, [MethodSpec(kind) for kind in reversed(METHODS)])):
+        train, val, _ = split(generate(SyntheticSpec(m, 4, dims, signal, 1.0, 1000, seed)),
+                              (0.8, 0.1, 0.1), seed)
+        for spec in settings:
+            model = init_model([[d, 24, 4] for d in dims], 4, 10 + seed)
+            cells.append(((train, val), model, TrainConfig(epochs=4, seed=100 + seed), spec,
+                          FlopsLedger()))
+    stacked = fit(*(list(part) for part in zip(*cells)))
+    digest = hashlib.sha256()
+    for (*_, ledger), (best, log) in zip(cells, stacked):
+        digest.update(best.flat.tobytes())
+        digest.update(f"{log.records!r} {ledger!r} {log.best_epoch}".encode())
+    assert digest.hexdigest() == PINNED_BITS[m]

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -356,10 +357,10 @@ class TestRunSweep:
         # cells cached by earlier versions stay valid only while these hold; a change
         # that alters the key on purpose updates the literals
         cfg = parse_config_text("method.kind = gradmod\n")
-        assert harness._cell_fingerprint(cfg, "method.alpha", 0.5) == (
-            "f334ed448fb620714358aa3ffda4cf09e2aa719f5eb33fc58411677ee829543b")
-        assert harness._cell_fingerprint(cfg, "", None) == (
-            "31c07103bbf0fa818707ecc4e400300742ef5b708e268ba65f30ce99f6ea6c90")
+        assert harness._cell_fingerprint(cfg, "method.alpha", MethodSpec("gradmod", 0.5)) == (
+            "21580ec4d54949b0c191775b22926c29024539dda441b00b7c7382f8ecb9f6f3")
+        assert harness._cell_fingerprint(cfg, "", cfg.method_spec()) == (
+            "f222c322664fbed691751f06d2c04e9b9902f0d6084b7b4ffd549a7b91dfc75e")
         assert harness._cell_path("out", "gradmod", 3, 0.5) == os.path.join(
             "out", "cells", "gradmod__seed3__0p5.json")
 
@@ -400,16 +401,34 @@ class TestRunSweep:
 
     def test_fingerprint_covers_every_section_but_seeds_and_out_dir(self):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
-        base = harness._cell_fingerprint(cfg, "method.alpha", 1.0)
+        spec = MethodSpec("gradmod", 1.0)
+        base = harness._cell_fingerprint(cfg, "method.alpha", spec)
         changed = {"dataset.samples": 301, "model.feature_dim": 5, "train.epochs": 3,
-                   "method.alpha": 0.5, "eval.shapley": False, "seed": 9}
+                   "eval.shapley": False, "seed": 9}
         for key, value in changed.items():
             assert harness._cell_fingerprint(
-                cfg.with_key(key, value), "method.alpha", 1.0) != base, key
-        assert harness._cell_fingerprint(cfg, "method.alpha", 2.0) != base
-        for key, value in {"seeds": (7,), "output.dir": "elsewhere"}.items():
+                cfg.with_key(key, value), "method.alpha", spec) != base, key
+        assert harness._cell_fingerprint(cfg, "method.alpha", MethodSpec("gradmod", 2.0)) != base
+        # the cell's own setting stands for the method.* keys
+        for key, value in {"seeds": (7,), "output.dir": "elsewhere", "method.alpha": 0.5,
+                           "method.tau": 2.0}.items():
             assert harness._cell_fingerprint(
-                cfg.with_key(key, value), "method.alpha", 1.0) == base, key
+                cfg.with_key(key, value), "method.alpha", spec) == base, key
+
+    def test_method_keys_the_cell_never_reads_keep_its_cache(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
+        out = tmp_path / "out"
+        harness.run_experiment(cfg, out_dir=str(out))
+        harness.run_sweep(cfg, "method.alpha", [0.5, 2.0], out_dir=str(out / "sweep"))
+        monkeypatch.setattr(trainer, "fit", None)  # any training would fail
+        # resample's tau, and the alpha a sweep replaces with each cell's value
+        rerun = harness.run_experiment(cfg.with_key("method.tau", 2.0), out_dir=str(out))
+        assert len(rerun.rows) == 1 and not rerun.errors
+        swept = harness.run_sweep(cfg.with_key("method.alpha", 3.0), "method.alpha", [0.5, 2.0],
+                                  out_dir=str(out / "sweep"))
+        assert len(swept.rows) == 2 and not swept.errors
+        assert "recomputing" not in (out / "run.log").read_text()
+        assert "recomputing" not in (out / "sweep" / "run.log").read_text()
 
 
 class TestCompareTable:
@@ -439,7 +458,7 @@ class TestCompareTable:
     def test_report_without_a_successful_run_rejected(self, tmp_path):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("train.lr", 1e300)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BalanceLabError):
+        with pytest.raises(BalanceLabError):
             harness.run_experiment(cfg, out_dir=str(out))
         failed = harness.load_report(out / "report.json")
         assert failed.errors and not failed.aggregates
@@ -506,6 +525,17 @@ class TestCli:
                          "--run-seed", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --checkpoint '{ckpt}'") and "5-class" in err
+
+    def test_diverging_runs_print_only_the_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "train.lr = 1e300\n")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert [str(w.message) for w in seen] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: all 2 runs failed")
+        assert "non-finite logits" in err[0]
 
     def test_missing_dataset_path_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -40,6 +40,19 @@ class TestSoftmax:
     def test_uniform(self):
         assert softmax(np.array([[1.0, 1.0, 1.0]]))[0] == pytest.approx([1 / 3] * 3)
 
+    @pytest.mark.parametrize("h", range(2, 17))
+    def test_bitwise_the_reduce_form(self, h):
+        """The column chains give numpy's reduce bits; a numpy that reorders short sums fails."""
+        rng = np.random.default_rng(h)
+        wide = rng.standard_normal((3, 40, h)) * 10.0 ** rng.uniform(-4, 2, (3, 40, h))
+        tied = rng.choice([-0.0, 0.0, 1.5, -2.0], (3, 40, h))
+        tied[..., -1] = tied[..., 0]
+        near_one_hot = rng.standard_normal((3, 40, h)) * 1e-3
+        near_one_hot[np.arange(3)[:, None], np.arange(40), rng.integers(0, h, (3, 40))] += 30.0
+        for x in (wide, tied, near_one_hot):
+            e = np.exp(x - x.max(axis=-1, keepdims=True))
+            assert softmax(x).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
 
 class TestCrossEntropy:
     def test_symmetric_logits(self):
@@ -58,6 +71,17 @@ class TestCrossEntropy:
     def test_bad_label(self):
         with pytest.raises(ContractError):
             cross_entropy(np.zeros((1, 2)), np.array([5]))
+
+    def test_any_memory_layout(self):
+        # true-class entries are found by flat index, which must follow C order
+        # for a Fortran-ordered or strided input too
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, 7, 3)), rng.integers(0, 3, (2, 7))
+        loss, grad = cross_entropy(x, y)
+        for other in (np.asfortranarray(x), np.ascontiguousarray(x.T).T):
+            other_loss, other_grad = cross_entropy(other, y)
+            assert other_loss.tobytes() == loss.tobytes()
+            assert np.array_equal(other_grad, grad)
 
 
 class TestSgdStep:
