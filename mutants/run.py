@@ -1,0 +1,112 @@
+"""The mutation catalogue: seeded faults that named tests must catch.
+
+Each mutant is one exact text edit of one file and the tests that must
+fail once it is applied. For each mutant, in turn, the tree is copied to a
+temporary directory, the edit is applied there and only the named tests
+run; a named test catches the mutant when it, or any of its parametrized
+cases, fails. The named tests first run once on an unmutated copy, where
+they must pass, or a failure would prove nothing.
+
+    python mutants/run.py
+
+Prints caught or survived per mutant and exits 1 if any survives.
+Standard library only; pytest runs in a child process.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, each of which must fail
+
+
+CATALOGUE = [
+    Mutant("spec-range-unchecked", "src/balancelab/methods.py",
+           "            self.method.check(self.value)\n", "            pass\n",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_strength_outside_its_range_rejected_everywhere",
+            "tests/test_methods.py::TestMethodSpec::test_negative_strength")),
+    Mutant("kappa-on-the-weaker-modality", "src/balancelab/methods.py",
+           "np.where(rho > 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)",
+           "np.where(rho < 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)",
+           ("tests/test_methods.py::TestGradModulation::test_worked_example",
+            "tests/test_methods.py::TestGradModulation::test_range_and_ordering")),
+    Mutant("weight-decay-dropped", "src/balancelab/trainer.py",
+           "g_eff = grads + config.weight_decay * params", "g_eff = grads",
+           ("tests/test_trainer.py::TestSgdStep::test_weight_decay_worked_example",)),
+    Mutant("cell-cache-ignored", "src/balancelab/harness.py",
+           "if cell.path is not None and os.path.exists(cell.path):", "if False:",
+           ("tests/test_harness.py::TestRunSweep::test_resume_reuses_cells",)),
+    Mutant("unimodal-term-zeroed", "src/balancelab/methods.py",
+           "    g_uni *= w_uni[:, None, None]\n",
+           "    g_uni *= 0.0\n    loss_uni *= 0.0\n",
+           ("tests/test_methods.py::TestUnimodalBlend::test_loss_is_sum_of_terms",)),
+]
+
+
+def copy_tree(dest: Path) -> Path:
+    """A copy of the repository's working tree, without version control or caches."""
+    tree = dest / "tree"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", "*.pyc"))
+    return tree
+
+
+def failing(tree: Path, tests: tuple[str, ...]) -> tuple[set[str], str]:
+    """The named tests that fail in ``tree``, and pytest's output."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                           *tests], cwd=tree, env=env, capture_output=True, text=True,
+                          timeout=600)
+    if proc.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {proc.returncode} on {' '.join(tests)}:\n{proc.stdout}"
+                         f"{proc.stderr}")
+    failed = [line.split()[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return {t for t in tests if any(f == t or f.startswith(t + "[") for f in failed)}, proc.stdout
+
+
+def main() -> int:
+    tests = tuple(dict.fromkeys(t for m in CATALOGUE for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        broken, out = failing(copy_tree(Path(tmp)), tests)
+    if broken:
+        print(f"error: these tests fail on the unmutated tree:\n{out}", file=sys.stderr)
+        return 1
+    survived = []
+    for m in CATALOGUE:
+        with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+            tree = copy_tree(Path(tmp))
+            target = tree / m.path
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                print(f"error: {m.name}: the old text occurs {text.count(m.old)} times in {m.path}",
+                      file=sys.stderr)
+                return 1
+            target.write_text(text.replace(m.old, m.new))
+            caught, _ = failing(tree, m.tests)
+        missed = [t for t in m.tests if t not in caught]
+        print(f"{'survived' if missed else 'caught':8}  {m.name}"
+              + "".join(f"\n          not failing: {t}" for t in missed))
+        if missed:
+            survived.append(m.name)
+    print(f"{len(CATALOGUE) - len(survived)} of {len(CATALOGUE)} mutants caught")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

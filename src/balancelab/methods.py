@@ -24,9 +24,11 @@ per group of runs that share it, per batch unless noted:
   batch-sampler weights for the runs' train sets, per epoch;
 - ``deploy(model) -> model``: what validation and evaluation see, per epoch.
 
-Entries name their hooks by attribute of this module and ``resolve`` looks
-them up once per ``trainer.fit`` call, never at import, so code that swaps
-a module attribute (a tracer, a test's counting wrapper) sees every call.
+Entries name their hooks by attribute of this module, and ``trainer.fit``
+looks each up with ``Method.hook`` once per call, never at import, so code
+that swaps a module attribute (a tracer, a test's counting wrapper) sees
+every call. A strength is range-checked once, when its ``MethodSpec`` is
+built; the hooks trust the values they are given.
 
 Dominance is always judged by the trainer's running modality score (the
 exponentially smoothed batch-mean true-class probability of each modality's
@@ -76,12 +78,17 @@ class Method:
     sample_weights: str | None = None
     deploy: str | None = None
 
-    def check(self, value) -> None:
-        """Raise SpecError unless ``value`` (a strength or an array of them) is in range."""
+    def check(self, value: float) -> None:
+        """Raise SpecError unless the strength ``value`` is in range."""
         above = value > self.low if self.low_open else value >= self.low
-        if not np.all(above & (value <= self.high)):
+        if not (above and value <= self.high):
             bounds = f"{'(' if self.low_open else '['}{self.low:g}, {self.high:g}]"
             raise SpecError(f"{self.param} must be in {bounds}, got {value}")
+
+    def hook(self, field: str):
+        """The function this module binds, now, to the hook named in ``field`` (None: no hook)."""
+        name = getattr(self, field)
+        return None if name is None else globals()[name]
 
 
 # Grouped by strategy in comparison-table order: baseline, objective,
@@ -109,11 +116,6 @@ METHODS = {m.name: m for m in (
 )}
 
 _COS_EPS = 1e-12
-
-
-def resolve(hook: str | None):
-    """The function this module currently binds to ``hook`` (None for None)."""
-    return None if hook is None else globals()[hook]
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def unimodal_blend_loss(
     cache: ForwardCache,
     labels: np.ndarray,
     w_uni: np.ndarray,
-    ledger: FlopsLedger | None = None,
+    ledger: FlopsLedger,
 ) -> LossBundle:
     """Multimodal loss plus weighted unimodal losses with a conflict guard.
 
@@ -179,8 +181,7 @@ def unimodal_blend_loss(
     loss_uni, g_uni = cross_entropy(fusion.partial_logits(model, cache),
                                     np.broadcast_to(labels, (m,) + labels.shape))
     g_uni *= w_uni[:, None, None]
-    if ledger is not None:
-        ledger.record("softmax_loss", (1 + m) * n * h)
+    ledger.record("softmax_loss", (1 + m) * n * h)
 
     head_grads: list[np.ndarray] = []
     feature_grads: list[np.ndarray] = []
@@ -201,11 +202,10 @@ def unimodal_blend_loss(
         head_grads.append(gw_mm + gw_uni)
         feature_grads.append((g_mm + g_i) @ model.head_blocks[i])
         bias_grad = bias_grad + g_i.sum(axis=-2) / m
-        if ledger is not None:
-            d = cache.features[i].shape[-1]
-            ledger.record("matmul_backward", (n, d, h))  # dW(mm) + dPhi
-            ledger.record("matmul", (n, d, h))           # dW(uni), separate for the guard
-            ledger.record("elementwise", 4 * d * h)      # inner products + projection
+        d = cache.features[i].shape[-1]
+        ledger.record("matmul_backward", (n, d, h))  # dW(mm) + dPhi
+        ledger.record("matmul", (n, d, h))           # dW(uni), separate for the guard
+        ledger.record("elementwise", 4 * d * h)      # inner products + projection
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
@@ -214,7 +214,7 @@ def cosine_objective(
     cache: ForwardCache,
     labels: np.ndarray,
     scale: np.ndarray,
-    ledger: FlopsLedger | None = None,
+    ledger: FlopsLedger,
 ) -> LossBundle:
     """Cross-entropy on the cosine logits, with exact gradients.
 
@@ -254,14 +254,12 @@ def cosine_objective(
         dw -= self_w[..., None] * w
         head_grads.append(dw)
         feature_grads.append(dphi)
-        if ledger is not None:
-            d = phi.shape[-1]
-            ledger.record("matmul_forward", (n, d, h))      # cos products
-            ledger.record("elementwise", n * d + h * d + 3 * n * h)  # norms + scaling
-            ledger.record("matmul_backward", (n, d, h))     # dphi + dw products
-            ledger.record("elementwise", 2 * (n * d + h * d))  # self terms
-    if ledger is not None:
-        ledger.record("softmax_loss", n * h)
+        d = phi.shape[-1]
+        ledger.record("matmul_forward", (n, d, h))      # cos products
+        ledger.record("elementwise", n * d + h * d + 3 * n * h)  # norms + scaling
+        ledger.record("matmul_backward", (n, d, h))     # dphi + dw products
+        ledger.record("elementwise", 2 * (n * d + h * d))  # self terms
+    ledger.record("softmax_loss", n * h)
     return LossBundle(loss, head_grads, np.zeros(model.head_bias.shape), feature_grads)
 
 
@@ -287,7 +285,7 @@ def kl_align_loss(
     cache: ForwardCache,
     labels: np.ndarray,
     kl_weight: np.ndarray,
-    ledger: FlopsLedger | None = None,
+    ledger: FlopsLedger,
 ) -> LossBundle:
     """Cross-entropy plus a symmetric KL alignment of partial predictions.
 
@@ -298,15 +296,13 @@ def kl_align_loss(
     m = model.num_modalities
     n, h = cache.logits.shape[-2:]
     loss, g_mm = cross_entropy(cache.logits, labels)
-    if ledger is not None:
-        ledger.record("softmax_loss", n * h)
+    ledger.record("softmax_loss", n * h)
 
     zs = fusion.partial_logits(model, cache)
     zs -= zs.max(axis=-1, keepdims=True)
     logps = zs - np.log(np.exp(zs).sum(axis=-1, keepdims=True))
     probs = np.exp(logps)
-    if ledger is not None:
-        ledger.record("softmax_loss", m * n * h)
+    ledger.record("softmax_loss", m * n * h)
 
     dz = np.zeros(logps.shape)
     addend = np.zeros(kl_weight.shape)
@@ -318,14 +314,12 @@ def kl_align_loss(
             addend += kl_ij.mean(axis=-1) + kl_ji.mean(axis=-1)
             dz[i] += probs[i] * (s - kl_ij[..., None]) + (probs[i] - probs[j])
             dz[j] += probs[j] * (-s - kl_ji[..., None]) + (probs[j] - probs[i])
-            if ledger is not None:
-                ledger.record("elementwise", 10 * n * h)
+            ledger.record("elementwise", 10 * n * h)
     partial_grads = (kl_weight / n)[:, None, None] * dz
     loss += kl_weight * addend
 
-    head_grads, bias_grad, feature_grads = assemble_grads(
-        model, cache, g_mm, partial_grads=partial_grads, ledger=ledger
-    )
+    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, g_mm, ledger,
+                                                          partial_grads)
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
@@ -348,7 +342,6 @@ def grad_modulation(scores, alpha: np.ndarray) -> np.ndarray:
     positive, and a floor of 1e-12 keeps it so where tanh saturates to 1.0 in
     float64. Only encoders are rescaled; the head keeps its full gradient.
     """
-    METHODS["gradmod"].check(alpha)
     rho = _score_ratio(scores)
     x = alpha[:, None] * (rho - 1.0)
     # math.tanh per element: np.tanh rounds differently on some inputs
@@ -369,7 +362,6 @@ def feature_mask(
     subset (ceil(rho_mask * d) coordinates) is redrawn per batch from the
     run's generator in ``rngs``.
     """
-    METHODS["feature_mask"].check(rho_mask)
     dom = np.argmax(scores, axis=-1)
     factors: list[np.ndarray | None] = [None] * len(features)
     applied = np.zeros((len(rngs), len(features)), dtype=bool)
@@ -394,7 +386,6 @@ def feature_drop(
     preserve the expected feature value. A numerically saturated p is capped
     at 0.99 with a warning.
     """
-    METHODS["feature_drop"].check(p_max)
     rho = _score_ratio(scores)
     runs, m = rho.shape
     dom = np.argmax(scores, axis=-1)
@@ -423,7 +414,7 @@ def resample_weights(
     model: FusionModel,
     data: list[Dataset],
     tau: np.ndarray,
-    ledger: FlopsLedger | None = None,
+    ledger: FlopsLedger,
 ) -> np.ndarray:
     """Sampling weights that favor samples where the weak modality is informative.
 
@@ -433,7 +424,6 @@ def resample_weights(
     contribution; sample k gets weight ``exp(contribution_k_weak / tau)``,
     normalized to mean 1. Larger tau flattens the weighting toward uniform.
     """
-    METHODS["resample"].check(tau)
     features = [np.stack([d.features[i] for d in data]) for i in range(model.num_modalities)]
     labels = np.stack([d.labels for d in data])
     cache = fusion.forward(model, features, ledger=ledger)
@@ -442,7 +432,6 @@ def resample_weights(
     weak = np.argmin(contribs.mean(axis=-1), axis=0)
     w = np.exp(contribs[weak, np.arange(runs)] / tau[:, None])
     w /= w.mean(axis=-1, keepdims=True)
-    if ledger is not None:
-        ledger.record("softmax_loss", m * n * model.num_classes)
-        ledger.record("elementwise", 3 * n)
+    ledger.record("softmax_loss", m * n * model.num_classes)
+    ledger.record("elementwise", 3 * n)
     return w

@@ -231,8 +231,8 @@ def assemble_grads(
     model: FusionModel,
     cache: ForwardCache,
     fused_grad: np.ndarray,
+    ledger: FlopsLedger,
     partial_grads: np.ndarray | None = None,
-    ledger: FlopsLedger | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """Turn logit-space gradients into head, bias, and feature gradients.
 
@@ -252,8 +252,7 @@ def assemble_grads(
             bias_grad = bias_grad + partial_grads[i].sum(axis=-2) / m
         head_grads.append(eff.swapaxes(-1, -2) @ cache.features[i])
         feature_grads.append(eff @ model.head_blocks[i])
-        if ledger is not None:
-            ledger.record("matmul_backward", (n, cache.features[i].shape[-1], h))
+        ledger.record("matmul_backward", (n, cache.features[i].shape[-1], h))
     return head_grads, bias_grad, feature_grads
 
 
@@ -261,14 +260,13 @@ def baseline_loss(
     model: FusionModel,
     cache: ForwardCache,
     labels: np.ndarray,
-    ledger: FlopsLedger | None = None,
+    ledger: FlopsLedger,
 ) -> LossBundle:
     """Plain multimodal cross-entropy on the fused logits."""
     loss, grad = cross_entropy(cache.logits, labels)
-    if ledger is not None:
-        n, h = cache.logits.shape[-2:]
-        ledger.record("softmax_loss", n * h)
-    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, grad, ledger=ledger)
+    n, h = cache.logits.shape[-2:]
+    ledger.record("softmax_loss", n * h)
+    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, grad, ledger)
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
@@ -277,7 +275,7 @@ def _backward_into_model(
     cache: ForwardCache,
     bundle: LossBundle,
     grads: FusionModel,
-    ledger: FlopsLedger | None,
+    ledger: FlopsLedger,
 ) -> None:
     """Push a LossBundle through the encoder backward passes into ``grads``.
 
@@ -287,13 +285,12 @@ def _backward_into_model(
     for i in range(model.num_modalities):
         fgrad = bundle.feature_grads[i]
         mlp_backward(model.encoders[i], cache.enc_caches[i], fgrad, grads.encoders[i])
-        if ledger is not None:
-            n = fgrad.shape[-2]
-            for layer in model.encoders[i].layers:
-                d_out, d_in = layer.weight.shape[-2:]
-                ledger.record("matmul_backward", (n, d_in, d_out))
-            for layer in model.encoders[i].layers[:-1]:
-                ledger.record("elementwise", n * layer.weight.shape[-2])
+        n = fgrad.shape[-2]
+        for layer in model.encoders[i].layers:
+            d_out, d_in = layer.weight.shape[-2:]
+            ledger.record("matmul_backward", (n, d_in, d_out))
+        for layer in model.encoders[i].layers[:-1]:
+            ledger.record("elementwise", n * layer.weight.shape[-2])
     for blk, g in zip(grads.head_blocks, bundle.head_grads):
         blk[...] = g
     grads.head_bias[...] = bundle.bias_grad
@@ -313,16 +310,17 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
                         cache.block_products[:, rows], cache.logits[rows])
 
 
-def _ranges(state: TrainState, actives: list, field: str, resolve) -> list[tuple]:
+def _ranges(state: TrainState, actives: list, field: str) -> list[tuple]:
     """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
     out, start = [], 0
     for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
-        rows = slice(start, start + len(list(group)))
+        group = list(group)
+        rows = slice(start, start + len(group))
         start = rows.stop
         if name is not None or field == "objective":
             # looked up once per fit, so a swapped module attribute sees every
             # call; objective-free runs take the plain cross-entropy
-            hook = resolve(name) or (
+            hook = group[0].hook(field) or (
                 lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
             out.append((hook, rows, state.model.like(state.model.flat[rows]),
                         state.grads.like(state.grads.flat[rows])))
@@ -460,7 +458,7 @@ def fit(
     splits: tuple[Dataset, Dataset] | list[tuple[Dataset, Dataset]],
     model: FusionModel | list[FusionModel],
     config: TrainConfig | list[TrainConfig],
-    method=None,
+    method,
     ledger: FlopsLedger | None | list[FlopsLedger | None] = None,
 ) -> tuple[FusionModel, TrainLog] | list[tuple[FusionModel, TrainLog]]:
     """Train on (train, val); return the best-validation-accuracy model and the log.
@@ -472,19 +470,17 @@ def fit(
     strength parameter sits at its neutral value run the exact baseline code
     path, so they are bitwise-identical to Baseline under the same seed.
 
+    ``method`` is a ``methods.MethodSpec``, range-checked when it was built.
     To train R runs together, pass lists of R (train, val) pairs, models,
-    configs, methods and ledgers (the last two may be None or hold None).
+    configs, specs and optionally ledgers (a None ledger starts empty).
     The runs must agree in train-set shape, model layout and every config
     field but ``seed``; their methods may differ. The result is a list of R
     (model, log) pairs, each bitwise equal to training that run alone.
     """
-    from . import methods as bm  # deferred: methods imports this module
-
     single = isinstance(model, FusionModel)
     if single:
         splits, model, config, method, ledger = [splits], [model], [config], [method], [ledger]
     runs = len(model)
-    method = [bm.MethodSpec() if s is None else s for s in (method or [None] * runs)]
     ledgers = [FlopsLedger() if l is None else l for l in (ledger or [None] * runs)]
     if not len(splits) == len(config) == len(method) == len(ledgers) == runs:
         raise ContractError("fit needs one split, model, config, method and ledger per run")
@@ -512,7 +508,7 @@ def fit(
         splits=splits, seeds=[c.seed for c in config], ledgers=ledgers, logs=logs,
         values=np.array([spec.value for spec in method], dtype=np.float64),  # baseline: nan
         spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], best=stack.flat.copy())
-    state.hooks = {field: _ranges(state, actives, field, bm.resolve) for field in (
+    state.hooks = {field: _ranges(state, actives, field) for field in (
         "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
     rows_of: dict[int, tuple[Dataset, list[int]]] = {}
     for r, (train, _) in enumerate(splits):

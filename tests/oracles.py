@@ -48,7 +48,7 @@ def glorot_flat(arch, num_classes, seed):
 def model_gradient(model, cache, bundle):
     """The trainer's analytic gradient of ``bundle``, as a flat vector like ``model.flat``."""
     grads = model.like(np.empty_like(model.flat))
-    trainer._backward_into_model(model, cache, bundle, grads, None)
+    trainer._backward_into_model(model, cache, bundle, grads, metrics.FlopsLedger())
     return grads.flat
 
 

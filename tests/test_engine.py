@@ -35,18 +35,21 @@ def strengths(kind):
     return [entry.default, 2.0 if entry.neutral is None else entry.neutral]
 
 
-def cell(kind, value, seed):
-    """One run's inputs; each seed has its own data, split, init and batch order."""
-    data = generate(SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, seed))
+def cell(kind, value, seed, m=2):
+    """One run's inputs, m modalities; each seed has its own data, split, init and batch order."""
+    dims = (6, 6, 5)[:m]
+    data = generate(SyntheticSpec(m, 3, dims, (2.0, 1.0, 0.5)[:m], 1.0, 200, seed))
     train, val, _ = split(data, (0.8, 0.1, 0.1), seed)
-    model = init_model([[6, 8, 4], [6, 8, 4]], 3, 10 + seed)
+    model = init_model([[d, 8, 4] for d in dims], 3, 10 + seed)
     return (train, val), model, TrainConfig(epochs=3, batch_size=32, seed=100 + seed), \
         MethodSpec(kind, value)
 
 
-@pytest.mark.parametrize("kind", list(METHODS))
-def test_stack_matches_each_cell_alone(kind):
-    cells = [cell(kind, value, seed) for value in strengths(kind) for seed in (1, 2, 3)]
+# m = 2 keeps the bare kind as its id
+@pytest.mark.parametrize("kind, m", [pytest.param(kind, m, id=kind if m == 2 else f"{kind}-{m}")
+                                     for m in (2, 3) for kind in METHODS])
+def test_stack_matches_each_cell_alone(kind, m):
+    cells = [cell(kind, value, seed, m) for value in strengths(kind) for seed in (1, 2, 3)]
     stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
     assert len(stacked) == len(cells) >= 3
     for inputs, (best, log) in zip(cells, stacked):
@@ -57,12 +60,13 @@ def test_stack_matches_each_cell_alone(kind):
         assert repr(log.records) == repr(alone_log.records)
 
 
-def test_mixed_stack_matches_each_cell_alone():
+@pytest.mark.parametrize("m", [2, 3])
+def test_mixed_stack_matches_each_cell_alone(m):
     # every kind at its default plus a neutral gradmod run (baseline's group),
     # in an order fit must regroup, over a mix of seeds
-    cells = [cell(kind, METHODS[kind].default, seed)
+    cells = [cell(kind, METHODS[kind].default, seed, m)
              for kind, seed in zip(reversed(METHODS), (1, 2, 3, 1, 2, 3, 1, 2))]
-    cells.insert(3, cell("gradmod", 0.0, 2))
+    cells.insert(3, cell("gradmod", 0.0, 2, m))
     stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
     for inputs, (best, log) in zip(cells, stacked):
         alone, alone_log = fit(*inputs, FlopsLedger())
@@ -71,12 +75,13 @@ def test_mixed_stack_matches_each_cell_alone():
         assert repr(log.records) == repr(alone_log.records)
 
 
-def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch):
+@pytest.mark.parametrize("m", [2, 3])
+def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch, m):
     """Runs of one seed share its train set, as a sweep's cells do; _gather takes once per set."""
-    splits = {seed: cell("baseline", None, seed)[0] for seed in (1, 2)}
-    cells = [(splits[seed], *cell("gradmod", alpha, seed)[1:])
+    splits = {seed: cell("baseline", None, seed, m)[0] for seed in (1, 2)}
+    cells = [(splits[seed], *cell("gradmod", alpha, seed, m)[1:])
              for alpha in (0.5, 0.0, 2.0) for seed in (2, 1)]
-    cells.insert(2, (splits[1], *cell("baseline", None, 1)[1:]))
+    cells.insert(2, (splits[1], *cell("baseline", None, 1, m)[1:]))
     sets = []
     real = trainer._gather
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -319,6 +320,31 @@ class TestRunSweep:
             harness.run_sweep(cfg, "method.alpha", [1.0, -1.0], out_dir=str(out), jobs=jobs)
         assert not (out / "report.json").exists()
         assert not (out / "cells").exists()
+
+    @pytest.mark.parametrize("kind", [k for k, entry in METHODS.items() if entry.param])
+    def test_strength_outside_its_range_rejected_everywhere(self, tmp_path, capsys, kind):
+        """MethodSpec is the only range check, and a spec, a config and a sweep all reach it.
+
+        Each value sits one float outside a finite bound, or on an open low bound.
+        """
+        entry = METHODS[kind]
+        bad = [math.nextafter(b, toward) for b, toward in ((entry.low, -math.inf),
+                                                            (entry.high, math.inf))
+               if math.isfinite(b)] + ([entry.low] if entry.low_open else [])
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + f"method.kind = {kind}\n")
+        for k, value in enumerate(bad):
+            message = f"{entry.param} must be in"
+            with pytest.raises(SpecError, match=message):
+                MethodSpec(kind, value)
+            with pytest.raises(ConfigError, match=f"^method\\.\\*: {message}"):
+                parse_config_text(f"method.kind = {kind}\nmethod.{entry.param} = {value!r}\n")
+            out = tmp_path / f"sweep{k}"
+            assert cli.main(["sweep", "--config", str(cfg_path), "--param",
+                             f"method.{entry.param}", f"--values={value!r}", "--out", str(out),
+                             "--seeds", "1"]) == 1
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not (out / "report.json").exists()
 
     def test_resume_reuses_cells(self, tmp_path, monkeypatch):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")

@@ -202,7 +202,7 @@ class TestGradientsThroughModel:
             batch = [rng.standard_normal((6, d)) for d in dims]
             labels = rng.integers(0, 3, 6)
             cache = fusion.forward(model, batch)
-            bundle = baseline_loss(model, cache, labels)
+            bundle = baseline_loss(model, cache, labels, FlopsLedger())
             grads = model_gradient(model, cache, bundle)
 
             def loss_fn():
