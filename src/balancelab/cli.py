@@ -163,6 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in reversed(range(len(argv) - 1)):  # argparse reads "-1,2" alone as an option
+        if argv[k] in ("--values", "--seeds"):
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -6,6 +6,8 @@ concatenation of encoder features through a single linear classifier. The
 blocked form keeps each modality's additive share of the logits explicit.
 Partial logits carry ``head_bias / m`` so the per-modality partials sum back
 to the full logits; in logit space the m modalities are one array axis.
+A forward pass is :func:`encode` then :func:`head`; training transforms
+features between the two, only those of the modalities a transform touched.
 
 A model's shape is its ``arch`` and class count. They fix the one list of
 parameter blocks (``_blocks``) that lays out the flat parameter buffer, the
@@ -121,8 +123,8 @@ class FusionModel:
 class ForwardCache:
     """Everything one forward pass computed.
 
-    ``features[i]`` is the (possibly hook-transformed) encoder output used
-    for the logits. ``block_products`` stacks ``features[i] @ head_blocks[i].T``
+    ``features[i]`` is what the head read (in training, after any transform
+    of modality i). ``block_products`` stacks ``features[i] @ head_blocks[i].T``
     over i into one (m, ..., B, H) array, so ``logits = (head_bias +
     block_products[0]) + block_products[1] + ...`` exactly as computed.
     """
@@ -152,45 +154,37 @@ def init_model(
     return model
 
 
-def forward(
-    model: FusionModel,
-    batch: list[np.ndarray],
-    feature_hook=None,
-    ledger=None,
-) -> ForwardCache:
-    """Forward pass over a batch (one feature matrix per modality).
+def encode(model: FusionModel, batch: list[np.ndarray],
+           ledger=None) -> tuple[list[np.ndarray], list[MlpCache]]:
+    """Each encoder's features for a batch (one matrix per modality), and its cache.
 
     A stacked model takes a stacked batch, (R, B, d_i) per modality.
-    ``feature_hook``, when given, maps the list of encoder outputs
-    to a transformed list before the head (used by feed-forward balancing
-    methods during training). ``ledger`` is an optional FlopsLedger that
-    records the matmul work.
+    ``features[i]`` is ``enc_caches[i]``'s last pre-activation array itself,
+    so copy it before changing it. ``ledger``, a FlopsLedger, records the work.
     """
     m = model.num_modalities
     if len(batch) != m:
         raise ShapeError(f"batch has {len(batch)} modalities, model expects {m}")
     lead_n = batch[0].shape[:-1]
-    n = lead_n[-1]
     for i, x in enumerate(batch):
         if x.ndim < 2 or x.shape[:-1] != lead_n:
-            raise ShapeError(f"modality {i} batch must be ({n}, d), got {x.shape}")
-
-    features: list[np.ndarray] = []
-    enc_caches: list[MlpCache] = []
-    for i in range(m):
-        phi, cache = mlp_forward(model.encoders[i], batch[i])
-        if ledger is not None:
-            for layer in model.encoders[i].layers:
+            raise ShapeError(f"modality {i} batch must be (B, d) as modality 0's, got {x.shape}")
+    n = lead_n[-1]
+    passes = [mlp_forward(enc, x) for enc, x in zip(model.encoders, batch)]
+    if ledger is not None:
+        for enc in model.encoders:
+            for layer in enc.layers:
                 d_out, d_in = layer.weight.shape[-2:]
                 ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
                 ledger.record("elementwise", n * d_out)  # activation
-        features.append(phi)
-        enc_caches.append(cache)
-    if feature_hook is not None:
-        features = feature_hook(features)
+    return [phi for phi, _ in passes], [cache for _, cache in passes]
 
-    h = model.num_classes
-    block_products = np.empty((m,) + lead_n + (h,))
+
+def head(model: FusionModel, features: list[np.ndarray], enc_caches: list[MlpCache],
+         ledger=None) -> ForwardCache:
+    """The blocked linear head over ``features``, and the cache of the whole pass."""
+    m, h, n = model.num_modalities, model.num_classes, features[0].shape[-2]
+    block_products = np.empty((m,) + features[0].shape[:-1] + (h,))
     for i in range(m):
         np.matmul(features[i], model.head_blocks[i].swapaxes(-1, -2), out=block_products[i])
         if ledger is not None:
@@ -203,6 +197,11 @@ def forward(
     if not np.all(np.isfinite(logits)):
         raise NumericError("forward produced non-finite logits")
     return ForwardCache(features, enc_caches, block_products, logits)
+
+
+def forward(model: FusionModel, batch: list[np.ndarray], ledger=None) -> ForwardCache:
+    """:func:`head` of :func:`encode`, each looked up per call, as a tracer may swap them."""
+    return head(model, *encode(model, batch, ledger), ledger)
 
 
 def partial_logits(model: FusionModel, cache: ForwardCache) -> np.ndarray:

@@ -18,8 +18,9 @@ per group of runs that share it, per batch unless noted:
   by ``kappa[r, i]``;
 - ``feature_transform(features, scores, value, rngs) -> (factors, applied)``
   multiplies modality i's features and their gradient by ``factors[i]``
-  (None: identity) in training; run r draws from ``rngs[r]``, and
-  ``applied[r, i]`` marks what changed;
+  (None: identity) in training, between ``fusion.encode`` and
+  ``fusion.head``; only modalities with a factor are touched. Run r draws
+  from ``rngs[r]``, and ``applied[r, i]`` marks what changed;
 - ``sample_weights(model, data, value, ledger) -> weights``: (R, N)
   batch-sampler weights for the runs' train sets, per epoch;
 - ``deploy(model) -> model``: what validation and evaluation see, per epoch.

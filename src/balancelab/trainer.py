@@ -15,8 +15,9 @@ cross-entropy call. Only validation runs per run, once per epoch.
 ``fit`` holds a stack's state in one ``TrainState`` and calls ``_epoch`` once
 per epoch. An epoch draws each run's batch order (weighted by any
 sample-weights hook) and stacks the orders into one (R, N) index block;
-per batch it calls ``_gather``, ``_forward`` (feature
-transforms, fusion forward, running scores), ``_objectives`` (objectives and
+per batch it calls ``_gather``, ``_forward`` (``fusion.encode``, feature
+transforms of the modalities a range touched, ``fusion.head``, running
+scores), ``_objectives`` (objectives, those factors on the feature gradients,
 backward), ``_scale_grads`` and ``sgd_step``; then ``_validate`` deploys,
 flushes the ledgers, validates and keeps each run's best model. Every
 stochastic choice is a deterministic function of ``(config.seed, epoch,
@@ -215,9 +216,9 @@ def sgd_step(state: TrainState, grads: np.ndarray, lr: float,
 class LossBundle:
     """An objective's value plus gradients for every top-level block.
 
-    ``feature_grads[i]`` is the gradient with respect to the (post-hook)
-    encoder output of modality i; the trainer pushes it through the feature
-    hook factor and the encoder backward pass. For a stack of runs, ``loss``
+    ``feature_grads[i]`` is the gradient with respect to the features the
+    head read; the trainer scales it by modality i's transform factor, if a
+    range transformed i, and backpropagates it. For a stack of runs, ``loss``
     holds one value per run and every array gains the leading run axis.
     """
 
@@ -340,46 +341,39 @@ def _gather(state: TrainState, idx: np.ndarray):
 
 
 def _forward(state: TrainState, xb: list[np.ndarray], yb: np.ndarray, epoch: int, b: int):
-    """The fusion forward with feature transforms applied, then the running-score update."""
-    transforms = state.hooks["feature_transform"]
-    # per modality: the stack's feature-transform factor (ones for runs
-    # left alone, an exact identity), returned with the cache for backward
-    factors: list[np.ndarray] = []
-    hook = None
+    """Encode, transform, head, then the running scores; returns the cache and the factors."""
+    features, enc_caches = fusion.encode(state.model, xb, ledger=state.charge(slice(None)))
+    # per modality a transform touched: its factor over the stack (rows left alone: ones)
+    factors: dict[int, np.ndarray] = {}
     # with no score history yet (first batch) features pass through
-    if state.running_scores is not None and transforms:
-
-        def hook(feats):
-            factors.extend(np.ones(f.shape) for f in feats)
-            for transform, rows, _, _ in transforms:
-                rngs = [np.random.default_rng([seed, epoch, b, 1]) for seed in state.seeds[rows]]
-                made, applied = transform([f[rows] for f in feats],
-                                          state.running_scores[rows], state.values[rows], rngs)
-                for i, factor in enumerate(made):
-                    if factor is not None:
-                        factors[i][rows] = factor
-                for r, i in np.argwhere(applied) + (rows.start, 0):
-                    state.charge(slice(r, r + 1)).record("elementwise", feats[i][0].size)
-            return [f * c for f, c in zip(feats, factors)]
-
-    cache = fusion.forward(state.model, xb, feature_hook=hook, ledger=state.charge(slice(None)))
+    if state.running_scores is not None:
+        for transform, rows, _, _ in state.hooks["feature_transform"]:
+            rngs = [np.random.default_rng([seed, epoch, b, 1]) for seed in state.seeds[rows]]
+            made, applied = transform([f[rows] for f in features], state.running_scores[rows],
+                                      state.values[rows], rngs)
+            for i, factor in enumerate(made):
+                if factor is not None:
+                    factors.setdefault(i, np.ones(features[i].shape))[rows] = factor
+            for r, i in np.argwhere(applied) + (rows.start, 0):
+                state.charge(slice(r, r + 1)).record("elementwise", features[i][0].size)
+    for i, factor in factors.items():
+        # a new array: features[i] is also the encoder cache's last pre-activation
+        features[i] = features[i] * factor
+    cache = fusion.head(state.model, features, enc_caches, ledger=state.charge(slice(None)))
 
     scores = modality_scores(state.model, cache, yb)
     if state.running_scores is not None:
-        scores = (
-            SCORE_SMOOTHING * state.running_scores
-            + (1.0 - SCORE_SMOOTHING) * scores
-        )
+        scores = SCORE_SMOOTHING * state.running_scores + (1.0 - SCORE_SMOOTHING) * scores
     state.running_scores = scores
     m, (n, h) = state.model.num_modalities, cache.logits.shape[-2:]
-    for _, rows, _, _ in state.hooks["grad_scale"] + transforms:
+    for _, rows, _, _ in state.hooks["grad_scale"] + state.hooks["feature_transform"]:
         # the hook reads the scores: partial softmax + mean per modality
         state.charge(rows).record("softmax_loss", m * n * h)
         state.charge(rows).record("elementwise", m * (n * h + n))
     return cache, factors
 
 
-def _objectives(state: TrainState, cache: ForwardCache, factors: list[np.ndarray],
+def _objectives(state: TrainState, cache: ForwardCache, factors: dict[int, np.ndarray],
                 yb: np.ndarray, loss_sum: np.ndarray, epoch: int, b: int) -> None:
     """Each range's objective, backpropagated into ``state.grads``; adds loss * n to loss_sum."""
     for objective, rows, view, view_grads in state.hooks["objective"]:
@@ -389,8 +383,8 @@ def _objectives(state: TrainState, cache: ForwardCache, factors: list[np.ndarray
         if not finite.all():
             raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
         loss_sum[rows] += bundle.loss * yb.shape[-1]
-        for grad, factor in zip(bundle.feature_grads, factors):
-            grad *= factor[rows]
+        for i, factor in factors.items():
+            bundle.feature_grads[i] *= factor[rows]
         _backward_into_model(view, view_cache, bundle, view_grads, state.charge(rows))
 
 

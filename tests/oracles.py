@@ -4,7 +4,7 @@ These deliberately avoid the library's own gradient/Shapley code paths:
 finite differences run over a flat parameter vector, the Bayes classifier
 uses the true generative means, the Shapley check uses the
 subset-weighted formula instead of permutation averaging, masked evaluation
-zeroes features through a forward hook, the modality scores take one
+zeroes features between the encoders and the head, the modality scores take one
 softmax per modality, and the cosine and KL references restate their
 methods' definitions directly.
 """
@@ -150,11 +150,9 @@ def shapley_subset_form(values, m):
 
 def masked_accuracy(model, data, subset):
     """Accuracy with the features of every modality outside ``subset`` zeroed."""
-
-    def zero_left_out(features):
-        return [f if i in subset else np.zeros_like(f) for i, f in enumerate(features)]
-
-    cache = fusion.forward(model, data.features, feature_hook=zero_left_out)
+    features, enc_caches = fusion.encode(model, data.features)
+    features = [f if i in subset else np.zeros_like(f) for i, f in enumerate(features)]
+    cache = fusion.head(model, features, enc_caches)
     return metrics.accuracy(fusion.predict(cache.logits), data.labels)
 
 

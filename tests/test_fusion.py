@@ -88,6 +88,12 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model, [np.ones((3, 9)), np.ones((3, 4))])
 
+    @pytest.mark.parametrize("shapes", [[(5,), (4,)], [(3, 5), (2, 4)], [(3, 5)]])
+    def test_batch_shape_rejected(self, shapes):
+        """Vectors, unequal row counts and a missing modality are ShapeErrors."""
+        with pytest.raises(ShapeError):
+            forward(init_model(ARCH, 3, 6), [np.ones(s) for s in shapes])
+
 
 class TestPartialLogits:
     def test_partials_sum_to_full(self):

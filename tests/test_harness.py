@@ -663,6 +663,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        pytest.param(["sweep", "--param", "method.alpha", "--seeds", "1"], "--values", "-1e-3",
+                     "error: alpha must be in ", id="values-1e-3"),
+        pytest.param(["sweep", "--param", "method.alpha", "--seeds", "1"], "--values", "-1,2",
+                     "error: alpha must be in ", id="values-1,2"),
+        pytest.param(["train"], "--seeds", "-1,2", "error: seeds: must be non-negative, got ",
+                     id="seeds-1,2"),
+    ])
+    def test_negative_option_value_exits_1(self, tmp_path, capsys, argv, flag, value, message,
+                                           joined):
+        """A value starting with "-" reaches the range check in either form, not argparse."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "method.kind = gradmod\n")
+        out = tmp_path / "o"
+        option = [f"{flag}={value}"] if joined else [flag, value]
+        assert cli.main([*argv, *option, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("argv", [["train", "--seeds", "2,2"],
                                       ["sweep", "--param", "method.alpha", "--values", "1,1.0"]])
     def test_repeated_cell_exits_1(self, tmp_path, capsys, argv):

@@ -8,7 +8,7 @@ from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.errors import ContractError, DivergenceError
 from balancelab.fusion import init_model
 from balancelab.metrics import FlopsLedger, value_function
-from balancelab.methods import MethodSpec
+from balancelab.methods import METHODS, MethodSpec
 from balancelab.trainer import (
     TrainConfig,
     TrainState,
@@ -211,6 +211,31 @@ class TestGradientsThroughModel:
 
             assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
+    def test_transformed_step_gradient_matches_finite_differences(self):
+        """_objectives scales a transformed modality's feature gradient by its factor."""
+        rng = np.random.default_rng(3)
+        model = init_model([[4, 7, 5], [5, 7, 5]], 3, 1)
+        stack = model.like(model.flat[None].copy())  # a one-run stack, as fit trains
+        batch = [rng.standard_normal((1, 6, d)) for d in (4, 5)]
+        labels = rng.integers(0, 3, (1, 6))
+        factor = rng.uniform(0.0, 2.0, (1, 6, 5))  # modality 0's, per sample and coordinate
+
+        def transformed():
+            features, enc_caches = fusion.encode(stack, batch)
+            features[0] = features[0] * factor
+            return fusion.head(stack, features, enc_caches)
+
+        state = TrainState(stack, np.zeros_like(stack.flat),
+                           grads=stack.like(np.empty_like(stack.flat)), seeds=[0],
+                           values=np.array([np.nan]))
+        state.hooks = {"objective": trainer._ranges(state, [METHODS["baseline"]], "objective")}
+        trainer._objectives(state, transformed(), {0: factor}, labels, np.zeros(1), 0, 0)
+
+        def loss_fn():
+            return cross_entropy(transformed().logits, labels)[0][0]
+
+        assert fd_max_rel_error(loss_fn, [stack.flat], [state.grads.flat]) < 1e-5
+
 
 class TestFit:
     def test_zero_epochs(self):
@@ -285,7 +310,9 @@ class TestNamesLookedUpAtCallTime:
         ("trainer.baseline_loss", 0, 1),
         ("trainer.evaluate_accuracy", 1, 0),
         ("trainer.mlp_backward", 0, 2),  # one per modality
-        ("fusion.forward", 1, 1),  # validation runs one more
+        ("fusion.forward", 1, 0),  # validation only
+        ("fusion.encode", 1, 1),  # training's and validation's
+        ("fusion.head", 1, 1),
     ])
     def test_swapped_name_sees_every_call(self, monkeypatch, path, per_epoch, per_batch):
         """A span tracer swaps these module attributes, so fit must look each up per call."""
