@@ -69,6 +69,17 @@ CATALOGUE = [
             "test_loss_gradient_matches_finite_differences",
             "tests/test_trainer.py::TestGradientsThroughModel::"
             "test_transformed_step_gradient_matches_finite_differences")),
+    Mutant("eval-keys-out-of-the-fingerprint", "src/balancelab/harness.py",
+           'and not k.startswith("method.")}', 'and not k.startswith(("method.", "eval."))}',
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_fingerprint_covers_every_section_but_seeds_and_out_dir",)),
+    Mutant("score-smoothing-0.8", "src/balancelab/trainer.py",
+           "SCORE_SMOOTHING = 0.7  #", "SCORE_SMOOTHING = 0.8  #",
+           ("tests/test_trainer.py::TestModalityScores::test_running_score_after_two_batches",)),
+    Mutant("std-rows-ddof-1", "src/balancelab/harness.py",
+           '("std", np.std)', '("std", lambda column: np.std(column, ddof=1))',
+           ("tests/test_harness.py::TestRunExperiment::"
+            "test_aggregates_are_mean_and_population_std",)),
 ]
 
 

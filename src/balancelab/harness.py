@@ -3,10 +3,10 @@
 Every run is one (setting, seed) cell, a setting being one
 ``MethodSpec(kind, value)``. A cell derives four independent generator
 seeds (data, split, init, train) from the pair (master seed, run seed),
-executes the full pipeline, and produces one report row:
-
-    method, seed, sweep_param, sweep_value, acc, macro_f1,
-    phi_1..phi_m, imbalance, flops_total, best_epoch
+executes the full pipeline, and produces one report row. The report's
+columns are ``RunRow``'s fields in order, phi expanded to phi_1..phi_m;
+phi and imbalance are empty when ``eval.shapley = false``. Each (method,
+sweep value) group adds a mean row and a std row, the population sd (ddof 0).
 
 ``run_experiment`` (the configured setting) and ``run_sweep`` (one setting
 per value) share one report path: cells, then aggregates, then the written
@@ -22,7 +22,8 @@ processes. Each cell is written to ``<out>/cells/`` as soon as it is
 evaluated after its stack has trained, so an interrupted call resumes
 without recomputing those cells, but it retrains every cell of a stack
 still training. A cell file whose config fingerprint differs, that cannot
-be read, or whose asked-for checkpoint is missing, is recomputed.
+be read, whose row has the wrong shape for the call's modality count, or
+whose asked-for checkpoint is missing, is recomputed.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
 """
@@ -46,12 +47,6 @@ from .errors import BalanceLabError, ConfigError, FormatError
 from .methods import METHODS, MethodSpec
 
 _NUMBER = (int, float)
-# the JSON types each RunRow field may hold; no field holds a bool
-_ROW_TYPES = {
-    "method": str, "seed": (int, str), "sweep_param": str, "sweep_value": (*_NUMBER, type(None)),
-    "acc": _NUMBER, "macro_f1": _NUMBER, "phi": (list, type(None)),
-    "imbalance": (*_NUMBER, type(None)), "flops_total": _NUMBER, "best_epoch": _NUMBER,
-}
 # each balance point, and the marker its sweep value's mean row carries
 _MARKERS = (("absolute", "argmin_imbalance"), ("relative", "argmax_accuracy"))
 
@@ -60,35 +55,48 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _column(types, aggregated=False, **default):
+    """A RunRow field: the JSON types it may hold and whether mean/std rows aggregate it."""
+    return field(metadata={"types": types, "aggregated": aggregated}, **default)
+
+
 @dataclass
 class RunRow:
-    method: str
-    seed: object  # run seed, or "mean"/"std" on aggregate rows
-    sweep_param: str = ""
-    sweep_value: float | None = None
-    acc: float = 0.0
-    macro_f1: float = 0.0
-    phi: tuple[float, ...] | None = None
-    imbalance: float | None = None
-    flops_total: float = 0
-    best_epoch: float = -1
+    """One report row. Its fields, in order, are the report's columns; the list-typed
+    field holds one value per modality and fills m columns. No field holds a bool."""
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        d["phi"] = list(self.phi) if self.phi is not None else None
-        return d
+    method: str = _column((str,))
+    seed: object = _column((int, str))  # run seed, or "mean"/"std" on aggregate rows
+    sweep_param: str = _column((str,), default="")
+    sweep_value: float | None = _column((*_NUMBER, type(None)), default=None)
+    acc: float = _column(_NUMBER, True, default=0.0)
+    macro_f1: float = _column(_NUMBER, True, default=0.0)
+    phi: tuple[float, ...] | None = _column((list, type(None)), True, default=None)
+    imbalance: float | None = _column((*_NUMBER, type(None)), True, default=None)
+    flops_total: float = _column(_NUMBER, True, default=0)
+    best_epoch: float = _column(_NUMBER, True, default=-1)
+
+    to_dict = dataclasses.asdict  # json writes the tuple as a list
 
     @staticmethod
     def from_dict(d: dict) -> "RunRow":
         """Inverse of :meth:`to_dict`; a field of the wrong JSON type is a FormatError."""
         row = RunRow(**{f.name: d[f.name] for f in dataclasses.fields(RunRow)})
-        for name, types in _ROW_TYPES.items():
-            value = getattr(row, name)
-            items = value if name == "phi" and isinstance(value, list) else []
-            if not _is(value, types) or not all(_is(p, _NUMBER) for p in items):
-                raise FormatError(f"row field {name!r} has the wrong type: {value!r}")
-        row.phi = tuple(row.phi) if row.phi is not None else None
+        for f in dataclasses.fields(row):
+            value = getattr(row, f.name)
+            items = value if isinstance(value, list) else []
+            if not _is(value, f.metadata["types"]) or not all(_is(p, _NUMBER) for p in items):
+                raise FormatError(f"row field {f.name!r} has the wrong type: {value!r}")
+            if isinstance(value, list):
+                setattr(row, f.name, tuple(value))
         return row
+
+    def check_shape(self, m: int) -> None:
+        """A FormatError unless phi holds m values and imbalance is null just when phi is."""
+        if (self.phi is None) != (self.imbalance is None):
+            raise FormatError(f"row has phi {self.phi!r} but imbalance {self.imbalance!r}")
+        if self.phi is not None and len(self.phi) != m:
+            raise FormatError(f"row has phi {self.phi!r} for {m} modalities")
 
 
 @dataclass
@@ -102,25 +110,21 @@ class RunReport:
     errors: list[dict] = field(default_factory=list)
 
     def csv_text(self) -> str:
-        cols = ["method", "seed", "sweep_param", "sweep_value", "acc", "macro_f1"]
-        cols += [f"phi_{i + 1}" for i in range(self.m)]
-        cols += ["imbalance", "flops_total", "best_epoch"]
-        lines = [",".join(cols)]
+        def columns(row) -> list[tuple[str, object]]:
+            """(name, value) per CSV column, from a row or (None) for the header."""
+            out = []
+            for f in dataclasses.fields(RunRow):
+                value = None if row is None else getattr(row, f.name)
+                if list not in f.metadata["types"]:
+                    out.append((f.name, value))
+                else:
+                    out += [(f"{f.name}_{i + 1}", None if value is None else value[i])
+                            for i in range(self.m)]
+            return out
 
-        def fmt(v) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        for row in self.rows + self.aggregates:
-            cells = [row.method, str(row.seed), row.sweep_param, fmt(row.sweep_value),
-                     fmt(row.acc), fmt(row.macro_f1)]
-            phi = row.phi if row.phi is not None else (None,) * self.m
-            cells += [fmt(p) for p in phi]
-            cells += [fmt(row.imbalance), fmt(row.flops_total), fmt(row.best_epoch)]
-            lines.append(",".join(cells))
+        lines = [",".join(name for name, _ in columns(None))]
+        lines += [",".join("" if v is None else str(v) for _, v in columns(row))
+                  for row in self.rows + self.aggregates]
         return "\n".join(lines) + "\n"
 
     def json_dict(self) -> dict:
@@ -279,14 +283,16 @@ def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, spec: MethodSpec)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _read_cell(path, fingerprint: str) -> tuple[RunRow | None, str]:
-    """The cached row at ``path``, or None and why it cannot be used."""
+def _read_cell(path, fingerprint: str, m: int) -> tuple[RunRow | None, str]:
+    """The cached row of an m-modality call at ``path``, or None and why it cannot be used."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             d = json.load(fh)
         if d["fingerprint"] != fingerprint:
             return None, "computed under a different config"
-        return RunRow.from_dict(d), ""
+        row = RunRow.from_dict(d)
+        row.check_shape(m)
+        return row, ""
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
 
@@ -336,14 +342,15 @@ def _aggregate(rows: list[RunRow]) -> list[RunRow]:
 
     out = []
     for (method, value), members in groups.items():
-        have_phi = all(r.phi is not None for r in members)
         for stat, fn in (("mean", np.mean), ("std", np.std)):
             agg = RunRow(method, stat, members[0].sweep_param, value)
-            for name in ("acc", "macro_f1", "imbalance", "flops_total", "best_epoch"):
-                if name != "imbalance" or have_phi:
-                    setattr(agg, name, float(fn([getattr(r, name) for r in members])))
-            if have_phi:
-                agg.phi = tuple(float(fn(column)) for column in zip(*(r.phi for r in members)))
+            for f in dataclasses.fields(RunRow):
+                column = [getattr(r, f.name) for r in members]
+                # a field any member lacks stays None; a tuple aggregates per position
+                if f.metadata["aggregated"] and None not in column:
+                    per_position = isinstance(column[0], tuple)
+                    stats = [float(fn(c)) for c in (zip(*column) if per_position else [column])]
+                    setattr(agg, f.name, tuple(stats) if per_position else stats[0])
             out.append(agg)
     return out
 
@@ -352,11 +359,12 @@ def _run_cells(
     cfg: ExperimentConfig,
     cells: list[tuple[int, MethodSpec]],
     sweep_param: str,
+    m: int,
     out_dir,
     jobs: int,
     ckpt_dir=None,
 ) -> tuple[list[RunRow], list[dict]]:
-    """Run (seed, setting) cells, reusing completed cell files of the same config.
+    """Run (seed, setting) cells of m modalities, reusing completed cell files of the same config.
 
     The cells left to compute train as one stack, split into ``jobs``
     contiguous stacks when ``jobs > 1``. Returns the rows in cell order and
@@ -378,7 +386,7 @@ def _run_cells(
     for cell in records:
         name = f"cell {cell.spec.kind} seed={cell.seed} value={cell.sweep_value}"
         if cell.path is not None and os.path.exists(cell.path):
-            row, problem = _read_cell(cell.path, cell.fingerprint)
+            row, problem = _read_cell(cell.path, cell.fingerprint, m)
             if row is not None and cell.ckpt is not None and not os.path.exists(cell.ckpt):
                 row, problem = None, "has no checkpoint"
             if row is not None:
@@ -446,7 +454,7 @@ def _report(cfg: ExperimentConfig, sweep_param: str, specs: list[MethodSpec], ou
         raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
                           f"(seed {repeated[0]}, value {value}) twice")
     m = _modality_count(cfg)
-    rows, errors = _run_cells(cfg, cells, sweep_param, out_dir, jobs, ckpt_dir)
+    rows, errors = _run_cells(cfg, cells, sweep_param, m, out_dir, jobs, ckpt_dir)
     aggregates = _aggregate(rows)
     means = [r for r in aggregates if r.seed == "mean"]
     points = _balance_points(means, [s.value for s in specs]) if sweep_param and means else None
@@ -571,13 +579,15 @@ def load_report(path) -> RunReport:
         cfg = ExperimentConfig.from_dict(d["config"])
         rows = rows_of("rows")
         aggregates = rows_of("aggregates")
+        m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")
+        for row in rows + aggregates:
+            row.check_shape(m)
     except KeyError as exc:
         raise FormatError(f"{path}: not a report, missing key {exc}") from None
     except ConfigError as exc:
         raise FormatError(f"{path}: not a report, its config is invalid: {exc}") from None
     except FormatError as exc:
         raise FormatError(f"{path}: not a report, {exc}") from None
-    m = len(rows[0].phi) if rows and rows[0].phi else cfg.get("dataset.modalities")
     return RunReport(
         rows, aggregates, m, cfg,
         sweep_param=d.get("sweep_param", ""),

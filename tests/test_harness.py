@@ -135,13 +135,27 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "report.json").exists()
 
-    def test_two_seeds_aggregate_mean(self, tmp_path):
-        cfg = parse_config_text(TINY)
-        report = harness.run_experiment(cfg)
-        assert len(report.rows) == 2
-        means = [r for r in report.aggregates if r.seed == "mean"]
-        assert len(means) == 1
-        assert means[0].acc == pytest.approx(np.mean([r.acc for r in report.rows]))
+    @pytest.mark.parametrize("shapley", [True, False])
+    def test_aggregates_are_mean_and_population_std(self, shapley):
+        cfg = parse_config_text(TINY).with_key("seeds", (1, 2, 3))
+        report = harness.run_experiment(cfg.with_key("eval.shapley", shapley))
+        assert len(report.rows) == 3
+        assert [r.seed for r in report.aggregates] == ["mean", "std"]
+        # std rows are the population sd: numpy's default ddof of 0
+        for agg, fn in zip(report.aggregates, (np.mean, np.std)):
+            for name in ("acc", "macro_f1", "imbalance", "flops_total", "best_epoch"):
+                values = [getattr(r, name) for r in report.rows]
+                if shapley or name != "imbalance":
+                    assert getattr(agg, name) == pytest.approx(fn(values)), (agg.seed, name)
+                else:
+                    assert getattr(agg, name) is None
+            if shapley:
+                per_column = fn(np.array([r.phi for r in report.rows]), axis=0)
+                assert list(agg.phi) == pytest.approx(list(per_column)), agg.seed
+            else:
+                assert agg.phi is None
+        # a spread of zero would hide the ddof
+        assert report.aggregates[1].acc > 0
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = parse_config_text(TINY)
@@ -168,17 +182,29 @@ class TestRunExperiment:
         cells = sorted(os.listdir(out / "cells"))
         assert cells == ["baseline__seed1__none.json", "baseline__seed2__none.json"]
 
-    def test_truncated_cell_recomputed(self, tmp_path):
-        cfg = parse_config_text(TINY).with_key("seeds", (1,))
+    @pytest.mark.parametrize("damage", ["truncated", "phi-without-imbalance", "three-phi"])
+    def test_malformed_cell_recomputed(self, tmp_path, damage):
+        cfg = parse_config_text(TINY)
         out = tmp_path / "out"
         first = harness.run_experiment(cfg, out_dir=str(out))
+        csv = (out / "report.csv").read_bytes()
         cell = out / "cells" / "baseline__seed1__none.json"
         text = cell.read_text()
-        cell.write_text(text[: len(text) // 2])
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            d = json.loads(text)
+            if damage == "three-phi":
+                d["phi"].append(0.0)
+            else:
+                d["imbalance"] = None
+            text = json.dumps(d)
+        cell.write_text(text)
         again = harness.run_experiment(cfg, out_dir=str(out))
-        assert again.rows[0].to_dict() == first.rows[0].to_dict()
+        assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in first.rows]
         assert "cached cell unreadable" in (out / "run.log").read_text()
         assert json.loads(cell.read_text())["acc"] == first.rows[0].acc
+        assert (out / "report.csv").read_bytes() == csv
 
     def test_dataset_file_config(self, tmp_path):
         from balancelab import datagen
@@ -275,6 +301,38 @@ class TestLoadReport:
         (out / "report.json").write_text(json.dumps(d))
         with pytest.raises(FormatError, match="missing key 'sweep_param'"):
             harness.load_report(out / "report.json")
+
+    @pytest.fixture(scope="class")
+    def two_seed_report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("report")
+        harness.run_experiment(parse_config_text(TINY), out_dir=str(out))
+        return json.loads((out / "report.json").read_text())
+
+    @pytest.mark.parametrize("name, value", [("acc", True), ("flops_total", "12"), ("seed", [1]),
+                                             ("phi", [0.5, "0.5"]), ("phi", 0.5)])
+    def test_field_of_the_wrong_type_is_a_format_error(self, tmp_path, two_seed_report, name,
+                                                       value):
+        path = tmp_path / "report.json"
+        rows = [dict(r) for r in two_seed_report["rows"]]
+        rows[1][name] = value
+        path.write_text(json.dumps({**two_seed_report, "rows": rows}))
+        message = f"{path}: not a report, row field {name!r} has the wrong type: {value!r}"
+        with pytest.raises(FormatError) as err:
+            harness.load_report(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, k, name, value", [
+        ("rows", 1, "imbalance", None), ("aggregates", 1, "phi", None),
+        ("rows", 1, "phi", [0.1, 0.2, 0.3]), ("aggregates", 0, "phi", [0.1])])
+    def test_row_of_the_wrong_shape_is_a_format_error(self, tmp_path, two_seed_report, key, k,
+                                                      name, value):
+        path = tmp_path / "report.json"
+        rows = [dict(r) for r in two_seed_report[key]]
+        rows[k][name] = value
+        path.write_text(json.dumps({**two_seed_report, key: rows}))
+        with pytest.raises(FormatError) as err:
+            harness.load_report(path)
+        assert str(err.value).startswith(f"{path}: not a report, row has phi ")
 
 
 class TestRunSweep:

@@ -169,6 +169,30 @@ class TestModalityScores:
         assert scores[0] == pytest.approx(math.exp(2) / (math.exp(2) + 1))
         assert scores[1] == pytest.approx(0.5)
 
+    def test_running_score_after_two_batches(self):
+        # partial logits (2x, 0) and (0, x) with y=0: sigmoid(2x) and sigmoid(-x)
+        model = init_model([[1, 1], [1, 1]], 2, 0)
+        for enc in model.encoders:
+            enc.layers[0].weight[:] = 1.0
+        model.head_blocks[0][:] = np.array([[2.0], [0.0]])
+        model.head_blocks[1][:] = np.array([[0.0], [1.0]])
+        model.head_bias[:] = 0.0
+        stack = model.like(model.flat[None].copy())
+        state = TrainState(stack, np.zeros_like(stack.flat), seeds=[0])
+        state.hooks = {"feature_transform": [], "grad_scale": []}
+        for b, x in enumerate((1.0, 2.0)):
+            batch = [np.full((1, 1, 1), x), np.full((1, 1, 1), x)]
+            trainer._forward(state, batch, np.zeros((1, 1), dtype=int), 0, b)
+
+        def sigmoid(z):
+            return 1.0 / (1.0 + math.exp(-z))
+
+        # running score = 0.7 * the first batch's + 0.3 * the second's
+        expected = [0.7 * sigmoid(2.0) + 0.3 * sigmoid(4.0),
+                    0.7 * sigmoid(-1.0) + 0.3 * sigmoid(-2.0)]
+        assert state.running_scores.shape == (1, 2)
+        assert list(state.running_scores[0]) == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("runs", [None, 3])
     def test_stacked_softmax_matches_per_modality_loop(self, m, runs):
