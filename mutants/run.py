@@ -80,6 +80,21 @@ CATALOGUE = [
            '("std", np.std)', '("std", lambda column: np.std(column, ddof=1))',
            ("tests/test_harness.py::TestRunExperiment::"
             "test_aggregates_are_mean_and_population_std",)),
+    Mutant("gradmod-strength-x4", "src/balancelab/methods.py",
+           "    x = alpha[:, None] * (rho - 1.0)\n", "    x = 4.0 * alpha[:, None] * (rho - 1.0)\n",
+           ("tests/test_methods.py::TestGradModulation::test_worked_example",)),
+    Mutant("run-0-kappa-for-every-run", "src/balancelab/trainer.py",
+           "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])\n",
+           "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])[:1]\n",
+           ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
+    Mutant("modality-gather-reversed", "src/balancelab/trainer.py",
+           "for x, f in zip(xs, train.features):", "for x, f in zip(xs, train.features[::-1]):",
+           ("tests/test_engine.py::test_stack_matches_each_cell_alone",
+            "tests/test_trainer.py::TestDominanceSuppression::"
+            "test_weak_modality_starves_in_joint_training")),
+    Mutant("interleaved-sets-rows-misplaced", "src/balancelab/trainer.py",
+           "x[rows] = f.take(idx[rows], axis=0)", "x[rows] = f.take(idx[:len(rows)], axis=0)",
+           ("tests/test_engine.py::test_runs_sharing_a_train_set_match_each_run_alone",)),
 ]
 
 

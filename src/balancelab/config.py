@@ -55,7 +55,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
-from .datagen import SyntheticSpec
+from .datagen import SyntheticSpec, check_fractions
 from .errors import ConfigError, SpecError
 from .methods import METHODS, MethodSpec
 from .trainer import TrainConfig
@@ -295,6 +295,7 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
         value = cfg.get(key)
         if min(value if isinstance(value, tuple) else (value,)) < 0:
             raise ConfigError(f"{key}: must be non-negative, got {value}")
-    fr = cfg.fractions
-    if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise ConfigError(f"eval.fractions: need three positive values summing to 1, got {fr}")
+    try:
+        check_fractions(cfg.fractions)
+    except SpecError as exc:
+        raise ConfigError(f"eval.fractions: {exc}") from None

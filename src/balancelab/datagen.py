@@ -21,6 +21,7 @@ bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,11 @@ class SyntheticSpec:
             raise SpecError(f"all dims must be >= 1, got {self.dims}")
         if len(self.signal) != self.num_modalities:
             raise SpecError("one signal scale per modality required")
-        if any(s < 0 for s in self.signal):
-            raise SpecError(f"signal scales must be non-negative, got {self.signal}")
-        if self.sigma <= 0:
-            raise SpecError(f"sigma must be positive, got {self.sigma}")
+        # each test is written so that NaN fails it
+        if not all(0.0 <= s < math.inf for s in self.signal):
+            raise SpecError(f"signal scales must be non-negative and finite, got {self.signal}")
+        if not 0.0 < self.sigma < math.inf:
+            raise SpecError(f"sigma must be positive and finite, got {self.sigma}")
         if self.samples < self.num_classes:
             raise SpecError(
                 f"need at least one sample per class: N={self.samples} < H={self.num_classes}"
@@ -158,23 +160,28 @@ def _largest_remainder(fractions: tuple[float, ...], total: int) -> list[int]:
     return sizes
 
 
+def check_fractions(fractions: tuple[float, ...]) -> None:
+    """Three positive (train, val, test) fractions summing to 1 within 1e-9; NaN or inf fails."""
+    if len(fractions) != 3:
+        raise SpecError("exactly three fractions (train, val, test) required")
+    if not all(f > 0 for f in fractions):
+        raise SpecError(f"all fractions must be positive, got {fractions}")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise SpecError(f"fractions must sum to 1, got {sum(fractions)}")
+
+
 def split(
     data: Dataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Deterministic stratified train/val/test split.
 
-    Fractions must be positive and sum to 1 within 1e-9. Global split sizes
+    ``fractions`` must pass :func:`check_fractions`. Global split sizes
     follow the largest-remainder rule; within each class, indices are
     shuffled by the seeded generator and allocated proportionally, so the
     split is stratified whenever class counts permit. Small splits may lack
     some classes; ``num_classes`` is carried over regardless.
     """
-    if len(fractions) != 3:
-        raise SpecError("exactly three fractions (train, val, test) required")
-    if any(f <= 0 for f in fractions):
-        raise SpecError(f"all fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SpecError(f"fractions must sum to 1, got {sum(fractions)}")
+    check_fractions(fractions)
     n = data.num_samples
     sizes = _largest_remainder(tuple(fractions), n)
     if any(s == 0 for s in sizes):

@@ -454,6 +454,9 @@ def _report(cfg: ExperimentConfig, sweep_param: str, specs: list[MethodSpec], ou
         raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
                           f"(seed {repeated[0]}, value {value}) twice")
     m = _modality_count(cfg)
+    if cfg.shapley_enabled and m not in (2, 3):
+        raise ConfigError(f"dataset.path {cfg.dataset_path!r}: eval.shapley needs 2 or 3 "
+                          f"modalities, the file has {m} (set eval.shapley = false)")
     rows, errors = _run_cells(cfg, cells, sweep_param, m, out_dir, jobs, ckpt_dir)
     aggregates = _aggregate(rows)
     means = [r for r in aggregates if r.seed == "mean"]

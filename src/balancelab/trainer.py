@@ -12,24 +12,21 @@ objectives, gradient scales and feature transforms, per epoch for sample
 weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-``fit`` holds a stack's state in one ``TrainState`` and calls ``_epoch`` once
-per epoch. An epoch draws each run's batch order (weighted by any
-sample-weights hook) and stacks the orders into one (R, N) index block;
-per batch it calls ``_gather``, ``_forward`` (``fusion.encode``, feature
-transforms of the modalities a range touched, ``fusion.head``, running
-scores), ``_objectives`` (objectives, those factors on the feature gradients,
-backward), ``_scale_grads`` and ``sgd_step``; then ``_validate`` deploys,
-flushes the ledgers, validates and keeps each run's best model. Every
-stochastic choice is a deterministic function of ``(config.seed, epoch,
-batch index)``, so a run is bitwise reproducible.
+``fit`` builds a ``Plan``, fixed while it trains, and a ``Carry``, what
+training changes, then calls ``_epoch`` until the carry's epoch reaches
+``cfg.epochs``. An epoch stacks every run's batch order (weighted by any
+sample-weights hook) into one (R, N) index block; per batch it calls
+``_gather``, ``_forward``, ``_objectives``, ``_scale_grads`` and
+``sgd_step``, then ``_validate`` once. Every stochastic choice is a
+deterministic function of ``(config.seed, epoch, batch index)``, so a run
+is bitwise reproducible.
 
 A step costs numpy dispatch more than arithmetic, so it makes few calls.
-``_gather`` takes each modality once per train set, however many runs share
-it (the cells of one seed do), and puts the rows in stack order; distinct
-sets are never joined into one copy. ``softmax`` reduces its short class
-axis as a chain of column ``np.maximum`` and ``np.add`` calls, bitwise
-numpy's own reduction, and the losses reach true-class entries through one
-flat index.
+``_gather`` takes each modality once per train set, however many runs
+share it (the cells of one seed do), straight into those runs' rows.
+``softmax`` reduces its short class axis as a chain of column ``np.maximum``
+and ``np.add`` calls, bitwise numpy's own reduction, and the losses reach
+true-class entries through one flat index.
 
 Per-modality performance scores (batch mean of the true-class probability
 under each modality's partial logits) are tracked as an exponential moving
@@ -69,45 +66,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise SpecError(f"lr must be positive, got {self.lr}")
+        # each test is written so that NaN fails it
+        if not 0.0 < self.lr < math.inf:
+            raise SpecError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise SpecError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise SpecError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise SpecError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0.0 < self.gamma <= 1.0:
             raise SpecError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.step_size < 1:
             raise SpecError(f"step_size must be >= 1, got {self.step_size}")
         if self.epochs < 0 or self.batch_size < 1:
             raise SpecError("epochs must be >= 0 and batch_size >= 1")
-
-
-@dataclass
-class TrainState:
-    """Mutable state owned by one training stack, its runs sorted by active entry."""
-
-    model: FusionModel
-    velocity: np.ndarray  # shaped like model.flat
-    running_scores: np.ndarray | None = None
-    grads: FusionModel | None = None  # the gradient buffer, laid out like model
-    splits: list[tuple[Dataset, Dataset]] = dataclasses.field(default_factory=list)
-    # each distinct train set and the stack rows that train on it
-    sources: list[tuple[Dataset, np.ndarray]] = dataclasses.field(default_factory=list)
-    unsort: np.ndarray | None = None  # sources' rows joined -> stack order; None: already in it
-    seeds: list[int] = dataclasses.field(default_factory=list)
-    values: np.ndarray | None = None  # each run's method strength
-    ledgers: list[FlopsLedger] = dataclasses.field(default_factory=list)
-    hooks: dict[str, list[tuple]] = dataclasses.field(default_factory=dict)  # _ranges per field
-    spans: list[slice] = dataclasses.field(default_factory=list)  # each encoder's span of flat
-    # per row range, the FLOPs each of its runs did since the last epoch's end
-    work: dict[tuple[int, int], FlopsLedger] = dataclasses.field(default_factory=dict)
-    best: np.ndarray | None = None  # each run's best-validation parameters
-    logs: list[TrainLog] = dataclasses.field(default_factory=list)
-
-    def charge(self, rows: slice) -> FlopsLedger:
-        """The ledger of the row range ``rows``."""
-        return self.work.setdefault((rows.start, rows.stop), FlopsLedger())
 
 
 @dataclass
@@ -124,6 +96,45 @@ class EpochRecord:
 class TrainLog:
     records: list[EpochRecord]
     best_epoch: int = -1
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What ``fit`` derives from its inputs, runs sorted by active entry; fixed while it trains.
+
+    The hook ranges' row views alias the carry's model and gradient buffers,
+    so a carry is restored in place (``flat[...] = saved``), never replaced.
+    """
+
+    cfg: TrainConfig  # every run's, but for the seed
+    splits: list[tuple[Dataset, Dataset]]
+    sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
+    seeds: list[int]
+    values: np.ndarray  # each run's method strength (baseline: nan)
+    hooks: dict[str, list[tuple]]  # _ranges per hook field
+    spans: list[slice]  # each encoder's span of flat
+
+
+@dataclass
+class Carry:
+    """What training changes: with the plan, all of a stack's progress.
+
+    ``grads`` is scratch that each step overwrites; it sits beside ``model``
+    as the other buffer the plan's hook views alias.
+    """
+
+    model: FusionModel  # the stack, (R, P) in model.flat
+    velocity: np.ndarray  # shaped like model.flat
+    grads: FusionModel  # laid out like model
+    running_scores: np.ndarray | None  # (R, m); None before the first batch
+    best: np.ndarray  # each run's best-validation parameters
+    logs: list[TrainLog]
+    ledgers: list[FlopsLedger]
+    work: dict[tuple[int, int], FlopsLedger]  # each row range's FLOPs this epoch; zeroed at its end
+    epoch: int  # the next epoch to train
+
+    def charge(self, rows: slice) -> FlopsLedger:
+        return self.work.setdefault((rows.start, rows.stop), FlopsLedger())
 
 
 def _fold(ufunc, x: np.ndarray) -> np.ndarray:
@@ -201,15 +212,13 @@ def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray)
     return np.moveaxis(probs.sum(axis=-1) / probs.shape[-1], 0, -1)
 
 
-def sgd_step(state: TrainState, grads: np.ndarray, lr: float,
-             config: TrainConfig) -> TrainState:
-    """One momentum-SGD update of the flat buffers: v = mu*v + (g + wd*p); p -= lr*v."""
-    params = state.model.flat
+def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray, lr: float,
+             config: TrainConfig) -> None:
+    """One momentum-SGD update in place: v = mu*v + (g + wd*p); p -= lr*v."""
     g_eff = grads + config.weight_decay * params
-    state.velocity *= config.momentum
-    state.velocity += g_eff
-    params -= lr * state.velocity
-    return state
+    velocity *= config.momentum
+    velocity += g_eff
+    params -= lr * velocity
 
 
 @dataclass
@@ -311,7 +320,7 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
                         cache.block_products[:, rows], cache.logits[rows])
 
 
-def _ranges(state: TrainState, actives: list, field: str) -> list[tuple]:
+def _ranges(model: FusionModel, grads: FusionModel, actives: list, field: str) -> list[tuple]:
     """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
     out, start = [], 0
     for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
@@ -319,133 +328,131 @@ def _ranges(state: TrainState, actives: list, field: str) -> list[tuple]:
         rows = slice(start, start + len(group))
         start = rows.stop
         if name is not None or field == "objective":
-            # looked up once per fit, so a swapped module attribute sees every
-            # call; objective-free runs take the plain cross-entropy
+            # looked up once per fit, so an attribute swapped before fit sees every call
             hook = group[0].hook(field) or (
                 lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
-            out.append((hook, rows, state.model.like(state.model.flat[rows]),
-                        state.grads.like(state.grads.flat[rows])))
+            out.append((hook, rows, model.like(model.flat[rows]), grads.like(grads.flat[rows])))
     return out
 
 
-def _gather(state: TrainState, idx: np.ndarray):
+def _gather(plan: Plan, idx: np.ndarray):
     """Rows ``idx[r]`` of run r's train set, for every run: (per-modality features, labels)."""
-    # one take per train set, however many runs share it; sets are never joined
-    parts = [(train, idx[rows]) for train, rows in state.sources]
-    blocks = [[t.features[i].take(at, axis=0) for t, at in parts]
-              for i in range(state.model.num_modalities)] + [[t.labels.take(at) for t, at in parts]]
-    out = [np.concatenate(b) for b in blocks]
-    if state.unsort is not None:
-        out = [a.take(state.unsort, axis=0) for a in out]
-    return out[:-1], out[-1]
+    xs = [np.empty(idx.shape + f.shape[1:]) for f in plan.sources[0][0].features]
+    y = np.empty(idx.shape, dtype=np.int64)
+    for train, rows in plan.sources:
+        for x, f in zip(xs, train.features):
+            x[rows] = f.take(idx[rows], axis=0)
+        y[rows] = train.labels.take(idx[rows])
+    return xs, y
 
 
-def _forward(state: TrainState, xb: list[np.ndarray], yb: np.ndarray, epoch: int, b: int):
+def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: int):
     """Encode, transform, head, then the running scores; returns the cache and the factors."""
-    features, enc_caches = fusion.encode(state.model, xb, ledger=state.charge(slice(None)))
+    features, enc_caches = fusion.encode(carry.model, xb, ledger=carry.charge(slice(None)))
     # per modality a transform touched: its factor over the stack (rows left alone: ones)
     factors: dict[int, np.ndarray] = {}
-    # with no score history yet (first batch) features pass through
-    if state.running_scores is not None:
-        for transform, rows, _, _ in state.hooks["feature_transform"]:
-            rngs = [np.random.default_rng([seed, epoch, b, 1]) for seed in state.seeds[rows]]
-            made, applied = transform([f[rows] for f in features], state.running_scores[rows],
-                                      state.values[rows], rngs)
+    if carry.running_scores is not None:
+        for transform, rows, _, _ in plan.hooks["feature_transform"]:
+            rngs = [np.random.default_rng([seed, carry.epoch, b, 1]) for seed in plan.seeds[rows]]
+            made, applied = transform([f[rows] for f in features], carry.running_scores[rows],
+                                      plan.values[rows], rngs)
             for i, factor in enumerate(made):
                 if factor is not None:
                     factors.setdefault(i, np.ones(features[i].shape))[rows] = factor
             for r, i in np.argwhere(applied) + (rows.start, 0):
-                state.charge(slice(r, r + 1)).record("elementwise", features[i][0].size)
+                carry.charge(slice(r, r + 1)).record("elementwise", features[i][0].size)
     for i, factor in factors.items():
         # a new array: features[i] is also the encoder cache's last pre-activation
         features[i] = features[i] * factor
-    cache = fusion.head(state.model, features, enc_caches, ledger=state.charge(slice(None)))
+    cache = fusion.head(carry.model, features, enc_caches, ledger=carry.charge(slice(None)))
 
-    scores = modality_scores(state.model, cache, yb)
-    if state.running_scores is not None:
-        scores = SCORE_SMOOTHING * state.running_scores + (1.0 - SCORE_SMOOTHING) * scores
-    state.running_scores = scores
-    m, (n, h) = state.model.num_modalities, cache.logits.shape[-2:]
-    for _, rows, _, _ in state.hooks["grad_scale"] + state.hooks["feature_transform"]:
+    scores = modality_scores(carry.model, cache, yb)
+    if carry.running_scores is not None:
+        scores = SCORE_SMOOTHING * carry.running_scores + (1.0 - SCORE_SMOOTHING) * scores
+    carry.running_scores = scores
+    m, (n, h) = carry.model.num_modalities, cache.logits.shape[-2:]
+    for _, rows, _, _ in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
         # the hook reads the scores: partial softmax + mean per modality
-        state.charge(rows).record("softmax_loss", m * n * h)
-        state.charge(rows).record("elementwise", m * (n * h + n))
+        carry.charge(rows).record("softmax_loss", m * n * h)
+        carry.charge(rows).record("elementwise", m * (n * h + n))
     return cache, factors
 
 
-def _objectives(state: TrainState, cache: ForwardCache, factors: dict[int, np.ndarray],
-                yb: np.ndarray, loss_sum: np.ndarray, epoch: int, b: int) -> None:
-    """Each range's objective, backpropagated into ``state.grads``; adds loss * n to loss_sum."""
-    for objective, rows, view, view_grads in state.hooks["objective"]:
-        view_cache = cache if rows == slice(0, len(state.seeds)) else _cache_rows(cache, rows)
-        bundle = objective(view, view_cache, yb[rows], state.values[rows], state.charge(rows))
+def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int, np.ndarray],
+                yb: np.ndarray, loss_sum: np.ndarray, b: int) -> None:
+    """Each range's objective, backpropagated into ``carry.grads``; adds loss * n to loss_sum."""
+    for objective, rows, view, view_grads in plan.hooks["objective"]:
+        view_cache = cache if rows == slice(0, len(plan.seeds)) else _cache_rows(cache, rows)
+        bundle = objective(view, view_cache, yb[rows], plan.values[rows], carry.charge(rows))
         finite = np.isfinite(bundle.loss)
         if not finite.all():
-            raise DivergenceError(epoch, b, float(bundle.loss[np.argmin(finite)]))
+            raise DivergenceError(carry.epoch, b, float(bundle.loss[np.argmin(finite)]))
         loss_sum[rows] += bundle.loss * yb.shape[-1]
         for i, factor in factors.items():
             bundle.feature_grads[i] *= factor[rows]
-        _backward_into_model(view, view_cache, bundle, view_grads, state.charge(rows))
+        _backward_into_model(view, view_cache, bundle, view_grads, carry.charge(rows))
 
 
-def _scale_grads(state: TrainState) -> None:
+def _scale_grads(plan: Plan, carry: Carry) -> None:
     """Scale each encoder's gradient by its range's grad-scale hook (runs without one: 1)."""
-    if state.hooks["grad_scale"]:
-        kappa = np.ones((len(state.seeds), state.model.num_modalities))
-        n_encoder_params = sum(span.stop - span.start for span in state.spans)
-        for grad_scale, rows, _, _ in state.hooks["grad_scale"]:
-            kappa[rows] = grad_scale(state.running_scores[rows], state.values[rows])
-            state.charge(rows).record("elementwise", n_encoder_params)
-        for i, span in enumerate(state.spans):
-            state.grads.flat[:, span] *= kappa[:, i, None]
+    if plan.hooks["grad_scale"]:
+        kappa = np.ones((len(plan.seeds), carry.model.num_modalities))
+        n_encoder_params = sum(span.stop - span.start for span in plan.spans)
+        for grad_scale, rows, _, _ in plan.hooks["grad_scale"]:
+            kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])
+            carry.charge(rows).record("elementwise", n_encoder_params)
+        for i, span in enumerate(plan.spans):
+            carry.grads.flat[:, span] *= kappa[:, i, None]
 
 
-def _validate(state: TrainState, epoch: int, lr: float, loss_sum: np.ndarray) -> None:
+def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
     """Deploy, add the range ledgers to the runs', validate each run and keep its best."""
-    deployers = state.hooks["deploy"]
+    deployers = plan.hooks["deploy"]
     # select on the deployed form so validation ranks what evaluation will see
-    shown = state.model.flat.copy() if deployers else state.model.flat
+    shown = carry.model.flat.copy() if deployers else carry.model.flat
     for deploy, rows, view, _ in deployers:
         shown[rows] = deploy(view).flat
-        state.charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
-    for (first, stop), led in state.work.items():
+        carry.charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
+    for (first, stop), led in carry.work.items():
         for kind in _FLOP_KINDS:
-            for target in state.ledgers[first:stop]:
+            for target in carry.ledgers[first:stop]:
                 setattr(target, kind, getattr(target, kind) + getattr(led, kind))
             # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
             setattr(led, kind, 0)
-    for r, ((train, val), log, ledger) in enumerate(zip(state.splits, state.logs, state.ledgers)):
+    for r, ((train, val), log, ledger) in enumerate(zip(plan.splits, carry.logs, carry.ledgers)):
         # per run: a stacked pass takes no less time and holds R runs' activations
-        val_acc = evaluate_accuracy(state.model.like(shown[r]), val, ledger=ledger)
-        log.records.append(EpochRecord(epoch, lr, float(loss_sum[r]) / train.num_samples,
-                                       val_acc, tuple(float(s) for s in state.running_scores[r]),
+        val_acc = evaluate_accuracy(carry.model.like(shown[r]), val, ledger=ledger)
+        log.records.append(EpochRecord(carry.epoch, lr, float(loss_sum[r]) / train.num_samples,
+                                       val_acc, tuple(float(s) for s in carry.running_scores[r]),
                                        ledger.total))
         if log.best_epoch < 0 or val_acc > log.records[log.best_epoch].val_accuracy:
-            state.best[r] = shown[r]
-            log.best_epoch = epoch
+            carry.best[r] = shown[r]
+            log.best_epoch = carry.epoch
 
 
-def _epoch(state: TrainState, cfg: TrainConfig, epoch: int) -> None:
-    """One pass over every run's train set, then validation."""
+def _epoch(plan: Plan, carry: Carry) -> None:
+    """One pass over every run's train set, then validation; advances ``carry.epoch``."""
+    cfg, epoch = plan.cfg, carry.epoch
     lr = step_lr(cfg, epoch)
-    trains = [t for t, _ in state.splits]
+    trains = [t for t, _ in plan.splits]
     weights = [None] * len(trains)
-    for sample_weights, rows, view, _ in state.hooks["sample_weights"]:
-        weights[rows] = sample_weights(view, trains[rows], state.values[rows], state.charge(rows))
+    for sample_weights, rows, view, _ in plan.hooks["sample_weights"]:
+        weights[rows] = sample_weights(view, trains[rows], plan.values[rows], carry.charge(rows))
     orders = []
-    for t, seed, w in zip(trains, state.seeds, weights):
+    for t, seed, w in zip(trains, plan.seeds, weights):
         batch_seed = int(np.random.SeedSequence([seed, epoch, 0]).generate_state(1)[0])
         orders.append(np.concatenate(datagen.batches(t, cfg.batch_size, batch_seed, w)))
     order = np.stack(orders)  # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size]
     loss_sum = np.zeros(len(trains))
     for b, start in enumerate(range(0, order.shape[1], cfg.batch_size)):
-        xb, yb = _gather(state, order[:, start:start + cfg.batch_size])
-        cache, factors = _forward(state, xb, yb, epoch, b)
-        _objectives(state, cache, factors, yb, loss_sum, epoch, b)
-        _scale_grads(state)
-        sgd_step(state, state.grads.flat, lr, cfg)
-        state.charge(slice(None)).record("elementwise", 6 * state.model.flat.shape[-1])
-    _validate(state, epoch, lr, loss_sum)
+        xb, yb = _gather(plan, order[:, start:start + cfg.batch_size])
+        cache, factors = _forward(plan, carry, xb, yb, b)
+        _objectives(plan, carry, cache, factors, yb, loss_sum, b)
+        _scale_grads(plan, carry)
+        sgd_step(carry.model.flat, carry.velocity, carry.grads.flat, lr, cfg)
+        carry.charge(slice(None)).record("elementwise", 6 * carry.model.flat.shape[-1])
+    _validate(plan, carry, lr, loss_sum)
+    carry.epoch += 1
 
 
 def fit(
@@ -489,33 +496,28 @@ def fit(
     if cfg.epochs == 0:
         return (model[0], logs[0]) if single else list(zip(model, logs))
 
-    # Sorted by active entry (objective-free first), the runs sharing a hook
-    # form one row range of the stack, and each hook is called once per range;
-    # all objective-free runs share one plain cross-entropy call.
+    # sorted by active entry (objective-free first), the runs sharing a hook are one row range
     actives = [spec.active() for spec in method]
     order = sorted(range(runs), key=lambda r: (actives[r].objective or "", actives[r].name))
     splits, model, config, method, ledgers, actives, logs = (
         [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives, logs))
     stack = model[0].like(np.stack([mdl.flat for mdl in model]))
-    state = TrainState(
-        stack, np.zeros_like(stack.flat), grads=stack.like(np.empty_like(stack.flat)),
-        splits=splits, seeds=[c.seed for c in config], ledgers=ledgers, logs=logs,
-        values=np.array([spec.value for spec in method], dtype=np.float64),  # baseline: nan
-        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], best=stack.flat.copy())
-    state.hooks = {field: _ranges(state, actives, field) for field in (
-        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
-    rows_of: dict[int, tuple[Dataset, list[int]]] = {}
-    for r, (train, _) in enumerate(splits):
-        rows_of.setdefault(id(train), (train, []))[1].append(r)
-    state.sources = [(train, np.array(rows)) for train, rows in rows_of.values()]
-    joined = np.concatenate([rows for _, rows in state.sources])
-    if (joined != np.arange(runs)).any():
-        state.unsort = np.argsort(joined)
+    grads = stack.like(np.empty_like(stack.flat))
+    carry = Carry(stack, np.zeros_like(stack.flat), grads, running_scores=None,
+                  best=stack.flat.copy(), logs=logs, ledgers=ledgers, work={}, epoch=0)
+    trains = {id(train): train for train, _ in splits}.values()  # each distinct set, in order
+    sources = [(t, np.flatnonzero([train is t for train, _ in splits])) for t in trains]
+    plan = Plan(
+        cfg, splits, sources,
+        seeds=[c.seed for c in config], values=np.array([spec.value for spec in method], float),
+        hooks={field: _ranges(stack, grads, actives, field) for field in (
+            "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
+        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])
     # a diverging run overflows on its way to the finite checks, which raise
     # NumericError or DivergenceError; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            _epoch(state, cfg, epoch)
+        while carry.epoch < cfg.epochs:
+            _epoch(plan, carry)
     # back to the caller's run order: argsort inverts the permutation
-    results = [(model[k].like(state.best[k]), logs[k]) for k in np.argsort(order)]
+    results = [(model[k].like(carry.best[k]), logs[k]) for k in np.argsort(order)]
     return results[0] if single else results

@@ -1,9 +1,12 @@
 """The run-axis engine: cells trained as one stack equal each cell trained alone."""
 
+import copy
+import dataclasses
 import hashlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from balancelab import fusion, harness, methods, trainer
@@ -85,19 +88,74 @@ def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch, m):
     sets = []
     real = trainer._gather
 
-    def counting(state, idx):
-        sets.append((len(state.sources), state.unsort is None))
-        return real(state, idx)
+    def counting(plan, idx):
+        sets.append(tuple(tuple(rows) for _, rows in plan.sources))
+        return real(plan, idx)
 
     monkeypatch.setattr(trainer, "_gather", counting)
     stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
     # two sets, whose runs interleave in the stack
-    assert set(sets) == {(2, False)}
+    assert set(sets) == {((0, 2, 4, 6), (1, 3, 5))}
     for inputs, (best, log) in zip(cells, stacked):
         alone, alone_log = fit(*inputs, FlopsLedger())
         assert best.flat.tobytes() == alone.flat.tobytes()
         assert log.best_epoch == alone_log.best_epoch
         assert repr(log.records) == repr(alone_log.records)
+
+
+def restore(carry, saved):
+    """Put a copy of ``saved``'s progress into ``carry``'s own objects, which the plan aliases."""
+    for f in dataclasses.fields(carry):
+        now, old = getattr(carry, f.name), copy.deepcopy(getattr(saved, f.name))
+        if isinstance(now, fusion.FusionModel):
+            now.flat[...] = old.flat
+        elif isinstance(now, np.ndarray):
+            now[...] = old
+        elif isinstance(now, list):  # logs and ledgers, which fit's caller holds
+            for obj, value in zip(now, old):
+                vars(obj).update(vars(value))
+        elif isinstance(now, dict):
+            now.clear()
+            now.update(old)
+        else:  # the epoch, and running scores (None before the first batch)
+            setattr(carry, f.name, old)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_carry_is_all_of_a_stacks_progress(monkeypatch, m):
+    """A fit whose carry is restored to epoch 2 finishes as the uninterrupted fit did."""
+    splits = {seed: cell("baseline", None, seed, m)[0] for seed in (1, 2)}
+    cells = [(splits[seed], *cell(kind, METHODS[kind].default, seed, m)[1:])
+             for kind, seed in (("gradmod", 1), ("feature_drop", 2), ("resample", 1),
+                                ("cosine", 2), ("baseline", 1))]
+    for _, _, train_config, _ in cells:
+        train_config.epochs = 4
+    real = trainer._epoch
+    saved, resumed_epochs = [], []
+
+    def saving(plan, carry):
+        if carry.epoch == 2:
+            saved.append(copy.deepcopy(carry))
+        real(plan, carry)
+
+    def resuming(plan, carry):
+        if carry.epoch == 0:
+            restore(carry, saved[0])
+        resumed_epochs.append(carry.epoch)
+        real(plan, carry)
+
+    runs = []
+    for epoch_fn in (saving, resuming):
+        monkeypatch.setattr(trainer, "_epoch", epoch_fn)
+        ledgers = [FlopsLedger() for _ in cells]
+        runs.append((fit(*(list(part) for part in zip(*cells)), ledgers), ledgers))
+    assert resumed_epochs == [2, 3]
+    (whole, whole_ledgers), (resumed, resumed_ledgers) = runs
+    assert repr(resumed_ledgers) == repr(whole_ledgers)
+    for (best, log), (again, again_log) in zip(whole, resumed):
+        assert again.flat.tobytes() == best.flat.tobytes()
+        assert again_log.best_epoch == log.best_epoch
+        assert repr(again_log.records) == repr(log.records)
 
 
 @pytest.mark.parametrize("kind", [k for k in METHODS if k != "baseline"])

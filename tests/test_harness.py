@@ -272,6 +272,32 @@ class TestRunExperiment:
         header = (out / "report.csv").read_text().splitlines()[0].split(",")
         assert [c for c in header if c.startswith("phi_")] == ["phi_1", "phi_2", "phi_3"]
 
+    @pytest.mark.parametrize("shapley", [True, False])
+    def test_one_modality_file_needs_shapley_off(self, tmp_path, monkeypatch, capsys, shapley):
+        """A 1-modality file exits 1 before any cell trains under eval.shapley, else it trains."""
+        from balancelab import datagen
+
+        data = datagen.generate(parse_config_text(TINY).synthetic_spec()).select_modalities([0])
+        path = tmp_path / "one.mmds"
+        datagen.save(data, path)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f'dataset.path = "{path}"\nmodel.hidden = 8\ntrain.epochs = 1\n'
+                            f"seeds = 1,2\neval.shapley = {str(shapley).lower()}\n")
+        fits = []
+        real = trainer.fit
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(1) or real(*args))
+        out = tmp_path / "out"
+        rc = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if shapley:
+            assert rc == 1 and fits == []
+            assert err.startswith(f"error: dataset.path {str(path)!r}: eval.shapley needs 2 or 3 "
+                                  "modalities, the file has 1")
+        else:
+            assert rc == 0 and fits == [1]
+            rows = json.loads((out / "report.json").read_text())["rows"]
+            assert [row["phi"] for row in rows] == [None, None]
+
 
 class TestLoadReport:
     @pytest.mark.parametrize("shapley", [True, False])
@@ -719,6 +745,30 @@ class TestCli:
         rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "eval.fractions", "nan,0.5,0.5"),
+        ("evaluate", "eval.fractions", "nan,0.5,0.5"),
+        ("train", "train.lr", "nan"),
+        ("train", "train.lr", "inf"),
+        ("train", "train.weight_decay", "nan"),
+        ("train", "dataset.sigma", "nan"),
+        ("train", "dataset.sigma", "inf"),
+        ("train", "dataset.signal", "3.0,nan"),
+    ])
+    def test_non_finite_value_exits_1(self, tmp_path, monkeypatch, capsys, command, key, value):
+        """NaN and inf fail the range checks, so no cell trains."""
+        argv = [command, "--checkpoint", "c.mmck"] if command == "evaluate" else [command]
+        monkeypatch.setattr(trainer, "fit", lambda *args: pytest.fail("a cell trained"))
+        cfg_path = tmp_path / "exp.cfg"
+        kept = [line for line in TINY.splitlines() if not line.startswith(key)]
+        cfg_path.write_text("\n".join(kept) + f"\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        section, name = key.split(".")
+        assert err.startswith(f"error: {section}.") and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])

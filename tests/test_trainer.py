@@ -10,8 +10,10 @@ from balancelab.fusion import init_model
 from balancelab.metrics import FlopsLedger, value_function
 from balancelab.methods import METHODS, MethodSpec
 from balancelab.trainer import (
+    Carry,
+    Plan,
     TrainConfig,
-    TrainState,
+    TrainLog,
     baseline_loss,
     cross_entropy,
     fit,
@@ -22,6 +24,18 @@ from balancelab.trainer import (
 )
 
 from oracles import fd_max_rel_error, mlp_copy, model_gradient, per_modality_scores
+
+
+def one_run(stack):
+    """A complete plan and carry for a one-run baseline stack, as ``fit`` builds them."""
+    grads = stack.like(np.empty_like(stack.flat))
+    hooks = {field: trainer._ranges(stack, grads, [METHODS["baseline"]], field) for field in (
+        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
+    spans = [stack.encoder_span(i) for i in range(stack.num_modalities)]
+    plan = Plan(TrainConfig(), [], [], [0], np.array([np.nan]), hooks, spans)
+    carry = Carry(stack, np.zeros_like(stack.flat), grads, None, stack.flat.copy(), [TrainLog([])],
+                  [FlopsLedger()], {}, 0)
+    return plan, carry
 
 
 def tiny_data(seed=0, m=2, signal=(2.0, 2.0), n=240, sigma=1.0, h=3, d=6):
@@ -85,43 +99,44 @@ class TestCrossEntropy:
 
 
 class TestSgdStep:
-    def make_state(self, w):
+    def make_model(self, w):
         model = init_model([[1, 1], [1, 1]], 2, 0)
         model.head_blocks[0][:] = 0.0
         model.head_blocks[0][0, 0] = w
-        return TrainState(model, np.zeros_like(model.flat))
+        return model
 
-    def grads_like(self, state, g):
-        grads = np.zeros_like(state.model.flat)
-        state.model.like(grads).head_blocks[0][0, 0] = g
-        return grads
+    def step(self, model, velocity, g, cfg):
+        grads = np.zeros_like(model.flat)
+        model.like(grads).head_blocks[0][0, 0] = g
+        sgd_step(model.flat, velocity, grads, cfg.lr, cfg)
 
     def test_reduces_to_plain_gradient_descent(self):
         cfg = TrainConfig(lr=0.05, momentum=0.0, weight_decay=0.0, epochs=1)
-        state = self.make_state(1.0)
-        sgd_step(state, self.grads_like(state, 0.25), 0.05, cfg)
-        assert state.model.head_blocks[0][0, 0] == 1.0 - 0.05 * 0.25
+        model = self.make_model(1.0)
+        self.step(model, np.zeros_like(model.flat), 0.25, cfg)
+        assert model.head_blocks[0][0, 0] == 1.0 - 0.05 * 0.25
 
     def test_zero_gradient_zero_velocity_is_noop(self):
         cfg = TrainConfig(lr=0.1, momentum=0.9, weight_decay=0.0, epochs=1)
-        state = self.make_state(0.7)
-        before = state.model.head_blocks[0].copy()
-        sgd_step(state, np.zeros_like(state.model.flat), 0.1, cfg)
-        assert np.array_equal(state.model.head_blocks[0], before)
+        model = self.make_model(0.7)
+        before = model.head_blocks[0].copy()
+        self.step(model, np.zeros_like(model.flat), 0.0, cfg)
+        assert np.array_equal(model.head_blocks[0], before)
 
     def test_weight_decay_worked_example(self):
         cfg = TrainConfig(lr=0.1, momentum=0.0, weight_decay=0.1, epochs=1)
-        state = self.make_state(1.0)
-        sgd_step(state, self.grads_like(state, 1.0), 0.1, cfg)
-        assert state.model.head_blocks[0][0, 0] == pytest.approx(0.89)
+        model = self.make_model(1.0)
+        self.step(model, np.zeros_like(model.flat), 1.0, cfg)
+        assert model.head_blocks[0][0, 0] == pytest.approx(0.89)
 
     def test_momentum_accumulates(self):
         # two steps with g=1: v1=1, v2=mu+1; hand-rolled comparison
         cfg = TrainConfig(lr=0.1, momentum=0.5, weight_decay=0.0, epochs=1)
-        state = self.make_state(1.0)
-        sgd_step(state, self.grads_like(state, 1.0), 0.1, cfg)
-        sgd_step(state, self.grads_like(state, 1.0), 0.1, cfg)
-        assert state.model.head_blocks[0][0, 0] == pytest.approx(1.0 - 0.1 - 0.1 * 1.5)
+        model = self.make_model(1.0)
+        velocity = np.zeros_like(model.flat)
+        self.step(model, velocity, 1.0, cfg)
+        self.step(model, velocity, 1.0, cfg)
+        assert model.head_blocks[0][0, 0] == pytest.approx(1.0 - 0.1 - 0.1 * 1.5)
 
 
 class TestStepLr:
@@ -178,11 +193,10 @@ class TestModalityScores:
         model.head_blocks[1][:] = np.array([[0.0], [1.0]])
         model.head_bias[:] = 0.0
         stack = model.like(model.flat[None].copy())
-        state = TrainState(stack, np.zeros_like(stack.flat), seeds=[0])
-        state.hooks = {"feature_transform": [], "grad_scale": []}
+        plan, carry = one_run(stack)
         for b, x in enumerate((1.0, 2.0)):
             batch = [np.full((1, 1, 1), x), np.full((1, 1, 1), x)]
-            trainer._forward(state, batch, np.zeros((1, 1), dtype=int), 0, b)
+            trainer._forward(plan, carry, batch, np.zeros((1, 1), dtype=int), b)
 
         def sigmoid(z):
             return 1.0 / (1.0 + math.exp(-z))
@@ -190,8 +204,8 @@ class TestModalityScores:
         # running score = 0.7 * the first batch's + 0.3 * the second's
         expected = [0.7 * sigmoid(2.0) + 0.3 * sigmoid(4.0),
                     0.7 * sigmoid(-1.0) + 0.3 * sigmoid(-2.0)]
-        assert state.running_scores.shape == (1, 2)
-        assert list(state.running_scores[0]) == pytest.approx(expected, rel=1e-12)
+        assert carry.running_scores.shape == (1, 2)
+        assert list(carry.running_scores[0]) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("runs", [None, 3])
@@ -249,16 +263,13 @@ class TestGradientsThroughModel:
             features[0] = features[0] * factor
             return fusion.head(stack, features, enc_caches)
 
-        state = TrainState(stack, np.zeros_like(stack.flat),
-                           grads=stack.like(np.empty_like(stack.flat)), seeds=[0],
-                           values=np.array([np.nan]))
-        state.hooks = {"objective": trainer._ranges(state, [METHODS["baseline"]], "objective")}
-        trainer._objectives(state, transformed(), {0: factor}, labels, np.zeros(1), 0, 0)
+        plan, carry = one_run(stack)
+        trainer._objectives(plan, carry, transformed(), {0: factor}, labels, np.zeros(1), 0)
 
         def loss_fn():
             return cross_entropy(transformed().logits, labels)[0][0]
 
-        assert fd_max_rel_error(loss_fn, [stack.flat], [state.grads.flat]) < 1e-5
+        assert fd_max_rel_error(loss_fn, [stack.flat], [carry.grads.flat]) < 1e-5
 
 
 class TestFit:
