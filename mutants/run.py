@@ -95,6 +95,14 @@ CATALOGUE = [
     Mutant("interleaved-sets-rows-misplaced", "src/balancelab/trainer.py",
            "x[rows] = f.take(idx[rows], axis=0)", "x[rows] = f.take(idx[:len(rows)], axis=0)",
            ("tests/test_engine.py::test_runs_sharing_a_train_set_match_each_run_alone",)),
+    Mutant("mmds-field-shares-unchecked", "src/balancelab/datagen.py",
+           'if len(parts) != m + 1 or [p.count(" ") for p in parts[1:]] != spaces:',
+           "if len(parts) != m + 1:",
+           ("tests/test_datagen.py::test_load_matches_the_reference_reader_on_mutants",)),
+    Mutant("mmds-chunk-offset-dropped", "src/balancelab/datagen.py",
+           "_parse_chunk(lines, 3 + count, ", "_parse_chunk(lines, 3, ",
+           ("tests/test_datagen.py::TestSaveLoad::test_fault_names_its_line_across_chunks",
+            "tests/test_harness.py::TestCli::test_bad_float_deep_in_a_file_exits_1_naming_its_line")),
 ]
 
 

@@ -23,12 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .errors import FormatError, SpecError
 
 FLOAT_FMT = "%.17g"  # checkpoints (fusion.save_model) write with it too
+CHUNK_LINES = 1024  # records that load parses, and save formats, at a time
+# str.splitlines() ends a line at these, readline() does not: a record holding one is rejected
+_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+_OTHER_SPACE = "\t\x1f" + _LINE_BREAKS  # whitespace save never writes
 
 
 @dataclass(frozen=True)
@@ -245,18 +250,20 @@ def batches(
 
 
 def save(data: Dataset, path) -> None:
-    """Write the dataset in the MMDS v1 text format."""
+    """Write the dataset in the MMDS v1 text format, one format string per record."""
     dims = ",".join(str(d) for d in data.dims)
+    record = "|".join(["%d"] + [" ".join([FLOAT_FMT] * d) for d in data.dims]) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("MMDS v1\n")
         fh.write(
             f"m={data.num_modalities} H={data.num_classes} N={data.num_samples} dims={dims}\n"
         )
-        for k in range(data.num_samples):
-            cols = [str(int(data.labels[k]))]
-            for f in data.features:
-                cols.append(" ".join(FLOAT_FMT % v for v in f[k]))
-            fh.write("|".join(cols) + "\n")
+        # a chunk at a time: tolist() of the whole table would hold every value as a Python float
+        for start in range(0, data.num_samples, CHUNK_LINES):
+            rows = slice(start, start + CHUNK_LINES)
+            values = np.hstack([f[rows] for f in data.features]).tolist()
+            fh.write("".join([record % (label, *row)
+                              for label, row in zip(data.labels[rows].tolist(), values)]))
 
 
 def header_fields(line: str) -> dict[str, str]:
@@ -273,8 +280,9 @@ def header_fields(line: str) -> dict[str, str]:
     return fields
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int, int, tuple[int, ...]]:
-    """``(m, H, N, dims)`` from the first two lines of an MMDS v1 file."""
+def _read_header(fh) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(m, H, N, dims)`` from the first two lines of an open MMDS v1 file."""
+    lines = [line.rstrip("\n") for line in (fh.readline(), fh.readline()) if line]
     if not lines:
         raise FormatError("empty file", line=1)
     if lines[0] != "MMDS v1":
@@ -291,46 +299,121 @@ def _parse_header(lines: list[str]) -> tuple[int, int, int, tuple[int, ...]]:
         raise FormatError(f"bad header: {exc}", line=2) from None
     if len(dims) != m:
         raise FormatError(f"dims lists {len(dims)} values for m={m}", line=2)
+    if min(dims) < 1:
+        raise FormatError(f"dims must be positive, got {dims}", line=2)
+    if not 1 <= num_classes < 2**63:  # labels are int64
+        raise FormatError(f"H={num_classes} outside 1..2**63-1", line=2)
     return m, num_classes, n, dims
 
 
 def read_header(path) -> tuple[int, int, int, tuple[int, ...]]:
     """``(m, H, N, dims)`` of an MMDS v1 file, reading only its first two lines."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [line.rstrip("\n") for line in (fh.readline(), fh.readline()) if line]
-    return _parse_header(lines)
+        return _read_header(fh)
+
+
+def _record(line: str, lineno: int, m: int, num_classes: int,
+            dims: tuple[int, ...]) -> tuple[int, list[float]]:
+    """One record's label and values, field by field; a fault is a FormatError naming ``lineno``."""
+    if any(c in line for c in _LINE_BREAKS):
+        raise FormatError("control character inside the record", line=lineno)
+    parts = line.split("|")
+    if len(parts) != m + 1:
+        raise FormatError(f"expected {m + 1} '|'-fields, got {len(parts)}", line=lineno)
+    try:
+        label = int(parts[0])
+    except ValueError:
+        raise FormatError(f"bad label {parts[0]!r}", line=lineno) from None
+    if not 0 <= label < num_classes:
+        raise FormatError(f"label {label} outside 0..{num_classes - 1}", line=lineno)
+    values = []
+    for i, (field, d) in enumerate(zip(parts[1:], dims)):
+        vals = field.split()
+        if len(vals) != d:
+            raise FormatError(f"modality {i} has {len(vals)} values, header declares {d}",
+                              line=lineno)
+        try:
+            values += map(float, vals)
+        except ValueError:
+            raise FormatError(f"bad float in modality {i}", line=lineno) from None
+    return label, values
+
+
+def _plain_labels(lines: list[str], m: int, num_classes: int,
+                  dims: tuple[int, ...]) -> list[int] | None:
+    """The labels of records laid out as :func:`save` writes them, or None if any is not.
+
+    In that layout a record has m '|'s, an int label in 0..H-1, and dims[i] - 1
+    spaces and no other whitespace in field i. A field with s spaces as its only
+    whitespace holds at most s + 1 values, so once a row is known to hold
+    1 + sum(dims) values, these counts pin every field's share.
+    """
+    text = "".join(lines)
+    if any(c in text for c in _OTHER_SPACE):
+        return None
+    spaces = [d - 1 for d in dims]
+    labels = []
+    for line in lines:
+        parts = line.split("|")
+        if len(parts) != m + 1 or [p.count(" ") for p in parts[1:]] != spaces:
+            return None
+        try:
+            label = int(parts[0])
+        except ValueError:
+            return None
+        if not 0 <= label < num_classes:
+            return None
+        labels.append(label)
+    return labels
+
+
+def _parse_chunk(lines: list[str], first: int, m: int, num_classes: int,
+                 dims: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
+    """Labels and (len(lines), sum(dims)) values of the records from line ``first`` on.
+
+    Records laid out as :func:`save` writes them take one ``np.loadtxt`` call,
+    whose values equal ``float()``'s bit for bit. Any other chunk is parsed
+    record by record, which reads what ``float()`` reads and names the first
+    bad line.
+    """
+    labels = _plain_labels(lines, m, num_classes, dims)
+    if labels is not None:
+        try:
+            values = np.loadtxt([line.replace("|", " ") for line in lines],
+                                comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == 1 + sum(dims):
+                return labels, values[:, 1:]
+    records = [_record(line, first + k, m, num_classes, dims) for k, line in enumerate(lines)]
+    return [label for label, _ in records], np.array([values for _, values in records])
 
 
 def load(path) -> Dataset:
-    """Read an MMDS v1 file; inverse of :func:`save` bit for bit."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    m, num_classes, n, dims = _parse_header(lines[:2])
-    if len(lines) - 2 != n:
-        raise FormatError(f"header declares N={n} but file has {len(lines) - 2} records", line=2)
+    """Read an MMDS v1 file; inverse of :func:`save` bit for bit.
 
-    labels = np.empty(n, dtype=np.int64)
-    features = [np.empty((n, d), dtype=np.float64) for d in dims]
-    for k in range(n):
-        lineno = k + 3
-        parts = lines[k + 2].split("|")
-        if len(parts) != m + 1:
-            raise FormatError(f"expected {m + 1} '|'-fields, got {len(parts)}", line=lineno)
-        try:
-            labels[k] = int(parts[0])
-        except ValueError:
-            raise FormatError(f"bad label {parts[0]!r}", line=lineno) from None
-        if not (0 <= labels[k] < num_classes):
-            raise FormatError(f"label {labels[k]} outside 0..{num_classes - 1}", line=lineno)
-        for i in range(m):
-            vals = parts[i + 1].split()
-            if len(vals) != dims[i]:
-                raise FormatError(
-                    f"modality {i} has {len(vals)} values, header declares {dims[i]}",
-                    line=lineno,
-                )
+    Records are read and parsed :data:`CHUNK_LINES` at a time. A wrong record
+    count is reported (on line 2) before any fault inside a record.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        m, num_classes, n, dims = _read_header(fh)
+        labels: list[int] = []
+        tables = [np.empty((0, sum(dims)))]  # so that N = 0 gives (0, d) features
+        count = 0
+        while lines := list(islice(fh, CHUNK_LINES)):
             try:
-                features[i][k] = [float(v) for v in vals]
-            except ValueError:
-                raise FormatError(f"bad float in modality {i}", line=lineno) from None
+                chunk_labels, values = _parse_chunk(lines, 3 + count, m, num_classes, dims)
+            except FormatError:
+                count += len(lines) + sum(1 for _ in fh)
+                if count != n:
+                    break
+                raise
+            labels += chunk_labels
+            tables.append(values)
+            count += len(lines)
+    if count != n:
+        raise FormatError(f"header declares N={n} but file has {count} records", line=2)
+    bounds = [0, *accumulate(dims)]
+    features = [np.concatenate([t[:, a:b] for t in tables]) for a, b in zip(bounds, bounds[1:])]
     return Dataset(features, labels, num_classes)

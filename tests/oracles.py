@@ -5,8 +5,9 @@ finite differences run over a flat parameter vector, the Bayes classifier
 uses the true generative means, the Shapley check uses the
 subset-weighted formula instead of permutation averaging, masked evaluation
 zeroes features between the encoders and the head, the modality scores take one
-softmax per modality, and the cosine and KL references restate their
-methods' definitions directly.
+softmax per modality, the cosine and KL references restate their
+methods' definitions directly, and the MMDS reader and writer parse and
+format one record, one value at a time.
 """
 
 import itertools
@@ -15,6 +16,8 @@ import math
 import numpy as np
 
 from balancelab import fusion, metrics, trainer
+from balancelab.datagen import FLOAT_FMT, Dataset, header_fields
+from balancelab.errors import FormatError
 from balancelab.numkit import LayerParams, MlpParams
 
 
@@ -171,3 +174,74 @@ def symmetric_kl(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))
+
+
+def mmds_save(data, path):
+    """Write the dataset in the MMDS v1 text format."""
+    dims = ",".join(str(d) for d in data.dims)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("MMDS v1\n")
+        fh.write(
+            f"m={data.num_modalities} H={data.num_classes} N={data.num_samples} dims={dims}\n"
+        )
+        for k in range(data.num_samples):
+            cols = [str(int(data.labels[k]))]
+            for f in data.features:
+                cols.append(" ".join(FLOAT_FMT % v for v in f[k]))
+            fh.write("|".join(cols) + "\n")
+
+
+def _mmds_header(lines):
+    """``(m, H, N, dims)`` from the first two lines of an MMDS v1 file."""
+    if not lines:
+        raise FormatError("empty file", line=1)
+    if lines[0] != "MMDS v1":
+        raise FormatError(f"bad magic {lines[0]!r}, expected 'MMDS v1'", line=1)
+    if len(lines) < 2:
+        raise FormatError("missing header line", line=2)
+    header = header_fields(lines[1])
+    try:
+        m = int(header["m"])
+        num_classes = int(header["H"])
+        n = int(header["N"])
+        dims = tuple(int(d) for d in header["dims"].split(","))
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad header: {exc}", line=2) from None
+    if len(dims) != m:
+        raise FormatError(f"dims lists {len(dims)} values for m={m}", line=2)
+    return m, num_classes, n, dims
+
+
+def mmds_load(path):
+    """Read an MMDS v1 file whole, then each record with ``int()`` and ``float()``."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    m, num_classes, n, dims = _mmds_header(lines[:2])
+    if len(lines) - 2 != n:
+        raise FormatError(f"header declares N={n} but file has {len(lines) - 2} records", line=2)
+
+    labels = np.empty(n, dtype=np.int64)
+    features = [np.empty((n, d), dtype=np.float64) for d in dims]
+    for k in range(n):
+        lineno = k + 3
+        parts = lines[k + 2].split("|")
+        if len(parts) != m + 1:
+            raise FormatError(f"expected {m + 1} '|'-fields, got {len(parts)}", line=lineno)
+        try:
+            labels[k] = int(parts[0])
+        except ValueError:
+            raise FormatError(f"bad label {parts[0]!r}", line=lineno) from None
+        if not (0 <= labels[k] < num_classes):
+            raise FormatError(f"label {labels[k]} outside 0..{num_classes - 1}", line=lineno)
+        for i in range(m):
+            vals = parts[i + 1].split()
+            if len(vals) != dims[i]:
+                raise FormatError(
+                    f"modality {i} has {len(vals)} values, header declares {dims[i]}",
+                    line=lineno,
+                )
+            try:
+                features[i][k] = [float(v) for v in vals]
+            except ValueError:
+                raise FormatError(f"bad float in modality {i}", line=lineno) from None
+    return Dataset(features, labels, num_classes)

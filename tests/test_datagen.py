@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from balancelab.datagen import SyntheticSpec, batches, generate, load, read_header, save, split
+from balancelab import cli, datagen
+from balancelab.datagen import (Dataset, SyntheticSpec, batches, generate, load, read_header,
+                                save, split)
 from balancelab.errors import FormatError, SpecError
 
-from oracles import bayes_accuracy, class_means
+from oracles import bayes_accuracy, class_means, mmds_load, mmds_save
 
 SPEC = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 400, 7)
 
@@ -199,7 +201,9 @@ class TestSaveLoad:
             load(path)
 
     @pytest.mark.parametrize("header", ["m=2 H=2 N=1", "m=2 H=2 N=1 dims=1,1 junk",
-                                        "m=3 H=2 N=1 dims=1,1", "m=two H=2 N=1 dims=1,1"])
+                                        "m=3 H=2 N=1 dims=1,1", "m=two H=2 N=1 dims=1,1",
+                                        "m=2 H=2 N=1 dims=0,1", "m=2 H=0 N=1 dims=1,1",
+                                        f"m=2 H={2**63} N=1 dims=1,1"])
     def test_read_header_raises_as_load_does(self, tmp_path, header):
         path = tmp_path / "bad.mmds"
         path.write_text(f"MMDS v1\n{header}\n0|1|2\n")
@@ -214,6 +218,170 @@ class TestSaveLoad:
         path = tmp_path / "d.mmds"
         save(generate(SPEC), path)
         assert read_header(path) == (SPEC.num_modalities, SPEC.num_classes, SPEC.samples, SPEC.dims)
+
+    def test_save_writes_the_reference_bytes(self, tmp_path):
+        """Unequal dims, signed zero, subnormal, huge and tiny values, every label up to H - 1."""
+        features = [np.arange(20.0).reshape(4, 5), np.array([[-0.0], [5e-324], [1e308], [-1e-300]]),
+                    np.linspace(-1.0, 1.0, 28).reshape(4, 7) / 3.0]
+        features[2][1, :4] = [-0.0, 5e-324, 1e308, -1e-300]
+        features[2][3, 6] = np.inf
+        data = Dataset(features, np.array([0, 1, 2, 2]), 3)
+        save(data, tmp_path / "new.mmds")
+        mmds_save(data, tmp_path / "old.mmds")
+        assert (tmp_path / "new.mmds").read_bytes() == (tmp_path / "old.mmds").read_bytes()
+        back = load(tmp_path / "new.mmds")
+        assert back.labels.tolist() == [0, 1, 2, 2]
+        for fa, fb in zip(data.features, back.features):
+            assert fa.tobytes() == fb.tobytes()
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        spec = SyntheticSpec(3, 5, (5, 1, 7), (2.0, 1.0, 0.5), 1.0, datagen.CHUNK_LINES + 9, 3)
+        save(generate(spec), tmp_path / "a.mmds")
+        back = load(tmp_path / "a.mmds")
+        save(back, tmp_path / "b.mmds")
+        mmds_save(back, tmp_path / "c.mmds")
+        text = (tmp_path / "a.mmds").read_bytes()
+        assert (tmp_path / "b.mmds").read_bytes() == text == (tmp_path / "c.mmds").read_bytes()
+        assert set(back.labels.tolist()) == set(range(5))
+
+    @pytest.mark.parametrize("fault", ["bad float", "field count", "bad label"])
+    @pytest.mark.parametrize("record", [0, 1], ids=["last-of-chunk-1", "first-of-chunk-2"])
+    def test_fault_names_its_line_across_chunks(self, tmp_path, fault, record):
+        n = datagen.CHUNK_LINES + 3
+        path = tmp_path / "d.mmds"
+        save(generate(SyntheticSpec(2, 2, (1, 2), (1.0, 1.0), 1.0, n, 0)), path)
+        lines = path.read_text().splitlines(keepends=True)
+        k = datagen.CHUNK_LINES + 1 + record  # the record's index in lines
+        label, first, second = lines[k].split("|")
+        lines[k] = {"bad float": f"{label}|x|{second}", "field count": f"{label}|{first}\n",
+                    "bad label": f"1.0|{first}|{second}"}[fault]
+        path.write_text("".join(lines))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert err.value.line == k + 1
+        assert str(err.value) == f"line {k + 1}: " + {
+            "bad float": "bad float in modality 0", "field count": "expected 3 '|'-fields, got 2",
+            "bad label": "bad label '1.0'"}[fault]
+
+    @pytest.mark.parametrize("dims, body, line, message", [
+        # loadtxt's defaults would read "2#" as 2 and skip the comment, and skip blank lines
+        ("1,1", "0|1|2#\n1|3|4\n", 3, "bad float in modality 1"),
+        ("1,1", "0|1|2\n# 1|3|4\n", 4, "bad label '# 1'"),
+        ("1,1", "0|1|2\n\n1|3|4\n", 4, "expected 3 '|'-fields, got 1"),
+        ("1,1", "0|1|2\n  \n1|3|4\n", 4, "expected 3 '|'-fields, got 1"),
+        # str.splitlines() would end the line at the form feed
+        ("1,1", "0|1|2\x0c1|3|4\n\n", 3, "control character inside the record"),
+        # a tab and a double space keep both fields' space counts and the row's total
+        ("3,3", "0|1\t2 3 4|5  6\n", 3, "modality 0 has 4 values, header declares 3"),
+        # the field's space count is right, and the only row sets loadtxt's width
+        ("3,1", "0|1  2|3\n", 3, "modality 0 has 2 values, header declares 3"),
+    ])
+    def test_faults_the_one_call_parse_alone_would_miss(self, tmp_path, dims, body, line,
+                                                        message):
+        path = tmp_path / "d.mmds"
+        path.write_text(f"MMDS v1\nm=2 H=2 N={body.count(chr(10))} dims={dims}\n" + body)
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"line {line}: {message}"
+
+
+MUTANT_LABELS = ("-1", "3", "1.0", "x")  # the file has H = 3
+MUTANT_TOKENS = ("abc", "#", "1_0", "nan")
+
+
+def _mutate_record(record: str, kind: str, rng) -> str:
+    """One fault of ``kind`` in one record line (without its line end)."""
+    fields = record.split("|")
+    bars = [j for j, c in enumerate(record) if c == "|"]
+    spaces = [j for j, c in enumerate(record) if c == " "]
+    i = int(rng.integers(1, len(fields)))
+    tokens = fields[i].split(" ")
+    j = int(rng.integers(len(tokens)))
+    if kind == "drop |":
+        b = bars[rng.integers(len(bars))]
+        return record[:b] + record[b + 1:]
+    if kind == "double |":
+        b = bars[rng.integers(len(bars))]
+        return record[:b] + "|" + record[b:]
+    if kind == "move |":
+        b, s = bars[rng.integers(len(bars))], spaces[rng.integers(len(spaces))]
+        chars = list(record)
+        chars[b], chars[s] = " ", "|"
+        return "".join(chars)
+    if kind == "extra value":
+        tokens.insert(j, "0.25")
+    elif kind == "missing value":
+        del tokens[j]
+    elif kind == "label":
+        fields[0] = MUTANT_LABELS[rng.integers(len(MUTANT_LABELS))]
+    elif kind == "token":
+        tokens[j] = MUTANT_TOKENS[rng.integers(len(MUTANT_TOKENS))]
+    elif kind == "tab":
+        s = spaces[rng.integers(len(spaces))]
+        return record[:s] + "\t" + record[s + 1:]
+    elif kind == "trailing spaces":
+        return record + "  "
+    fields[i] = " ".join(tokens)
+    return "|".join(fields)
+
+
+RECORD_FAULTS = ("drop |", "double |", "move |", "extra value", "missing value", "label",
+                 "token", "tab", "trailing spaces")
+FILE_FAULTS = ("blank line", "crlf", "no final newline", "N off by one")
+
+
+def _mutant(lines: list[str], seed: int) -> str:
+    """A seeded mutant of a file given as its lines without line ends."""
+    rng = np.random.default_rng(seed)
+    kinds = RECORD_FAULTS + FILE_FAULTS
+    kind = kinds[seed % len(kinds)]
+    lines = list(lines)
+    k = int(rng.integers(2, len(lines)))
+    if kind in RECORD_FAULTS:
+        lines[k] = _mutate_record(lines[k], kind, rng)
+    elif kind == "blank line":
+        lines.insert(k, "")
+        if rng.integers(2):  # else the record count is off as well
+            lines[1] = lines[1].replace(f"N={len(lines) - 3}", f"N={len(lines) - 2}")
+    elif kind == "N off by one":
+        n = len(lines) - 2
+        lines[1] = lines[1].replace(f"N={n}", f"N={n + (1 if rng.integers(2) else -1)}")
+    end = "\r\n" if kind == "crlf" else "\n"
+    return end.join(lines) + ("" if kind == "no final newline" else end)
+
+
+def _outcome(load_fn, path):
+    try:
+        data = load_fn(path)
+    except FormatError as exc:
+        return ("rejected", exc.line, str(exc))
+    return ("loaded", data.num_classes, data.labels.tobytes(),
+            *(f.tobytes() for f in data.features))
+
+
+@pytest.mark.parametrize("chunk_lines", [datagen.CHUNK_LINES, 5])
+def test_load_matches_the_reference_reader_on_mutants(tmp_path, monkeypatch, capsys, chunk_lines):
+    """Each mutant loads to the reference reader's bits or fails as it does, naming its line.
+
+    A rejected mutant also exits 1 through the CLI with that message and no traceback.
+    """
+    monkeypatch.setattr(datagen, "CHUNK_LINES", chunk_lines)
+    base = tmp_path / "base.mmds"
+    save(generate(SyntheticSpec(3, 3, (3, 1, 2), (2.0, 1.0, 1.0), 1.0, 14, 5)), base)
+    lines = base.read_text().splitlines()
+    path = tmp_path / "mutant.mmds"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f'dataset.path = "{path}"\n')
+    seen = set()
+    for seed in range(312):
+        path.write_text(_mutant(lines, seed), newline="")
+        expected = _outcome(mmds_load, path)
+        assert _outcome(load, path) == expected, (seed, path.read_text())
+        seen.add(expected[0])
+        if expected[0] == "rejected":
+            rc = cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", "unread.mmck"])
+            assert (rc, capsys.readouterr().err) == (1, f"error: {expected[2]}\n"), seed
+    assert seen == {"loaded", "rejected"}
 
 
 def test_select_modalities():

@@ -656,6 +656,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
+    def test_bad_float_deep_in_a_file_exits_1_naming_its_line(self, tmp_path, capsys):
+        from balancelab import datagen
+
+        path = tmp_path / "d.mmds"
+        spec = SyntheticSpec(3, 4, (2, 2, 2), (3.0, 1.0, 1.0), 1.0, 6000, 0)
+        datagen.save(datagen.generate(spec), path)
+        lines = path.read_text().splitlines(keepends=True)
+        label, values = lines[5001].split("|", 1)  # record 5,000 is on line 5,002
+        lines[5001] = f"{label}|abc {values.split(' ', 1)[1]}"
+        path.write_text("".join(lines))
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f'dataset.path = "{path}"\n')
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", "unread.mmck"])
+        assert (rc, capsys.readouterr().err) == (1, "error: line 5002: bad float in modality 0\n")
+
     @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
                                       "report_without_config", "report_not_json",
                                       "report_not_an_object", "report_row_not_an_object",
