@@ -56,7 +56,7 @@ CATALOGUE = [
            "    g_uni *= 0.0\n    loss_uni *= 0.0\n",
            ("tests/test_methods.py::TestUnimodalBlend::test_loss_is_sum_of_terms",)),
     Mutant("feature-factor-off-the-gradient", "src/balancelab/trainer.py",
-           "            bundle.feature_grads[i] *= factor[rows]\n", "            pass\n",
+           "        feature_grads[i] *= factor\n", "        pass\n",
            ("tests/test_trainer.py::TestGradientsThroughModel::"
             "test_transformed_step_gradient_matches_finite_differences",)),
     Mutant("run-0-feature-factor-for-every-run", "src/balancelab/trainer.py",
@@ -64,9 +64,14 @@ CATALOGUE = [
            "factors.setdefault(i, np.ones(features[i].shape))[rows] = factor[:1]\n",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("head-bias-gradient-zeroed", "src/balancelab/trainer.py",
-           "    grads.head_bias[...] = bundle.bias_grad\n", "    grads.head_bias[...] = 0.0\n",
+           "    grads.head_bias[rows] = bundle.bias_grad\n", "    grads.head_bias[rows] = 0.0\n",
            ("tests/test_trainer.py::TestGradientsThroughModel::"
             "test_loss_gradient_matches_finite_differences",
+            "tests/test_trainer.py::TestGradientsThroughModel::"
+            "test_transformed_step_gradient_matches_finite_differences")),
+    Mutant("range-feature-grads-at-the-stack-top", "src/balancelab/trainer.py",
+           "        out[rows] = g\n", "        out[:len(g)] = g\n",
+           ("tests/test_engine.py::test_mixed_stack_matches_each_cell_alone",
             "tests/test_trainer.py::TestGradientsThroughModel::"
             "test_transformed_step_gradient_matches_finite_differences")),
     Mutant("eval-keys-out-of-the-fingerprint", "src/balancelab/harness.py",

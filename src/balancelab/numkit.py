@@ -14,8 +14,8 @@ Conventions used throughout the package:
   The rectifier subgradient at exactly 0 is defined as 0, so bit-exact
   reproducibility does not depend on how ties are broken.
 
-``mlp_forward`` is pure; ``mlp_backward`` writes only into the gradient
-container it is given.
+``mlp_forward`` is pure; ``mlp_backward`` writes parameter gradients, and
+nothing else, into the container it is given.
 """
 
 from __future__ import annotations
@@ -110,14 +110,13 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
 
 def mlp_backward(
     params: MlpParams, cache: MlpCache, output_grad: np.ndarray, out: MlpParams
-) -> np.ndarray:
-    """Exact gradients of the forward map for a given output gradient.
+) -> None:
+    """Exact parameter gradients of the forward map for a given output gradient.
 
-    ``output_grad`` must have the shape of the forward output. The parameter
-    gradients are written into ``out``, which is shaped like ``params`` (in
-    training, views into the flat gradient buffer); the gradient with respect
-    to the input batch is returned. The rectifier contributes zero gradient
-    where its pre-activation was exactly 0.
+    ``output_grad``, shaped like the forward output, is only read. The gradients
+    go into ``out``, shaped like ``params`` (in training, views into the flat
+    gradient buffer); none is formed for the input batch. The rectifier
+    contributes zero gradient where its pre-activation was exactly 0.
     """
     shapes = tuple(l.weight.shape[-2:] for l in params.layers)
     if cache.shapes != shapes:
@@ -131,11 +130,9 @@ def mlp_backward(
         )
     dz = output_grad
     for t in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[t]
-        if t < len(params.layers) - 1:
-            dz *= cache.preacts[t] > 0.0  # dz is the product made below, never output_grad
         np.matmul(dz.swapaxes(-1, -2), cache.inputs[t], out=out.layers[t].weight)
         dz.sum(axis=-2, out=out.layers[t].bias)
-        dz = dz @ layer.weight
-    return dz
+        if t:
+            dz = dz @ params.layers[t].weight
+            dz *= cache.preacts[t - 1] > 0.0  # the product just made, never output_grad
 

@@ -16,10 +16,11 @@ cross-entropy call. Only validation runs per run, once per epoch.
 training changes, then calls ``_epoch`` until the carry's epoch reaches
 ``cfg.epochs``. An epoch stacks every run's batch order (weighted by any
 sample-weights hook) into one (R, N) index block; per batch it calls
-``_gather``, ``_forward``, ``_objectives``, ``_scale_grads`` and
-``sgd_step``, then ``_validate`` once. Every stochastic choice is a
-deterministic function of ``(config.seed, epoch, batch index)``, so a run
-is bitwise reproducible.
+``_gather``, ``_forward``, ``_objectives`` (every objective range, then
+one encoder backward of the whole stack), ``_scale_grads`` and
+``sgd_step`` on the epoch's gradient buffer, then ``_validate`` once.
+Every stochastic choice is a deterministic function of ``(config.seed,
+epoch, batch index)``, so a run is bitwise reproducible.
 
 A step costs numpy dispatch more than arithmetic, so it makes few calls.
 ``_gather`` takes each modality once per train set, however many runs
@@ -48,7 +49,7 @@ from .datagen import Dataset
 from .errors import ContractError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger, accuracy
-from .numkit import MlpCache, mlp_backward
+from .numkit import mlp_backward
 
 SCORE_SMOOTHING = 0.7  # running score = 0.7 * old + 0.3 * batch
 _FLOP_KINDS = tuple(f.name for f in dataclasses.fields(FlopsLedger))
@@ -102,8 +103,8 @@ class TrainLog:
 class Plan:
     """What ``fit`` derives from its inputs, runs sorted by active entry; fixed while it trains.
 
-    The hook ranges' row views alias the carry's model and gradient buffers,
-    so a carry is restored in place (``flat[...] = saved``), never replaced.
+    The hook ranges' row views alias the carry's model buffer, so a carry is
+    restored in place (``flat[...] = saved``), never replaced.
     """
 
     cfg: TrainConfig  # every run's, but for the seed
@@ -111,7 +112,7 @@ class Plan:
     sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
     seeds: list[int]
     values: np.ndarray  # each run's method strength (baseline: nan)
-    hooks: dict[str, list[tuple]]  # _ranges per hook field
+    hooks: dict[str, list[tuple]]  # (hook, rows, model view) per range, per hook field
     spans: list[slice]  # each encoder's span of flat
 
 
@@ -119,13 +120,12 @@ class Plan:
 class Carry:
     """What training changes: with the plan, all of a stack's progress.
 
-    ``grads`` is scratch that each step overwrites; it sits beside ``model``
-    as the other buffer the plan's hook views alias.
+    It holds no scratch: the gradient buffer each step overwrites belongs to
+    ``_epoch``, so saving a carry saves exactly what a resume needs.
     """
 
     model: FusionModel  # the stack, (R, P) in model.flat
     velocity: np.ndarray  # shaped like model.flat
-    grads: FusionModel  # laid out like model
     running_scores: np.ndarray | None  # (R, m); None before the first batch
     best: np.ndarray  # each run's best-validation parameters
     logs: list[TrainLog]
@@ -226,9 +226,9 @@ class LossBundle:
     """An objective's value plus gradients for every top-level block.
 
     ``feature_grads[i]`` is the gradient with respect to the features the
-    head read; the trainer scales it by modality i's transform factor, if a
-    range transformed i, and backpropagates it. For a stack of runs, ``loss``
-    holds one value per run and every array gains the leading run axis.
+    head read; the trainer copies it into the stack's, which it scales by
+    modality i's transform factor and backpropagates. For a stack of runs,
+    ``loss`` holds one value per run and every array gains the run axis.
     """
 
     loss: float | np.ndarray
@@ -280,20 +280,24 @@ def baseline_loss(
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
+def _put_range(bundle: LossBundle, rows: slice, grads: FusionModel, feature_grads: list) -> None:
+    """A range's ``bundle`` into its ``rows`` of ``grads`` and of ``feature_grads``."""
+    for blk, g in zip(grads.head_blocks, bundle.head_grads):
+        blk[rows] = g
+    grads.head_bias[rows] = bundle.bias_grad
+    for out, g in zip(feature_grads, bundle.feature_grads):
+        out[rows] = g
+
+
 def _backward_into_model(
     model: FusionModel,
     cache: ForwardCache,
-    bundle: LossBundle,
+    feature_grads: list[np.ndarray],
     grads: FusionModel,
     ledger: FlopsLedger,
 ) -> None:
-    """Push a LossBundle through the encoder backward passes into ``grads``.
-
-    ``grads`` lays out a gradient buffer like ``model.flat``
-    (``model.like(buffer)``); every value of it is overwritten.
-    """
-    for i in range(model.num_modalities):
-        fgrad = bundle.feature_grads[i]
+    """Backpropagate ``feature_grads`` through the encoders into ``grads`` (laid out like model)."""
+    for i, fgrad in enumerate(feature_grads):
         mlp_backward(model.encoders[i], cache.enc_caches[i], fgrad, grads.encoders[i])
         n = fgrad.shape[-2]
         for layer in model.encoders[i].layers:
@@ -301,9 +305,6 @@ def _backward_into_model(
             ledger.record("matmul_backward", (n, d_in, d_out))
         for layer in model.encoders[i].layers[:-1]:
             ledger.record("elementwise", n * layer.weight.shape[-2])
-    for blk, g in zip(grads.head_blocks, bundle.head_grads):
-        blk[...] = g
-    grads.head_bias[...] = bundle.bias_grad
 
 
 def evaluate_accuracy(model: FusionModel, data: Dataset,
@@ -313,15 +314,13 @@ def evaluate_accuracy(model: FusionModel, data: Dataset,
 
 
 def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
-    """The runs ``rows`` of a stacked forward pass, as views."""
-    enc_caches = [MlpCache([x[rows] for x in c.inputs], [z[rows] for z in c.preacts], c.shapes)
-                  for c in cache.enc_caches]
-    return ForwardCache([f[rows] for f in cache.features], enc_caches,
-                        cache.block_products[:, rows], cache.logits[rows])
+    """The runs ``rows`` of a stacked forward pass, as views; objectives read no encoder cache."""
+    return ForwardCache([f[rows] for f in cache.features], [], cache.block_products[:, rows],
+                        cache.logits[rows])
 
 
-def _ranges(model: FusionModel, grads: FusionModel, actives: list, field: str) -> list[tuple]:
-    """(hook, rows, rows of the stack, rows of the gradient buffer) per row range."""
+def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
+    """(hook, rows, rows of the stack) per row range."""
     out, start = [], 0
     for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
         group = list(group)
@@ -331,7 +330,7 @@ def _ranges(model: FusionModel, grads: FusionModel, actives: list, field: str) -
             # looked up once per fit, so an attribute swapped before fit sees every call
             hook = group[0].hook(field) or (
                 lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
-            out.append((hook, rows, model.like(model.flat[rows]), grads.like(grads.flat[rows])))
+            out.append((hook, rows, model.like(model.flat[rows])))
     return out
 
 
@@ -352,7 +351,7 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
     # per modality a transform touched: its factor over the stack (rows left alone: ones)
     factors: dict[int, np.ndarray] = {}
     if carry.running_scores is not None:
-        for transform, rows, _, _ in plan.hooks["feature_transform"]:
+        for transform, rows, _ in plan.hooks["feature_transform"]:
             rngs = [np.random.default_rng([seed, carry.epoch, b, 1]) for seed in plan.seeds[rows]]
             made, applied = transform([f[rows] for f in features], carry.running_scores[rows],
                                       plan.values[rows], rngs)
@@ -371,7 +370,7 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
         scores = SCORE_SMOOTHING * carry.running_scores + (1.0 - SCORE_SMOOTHING) * scores
     carry.running_scores = scores
     m, (n, h) = carry.model.num_modalities, cache.logits.shape[-2:]
-    for _, rows, _, _ in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
+    for _, rows, _ in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
         # the hook reads the scores: partial softmax + mean per modality
         carry.charge(rows).record("softmax_loss", m * n * h)
         carry.charge(rows).record("elementwise", m * (n * h + n))
@@ -379,30 +378,33 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
 
 
 def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int, np.ndarray],
-                yb: np.ndarray, loss_sum: np.ndarray, b: int) -> None:
-    """Each range's objective, backpropagated into ``carry.grads``; adds loss * n to loss_sum."""
-    for objective, rows, view, view_grads in plan.hooks["objective"]:
-        view_cache = cache if rows == slice(0, len(plan.seeds)) else _cache_rows(cache, rows)
-        bundle = objective(view, view_cache, yb[rows], plan.values[rows], carry.charge(rows))
+                yb: np.ndarray, loss_sum: np.ndarray, b: int, grads: FusionModel) -> None:
+    """Each range's objective into its rows of ``grads`` and of the stack's feature gradients,
+    then one backward, charged once as each run's work; adds loss * n to loss_sum."""
+    feature_grads = [np.empty(f.shape) for f in cache.features]
+    for objective, rows, view in plan.hooks["objective"]:
+        bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows],
+                           carry.charge(rows))
         finite = np.isfinite(bundle.loss)
         if not finite.all():
             raise DivergenceError(carry.epoch, b, float(bundle.loss[np.argmin(finite)]))
         loss_sum[rows] += bundle.loss * yb.shape[-1]
-        for i, factor in factors.items():
-            bundle.feature_grads[i] *= factor[rows]
-        _backward_into_model(view, view_cache, bundle, view_grads, carry.charge(rows))
+        _put_range(bundle, rows, grads, feature_grads)
+    for i, factor in factors.items():
+        feature_grads[i] *= factor
+    _backward_into_model(carry.model, cache, feature_grads, grads, carry.charge(slice(None)))
 
 
-def _scale_grads(plan: Plan, carry: Carry) -> None:
+def _scale_grads(plan: Plan, carry: Carry, grads: FusionModel) -> None:
     """Scale each encoder's gradient by its range's grad-scale hook (runs without one: 1)."""
     if plan.hooks["grad_scale"]:
         kappa = np.ones((len(plan.seeds), carry.model.num_modalities))
         n_encoder_params = sum(span.stop - span.start for span in plan.spans)
-        for grad_scale, rows, _, _ in plan.hooks["grad_scale"]:
+        for grad_scale, rows, _ in plan.hooks["grad_scale"]:
             kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])
             carry.charge(rows).record("elementwise", n_encoder_params)
         for i, span in enumerate(plan.spans):
-            carry.grads.flat[:, span] *= kappa[:, i, None]
+            grads.flat[:, span] *= kappa[:, i, None]
 
 
 def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
@@ -410,7 +412,7 @@ def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None
     deployers = plan.hooks["deploy"]
     # select on the deployed form so validation ranks what evaluation will see
     shown = carry.model.flat.copy() if deployers else carry.model.flat
-    for deploy, rows, view, _ in deployers:
+    for deploy, rows, view in deployers:
         shown[rows] = deploy(view).flat
         carry.charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
     for (first, stop), led in carry.work.items():
@@ -436,7 +438,7 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     lr = step_lr(cfg, epoch)
     trains = [t for t, _ in plan.splits]
     weights = [None] * len(trains)
-    for sample_weights, rows, view, _ in plan.hooks["sample_weights"]:
+    for sample_weights, rows, view in plan.hooks["sample_weights"]:
         weights[rows] = sample_weights(view, trains[rows], plan.values[rows], carry.charge(rows))
     orders = []
     for t, seed, w in zip(trains, plan.seeds, weights):
@@ -444,12 +446,13 @@ def _epoch(plan: Plan, carry: Carry) -> None:
         orders.append(np.concatenate(datagen.batches(t, cfg.batch_size, batch_seed, w)))
     order = np.stack(orders)  # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size]
     loss_sum = np.zeros(len(trains))
+    grads = carry.model.like(np.empty_like(carry.model.flat))  # scratch each step overwrites
     for b, start in enumerate(range(0, order.shape[1], cfg.batch_size)):
         xb, yb = _gather(plan, order[:, start:start + cfg.batch_size])
         cache, factors = _forward(plan, carry, xb, yb, b)
-        _objectives(plan, carry, cache, factors, yb, loss_sum, b)
-        _scale_grads(plan, carry)
-        sgd_step(carry.model.flat, carry.velocity, carry.grads.flat, lr, cfg)
+        _objectives(plan, carry, cache, factors, yb, loss_sum, b, grads)
+        _scale_grads(plan, carry, grads)
+        sgd_step(carry.model.flat, carry.velocity, grads.flat, lr, cfg)
         carry.charge(slice(None)).record("elementwise", 6 * carry.model.flat.shape[-1])
     _validate(plan, carry, lr, loss_sum)
     carry.epoch += 1
@@ -502,15 +505,14 @@ def fit(
     splits, model, config, method, ledgers, actives, logs = (
         [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives, logs))
     stack = model[0].like(np.stack([mdl.flat for mdl in model]))
-    grads = stack.like(np.empty_like(stack.flat))
-    carry = Carry(stack, np.zeros_like(stack.flat), grads, running_scores=None,
+    carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None,
                   best=stack.flat.copy(), logs=logs, ledgers=ledgers, work={}, epoch=0)
     trains = {id(train): train for train, _ in splits}.values()  # each distinct set, in order
     sources = [(t, np.flatnonzero([train is t for train, _ in splits])) for t in trains]
     plan = Plan(
         cfg, splits, sources,
         seeds=[c.seed for c in config], values=np.array([spec.value for spec in method], float),
-        hooks={field: _ranges(stack, grads, actives, field) for field in (
+        hooks={field: _ranges(stack, actives, field) for field in (
             "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
         spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])
     # a diverging run overflows on its way to the finite checks, which raise

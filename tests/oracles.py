@@ -51,7 +51,9 @@ def glorot_flat(arch, num_classes, seed):
 def model_gradient(model, cache, bundle):
     """The trainer's analytic gradient of ``bundle``, as a flat vector like ``model.flat``."""
     grads = model.like(np.empty_like(model.flat))
-    trainer._backward_into_model(model, cache, bundle, grads, metrics.FlopsLedger())
+    feature_grads = [np.empty(g.shape) for g in bundle.feature_grads]
+    trainer._put_range(bundle, slice(None), grads, feature_grads)
+    trainer._backward_into_model(model, cache, feature_grads, grads, metrics.FlopsLedger())
     return grads.flat
 
 

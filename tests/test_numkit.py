@@ -73,8 +73,7 @@ class TestMlpBackward:
         params = random_mlp([3, 5, 2], rng)
         out, cache = mlp_forward(params, rng.standard_normal((4, 3)))
         grads = mlp_copy(params)
-        dx = mlp_backward(params, cache, np.zeros_like(out), grads)
-        assert not dx.any()
+        mlp_backward(params, cache, np.zeros_like(out), grads)
         for layer in grads.layers:
             assert not layer.weight.any() and not layer.bias.any()
 
@@ -88,6 +87,7 @@ class TestMlpBackward:
         assert np.array_equal(grads.layers[0].weight, np.tile(x.sum(axis=0), (2, 1)))
 
     def test_matches_finite_differences(self):
+        """Also: it returns None and keeps ``output_grad``'s bits; six seeds draw 3 layers."""
         for seed in range(8):
             rng = np.random.default_rng(seed)
             depth = rng.integers(1, 4)
@@ -97,7 +97,9 @@ class TestMlpBackward:
             direction = rng.standard_normal((5, sizes[-1]))
             _, cache = mlp_forward(params, x)
             grads = mlp_copy(params)
-            mlp_backward(params, cache, direction, grads)
+            before = direction.tobytes()
+            assert mlp_backward(params, cache, direction, grads) is None
+            assert direction.tobytes() == before
 
             def loss():
                 out, _ = mlp_forward(params, x)

@@ -26,15 +26,20 @@ from balancelab.trainer import (
 from oracles import fd_max_rel_error, mlp_copy, model_gradient, per_modality_scores
 
 
-def one_run(stack):
-    """A complete plan and carry for a one-run baseline stack, as ``fit`` builds them."""
-    grads = stack.like(np.empty_like(stack.flat))
-    hooks = {field: trainer._ranges(stack, grads, [METHODS["baseline"]], field) for field in (
-        "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")}
+def plan_and_carry(stack, kinds=("baseline",)):
+    """A complete plan and carry, as ``fit`` builds them, for a stack of one run per kind.
+
+    Each run has its kind's default strength; ``kinds`` is in fit's order.
+    """
+    specs = [MethodSpec(kind) for kind in kinds]
+    hooks = {field: trainer._ranges(stack, [spec.active() for spec in specs], field)
+             for field in ("objective", "grad_scale", "feature_transform", "sample_weights",
+                           "deploy")}
     spans = [stack.encoder_span(i) for i in range(stack.num_modalities)]
-    plan = Plan(TrainConfig(), [], [], [0], np.array([np.nan]), hooks, spans)
-    carry = Carry(stack, np.zeros_like(stack.flat), grads, None, stack.flat.copy(), [TrainLog([])],
-                  [FlopsLedger()], {}, 0)
+    plan = Plan(TrainConfig(), [], [], [0] * len(specs),
+                np.array([spec.value for spec in specs], float), hooks, spans)
+    carry = Carry(stack, np.zeros_like(stack.flat), None, stack.flat.copy(),
+                  [TrainLog([]) for _ in specs], [FlopsLedger() for _ in specs], {}, 0)
     return plan, carry
 
 
@@ -193,7 +198,7 @@ class TestModalityScores:
         model.head_blocks[1][:] = np.array([[0.0], [1.0]])
         model.head_bias[:] = 0.0
         stack = model.like(model.flat[None].copy())
-        plan, carry = one_run(stack)
+        plan, carry = plan_and_carry(stack)
         for b, x in enumerate((1.0, 2.0)):
             batch = [np.full((1, 1, 1), x), np.full((1, 1, 1), x)]
             trainer._forward(plan, carry, batch, np.zeros((1, 1), dtype=int), b)
@@ -250,26 +255,40 @@ class TestGradientsThroughModel:
             assert fd_max_rel_error(loss_fn, [model.flat], [grads]) < 1e-5
 
     def test_transformed_step_gradient_matches_finite_differences(self):
-        """_objectives scales a transformed modality's feature gradient by its factor."""
+        """_objectives scales a transformed modality's feature gradient by its factor.
+
+        On a one-run stack, then on a two-run stack of two objective ranges
+        (baseline, kl_align: both exact) with the factor on the second run
+        only, so a range's rows landing elsewhere in the stack show.
+        """
         rng = np.random.default_rng(3)
-        model = init_model([[4, 7, 5], [5, 7, 5]], 3, 1)
-        stack = model.like(model.flat[None].copy())  # a one-run stack, as fit trains
-        batch = [rng.standard_normal((1, 6, d)) for d in (4, 5)]
-        labels = rng.integers(0, 3, (1, 6))
-        factor = rng.uniform(0.0, 2.0, (1, 6, 5))  # modality 0's, per sample and coordinate
+        for kinds in (("baseline",), ("baseline", "kl_align")):
+            runs = len(kinds)
+            models = [init_model([[4, 7, 5], [5, 7, 5]], 3, 1 + r) for r in range(runs)]
+            stack = models[0].like(np.stack([mdl.flat for mdl in models]))  # as fit trains
+            batch = [rng.standard_normal((runs, 6, d)) for d in (4, 5)]
+            labels = rng.integers(0, 3, (runs, 6))
+            factor = np.ones((runs, 6, 5))  # modality 0's, per sample and coordinate
+            factor[-1] = rng.uniform(0.0, 2.0, (6, 5))
 
-        def transformed():
-            features, enc_caches = fusion.encode(stack, batch)
-            features[0] = features[0] * factor
-            return fusion.head(stack, features, enc_caches)
+            def transformed():
+                features, enc_caches = fusion.encode(stack, batch)
+                features[0] = features[0] * factor
+                return fusion.head(stack, features, enc_caches)
 
-        plan, carry = one_run(stack)
-        trainer._objectives(plan, carry, transformed(), {0: factor}, labels, np.zeros(1), 0)
+            plan, carry = plan_and_carry(stack, kinds)
+            grads = stack.like(np.empty_like(stack.flat))
+            trainer._objectives(plan, carry, transformed(), {0: factor}, labels, np.zeros(runs), 0,
+                                grads)
 
-        def loss_fn():
-            return cross_entropy(transformed().logits, labels)[0][0]
+            def loss_fn():
+                cache = transformed()
+                return sum(objective(view, trainer._cache_rows(cache, rows), labels[rows],
+                                     plan.values[rows], FlopsLedger()).loss.sum()
+                           for objective, rows, view in plan.hooks["objective"])
 
-        assert fd_max_rel_error(loss_fn, [stack.flat], [carry.grads.flat]) < 1e-5
+            assert len(plan.hooks["objective"]) == runs
+            assert fd_max_rel_error(loss_fn, [stack.flat], [grads.flat]) < 1e-5
 
 
 class TestFit:
@@ -368,6 +387,25 @@ class TestNamesLookedUpAtCallTime:
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 0)
         fit((tr, va), model, TrainConfig(epochs=epochs, batch_size=batch_size, seed=4), MethodSpec())
         assert len(calls) == epochs * (per_epoch + per_batch * batches)
+
+    def test_one_backward_per_modality_however_many_objective_ranges(self, monkeypatch):
+        """Three objective ranges share one encoder backward per modality and batch."""
+        calls = []
+        real = trainer.mlp_backward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "mlp_backward", counting)
+        tr, va, _ = split(tiny_data(1), (0.8, 0.1, 0.1), 0)
+        epochs, batch_size = 2, 50
+        batches = -(-tr.num_samples // batch_size)
+        specs = [MethodSpec(kind) for kind in ("kl_align", "baseline", "unimodal_blend")]
+        models = [init_model([[6, 8, 5], [6, 8, 5]], 3, seed) for seed in range(len(specs))]
+        fit([(tr, va)] * len(specs), models,
+            [TrainConfig(epochs=epochs, batch_size=batch_size, seed=4)] * len(specs), specs)
+        assert len(calls) == epochs * batches * 2  # m = 2
 
 
 class TestDominanceSuppression:
