@@ -6,7 +6,7 @@ each subset). The imbalance index is the mean absolute pairwise difference of
 the phi: 0 means perfectly balanced cooperation, larger means dominance.
 """
 
-from balancelab import MethodSpec, SyntheticSpec, TrainConfig, generate, init_model, split
+from balancelab import MethodSpec, Run, SyntheticSpec, TrainConfig, generate, init_model, split
 from balancelab.metrics import shapley, shapley_from_values, imbalance
 from balancelab.trainer import fit
 
@@ -27,12 +27,8 @@ print(f"efficiency: phi_1 + phi_2 = {sum(phi):.3f} = v(full) - v(empty) = "
 spec = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 2000, seed=21)
 data = generate(spec)
 train, val, test = split(data, (0.8, 0.1, 0.1), seed=0)
-model, _ = fit(
-    (train, val),
-    init_model([[12, 24, 4], [12, 24, 4]], 4, seed=2),
-    TrainConfig(lr=1e-3, epochs=25, seed=1),
-    MethodSpec(),
-)
+model = init_model([[12, 24, 4], [12, 24, 4]], 4, seed=2)
+[(model, _)] = fit(TrainConfig(lr=1e-3, epochs=25), [Run(train, val, model, 1, MethodSpec())])
 rep = shapley(model, test)
 print("\ntrained model subset values:")
 for subset in sorted(rep.subset_values, key=lambda s: (len(s), sorted(s))):

@@ -88,6 +88,9 @@ CATALOGUE = [
     Mutant("gradmod-strength-x4", "src/balancelab/methods.py",
            "    x = alpha[:, None] * (rho - 1.0)\n", "    x = 4.0 * alpha[:, None] * (rho - 1.0)\n",
            ("tests/test_methods.py::TestGradModulation::test_worked_example",)),
+    Mutant("run-0-seed-for-every-run", "src/balancelab/trainer.py",
+           "seeds=[run.seed for run in runs]", "seeds=[runs[0].seed for run in runs]",
+           ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("run-0-kappa-for-every-run", "src/balancelab/trainer.py",
            "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])\n",
            "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])[:1]\n",

@@ -12,7 +12,7 @@ from .datagen import Dataset, SyntheticSpec, generate, load, save, split
 from .fusion import FusionModel, init_model, load_model, save_model
 from .methods import MethodSpec
 from .metrics import FlopsLedger, ShapleyReport, imbalance, shapley, value_function
-from .trainer import TrainConfig, TrainLog, fit
+from .trainer import Run, TrainConfig, TrainLog, fit
 
 __all__ = [
     "Dataset",
@@ -31,6 +31,7 @@ __all__ = [
     "imbalance",
     "shapley",
     "value_function",
+    "Run",
     "TrainConfig",
     "TrainLog",
     "fit",

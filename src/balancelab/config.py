@@ -6,11 +6,11 @@ type mismatches, and malformed lines are hard errors that name the key, so a
 typo can never silently fall back to a default. Lists are comma-separated;
 strings may be quoted.
 
-The ``train.*`` keys are the fields of ``trainer.TrainConfig`` but its
-``seed`` (each run derives one); the synthetic ``dataset.*`` keys are those of
-``datagen.SyntheticSpec`` (``modalities`` and ``classes`` name its
-``num_modalities`` and ``num_classes``). Each takes its kind and default from
-its field; the ``method.<param>`` keys come from ``methods.METHODS``.
+The ``train.*`` keys are the fields of ``trainer.TrainConfig``; the
+synthetic ``dataset.*`` keys are those of ``datagen.SyntheticSpec``
+(``modalities`` and ``classes`` name its ``num_modalities`` and
+``num_classes``). Each takes its kind and default from its field; the
+``method.<param>`` keys come from ``methods.METHODS``.
 
 Key reference (every key is optional; defaults in parentheses)::
 
@@ -71,9 +71,9 @@ def _field_entries(cls, keys: dict[str, str]) -> dict[str, tuple[str, object]]:
 
 
 _RENAMED = {"num_modalities": "modalities", "num_classes": "classes"}
-# config key -> field of the object it builds; the recipe's seed is derived per run
+# config key -> field of the object it builds
 _DATASET_KEYS = {f"dataset.{_RENAMED.get(f.name, f.name)}": f.name for f in fields(SyntheticSpec)}
-_TRAIN_KEYS = {f"train.{f.name}": f.name for f in fields(TrainConfig) if f.name != "seed"}
+_TRAIN_KEYS = {f"train.{f.name}": f.name for f in fields(TrainConfig)}
 
 _SCHEMA: dict[str, tuple[str, object]] = {
     "dataset.path": ("str", None),
@@ -140,8 +140,8 @@ class ExperimentConfig:
         spec = SyntheticSpec(**{name: self.get(key) for key, name in _DATASET_KEYS.items()})
         return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
-    def train_config(self, seed: int = 0) -> TrainConfig:
-        return TrainConfig(seed=seed, **{name: self.get(key) for key, name in _TRAIN_KEYS.items()})
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**{name: self.get(key) for key, name in _TRAIN_KEYS.items()})
 
     def method_spec(self, kind: str | None = None) -> MethodSpec:
         """The configured method, or registry ``kind``, at its ``method.<param>`` value."""

@@ -17,8 +17,9 @@ header (``datagen.read_header``) for a dataset file.
 Each cell's record (its cell file, fingerprint and checkpoint path) is made
 once per call, and both the cache read and the worker's write use it. The
 uncached cells of one call share one config and shapes, so they train as
-one ``trainer.fit`` stack; ``jobs`` (at least 1) splits it across worker
-processes. Each cell is written to ``<out>/cells/`` as soon as it is
+one ``trainer.fit`` stack, one ``trainer.Run`` per cell (its split, initial
+model, train seed, setting and ledger); ``jobs`` (at least 1) splits the
+stack across worker processes. Each cell is written to ``<out>/cells/`` as soon as it is
 evaluated after its stack has trained, so an interrupted call resumes
 without recomputing those cells, but it retrains every cell of a stack
 still training. A cell file whose config fingerprint differs, that cannot
@@ -214,13 +215,14 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
 
     Each run seed's split is made once and only the split is kept (a
     dataset file, the same data for every seed, is read once); every cell
-    trains in one ``trainer.fit`` stack, then saves its checkpoint if it has
-    a path, evaluates and computes Shapley contributions on its own. Yields
-    ``(cell, row)`` as each cell is evaluated.
+    trains as one ``trainer.Run`` of one ``trainer.fit`` stack under the
+    config's recipe, then saves its checkpoint if it has a path, evaluates
+    and computes Shapley contributions on its own. Yields ``(cell, row)`` as
+    each cell is evaluated.
     """
     prepared = {}
     file_data = None
-    splits, models, configs, ledgers = [], [], [], []
+    runs = []
     for cell in cells:
         data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
         if cell.seed not in prepared:
@@ -230,16 +232,12 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
             prepared[cell.seed] = datagen.split(data, cfg.fractions, split_seed)
             del data
         train_set, val_set, _ = prepared[cell.seed]
-        splits.append((train_set, val_set))
-        models.append(
-            fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
-        )
-        configs.append(cfg.train_config(seed=train_seed))
-        ledgers.append(metrics.FlopsLedger())
+        model = fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
+        runs.append(trainer.Run(train_set, val_set, model, train_seed, cell.spec))
     del file_data
-    trained = trainer.fit(splits, models, configs, [cell.spec for cell in cells], ledgers)
+    trained = trainer.fit(cfg.train_config(), runs)
 
-    for cell, (best, log), ledger in zip(cells, trained, ledgers):
+    for cell, run, (best, log) in zip(cells, runs, trained):
         test_set = prepared[cell.seed][2]
         if cell.ckpt is not None:
             fusion.save_model(best, cell.ckpt)
@@ -253,7 +251,7 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
             macro_f1=perf.macro_f1,
             phi=None if rep is None else tuple(float(p) for p in rep.phi),
             imbalance=None if rep is None else rep.imbalance,
-            flops_total=ledger.total,
+            flops_total=run.ledger.total,
             best_epoch=log.best_epoch,
         )
 

@@ -127,13 +127,10 @@ class ShapleyReport:
 def imbalance(phi) -> float:
     """Mean absolute pairwise difference of the contributions (2 or 3 of them)."""
     phi = tuple(float(p) for p in phi)
-    if len(phi) == 2:
-        return abs(phi[0] - phi[1])
-    if len(phi) == 3:
-        # fsum keeps the value invariant under modality relabeling
-        pairs = [abs(phi[0] - phi[1]), abs(phi[0] - phi[2]), abs(phi[1] - phi[2])]
-        return math.fsum(pairs) / 3.0
-    raise ContractError(f"imbalance is defined for 2 or 3 modalities, got {len(phi)}")
+    if len(phi) not in (2, 3):
+        raise ContractError(f"imbalance is defined for 2 or 3 modalities, got {len(phi)}")
+    # fsum keeps the value invariant under modality relabeling
+    return math.fsum(abs(a - b) for a, b in itertools.combinations(phi, 2)) / math.comb(len(phi), 2)
 
 
 def shapley_from_values(values: dict[frozenset[int], float], m: int) -> tuple[float, ...]:

@@ -1,15 +1,15 @@
 """Cross-entropy training with SGD momentum, step decay and method hooks.
 
-``fit`` is one engine for one run or for R runs in lockstep. The R runs'
-parameters, gradients and velocities each live in one (R, P) float64 buffer
-(``FusionModel.flat``), so a momentum step is four vector operations, and
-forward, loss, backward and running scores are stacked matmuls and axis
-reductions along a leading run axis. Each run's slice is computed bit for
-bit as it would be alone, so a result never depends on which runs shared
-its stack. The method hooks take the same run axis: ``fit`` groups the runs
-by active registry entry and calls each hook once per group, per batch for
-objectives, gradient scales and feature transforms, per epoch for sample
-weights and deploy. Runs without an objective share one plain
+``fit`` trains R runs (``Run``, R >= 1) of one recipe (``TrainConfig``) in
+lockstep. Their parameters, gradients and velocities each live in one
+(R, P) float64 buffer (``FusionModel.flat``), so a momentum step is four
+vector operations, and forward, loss, backward and running scores are
+stacked matmuls and axis reductions along a leading run axis. Each run's
+slice is computed bit for bit as it would be alone, so a result never
+depends on which runs shared its stack. The method hooks take the same
+run axis: ``fit`` groups the runs by active registry entry and calls each
+hook once per group, per batch for objectives, gradient scales and feature
+transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
 ``fit`` builds a ``Plan``, fixed while it trains, and a ``Carry``, what
@@ -19,8 +19,8 @@ sample-weights hook) into one (R, N) index block; per batch it calls
 ``_gather``, ``_forward``, ``_objectives`` (every objective range, then
 one encoder backward of the whole stack), ``_scale_grads`` and
 ``sgd_step`` on the epoch's gradient buffer, then ``_validate`` once.
-Every stochastic choice is a deterministic function of ``(config.seed,
-epoch, batch index)``, so a run is bitwise reproducible.
+Every stochastic choice is a deterministic function of ``(run.seed, epoch,
+batch index)``, so a run is bitwise reproducible.
 
 A step costs numpy dispatch more than arithmetic, so it makes few calls.
 ``_gather`` takes each modality once per train set, however many runs
@@ -41,6 +41,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +51,9 @@ from .errors import ContractError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger, accuracy
 from .numkit import mlp_backward
+
+if TYPE_CHECKING:  # methods imports this module
+    from .methods import MethodSpec
 
 SCORE_SMOOTHING = 0.7  # running score = 0.7 * old + 0.3 * batch
 _FLOP_KINDS = tuple(f.name for f in dataclasses.fields(FlopsLedger))
@@ -64,7 +68,6 @@ class TrainConfig:
     gamma: float = 0.1
     epochs: int = 40
     batch_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -81,6 +84,22 @@ class TrainConfig:
             raise SpecError(f"step_size must be >= 1, got {self.step_size}")
         if self.epochs < 0 or self.batch_size < 1:
             raise SpecError("epochs must be >= 0 and batch_size >= 1")
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run of a ``fit``: its data, initial model, seed, method and FLOPs ledger.
+
+    ``spec`` is a ``methods.MethodSpec``, range-checked when it was built.
+    The ledger, fresh unless given, holds the run's FLOPs when ``fit`` returns.
+    """
+
+    train: Dataset
+    val: Dataset
+    model: FusionModel
+    seed: int  # every stochastic choice of the run derives from it
+    spec: MethodSpec
+    ledger: FlopsLedger = dataclasses.field(default_factory=FlopsLedger)
 
 
 @dataclass
@@ -107,7 +126,7 @@ class Plan:
     restored in place (``flat[...] = saved``), never replaced.
     """
 
-    cfg: TrainConfig  # every run's, but for the seed
+    cfg: TrainConfig
     splits: list[tuple[Dataset, Dataset]]
     sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
     seeds: list[int]
@@ -458,60 +477,41 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     carry.epoch += 1
 
 
-def fit(
-    splits: tuple[Dataset, Dataset] | list[tuple[Dataset, Dataset]],
-    model: FusionModel | list[FusionModel],
-    config: TrainConfig | list[TrainConfig],
-    method,
-    ledger: FlopsLedger | None | list[FlopsLedger | None] = None,
-) -> tuple[FusionModel, TrainLog] | list[tuple[FusionModel, TrainLog]]:
-    """Train on (train, val); return the best-validation-accuracy model and the log.
+def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]:
+    """Train each run under the one recipe ``cfg``; return each best-validation model and log.
 
+    The result is a list of (model, log) pairs in ``runs``' order, each
+    bitwise equal to training that run alone: the R runs train together,
+    and they must agree in train-set shape and model layout; their seeds and
+    methods may differ. Each run's work is charged to its own ``ledger``.
     Validation accuracy ties break toward the earlier epoch. A non-finite
     training loss aborts with DivergenceError, non-finite logits with
-    NumericError, and numpy does not warn on the way. With ``config.epochs == 0``
-    the input model is returned unchanged with an empty log. Methods whose
+    NumericError, and numpy does not warn on the way. With ``cfg.epochs == 0``
+    each input model is returned unchanged with an empty log; no runs give
+    no results. Methods whose
     strength parameter sits at its neutral value run the exact baseline code
     path, so they are bitwise-identical to Baseline under the same seed.
-
-    ``method`` is a ``methods.MethodSpec``, range-checked when it was built.
-    To train R runs together, pass lists of R (train, val) pairs, models,
-    configs, specs and optionally ledgers (a None ledger starts empty).
-    The runs must agree in train-set shape, model layout and every config
-    field but ``seed``; their methods may differ. The result is a list of R
-    (model, log) pairs, each bitwise equal to training that run alone.
     """
-    single = isinstance(model, FusionModel)
-    if single:
-        splits, model, config, method, ledger = [splits], [model], [config], [method], [ledger]
-    runs = len(model)
-    ledgers = [FlopsLedger() if l is None else l for l in (ledger or [None] * runs)]
-    if not len(splits) == len(config) == len(method) == len(ledgers) == runs:
-        raise ContractError("fit needs one split, model, config, method and ledger per run")
-    cfg = config[0]
-    if any(dataclasses.replace(c, seed=cfg.seed) != cfg for c in config):
-        raise ContractError("runs trained together must share every config field but seed")
-    if len({(t.dims, t.num_samples) for t, _ in splits}) > 1:
+    if len({(run.train.dims, run.train.num_samples) for run in runs}) > 1:
         raise ShapeError("runs trained together need train sets of equal shapes")
-    if len({(mdl.arch, mdl.num_classes) for mdl in model}) > 1:
+    if len({(run.model.arch, run.model.num_classes) for run in runs}) > 1:
         raise ShapeError("runs trained together need models of one layout")
-    logs = [TrainLog(records=[]) for _ in range(runs)]
-    if cfg.epochs == 0:
-        return (model[0], logs[0]) if single else list(zip(model, logs))
+    if cfg.epochs == 0 or not runs:
+        return [(run.model, TrainLog(records=[])) for run in runs]
 
     # sorted by active entry (objective-free first), the runs sharing a hook are one row range
-    actives = [spec.active() for spec in method]
-    order = sorted(range(runs), key=lambda r: (actives[r].objective or "", actives[r].name))
-    splits, model, config, method, ledgers, actives, logs = (
-        [seq[r] for r in order] for seq in (splits, model, config, method, ledgers, actives, logs))
-    stack = model[0].like(np.stack([mdl.flat for mdl in model]))
-    carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None,
-                  best=stack.flat.copy(), logs=logs, ledgers=ledgers, work={}, epoch=0)
-    trains = {id(train): train for train, _ in splits}.values()  # each distinct set, in order
-    sources = [(t, np.flatnonzero([train is t for train, _ in splits])) for t in trains]
+    actives = [run.spec.active() for run in runs]
+    order = sorted(range(len(runs)), key=lambda r: (actives[r].objective or "", actives[r].name))
+    runs, actives = [runs[r] for r in order], [actives[r] for r in order]
+    stack = runs[0].model.like(np.stack([run.model.flat for run in runs]))
+    logs = [TrainLog(records=[]) for _ in runs]
+    carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None, best=stack.flat.copy(),
+                  logs=logs, ledgers=[run.ledger for run in runs], work={}, epoch=0)
+    trains = {id(run.train): run.train for run in runs}.values()  # each distinct set, in order
+    sources = [(t, np.flatnonzero([run.train is t for run in runs])) for t in trains]
     plan = Plan(
-        cfg, splits, sources,
-        seeds=[c.seed for c in config], values=np.array([spec.value for spec in method], float),
+        cfg, [(run.train, run.val) for run in runs], sources,
+        seeds=[run.seed for run in runs], values=np.array([run.spec.value for run in runs], float),
         hooks={field: _ranges(stack, actives, field) for field in (
             "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
         spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])
@@ -521,5 +521,4 @@ def fit(
         while carry.epoch < cfg.epochs:
             _epoch(plan, carry)
     # back to the caller's run order: argsort inverts the permutation
-    results = [(model[k].like(carry.best[k]), logs[k]) for k in np.argsort(order)]
-    return results[0] if single else results
+    return [(runs[k].model.like(carry.best[k]), logs[k]) for k in np.argsort(order)]

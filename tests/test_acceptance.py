@@ -25,7 +25,7 @@ from balancelab.metrics import (
     shapley_from_values,
     value_function,
 )
-from balancelab.trainer import TrainConfig, cross_entropy, fit
+from balancelab.trainer import Run, TrainConfig, cross_entropy, fit
 
 from oracles import fd_max_rel_error, model_gradient, shapley_subset_form
 
@@ -150,7 +150,7 @@ def test_c2_shapley_properties():
         data = generate(spec)
         tr, va, te = split(data, (0.8, 0.1, 0.1), k)
         model = init_model([[d, 8, 4] for d in dims], 3, 60 + k)
-        best, _ = fit((tr, va), model, TrainConfig(epochs=4, seed=k), MethodSpec())
+        [(best, _)] = fit(TrainConfig(epochs=4), [Run(tr, va, model, k, MethodSpec())])
         rep = shapley(best, te)
         check_shapley_properties(rep.subset_values, m)
         assert abs(sum(rep.phi) - (rep.subset_values[frozenset(range(m))]
@@ -202,7 +202,7 @@ def _fit_seeds(cfg, modality=None):
     fits train as one ``fit`` stack, whose runs each equal their solo fit
     bit for bit. Returns (best model, test split) per seed.
     """
-    splits, models, configs, tests = [], [], [], []
+    runs, tests = [], []
     for run_seed in SEEDS:
         data_seed, split_seed, init_seed, train_seed = harness.derived_seeds(cfg.master_seed,
                                                                               run_seed)
@@ -211,11 +211,10 @@ def _fit_seeds(cfg, modality=None):
         if modality is not None:
             data, arch = data.select_modalities([modality]), [arch[modality]]
         tr, va, te = split(data, cfg.fractions, split_seed)
-        splits.append((tr, va))
+        runs.append(Run(tr, va, init_model(arch, data.num_classes, init_seed), train_seed,
+                        MethodSpec()))
         tests.append(te)
-        models.append(init_model(arch, data.num_classes, init_seed))
-        configs.append(cfg.train_config(seed=train_seed))
-    fitted = fit(splits, models, configs, [MethodSpec()] * len(SEEDS))
+    fitted = fit(cfg.train_config(), runs)
     return [best for best, _ in fitted], tests
 
 
@@ -357,9 +356,9 @@ def test_c6_method_off_equivalence():
     spec = SyntheticSpec(2, 3, (6, 6), (3.0, 1.0), 1.0, 400, 9)
     data = generate(spec)
     tr, va, _ = split(data, (0.8, 0.1, 0.1), 2)
-    cfg = TrainConfig(epochs=5, seed=11)
+    cfg = TrainConfig(epochs=5)
     arch = [[6, 8, 4], [6, 8, 4]]
-    base, _ = fit((tr, va), init_model(arch, 3, 4), cfg, MethodSpec())
+    [(base, _)] = fit(cfg, [Run(tr, va, init_model(arch, 3, 4), 11, MethodSpec())])
     base_bytes = params_bytes(base)
     neutrals = [
         MethodSpec("unimodal_blend", 0.0),
@@ -371,7 +370,7 @@ def test_c6_method_off_equivalence():
     ]
     mismatched = []
     for method in neutrals:
-        alt, _ = fit((tr, va), init_model(arch, 3, 4), cfg, method)
+        [(alt, _)] = fit(cfg, [Run(tr, va, init_model(arch, 3, 4), 11, method)])
         if params_bytes(alt) != base_bytes:
             mismatched.append(method.kind)
     ok = not mismatched
@@ -435,8 +434,9 @@ def test_c9_end_to_end_determinism(tmp_path):
     data_same = data_same and dpath.read_bytes() == (tmp_path / "d2.mmds").read_bytes()
 
     tr, va, _ = split(data, cfg.fractions, 1)
-    model, _ = fit((tr, va), init_model(cfg.arch(data.dims), data.num_classes, 5),
-                   cfg.train_config(seed=8), MethodSpec())
+    [(model, _)] = fit(cfg.train_config(),
+                       [Run(tr, va, init_model(cfg.arch(data.dims), data.num_classes, 5), 8,
+                            MethodSpec())])
     cpath = tmp_path / "m.mmck"
     fusion.save_model(model, cpath)
     loaded = fusion.load_model(cpath)

@@ -15,7 +15,7 @@ from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.fusion import init_model
 from balancelab.methods import METHODS, MethodSpec
 from balancelab.metrics import FlopsLedger
-from balancelab.trainer import TrainConfig, fit
+from balancelab.trainer import Run, TrainConfig, fit
 
 TINY = """
 dataset.samples = 300
@@ -38,14 +38,28 @@ def strengths(kind):
     return [entry.default, 2.0 if entry.neutral is None else entry.neutral]
 
 
-def cell(kind, value, seed, m=2):
-    """One run's inputs, m modalities; each seed has its own data, split, init and batch order."""
-    dims = (6, 6, 5)[:m]
-    data = generate(SyntheticSpec(m, 3, dims, (2.0, 1.0, 0.5)[:m], 1.0, 200, seed))
-    train, val, _ = split(data, (0.8, 0.1, 0.1), seed)
-    model = init_model([[d, 8, 4] for d in dims], 3, 10 + seed)
-    return (train, val), model, TrainConfig(epochs=3, batch_size=32, seed=100 + seed), \
-        MethodSpec(kind, value)
+CFG = TrainConfig(epochs=3, batch_size=32)
+
+
+def sets(seed, m=2):
+    """Seed ``seed``'s (train, val) pair, m modalities."""
+    data = generate(SyntheticSpec(m, 3, (6, 6, 5)[:m], (2.0, 1.0, 0.5)[:m], 1.0, 200, seed))
+    return split(data, (0.8, 0.1, 0.1), seed)[:2]
+
+
+def cell(kind, value, seed, m=2, pair=None):
+    """One run, m modalities; each seed has its own data, split, init and batch order.
+
+    ``pair``, a (train, val) pair, replaces the seed's own, so runs can share a train set.
+    """
+    model = init_model([[d, 8, 4] for d in (6, 6, 5)[:m]], 3, 10 + seed)
+    return Run(*(pair or sets(seed, m)), model, 100 + seed, MethodSpec(kind, value))
+
+
+def alone(run):
+    """``run`` trained by itself, on a fresh ledger: its (model, log)."""
+    [(best, log)] = fit(CFG, [dataclasses.replace(run, ledger=FlopsLedger())])
+    return best, log
 
 
 # m = 2 keeps the bare kind as its id
@@ -53,11 +67,11 @@ def cell(kind, value, seed, m=2):
                                      for m in (2, 3) for kind in METHODS])
 def test_stack_matches_each_cell_alone(kind, m):
     cells = [cell(kind, value, seed, m) for value in strengths(kind) for seed in (1, 2, 3)]
-    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    stacked = fit(CFG, cells)
     assert len(stacked) == len(cells) >= 3
-    for inputs, (best, log) in zip(cells, stacked):
-        alone, alone_log = fit(*inputs, FlopsLedger())
-        assert best.flat.tobytes() == alone.flat.tobytes()
+    for run, (best, log) in zip(cells, stacked):
+        alone_best, alone_log = alone(run)
+        assert best.flat.tobytes() == alone_best.flat.tobytes()
         assert log.best_epoch == alone_log.best_epoch
         # repr is exact for floats, so this compares every record bit for bit
         assert repr(log.records) == repr(alone_log.records)
@@ -70,10 +84,10 @@ def test_mixed_stack_matches_each_cell_alone(m):
     cells = [cell(kind, METHODS[kind].default, seed, m)
              for kind, seed in zip(reversed(METHODS), (1, 2, 3, 1, 2, 3, 1, 2))]
     cells.insert(3, cell("gradmod", 0.0, 2, m))
-    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
-    for inputs, (best, log) in zip(cells, stacked):
-        alone, alone_log = fit(*inputs, FlopsLedger())
-        assert best.flat.tobytes() == alone.flat.tobytes()
+    stacked = fit(CFG, cells)
+    for run, (best, log) in zip(cells, stacked):
+        alone_best, alone_log = alone(run)
+        assert best.flat.tobytes() == alone_best.flat.tobytes()
         assert log.best_epoch == alone_log.best_epoch
         assert repr(log.records) == repr(alone_log.records)
 
@@ -81,26 +95,40 @@ def test_mixed_stack_matches_each_cell_alone(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch, m):
     """Runs of one seed share its train set, as a sweep's cells do; _gather takes once per set."""
-    splits = {seed: cell("baseline", None, seed, m)[0] for seed in (1, 2)}
-    cells = [(splits[seed], *cell("gradmod", alpha, seed, m)[1:])
+    pairs = {seed: sets(seed, m) for seed in (1, 2)}
+    cells = [cell("gradmod", alpha, seed, m, pairs[seed])
              for alpha in (0.5, 0.0, 2.0) for seed in (2, 1)]
-    cells.insert(2, (splits[1], *cell("baseline", None, 1, m)[1:]))
-    sets = []
+    cells.insert(2, cell("baseline", None, 1, m, pairs[1]))
+    gathered = []
     real = trainer._gather
 
     def counting(plan, idx):
-        sets.append(tuple(tuple(rows) for _, rows in plan.sources))
+        gathered.append(tuple(tuple(rows) for _, rows in plan.sources))
         return real(plan, idx)
 
     monkeypatch.setattr(trainer, "_gather", counting)
-    stacked = fit(*(list(part) for part in zip(*cells)), [FlopsLedger() for _ in cells])
+    stacked = fit(CFG, cells)
     # two sets, whose runs interleave in the stack
-    assert set(sets) == {((0, 2, 4, 6), (1, 3, 5))}
-    for inputs, (best, log) in zip(cells, stacked):
-        alone, alone_log = fit(*inputs, FlopsLedger())
-        assert best.flat.tobytes() == alone.flat.tobytes()
+    assert set(gathered) == {((0, 2, 4, 6), (1, 3, 5))}
+    for run, (best, log) in zip(cells, stacked):
+        alone_best, alone_log = alone(run)
+        assert best.flat.tobytes() == alone_best.flat.tobytes()
         assert log.best_epoch == alone_log.best_epoch
         assert repr(log.records) == repr(alone_log.records)
+
+
+def test_each_run_keeps_its_own_ledger():
+    """Runs built without a ledger each get a fresh one, charged with that run's work alone."""
+    # gradmod's FLOPs exceed baseline's, and fit sorts baseline to the stack's top
+    cells = [cell("gradmod", METHODS["gradmod"].default, 1), cell("baseline", None, 2)]
+    stacked = fit(CFG, cells)
+    assert cells[0].ledger is not cells[1].ledger
+    assert cells[0].ledger.total != cells[1].ledger.total
+    for run, (_, log) in zip(cells, stacked):
+        solo = dataclasses.replace(run, ledger=FlopsLedger())
+        fit(CFG, [solo])
+        assert run.ledger.total == solo.ledger.total
+        assert log.records[-1].flops_total == run.ledger.total
 
 
 def restore(carry, saved):
@@ -124,12 +152,10 @@ def restore(carry, saved):
 @pytest.mark.parametrize("m", [2, 3])
 def test_carry_is_all_of_a_stacks_progress(monkeypatch, m):
     """A fit whose carry is restored to epoch 2 finishes as the uninterrupted fit did."""
-    splits = {seed: cell("baseline", None, seed, m)[0] for seed in (1, 2)}
-    cells = [(splits[seed], *cell(kind, METHODS[kind].default, seed, m)[1:])
+    pairs = {seed: sets(seed, m) for seed in (1, 2)}
+    cells = [cell(kind, METHODS[kind].default, seed, m, pairs[seed])
              for kind, seed in (("gradmod", 1), ("feature_drop", 2), ("resample", 1),
                                 ("cosine", 2), ("baseline", 1))]
-    for _, _, train_config, _ in cells:
-        train_config.epochs = 4
     real = trainer._epoch
     saved, resumed_epochs = [], []
 
@@ -144,13 +170,14 @@ def test_carry_is_all_of_a_stacks_progress(monkeypatch, m):
         resumed_epochs.append(carry.epoch)
         real(plan, carry)
 
-    runs = []
+    outcomes = []
     for epoch_fn in (saving, resuming):
         monkeypatch.setattr(trainer, "_epoch", epoch_fn)
-        ledgers = [FlopsLedger() for _ in cells]
-        runs.append((fit(*(list(part) for part in zip(*cells)), ledgers), ledgers))
+        fresh = [dataclasses.replace(run, ledger=FlopsLedger()) for run in cells]
+        outcomes.append((fit(dataclasses.replace(CFG, epochs=4), fresh),
+                         [run.ledger for run in fresh]))
     assert resumed_epochs == [2, 3]
-    (whole, whole_ledgers), (resumed, resumed_ledgers) = runs
+    (whole, whole_ledgers), (resumed, resumed_ledgers) = outcomes
     assert repr(resumed_ledgers) == repr(whole_ledgers)
     for (best, log), (again, again_log) in zip(whole, resumed):
         assert again.flat.tobytes() == best.flat.tobytes()
@@ -162,9 +189,7 @@ def test_carry_is_all_of_a_stacks_progress(monkeypatch, m):
 def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
     """A 5-run stack of one kind calls each of its hooks once per batch or per epoch."""
     cells = [cell(kind, METHODS[kind].default, seed) for seed in (1, 2, 3, 4, 5)]
-    for _, _, train_config, _ in cells:
-        train_config.epochs = 1
-    batches = -(-cells[0][0][0].num_samples // cells[0][2].batch_size)
+    batches = -(-cells[0].train.num_samples // CFG.batch_size)
     entry = METHODS[kind]
     # feature transforms skip the first batch, which has no running scores
     # yet; the hooks an entry lacks collapse into one None key
@@ -179,7 +204,7 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(methods, hook, counting)
-    fit(*(list(part) for part in zip(*cells)))
+    fit(dataclasses.replace(CFG, epochs=1), cells)
     assert calls == expected
 
 
@@ -200,10 +225,8 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
         counts = []
         for epochs in (1, 2):
             cells = [cell(kind, entry.default, seed) for seed in (1, 2, 3, 4, 5)]
-            for _, _, train_config, _ in cells:
-                train_config.epochs, train_config.batch_size = epochs, batch_size
             walks.clear()
-            fit(*(list(part) for part in zip(*cells)))
+            fit(dataclasses.replace(CFG, epochs=epochs, batch_size=batch_size), cells)
             counts.append(len(walks))
         extra.append(counts[1] - counts[0])
     assert extra[0] == extra[1] <= len(cells) + 1 + (entry.deploy is not None)
@@ -264,7 +287,7 @@ def test_training_bits_pinned(m):
     if build != PINNED_BUILD:
         pytest.skip(f"training bits were pinned on {PINNED_BUILD}, not {build}")
     dims, signal = (12, 8, 12)[:m], (3.0, 1.0, 0.5)[:m]
-    cells = []
+    runs = []
     for seed, settings in ((3, [MethodSpec("gradmod", a) for a in (2.0, 0.0, 0.5)]),
                            (1, [MethodSpec(kind) for kind in METHODS]),
                            (2, [MethodSpec(kind) for kind in reversed(METHODS)])):
@@ -272,11 +295,10 @@ def test_training_bits_pinned(m):
                               (0.8, 0.1, 0.1), seed)
         for spec in settings:
             model = init_model([[d, 24, 4] for d in dims], 4, 10 + seed)
-            cells.append(((train, val), model, TrainConfig(epochs=4, seed=100 + seed), spec,
-                          FlopsLedger()))
-    stacked = fit(*(list(part) for part in zip(*cells)))
+            runs.append(Run(train, val, model, 100 + seed, spec))
+    stacked = fit(TrainConfig(epochs=4), runs)
     digest = hashlib.sha256()
-    for (*_, ledger), (best, log) in zip(cells, stacked):
+    for run, (best, log) in zip(runs, stacked):
         digest.update(best.flat.tobytes())
-        digest.update(f"{log.records!r} {ledger!r} {log.best_epoch}".encode())
+        digest.update(f"{log.records!r} {run.ledger!r} {log.best_epoch}".encode())
     assert digest.hexdigest() == PINNED_BITS[m]

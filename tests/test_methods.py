@@ -20,7 +20,7 @@ from balancelab.methods import (
     resample_weights,
     unimodal_blend_loss,
 )
-from balancelab.trainer import TrainConfig, cross_entropy, fit
+from balancelab.trainer import Run, TrainConfig, cross_entropy, fit
 
 from oracles import cosine_logits, fd_max_rel_error, mlp_copy, model_gradient, symmetric_kl
 
@@ -495,7 +495,7 @@ class TestHookDispatch:
         data = generate(SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, 3))
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 1)
         model = init_model([[6, 8, 4], [6, 8, 4]], 3, 2)
-        fit((tr, va), model, TrainConfig(epochs=1, seed=5), MethodSpec(kind=kind))
+        fit(TrainConfig(epochs=1), [Run(tr, va, model, 5, MethodSpec(kind=kind))])
         assert calls
 
 
@@ -515,9 +515,10 @@ class TestNeutralEquivalence:
         spec = SyntheticSpec(2, 3, (6, 6), (2.0, 1.0), 1.0, 200, 3)
         data = generate(spec)
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 1)
-        cfg = TrainConfig(epochs=3, seed=5)
-        base, _ = fit((tr, va), init_model([[6, 8, 4], [6, 8, 4]], 3, 2), cfg, MethodSpec())
-        alt, _ = fit((tr, va), init_model([[6, 8, 4], [6, 8, 4]], 3, 2), cfg, method)
+        cfg = TrainConfig(epochs=3)
+        [(base, _)] = fit(cfg, [Run(tr, va, init_model([[6, 8, 4], [6, 8, 4]], 3, 2), 5,
+                                    MethodSpec())])
+        [(alt, _)] = fit(cfg, [Run(tr, va, init_model([[6, 8, 4], [6, 8, 4]], 3, 2), 5, method)])
         assert base.head_bias.tobytes() == alt.head_bias.tobytes()
         for ba, bb in zip(base.head_blocks, alt.head_blocks):
             assert ba.tobytes() == bb.tobytes()

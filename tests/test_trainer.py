@@ -12,6 +12,7 @@ from balancelab.methods import METHODS, MethodSpec
 from balancelab.trainer import (
     Carry,
     Plan,
+    Run,
     TrainConfig,
     TrainLog,
     baseline_loss,
@@ -296,16 +297,19 @@ class TestFit:
         data = tiny_data()
         tr, va, te = split(data, (0.8, 0.1, 0.1), 0)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 0)
-        out, log = fit((tr, va), model, TrainConfig(epochs=0), MethodSpec())
+        [(out, log)] = fit(TrainConfig(epochs=0), [Run(tr, va, model, 0, MethodSpec())])
         assert out is model and log.records == []
+
+    def test_no_runs(self):
+        assert fit(TrainConfig(epochs=1), []) == []
 
     def test_separable_data_learns(self):
         spec = SyntheticSpec(2, 3, (6, 6), (3.0, 3.0), 0.3, 600, 5)
         data = generate(spec)
         tr, va, te = split(data, (0.8, 0.1, 0.1), 1)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 2)
-        cfg = TrainConfig(lr=5e-3, epochs=20, seed=3)
-        best, log = fit((tr, va), model, cfg, MethodSpec())
+        cfg = TrainConfig(lr=5e-3, epochs=20)
+        [(best, log)] = fit(cfg, [Run(tr, va, model, 3, MethodSpec())])
         assert trainer.evaluate_accuracy(best, tr) >= 0.95
 
     def test_bitwise_deterministic(self):
@@ -314,7 +318,7 @@ class TestFit:
         results = []
         for _ in range(2):
             model = init_model([[6, 8, 5], [6, 8, 5]], 3, 7)
-            best, _ = fit((tr, va), model, TrainConfig(epochs=4, seed=9), MethodSpec())
+            [(best, _)] = fit(TrainConfig(epochs=4), [Run(tr, va, model, 9, MethodSpec())])
             results.append(best)
         a, b = results
         assert a.head_bias.tobytes() == b.head_bias.tobytes()
@@ -334,25 +338,24 @@ class TestFit:
             for layer in enc.layers:
                 layer.weight[:] = 0.0
         with pytest.raises(DivergenceError) as err:
-            fit((tr, va), model, TrainConfig(epochs=1, lr=1e-9), MethodSpec())
+            fit(TrainConfig(epochs=1, lr=1e-9), [Run(tr, va, model, 0, MethodSpec())])
         assert err.value.epoch == 0
 
     def test_log_schema(self):
         data = tiny_data(3)
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 0)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 1)
-        ledger = FlopsLedger()
-        _, log = fit((tr, va), model, TrainConfig(epochs=3, seed=2), MethodSpec(), ledger)
+        run = Run(tr, va, model, 2, MethodSpec())
+        [(_, log)] = fit(TrainConfig(epochs=3), [run])
         assert len(log.records) == 3
-        assert log.records[-1].flops_total == ledger.total
+        assert log.records[-1].flops_total == run.ledger.total
         assert all(len(r.scores) == 2 for r in log.records)
 
     def test_flops_monotone(self):
         data = tiny_data(6)
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 0)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 1)
-        ledger = FlopsLedger()
-        _, log = fit((tr, va), model, TrainConfig(epochs=3, seed=2), MethodSpec(), ledger)
+        [(_, log)] = fit(TrainConfig(epochs=3), [Run(tr, va, model, 2, MethodSpec())])
         totals = [r.flops_total for r in log.records]
         assert totals == sorted(totals) and totals[0] > 0
 
@@ -385,7 +388,8 @@ class TestNamesLookedUpAtCallTime:
         batches = -(-tr.num_samples // batch_size)
         assert batches == 4
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 0)
-        fit((tr, va), model, TrainConfig(epochs=epochs, batch_size=batch_size, seed=4), MethodSpec())
+        fit(TrainConfig(epochs=epochs, batch_size=batch_size),
+            [Run(tr, va, model, 4, MethodSpec())])
         assert len(calls) == epochs * (per_epoch + per_batch * batches)
 
     def test_one_backward_per_modality_however_many_objective_ranges(self, monkeypatch):
@@ -401,10 +405,9 @@ class TestNamesLookedUpAtCallTime:
         tr, va, _ = split(tiny_data(1), (0.8, 0.1, 0.1), 0)
         epochs, batch_size = 2, 50
         batches = -(-tr.num_samples // batch_size)
-        specs = [MethodSpec(kind) for kind in ("kl_align", "baseline", "unimodal_blend")]
-        models = [init_model([[6, 8, 5], [6, 8, 5]], 3, seed) for seed in range(len(specs))]
-        fit([(tr, va)] * len(specs), models,
-            [TrainConfig(epochs=epochs, batch_size=batch_size, seed=4)] * len(specs), specs)
+        runs = [Run(tr, va, init_model([[6, 8, 5], [6, 8, 5]], 3, seed), 4, MethodSpec(kind))
+                for seed, kind in enumerate(("kl_align", "baseline", "unimodal_blend"))]
+        fit(TrainConfig(epochs=epochs, batch_size=batch_size), runs)
         assert len(calls) == epochs * batches * 2  # m = 2
 
 
@@ -418,16 +421,16 @@ class TestDominanceSuppression:
             data = generate(spec)
             tr, va, te = split(data, (0.8, 0.1, 0.1), seed)
             arch = [[8, 12, 6], [8, 12, 6]]
-            cfg = TrainConfig(lr=5e-3, epochs=12, seed=seed)
+            cfg = TrainConfig(lr=5e-3, epochs=12)
 
             joint = init_model(arch, 3, 200 + seed)
-            joint_best, joint_log = fit((tr, va), joint, cfg, MethodSpec())
+            [(joint_best, joint_log)] = fit(cfg, [Run(tr, va, joint, seed, MethodSpec())])
             masked_weak = value_function(joint_best, te, (False, True))
 
             solo_data = data.select_modalities([1])
             str_, sva, ste = split(solo_data, (0.8, 0.1, 0.1), seed)
             solo = init_model([arch[1]], 3, 300 + seed)
-            solo_best, _ = fit((str_, sva), solo, cfg, MethodSpec())
+            [(solo_best, _)] = fit(cfg, [Run(str_, sva, solo, seed, MethodSpec())])
             solo_acc = trainer.evaluate_accuracy(solo_best, ste)
 
             if masked_weak < solo_acc:
