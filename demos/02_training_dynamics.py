@@ -8,7 +8,7 @@ the same budget. That gap is the phenomenon every balancing method targets.
 """
 
 from balancelab import MethodSpec, Run, SyntheticSpec, TrainConfig, generate, init_model, split
-from balancelab.metrics import value_function
+from balancelab.metrics import shapley
 from balancelab.trainer import evaluate_accuracy, fit
 
 spec = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 2000, seed=13)
@@ -24,9 +24,8 @@ for r in log.records[::4]:
     print(f"{r.epoch:>5}  {r.lr:<7.4g} {r.train_loss:<7.3f} {r.val_accuracy:<8.3f} "
           f"{r.scores[0]:<8.3f} {r.scores[1]:.3f}")
 
-full = value_function(joint, test, (True, True))
-only_strong = value_function(joint, test, (True, False))
-only_weak = value_function(joint, test, (False, True))
+values = shapley(joint, test).subset_values
+full, only_strong, only_weak = (values[frozenset(kept)] for kept in ({0, 1}, {0}, {1}))
 print(f"\njoint model test accuracy: {full:.3f}")
 print(f"masked eval, modality 1 only: {only_strong:.3f}")
 print(f"masked eval, modality 2 only: {only_weak:.3f}")

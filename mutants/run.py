@@ -89,12 +89,19 @@ CATALOGUE = [
            "    x = alpha[:, None] * (rho - 1.0)\n", "    x = 4.0 * alpha[:, None] * (rho - 1.0)\n",
            ("tests/test_methods.py::TestGradModulation::test_worked_example",)),
     Mutant("run-0-seed-for-every-run", "src/balancelab/trainer.py",
-           "seeds=[run.seed for run in runs]", "seeds=[runs[0].seed for run in runs]",
+           "np.random.SeedSequence([run.seed, epoch, 0])",
+           "np.random.SeedSequence([plan.runs[0].seed, epoch, 0])",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("run-0-kappa-for-every-run", "src/balancelab/trainer.py",
-           "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])\n",
-           "kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])[:1]\n",
+           "grads.flat[rows, span] *= kappa[:, i, None]",
+           "grads.flat[rows, span] *= kappa[:1, i, None]",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
+    Mutant("one-run-charge-to-run-0", "src/balancelab/trainer.py",
+           "carry.ledgers[r]", "carry.ledgers[0]",
+           ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
+    Mutant("range-ledger-not-emptied", "src/balancelab/trainer.py",
+           "            setattr(led, kind, 0)\n", "            pass\n",
+           ("tests/test_engine.py::test_shared_ledgers_end_each_fit_empty",)),
     Mutant("modality-gather-reversed", "src/balancelab/trainer.py",
            "for x, f in zip(xs, train.features):", "for x, f in zip(xs, train.features[::-1]):",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",

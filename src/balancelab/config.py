@@ -100,8 +100,6 @@ def coerce(key: str, kind: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            if raw == "inf":
-                return float("inf")
             return float(raw)
         if kind == "bool":
             if raw.lower() in ("true", "yes", "1"):

@@ -50,13 +50,6 @@ def accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(preds == labels))
 
 
-def confusion_matrix(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """(H, H) counts with true classes on rows and predictions on columns."""
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (labels, preds), 1)
-    return cm
-
-
 def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     """Unweighted mean over classes of the per-class F1 score.
 
@@ -66,12 +59,18 @@ def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
         raise ContractError(f"need at least 2 classes, got {num_classes}")
     preds = np.asarray(preds)
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ContractError("labels outside 0..H-1")
-    cm = confusion_matrix(preds, labels, num_classes)
-    tp = np.diag(cm).astype(np.float64)
-    predicted = cm.sum(axis=0).astype(np.float64)
-    actual = cm.sum(axis=1).astype(np.float64)
+    if preds.shape != labels.shape:  # the counts below would broadcast one against the other
+        raise ContractError(
+            f"need equal prediction/label shapes, got {preds.shape} and {labels.shape}")
+    for name, values in (("labels", labels), ("predictions", preds)):
+        if values.size and (values.min() < 0 or values.max() >= num_classes):
+            raise ContractError(f"{name} outside 0..H-1")
+    # counts with true classes on rows and predictions on columns
+    cm = np.bincount(labels * num_classes + preds, minlength=num_classes * num_classes)
+    cm = cm.reshape(num_classes, num_classes).astype(np.float64)
+    tp = np.diag(cm)
+    predicted = cm.sum(axis=0)
+    actual = cm.sum(axis=1)
     f1 = np.zeros(num_classes)
     denom = predicted + actual  # 2*TP + FP + FN
     nz = denom > 0

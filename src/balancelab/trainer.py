@@ -12,13 +12,15 @@ hook once per group, per batch for objectives, gradient scales and feature
 transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-``fit`` builds a ``Plan``, fixed while it trains, and a ``Carry``, what
-training changes, then calls ``_epoch`` until the carry's epoch reaches
-``cfg.epochs``. An epoch stacks every run's batch order (weighted by any
-sample-weights hook) into one (R, N) index block; per batch it calls
-``_gather``, ``_forward``, ``_objectives`` (every objective range, then
-one encoder backward of the whole stack), ``_scale_grads`` and
-``sgd_step`` on the epoch's gradient buffer, then ``_validate`` once.
+``fit`` builds a ``Plan``, fixed while it trains (the sorted runs, their
+hook ranges and the FLOPs ledgers of work charged to many runs at once),
+and a ``Carry``, the stack's progress, then calls ``_epoch`` until the
+carry's epoch reaches ``cfg.epochs``. An epoch stacks every run's batch
+order (weighted by any sample-weights hook) into one (R, N) index block;
+per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
+objective range, then one encoder backward of the whole stack),
+``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
+``_validate`` once.
 Every stochastic choice is a deterministic function of ``(run.seed, epoch,
 batch index)``, so a run is bitwise reproducible.
 
@@ -123,16 +125,19 @@ class Plan:
     """What ``fit`` derives from its inputs, runs sorted by active entry; fixed while it trains.
 
     The hook ranges' row views alias the carry's model buffer, so a carry is
-    restored in place (``flat[...] = saved``), never replaced.
+    restored in place (``flat[...] = saved``), never replaced. Work charged
+    to many runs at once goes to a ledger of the plan, each range's own or
+    ``ledger`` for the whole stack, counted once as one run's; ``_validate``
+    adds those ledgers to their runs' at each epoch's end and zeroes them.
     """
 
     cfg: TrainConfig
-    splits: list[tuple[Dataset, Dataset]]
+    runs: list[Run]  # sorted by active entry, objective-free first
     sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
-    seeds: list[int]
     values: np.ndarray  # each run's method strength (baseline: nan)
-    hooks: dict[str, list[tuple]]  # (hook, rows, model view) per range, per hook field
+    hooks: dict[str, list[tuple]]  # (hook, rows, model view, ledger) per range, per hook field
     spans: list[slice]  # each encoder's span of flat
+    ledger: FlopsLedger  # one run's share of the whole-stack work: encode, head, backward, SGD
 
 
 @dataclass
@@ -140,7 +145,8 @@ class Carry:
     """What training changes: with the plan, all of a stack's progress.
 
     It holds no scratch: the gradient buffer each step overwrites belongs to
-    ``_epoch``, so saving a carry saves exactly what a resume needs.
+    ``_epoch`` and the shared FLOPs ledgers to the plan, so saving a carry
+    saves exactly what a resume needs.
     """
 
     model: FusionModel  # the stack, (R, P) in model.flat
@@ -148,12 +154,8 @@ class Carry:
     running_scores: np.ndarray | None  # (R, m); None before the first batch
     best: np.ndarray  # each run's best-validation parameters
     logs: list[TrainLog]
-    ledgers: list[FlopsLedger]
-    work: dict[tuple[int, int], FlopsLedger]  # each row range's FLOPs this epoch; zeroed at its end
+    ledgers: list[FlopsLedger]  # each run's own
     epoch: int  # the next epoch to train
-
-    def charge(self, rows: slice) -> FlopsLedger:
-        return self.work.setdefault((rows.start, rows.stop), FlopsLedger())
 
 
 def _fold(ufunc, x: np.ndarray) -> np.ndarray:
@@ -339,7 +341,7 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
 
 
 def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
-    """(hook, rows, rows of the stack) per row range."""
+    """(hook, rows, rows of the stack, the range's FLOPs ledger) per row range."""
     out, start = [], 0
     for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
         group = list(group)
@@ -349,7 +351,7 @@ def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
             # looked up once per fit, so an attribute swapped before fit sees every call
             hook = group[0].hook(field) or (
                 lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
-            out.append((hook, rows, model.like(model.flat[rows])))
+            out.append((hook, rows, model.like(model.flat[rows]), FlopsLedger()))
     return out
 
 
@@ -366,33 +368,33 @@ def _gather(plan: Plan, idx: np.ndarray):
 
 def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: int):
     """Encode, transform, head, then the running scores; returns the cache and the factors."""
-    features, enc_caches = fusion.encode(carry.model, xb, ledger=carry.charge(slice(None)))
+    features, enc_caches = fusion.encode(carry.model, xb, ledger=plan.ledger)
     # per modality a transform touched: its factor over the stack (rows left alone: ones)
     factors: dict[int, np.ndarray] = {}
     if carry.running_scores is not None:
-        for transform, rows, _ in plan.hooks["feature_transform"]:
-            rngs = [np.random.default_rng([seed, carry.epoch, b, 1]) for seed in plan.seeds[rows]]
+        for transform, rows, _, _ in plan.hooks["feature_transform"]:
+            rngs = [np.random.default_rng([run.seed, carry.epoch, b, 1]) for run in plan.runs[rows]]
             made, applied = transform([f[rows] for f in features], carry.running_scores[rows],
                                       plan.values[rows], rngs)
             for i, factor in enumerate(made):
                 if factor is not None:
                     factors.setdefault(i, np.ones(features[i].shape))[rows] = factor
             for r, i in np.argwhere(applied) + (rows.start, 0):
-                carry.charge(slice(r, r + 1)).record("elementwise", features[i][0].size)
+                carry.ledgers[r].record("elementwise", features[i][0].size)
     for i, factor in factors.items():
         # a new array: features[i] is also the encoder cache's last pre-activation
         features[i] = features[i] * factor
-    cache = fusion.head(carry.model, features, enc_caches, ledger=carry.charge(slice(None)))
+    cache = fusion.head(carry.model, features, enc_caches, ledger=plan.ledger)
 
     scores = modality_scores(carry.model, cache, yb)
     if carry.running_scores is not None:
         scores = SCORE_SMOOTHING * carry.running_scores + (1.0 - SCORE_SMOOTHING) * scores
     carry.running_scores = scores
     m, (n, h) = carry.model.num_modalities, cache.logits.shape[-2:]
-    for _, rows, _ in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
+    for _, _, _, ledger in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
         # the hook reads the scores: partial softmax + mean per modality
-        carry.charge(rows).record("softmax_loss", m * n * h)
-        carry.charge(rows).record("elementwise", m * (n * h + n))
+        ledger.record("softmax_loss", m * n * h)
+        ledger.record("elementwise", m * (n * h + n))
     return cache, factors
 
 
@@ -401,9 +403,8 @@ def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int
     """Each range's objective into its rows of ``grads`` and of the stack's feature gradients,
     then one backward, charged once as each run's work; adds loss * n to loss_sum."""
     feature_grads = [np.empty(f.shape) for f in cache.features]
-    for objective, rows, view in plan.hooks["objective"]:
-        bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows],
-                           carry.charge(rows))
+    for objective, rows, view, ledger in plan.hooks["objective"]:
+        bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows], ledger)
         finite = np.isfinite(bundle.loss)
         if not finite.all():
             raise DivergenceError(carry.epoch, b, float(bundle.loss[np.argmin(finite)]))
@@ -411,19 +412,17 @@ def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int
         _put_range(bundle, rows, grads, feature_grads)
     for i, factor in factors.items():
         feature_grads[i] *= factor
-    _backward_into_model(carry.model, cache, feature_grads, grads, carry.charge(slice(None)))
+    _backward_into_model(carry.model, cache, feature_grads, grads, plan.ledger)
 
 
 def _scale_grads(plan: Plan, carry: Carry, grads: FusionModel) -> None:
-    """Scale each encoder's gradient by its range's grad-scale hook (runs without one: 1)."""
-    if plan.hooks["grad_scale"]:
-        kappa = np.ones((len(plan.seeds), carry.model.num_modalities))
-        n_encoder_params = sum(span.stop - span.start for span in plan.spans)
-        for grad_scale, rows, _ in plan.hooks["grad_scale"]:
-            kappa[rows] = grad_scale(carry.running_scores[rows], plan.values[rows])
-            carry.charge(rows).record("elementwise", n_encoder_params)
+    """Scale each encoder's gradient in a range's rows by the range's grad-scale hook."""
+    n_encoder_params = sum(span.stop - span.start for span in plan.spans)
+    for grad_scale, rows, _, ledger in plan.hooks["grad_scale"]:
+        kappa = grad_scale(carry.running_scores[rows], plan.values[rows])
+        ledger.record("elementwise", n_encoder_params)
         for i, span in enumerate(plan.spans):
-            grads.flat[:, span] *= kappa[:, i, None]
+            grads.flat[rows, span] *= kappa[:, i, None]
 
 
 def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
@@ -431,19 +430,20 @@ def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None
     deployers = plan.hooks["deploy"]
     # select on the deployed form so validation ranks what evaluation will see
     shown = carry.model.flat.copy() if deployers else carry.model.flat
-    for deploy, rows, view in deployers:
+    for deploy, rows, view, ledger in deployers:
         shown[rows] = deploy(view).flat
-        carry.charge(rows).record("elementwise", sum(blk[0].size for blk in view.head_blocks))
-    for (first, stop), led in carry.work.items():
+        ledger.record("elementwise", sum(blk[0].size for blk in view.head_blocks))
+    shared = [(rows, led) for _, rows, _, led in itertools.chain(*plan.hooks.values())]
+    for rows, led in [(slice(None), plan.ledger), *shared]:
         for kind in _FLOP_KINDS:
-            for target in carry.ledgers[first:stop]:
+            for target in carry.ledgers[rows]:
                 setattr(target, kind, getattr(target, kind) + getattr(led, kind))
             # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
             setattr(led, kind, 0)
-    for r, ((train, val), log, ledger) in enumerate(zip(plan.splits, carry.logs, carry.ledgers)):
+    for r, (run, log, ledger) in enumerate(zip(plan.runs, carry.logs, carry.ledgers)):
         # per run: a stacked pass takes no less time and holds R runs' activations
-        val_acc = evaluate_accuracy(carry.model.like(shown[r]), val, ledger=ledger)
-        log.records.append(EpochRecord(carry.epoch, lr, float(loss_sum[r]) / train.num_samples,
+        val_acc = evaluate_accuracy(carry.model.like(shown[r]), run.val, ledger=ledger)
+        log.records.append(EpochRecord(carry.epoch, lr, float(loss_sum[r]) / run.train.num_samples,
                                        val_acc, tuple(float(s) for s in carry.running_scores[r]),
                                        ledger.total))
         if log.best_epoch < 0 or val_acc > log.records[log.best_epoch].val_accuracy:
@@ -455,16 +455,16 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     """One pass over every run's train set, then validation; advances ``carry.epoch``."""
     cfg, epoch = plan.cfg, carry.epoch
     lr = step_lr(cfg, epoch)
-    trains = [t for t, _ in plan.splits]
-    weights = [None] * len(trains)
-    for sample_weights, rows, view in plan.hooks["sample_weights"]:
-        weights[rows] = sample_weights(view, trains[rows], plan.values[rows], carry.charge(rows))
+    weights = [None] * len(plan.runs)
+    for sample_weights, rows, view, ledger in plan.hooks["sample_weights"]:
+        trains = [run.train for run in plan.runs[rows]]
+        weights[rows] = sample_weights(view, trains, plan.values[rows], ledger)
     orders = []
-    for t, seed, w in zip(trains, plan.seeds, weights):
-        batch_seed = int(np.random.SeedSequence([seed, epoch, 0]).generate_state(1)[0])
-        orders.append(np.concatenate(datagen.batches(t, cfg.batch_size, batch_seed, w)))
+    for run, w in zip(plan.runs, weights):
+        batch_seed = int(np.random.SeedSequence([run.seed, epoch, 0]).generate_state(1)[0])
+        orders.append(np.concatenate(datagen.batches(run.train, cfg.batch_size, batch_seed, w)))
     order = np.stack(orders)  # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size]
-    loss_sum = np.zeros(len(trains))
+    loss_sum = np.zeros(len(plan.runs))
     grads = carry.model.like(np.empty_like(carry.model.flat))  # scratch each step overwrites
     for b, start in enumerate(range(0, order.shape[1], cfg.batch_size)):
         xb, yb = _gather(plan, order[:, start:start + cfg.batch_size])
@@ -472,7 +472,7 @@ def _epoch(plan: Plan, carry: Carry) -> None:
         _objectives(plan, carry, cache, factors, yb, loss_sum, b, grads)
         _scale_grads(plan, carry, grads)
         sgd_step(carry.model.flat, carry.velocity, grads.flat, lr, cfg)
-        carry.charge(slice(None)).record("elementwise", 6 * carry.model.flat.shape[-1])
+        plan.ledger.record("elementwise", 6 * carry.model.flat.shape[-1])
     _validate(plan, carry, lr, loss_sum)
     carry.epoch += 1
 
@@ -506,15 +506,14 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
     stack = runs[0].model.like(np.stack([run.model.flat for run in runs]))
     logs = [TrainLog(records=[]) for _ in runs]
     carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None, best=stack.flat.copy(),
-                  logs=logs, ledgers=[run.ledger for run in runs], work={}, epoch=0)
+                  logs=logs, ledgers=[run.ledger for run in runs], epoch=0)
     trains = {id(run.train): run.train for run in runs}.values()  # each distinct set, in order
     sources = [(t, np.flatnonzero([run.train is t for run in runs])) for t in trains]
     plan = Plan(
-        cfg, [(run.train, run.val) for run in runs], sources,
-        seeds=[run.seed for run in runs], values=np.array([run.spec.value for run in runs], float),
+        cfg, runs, sources, values=np.array([run.spec.value for run in runs], float),
         hooks={field: _ranges(stack, actives, field) for field in (
             "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
-        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])
+        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], ledger=FlopsLedger())
     # a diverging run overflows on its way to the finite checks, which raise
     # NumericError or DivergenceError; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):

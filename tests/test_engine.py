@@ -131,6 +131,28 @@ def test_each_run_keeps_its_own_ledger():
         assert log.records[-1].flops_total == run.ledger.total
 
 
+def test_shared_ledgers_end_each_fit_empty(monkeypatch):
+    """Every ledger ``fit`` records into is one of the runs' own, or reads zero when it returns.
+
+    Work charged to many runs at once is added to each of their ledgers at an
+    epoch's end and its ledger zeroed in place, so a sum over every ledger
+    that saw a record (perfbench's tracer takes one) counts each FLOP once.
+    """
+    seen = {}
+    real = FlopsLedger.record
+
+    def noting(ledger, *args, **kwargs):
+        seen[id(ledger)] = ledger
+        return real(ledger, *args, **kwargs)
+
+    monkeypatch.setattr(FlopsLedger, "record", noting)
+    cells = [cell(kind, METHODS[kind].default, seed) for kind in METHODS for seed in (1, 2)]
+    fit(CFG, cells)
+    owned = {id(run.ledger) for run in cells}
+    assert owned < seen.keys()  # the shared ledgers were recorded into too
+    assert [led for key, led in seen.items() if key not in owned and led != FlopsLedger()] == []
+
+
 def restore(carry, saved):
     """Put a copy of ``saved``'s progress into ``carry``'s own objects, which the plan aliases."""
     for f in dataclasses.fields(carry):
@@ -142,9 +164,6 @@ def restore(carry, saved):
         elif isinstance(now, list):  # logs and ledgers, which fit's caller holds
             for obj, value in zip(now, old):
                 vars(obj).update(vars(value))
-        elif isinstance(now, dict):
-            now.clear()
-            now.update(old)
         else:  # the epoch, and running scores (None before the first batch)
             setattr(carry, f.name, old)
 
@@ -210,26 +229,32 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["gradmod", "cosine"])
 def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
-    """Row views, encoder spans and hook lookups are built once per fit.
+    """Row views, encoder spans, hook lookups and FLOPs ledgers are built once per fit.
 
     Every model view walks ``fusion._blocks``, so an extra epoch may add one
     walk per run (its validation view), one for its gradient buffer and one
-    per deploy range, and no more at any batch count.
+    per deploy range, and no more at any batch count. The ledgers ``fit``
+    builds it builds through ``trainer.FlopsLedger``, and as many for any
+    batch count.
     """
-    walks = []
+    walks, ledgers = [], []
     real = fusion._blocks
     monkeypatch.setattr(fusion, "_blocks", lambda *args: walks.append(1) or real(*args))
+    monkeypatch.setattr(trainer, "FlopsLedger", lambda: ledgers.append(1) or FlopsLedger())
     entry = METHODS[kind]
-    extra = []
+    extra_walks, extra_ledgers = [], []
     for batch_size in (16, 32):
         counts = []
         for epochs in (1, 2):
             cells = [cell(kind, entry.default, seed) for seed in (1, 2, 3, 4, 5)]
             walks.clear()
+            ledgers.clear()
             fit(dataclasses.replace(CFG, epochs=epochs, batch_size=batch_size), cells)
-            counts.append(len(walks))
-        extra.append(counts[1] - counts[0])
-    assert extra[0] == extra[1] <= len(cells) + 1 + (entry.deploy is not None)
+            counts.append((len(walks), len(ledgers)))
+        extra_walks.append(counts[1][0] - counts[0][0])
+        extra_ledgers.append(counts[1][1] - counts[0][1])
+    assert extra_walks[0] == extra_walks[1] <= len(cells) + 1 + (entry.deploy is not None)
+    assert extra_ledgers[0] == extra_ledgers[1]
 
 
 def test_failing_cell_fails_alone(monkeypatch):

@@ -115,6 +115,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^method\.\*: tau must be in"):
             parse_config_text("method.kind = gradmod\nmethod.tau = 0\n")
 
+    def test_infinite_tau_parses(self):
+        """resample's neutral value, ``inf``, is a valid strength; float() parses it."""
+        cfg = parse_config_text("method.kind = resample\nmethod.tau = inf\n")
+        assert cfg.method_spec().value == math.inf
+
     def test_method_spec_of_any_kind(self):
         cfg = parse_config_text("method.kind = gradmod\nmethod.tau = 0.7\n")
         assert cfg.method_spec("resample") == MethodSpec("resample", 0.7)

@@ -73,6 +73,17 @@ class TestMacroF1:
         with pytest.raises(ContractError):
             macro_f1(np.array([0]), np.array([0]), 1)
 
+    @pytest.mark.parametrize("wrong", [-1, 2])
+    def test_prediction_outside_the_classes(self, wrong):
+        # -1 must not count as class H-1, nor H index past the counts
+        with pytest.raises(ContractError, match="predictions outside"):
+            macro_f1(np.array([wrong, 0]), np.array([1, 0]), 2)
+
+    def test_shapes_must_match(self):
+        # one label would otherwise stand for every prediction
+        with pytest.raises(ContractError, match="equal prediction/label shapes"):
+            macro_f1(np.array([0, 1, 0]), np.array([0]), 2)
+
 
 def trained_like_model(seed=0, m=2):
     dims = (6,) * m

@@ -28,19 +28,21 @@ from oracles import fd_max_rel_error, mlp_copy, model_gradient, per_modality_sco
 
 
 def plan_and_carry(stack, kinds=("baseline",)):
-    """A complete plan and carry, as ``fit`` builds them, for a stack of one run per kind.
+    """A plan and carry, as ``fit`` builds them, for a stack of one run per kind.
 
     Each run has its kind's default strength; ``kinds`` is in fit's order.
+    The plan holds no runs or train sets, which only gather, the feature
+    transforms and validation read.
     """
     specs = [MethodSpec(kind) for kind in kinds]
     hooks = {field: trainer._ranges(stack, [spec.active() for spec in specs], field)
              for field in ("objective", "grad_scale", "feature_transform", "sample_weights",
                            "deploy")}
     spans = [stack.encoder_span(i) for i in range(stack.num_modalities)]
-    plan = Plan(TrainConfig(), [], [], [0] * len(specs),
-                np.array([spec.value for spec in specs], float), hooks, spans)
+    plan = Plan(TrainConfig(), [], [], np.array([spec.value for spec in specs], float), hooks,
+                spans, FlopsLedger())
     carry = Carry(stack, np.zeros_like(stack.flat), None, stack.flat.copy(),
-                  [TrainLog([]) for _ in specs], [FlopsLedger() for _ in specs], {}, 0)
+                  [TrainLog([]) for _ in specs], [FlopsLedger() for _ in specs], 0)
     return plan, carry
 
 
@@ -286,7 +288,7 @@ class TestGradientsThroughModel:
                 cache = transformed()
                 return sum(objective(view, trainer._cache_rows(cache, rows), labels[rows],
                                      plan.values[rows], FlopsLedger()).loss.sum()
-                           for objective, rows, view in plan.hooks["objective"])
+                           for objective, rows, view, _ in plan.hooks["objective"])
 
             assert len(plan.hooks["objective"]) == runs
             assert fd_max_rel_error(loss_fn, [stack.flat], [grads.flat]) < 1e-5
