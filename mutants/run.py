@@ -102,6 +102,13 @@ CATALOGUE = [
     Mutant("range-ledger-not-emptied", "src/balancelab/trainer.py",
            "            setattr(led, kind, 0)\n", "            pass\n",
            ("tests/test_engine.py::test_shared_ledgers_end_each_fit_empty",)),
+    Mutant("epoch-steps-floor", "src/balancelab/trainer.py",
+           "-(-order.shape[1] // cfg.batch_size)", "order.shape[1] // cfg.batch_size",
+           ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
+    Mutant("validation-charged-on-train-rows", "src/balancelab/trainer.py",
+           "charge_forward(model, n + run.val.num_samples, ledger)",
+           "charge_forward(model, n + run.train.num_samples, ledger)",
+           ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
     Mutant("modality-gather-reversed", "src/balancelab/trainer.py",
            "for x, f in zip(xs, train.features):", "for x, f in zip(xs, train.features[::-1]):",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",

@@ -154,13 +154,12 @@ def init_model(
     return model
 
 
-def encode(model: FusionModel, batch: list[np.ndarray],
-           ledger=None) -> tuple[list[np.ndarray], list[MlpCache]]:
+def encode(model: FusionModel, batch: list[np.ndarray]) -> tuple[list[np.ndarray], list[MlpCache]]:
     """Each encoder's features for a batch (one matrix per modality), and its cache.
 
     A stacked model takes a stacked batch, (R, B, d_i) per modality.
     ``features[i]`` is ``enc_caches[i]``'s last pre-activation array itself,
-    so copy it before changing it. ``ledger``, a FlopsLedger, records the work.
+    so copy it before changing it. Its FLOPs are :func:`charge_forward`'s.
     """
     m = model.num_modalities
     if len(batch) != m:
@@ -169,27 +168,17 @@ def encode(model: FusionModel, batch: list[np.ndarray],
     for i, x in enumerate(batch):
         if x.ndim < 2 or x.shape[:-1] != lead_n:
             raise ShapeError(f"modality {i} batch must be (B, d) as modality 0's, got {x.shape}")
-    n = lead_n[-1]
     passes = [mlp_forward(enc, x) for enc, x in zip(model.encoders, batch)]
-    if ledger is not None:
-        for enc in model.encoders:
-            for layer in enc.layers:
-                d_out, d_in = layer.weight.shape[-2:]
-                ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
-                ledger.record("elementwise", n * d_out)  # activation
     return [phi for phi, _ in passes], [cache for _, cache in passes]
 
 
-def head(model: FusionModel, features: list[np.ndarray], enc_caches: list[MlpCache],
-         ledger=None) -> ForwardCache:
+def head(model: FusionModel, features: list[np.ndarray],
+         enc_caches: list[MlpCache]) -> ForwardCache:
     """The blocked linear head over ``features``, and the cache of the whole pass."""
-    m, h, n = model.num_modalities, model.num_classes, features[0].shape[-2]
+    m, h = model.num_modalities, model.num_classes
     block_products = np.empty((m,) + features[0].shape[:-1] + (h,))
     for i in range(m):
         np.matmul(features[i], model.head_blocks[i].swapaxes(-1, -2), out=block_products[i])
-        if ledger is not None:
-            ledger.record("matmul_forward", (n, features[i].shape[-1], h))
-            ledger.record("elementwise", n * h)  # accumulate into logits
     # (bias + p_0) + p_1 + ...: accumulated in modality order
     logits = block_products[0] + model.head_bias[..., None, :]
     for p in block_products[1:]:
@@ -199,9 +188,20 @@ def head(model: FusionModel, features: list[np.ndarray], enc_caches: list[MlpCac
     return ForwardCache(features, enc_caches, block_products, logits)
 
 
-def forward(model: FusionModel, batch: list[np.ndarray], ledger=None) -> ForwardCache:
+def forward(model: FusionModel, batch: list[np.ndarray]) -> ForwardCache:
     """:func:`head` of :func:`encode`, each looked up per call, as a tracer may swap them."""
-    return head(model, *encode(model, batch, ledger), ledger)
+    return head(model, *encode(model, batch))
+
+
+def charge_forward(model: FusionModel, n: int, ledger) -> None:
+    """Record in ``ledger``, a FlopsLedger, one run's FLOPs of :func:`forward` over n rows."""
+    for layer in [l for enc in model.encoders for l in enc.layers]:
+        d_out, d_in = layer.weight.shape[-2:]
+        ledger.record("matmul_forward", (n, d_in, d_out), bias=True)
+        ledger.record("elementwise", n * d_out)  # activation
+    for blk in model.head_blocks:
+        ledger.record("matmul_forward", (n, blk.shape[-1], model.num_classes))
+        ledger.record("elementwise", n * model.num_classes)  # accumulate into logits
 
 
 def partial_logits(model: FusionModel, cache: ForwardCache) -> np.ndarray:

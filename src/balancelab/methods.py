@@ -419,20 +419,21 @@ def resample_weights(
 ) -> np.ndarray:
     """Sampling weights that favor samples where the weak modality is informative.
 
-    One full forward over each run's data set yields each sample's
-    per-modality contribution (true-class probability under the partial
-    logits). The run's weakest modality is the one with the lowest mean
-    contribution; sample k gets weight ``exp(contribution_k_weak / tau)``,
+    One forward over each run's data set, charged as one run's, yields each
+    sample's per-modality contribution (true-class probability under the
+    partial logits). The run's weakest modality is the one with the lowest
+    mean contribution; sample k gets weight ``exp(contribution_k_weak / tau)``,
     normalized to mean 1. Larger tau flattens the weighting toward uniform.
     """
     features = [np.stack([d.features[i] for d in data]) for i in range(model.num_modalities)]
     labels = np.stack([d.labels for d in data])
-    cache = fusion.forward(model, features, ledger=ledger)
+    cache = fusion.forward(model, features)
     contribs = true_class_probs(model, cache, labels)  # (m, R, N)
     m, runs, n = contribs.shape
     weak = np.argmin(contribs.mean(axis=-1), axis=0)
     w = np.exp(contribs[weak, np.arange(runs)] / tau[:, None])
     w /= w.mean(axis=-1, keepdims=True)
+    fusion.charge_forward(model, n, ledger)
     ledger.record("softmax_loss", m * n * model.num_classes)
     ledger.record("elementwise", 3 * n)
     return w

@@ -16,13 +16,14 @@ absolute pairwise difference of the phi (plain |phi_1 - phi_2| for two
 modalities). With accuracy-valued v the index lies in [0, 1], is 0 exactly
 when contributions are equal, and is invariant to relabeling modalities.
 
-FLOPs conventions (fixed, so totals are reproducible):
+FLOPs conventions (fixed, so totals are reproducible; each is linear in its pass's rows):
 
 - forward matmul (p, q) x (q, r): ``2pqr`` plus ``pr`` when a bias is added
   (one multiply-add = 2 FLOPs);
 - its backward: ``4pqr`` (two matmuls);
 - elementwise work: 1 FLOP per element;
-- softmax plus cross-entropy: 5 FLOPs per logit.
+- softmax plus cross-entropy: 5 FLOPs per logit;
+- an optimizer update: 6 FLOPs per parameter.
 """
 
 from __future__ import annotations

@@ -12,15 +12,15 @@ hook once per group, per batch for objectives, gradient scales and feature
 transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-``fit`` builds a ``Plan``, fixed while it trains (the sorted runs, their
-hook ranges and the FLOPs ledgers of work charged to many runs at once),
+``fit`` builds a ``Plan``, fixed while it trains (the sorted runs and
+their hook ranges, each with the FLOPs ledger of its hook's calls),
 and a ``Carry``, the stack's progress, then calls ``_epoch`` until the
 carry's epoch reaches ``cfg.epochs``. An epoch stacks every run's batch
 order (weighted by any sample-weights hook) into one (R, N) index block;
 per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
 objective range, then one encoder backward of the whole stack),
 ``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
-``_validate`` once.
+``_charge_epoch`` (all FLOPs but the hooks' own) and ``_validate`` once.
 Every stochastic choice is a deterministic function of ``(run.seed, epoch,
 batch index)``, so a run is bitwise reproducible.
 
@@ -125,10 +125,10 @@ class Plan:
     """What ``fit`` derives from its inputs, runs sorted by active entry; fixed while it trains.
 
     The hook ranges' row views alias the carry's model buffer, so a carry is
-    restored in place (``flat[...] = saved``), never replaced. Work charged
-    to many runs at once goes to a ledger of the plan, each range's own or
-    ``ledger`` for the whole stack, counted once as one run's; ``_validate``
-    adds those ledgers to their runs' at each epoch's end and zeroes them.
+    restored in place (``flat[...] = saved``), never replaced. A hook
+    records a range's work in the range's ledger, counted once as one run's;
+    ``_charge_epoch`` adds those ledgers to their runs' at each epoch's end
+    and zeroes them.
     """
 
     cfg: TrainConfig
@@ -137,7 +137,6 @@ class Plan:
     values: np.ndarray  # each run's method strength (baseline: nan)
     hooks: dict[str, list[tuple]]  # (hook, rows, model view, ledger) per range, per hook field
     spans: list[slice]  # each encoder's span of flat
-    ledger: FlopsLedger  # one run's share of the whole-stack work: encode, head, backward, SGD
 
 
 @dataclass
@@ -315,22 +314,14 @@ def _backward_into_model(
     cache: ForwardCache,
     feature_grads: list[np.ndarray],
     grads: FusionModel,
-    ledger: FlopsLedger,
 ) -> None:
     """Backpropagate ``feature_grads`` through the encoders into ``grads`` (laid out like model)."""
     for i, fgrad in enumerate(feature_grads):
         mlp_backward(model.encoders[i], cache.enc_caches[i], fgrad, grads.encoders[i])
-        n = fgrad.shape[-2]
-        for layer in model.encoders[i].layers:
-            d_out, d_in = layer.weight.shape[-2:]
-            ledger.record("matmul_backward", (n, d_in, d_out))
-        for layer in model.encoders[i].layers[:-1]:
-            ledger.record("elementwise", n * layer.weight.shape[-2])
 
 
-def evaluate_accuracy(model: FusionModel, data: Dataset,
-                      ledger: FlopsLedger | None = None) -> float:
-    cache = fusion.forward(model, data.features, ledger=ledger)
+def evaluate_accuracy(model: FusionModel, data: Dataset) -> float:
+    cache = fusion.forward(model, data.features)
     return accuracy(fusion.predict(cache.logits), data.labels)
 
 
@@ -368,7 +359,7 @@ def _gather(plan: Plan, idx: np.ndarray):
 
 def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: int):
     """Encode, transform, head, then the running scores; returns the cache and the factors."""
-    features, enc_caches = fusion.encode(carry.model, xb, ledger=plan.ledger)
+    features, enc_caches = fusion.encode(carry.model, xb)
     # per modality a transform touched: its factor over the stack (rows left alone: ones)
     factors: dict[int, np.ndarray] = {}
     if carry.running_scores is not None:
@@ -384,24 +375,19 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
     for i, factor in factors.items():
         # a new array: features[i] is also the encoder cache's last pre-activation
         features[i] = features[i] * factor
-    cache = fusion.head(carry.model, features, enc_caches, ledger=plan.ledger)
+    cache = fusion.head(carry.model, features, enc_caches)
 
     scores = modality_scores(carry.model, cache, yb)
     if carry.running_scores is not None:
         scores = SCORE_SMOOTHING * carry.running_scores + (1.0 - SCORE_SMOOTHING) * scores
     carry.running_scores = scores
-    m, (n, h) = carry.model.num_modalities, cache.logits.shape[-2:]
-    for _, _, _, ledger in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
-        # the hook reads the scores: partial softmax + mean per modality
-        ledger.record("softmax_loss", m * n * h)
-        ledger.record("elementwise", m * (n * h + n))
     return cache, factors
 
 
 def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int, np.ndarray],
                 yb: np.ndarray, loss_sum: np.ndarray, b: int, grads: FusionModel) -> None:
     """Each range's objective into its rows of ``grads`` and of the stack's feature gradients,
-    then one backward, charged once as each run's work; adds loss * n to loss_sum."""
+    then one backward; adds loss * n to loss_sum."""
     feature_grads = [np.empty(f.shape) for f in cache.features]
     for objective, rows, view, ledger in plan.hooks["objective"]:
         bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows], ledger)
@@ -412,37 +398,55 @@ def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int
         _put_range(bundle, rows, grads, feature_grads)
     for i, factor in factors.items():
         feature_grads[i] *= factor
-    _backward_into_model(carry.model, cache, feature_grads, grads, plan.ledger)
+    _backward_into_model(carry.model, cache, feature_grads, grads)
 
 
 def _scale_grads(plan: Plan, carry: Carry, grads: FusionModel) -> None:
     """Scale each encoder's gradient in a range's rows by the range's grad-scale hook."""
-    n_encoder_params = sum(span.stop - span.start for span in plan.spans)
-    for grad_scale, rows, _, ledger in plan.hooks["grad_scale"]:
+    for grad_scale, rows, _, _ in plan.hooks["grad_scale"]:
         kappa = grad_scale(carry.running_scores[rows], plan.values[rows])
-        ledger.record("elementwise", n_encoder_params)
         for i, span in enumerate(plan.spans):
             grads.flat[rows, span] *= kappa[:, i, None]
 
 
-def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
-    """Deploy, add the range ledgers to the runs', validate each run and keep its best."""
-    deployers = plan.hooks["deploy"]
-    # select on the deployed form so validation ranks what evaluation will see
-    shown = carry.model.flat.copy() if deployers else carry.model.flat
-    for deploy, rows, view, ledger in deployers:
-        shown[rows] = deploy(view).flat
+def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
+    """Charge each run the epoch's shared work, n rows in ``steps`` steps, and its validation,
+    then move each range ledger's work to its runs'. Each charge is linear in its rows."""
+    model, m, h = carry.model, carry.model.num_modalities, carry.model.num_classes
+    for run, ledger in zip(plan.runs, carry.ledgers):
+        fusion.charge_forward(model, n + run.val.num_samples, ledger)  # training's and validation's
+        for enc in model.encoders:  # backward
+            for layer in enc.layers:
+                d_out, d_in = layer.weight.shape[-2:]
+                ledger.record("matmul_backward", (n, d_in, d_out))
+            for layer in enc.layers[:-1]:
+                ledger.record("elementwise", n * layer.weight.shape[-2])
+        ledger.record("elementwise", steps * 6 * model.flat.shape[-1])  # SGD
+    for _, _, _, ledger in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
+        ledger.record("softmax_loss", m * n * h)  # the scores: partial softmax + mean per modality
+        ledger.record("elementwise", m * (n * h + n))
+    for _, _, _, ledger in plan.hooks["grad_scale"]:
+        ledger.record("elementwise", steps * sum(span.stop - span.start for span in plan.spans))
+    for _, _, view, ledger in plan.hooks["deploy"]:
         ledger.record("elementwise", sum(blk[0].size for blk in view.head_blocks))
-    shared = [(rows, led) for _, rows, _, led in itertools.chain(*plan.hooks.values())]
-    for rows, led in [(slice(None), plan.ledger), *shared]:
+    for _, rows, _, led in itertools.chain(*plan.hooks.values()):
         for kind in _FLOP_KINDS:
             for target in carry.ledgers[rows]:
                 setattr(target, kind, getattr(target, kind) + getattr(led, kind))
             # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
             setattr(led, kind, 0)
+
+
+def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
+    """Deploy, validate each run and keep its best."""
+    deployers = plan.hooks["deploy"]
+    # select on the deployed form so validation ranks what evaluation will see
+    shown = carry.model.flat.copy() if deployers else carry.model.flat
+    for deploy, rows, view, _ in deployers:
+        shown[rows] = deploy(view).flat
     for r, (run, log, ledger) in enumerate(zip(plan.runs, carry.logs, carry.ledgers)):
         # per run: a stacked pass takes no less time and holds R runs' activations
-        val_acc = evaluate_accuracy(carry.model.like(shown[r]), run.val, ledger=ledger)
+        val_acc = evaluate_accuracy(carry.model.like(shown[r]), run.val)
         log.records.append(EpochRecord(carry.epoch, lr, float(loss_sum[r]) / run.train.num_samples,
                                        val_acc, tuple(float(s) for s in carry.running_scores[r]),
                                        ledger.total))
@@ -472,7 +476,7 @@ def _epoch(plan: Plan, carry: Carry) -> None:
         _objectives(plan, carry, cache, factors, yb, loss_sum, b, grads)
         _scale_grads(plan, carry, grads)
         sgd_step(carry.model.flat, carry.velocity, grads.flat, lr, cfg)
-        plan.ledger.record("elementwise", 6 * carry.model.flat.shape[-1])
+    _charge_epoch(plan, carry, order.shape[1], -(-order.shape[1] // cfg.batch_size))
     _validate(plan, carry, lr, loss_sum)
     carry.epoch += 1
 
@@ -513,7 +517,7 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
         cfg, runs, sources, values=np.array([run.spec.value for run in runs], float),
         hooks={field: _ranges(stack, actives, field) for field in (
             "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
-        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)], ledger=FlopsLedger())
+        spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])
     # a diverging run overflows on its way to the finite checks, which raise
     # NumericError or DivergenceError; numpy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):

@@ -53,7 +53,7 @@ def model_gradient(model, cache, bundle):
     grads = model.like(np.empty_like(model.flat))
     feature_grads = [np.empty(g.shape) for g in bundle.feature_grads]
     trainer._put_range(bundle, slice(None), grads, feature_grads)
-    trainer._backward_into_model(model, cache, feature_grads, grads, metrics.FlopsLedger())
+    trainer._backward_into_model(model, cache, feature_grads, grads)
     return grads.flat
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import pathlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -131,6 +132,46 @@ def test_each_run_keeps_its_own_ledger():
         assert log.records[-1].flops_total == run.ledger.total
 
 
+@pytest.mark.parametrize("kind, m", [(kind, m) for kind in ("baseline", "gradmod") for m in (2, 3)])
+def test_ledger_matches_a_hand_count(kind, m):
+    """Each run's ledger is the sum of its steps' charges, counted by hand from the architecture.
+
+    Per batch of n rows: encode and head, the plain loss, the encoder
+    backward, gradmod's scores and gradient scale, and SGD; per epoch, a
+    forward over the run's validation rows. 160 train rows in batches of 48
+    leave a short last batch, and the 20 validation rows are neither.
+    """
+    cfg = dataclasses.replace(CFG, epochs=2, batch_size=48)
+    runs = [cell(kind, METHODS[kind].default, seed, m) for seed in (1, 2)]
+    fit(cfg, runs)
+    h, layers = 3, [(d, 8) for d in (6, 6, 5)[:m]] + [(8, 4)] * m  # (d_in, d_out) per layer
+    encoder_params = sum(q * r + r for q, r in layers)
+
+    def forward(n):  # every encoder layer's activation is charged, the last one's too
+        return Counter(forward_matmul=sum(2 * n * q * r + n * r for q, r in layers)
+                       + m * 2 * n * 4 * h,
+                       elementwise=sum(n * r for _, r in layers) + m * n * h)
+
+    for run in runs:
+        n_train, n_val = run.train.num_samples, run.val.num_samples
+        assert n_train % cfg.batch_size and n_val not in (n_train, cfg.batch_size)
+        want = Counter()
+        for _ in range(cfg.epochs):
+            for start in range(0, n_train, cfg.batch_size):
+                n = min(cfg.batch_size, n_train - start)
+                want += forward(n)
+                want += Counter(softmax_loss=5 * n * h, backward_matmul=m * 4 * n * 4 * h)
+                want += Counter(backward_matmul=sum(4 * n * q * r for q, r in layers),
+                                elementwise=m * n * 8)
+                if kind == "gradmod":
+                    want += Counter(softmax_loss=5 * m * n * h,
+                                    elementwise=m * (n * h + n) + encoder_params)
+                want += Counter(elementwise=6 * (encoder_params + m * h * 4 + h))
+            want += forward(n_val)
+        for f in dataclasses.fields(FlopsLedger):
+            assert getattr(run.ledger, f.name) == want[f.name], f.name
+
+
 def test_shared_ledgers_end_each_fit_empty(monkeypatch):
     """Every ledger ``fit`` records into is one of the runs' own, or reads zero when it returns.
 
@@ -229,32 +270,50 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["gradmod", "cosine"])
 def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
-    """Row views, encoder spans, hook lookups and FLOPs ledgers are built once per fit.
+    """Row views, encoder spans, hook lookups and FLOPs ledgers are built once per fit,
+    and the FLOPs of work many steps share are charged once per epoch.
 
     Every model view walks ``fusion._blocks``, so an extra epoch may add one
     walk per run (its validation view), one for its gradient buffer and one
     per deploy range, and no more at any batch count. The ledgers ``fit``
     builds it builds through ``trainer.FlopsLedger``, and as many for any
-    batch count.
+    batch count. Every FLOPs convention is linear in the rows of its pass, so
+    outside the plain loss and the method hooks, which record per call, an
+    extra epoch records as often at any batch count.
     """
-    walks, ledgers = [], []
+    walks, ledgers, records, inside = [], [], [], []
     real = fusion._blocks
     monkeypatch.setattr(fusion, "_blocks", lambda *args: walks.append(1) or real(*args))
     monkeypatch.setattr(trainer, "FlopsLedger", lambda: ledgers.append(1) or FlopsLedger())
+    real_record = FlopsLedger.record
+    monkeypatch.setattr(FlopsLedger, "record", lambda *args, **kwargs: (
+        records.extend([] if inside else [1]) or real_record(*args, **kwargs)))
     entry = METHODS[kind]
-    extra_walks, extra_ledgers = [], []
+    hooks = [getattr(entry, f) for f in ("objective", "grad_scale", "feature_transform",
+                                         "sample_weights", "deploy")]
+    for owner, name in [(trainer, "baseline_loss")] + [(methods, h) for h in hooks if h]:
+
+        def hooked(*args, real=getattr(owner, name), **kwargs):
+            inside.append(1)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, hooked)
+    extra = []
     for batch_size in (16, 32):
         counts = []
         for epochs in (1, 2):
             cells = [cell(kind, entry.default, seed) for seed in (1, 2, 3, 4, 5)]
-            walks.clear()
-            ledgers.clear()
+            for seen in (walks, ledgers, records):
+                seen.clear()
             fit(dataclasses.replace(CFG, epochs=epochs, batch_size=batch_size), cells)
-            counts.append((len(walks), len(ledgers)))
-        extra_walks.append(counts[1][0] - counts[0][0])
-        extra_ledgers.append(counts[1][1] - counts[0][1])
-    assert extra_walks[0] == extra_walks[1] <= len(cells) + 1 + (entry.deploy is not None)
-    assert extra_ledgers[0] == extra_ledgers[1]
+            counts.append((len(walks), len(ledgers), len(records)))
+        extra.append(tuple(b - a for a, b in zip(*counts)))
+    (walks_16, *rest_16), (walks_32, *rest_32) = extra
+    assert walks_16 == walks_32 <= len(cells) + 1 + (entry.deploy is not None)
+    assert rest_16 == rest_32  # ledgers built, and records outside the loss and the hooks
 
 
 def test_failing_cell_fails_alone(monkeypatch):

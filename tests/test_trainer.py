@@ -40,7 +40,7 @@ def plan_and_carry(stack, kinds=("baseline",)):
                            "deploy")}
     spans = [stack.encoder_span(i) for i in range(stack.num_modalities)]
     plan = Plan(TrainConfig(), [], [], np.array([spec.value for spec in specs], float), hooks,
-                spans, FlopsLedger())
+                spans)
     carry = Carry(stack, np.zeros_like(stack.flat), None, stack.flat.copy(),
                   [TrainLog([]) for _ in specs], [FlopsLedger() for _ in specs], 0)
     return plan, carry
