@@ -97,7 +97,7 @@ CATALOGUE = [
            "grads.flat[rows, span] *= kappa[:1, i, None]",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("one-run-charge-to-run-0", "src/balancelab/trainer.py",
-           "carry.ledgers[r]", "carry.ledgers[0]",
+           "carry.logs[r].flops", "carry.logs[0].flops",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("range-ledger-not-emptied", "src/balancelab/trainer.py",
            "            setattr(led, kind, 0)\n", "            pass\n",
@@ -108,6 +108,14 @@ CATALOGUE = [
     Mutant("validation-charged-on-train-rows", "src/balancelab/trainer.py",
            "charge_forward(model, n + run.val.num_samples, ledger)",
            "charge_forward(model, n + run.train.num_samples, ledger)",
+           ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
+    Mutant("head-backward-first-modality-only", "src/balancelab/trainer.py",
+           "for blk in model.head_blocks:  # the head backward",
+           "for blk in model.head_blocks[:1]:  # the head backward",
+           ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
+    Mutant("unimodal-fused-loss-charged-twice", "src/balancelab/methods.py",
+           'ledger.record("softmax_loss", m * n * h)  # the unimodal losses',
+           'ledger.record("softmax_loss", (1 + m) * n * h)  # the unimodal losses',
            ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
     Mutant("modality-gather-reversed", "src/balancelab/trainer.py",
            "for x, f in zip(xs, train.features):", "for x, f in zip(xs, train.features[::-1]):",

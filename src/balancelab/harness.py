@@ -18,7 +18,7 @@ Each cell's record (its cell file, fingerprint and checkpoint path) is made
 once per call, and both the cache read and the worker's write use it. The
 uncached cells of one call share one config and shapes, so they train as
 one ``trainer.fit`` stack, one ``trainer.Run`` per cell (its split, initial
-model, train seed, setting and ledger); ``jobs`` (at least 1) splits the
+model, train seed and setting); ``jobs`` (at least 1) splits the
 stack across worker processes. Each cell is written to ``<out>/cells/`` as soon as it is
 evaluated after its stack has trained, so an interrupted call resumes
 without recomputing those cells, but it retrains every cell of a stack
@@ -237,7 +237,7 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
     del file_data
     trained = trainer.fit(cfg.train_config(), runs)
 
-    for cell, run, (best, log) in zip(cells, runs, trained):
+    for cell, (best, log) in zip(cells, trained):
         test_set = prepared[cell.seed][2]
         if cell.ckpt is not None:
             fusion.save_model(best, cell.ckpt)
@@ -251,7 +251,7 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
             macro_f1=perf.macro_f1,
             phi=None if rep is None else tuple(float(p) for p in rep.phi),
             imbalance=None if rep is None else rep.imbalance,
-            flops_total=run.ledger.total,
+            flops_total=log.flops.total,
             best_epoch=log.best_epoch,
         )
 

@@ -9,8 +9,10 @@ and the strength of its parameter.
 Every hook takes a stack of R runs along a leading run axis, as
 ``fusion.forward`` does, and ``value``, the (R,) array of their strengths;
 a run's slice of a result is bitwise what the run alone (R = 1) gives, and
-a ``ledger`` records one run's work. ``trainer.fit`` calls each hook once
-per group of runs that share it, per batch unless noted:
+a ``ledger`` records one run's work. An objective records only its work
+beyond the loss on the fused logits and the head backward, which every
+objective has and the trainer charges once per epoch. ``trainer.fit`` calls
+each hook once per group of runs that share it, per batch unless noted:
 
 - ``objective(model, cache, labels, value, ledger) -> LossBundle`` replaces
   the plain cross-entropy;
@@ -182,7 +184,7 @@ def unimodal_blend_loss(
     loss_uni, g_uni = cross_entropy(fusion.partial_logits(model, cache),
                                     np.broadcast_to(labels, (m,) + labels.shape))
     g_uni *= w_uni[:, None, None]
-    ledger.record("softmax_loss", (1 + m) * n * h)
+    ledger.record("softmax_loss", m * n * h)  # the unimodal losses
 
     head_grads: list[np.ndarray] = []
     feature_grads: list[np.ndarray] = []
@@ -204,9 +206,8 @@ def unimodal_blend_loss(
         feature_grads.append((g_mm + g_i) @ model.head_blocks[i])
         bias_grad = bias_grad + g_i.sum(axis=-2) / m
         d = cache.features[i].shape[-1]
-        ledger.record("matmul_backward", (n, d, h))  # dW(mm) + dPhi
-        ledger.record("matmul", (n, d, h))           # dW(uni), separate for the guard
-        ledger.record("elementwise", 4 * d * h)      # inner products + projection
+        ledger.record("matmul", (n, d, h))       # dW(uni), separate for the guard
+        ledger.record("elementwise", 4 * d * h)  # inner products + projection
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
@@ -256,11 +257,9 @@ def cosine_objective(
         head_grads.append(dw)
         feature_grads.append(dphi)
         d = phi.shape[-1]
-        ledger.record("matmul_forward", (n, d, h))      # cos products
+        ledger.record("matmul_forward", (n, d, h))  # cos products
         ledger.record("elementwise", n * d + h * d + 3 * n * h)  # norms + scaling
-        ledger.record("matmul_backward", (n, d, h))     # dphi + dw products
         ledger.record("elementwise", 2 * (n * d + h * d))  # self terms
-    ledger.record("softmax_loss", n * h)
     return LossBundle(loss, head_grads, np.zeros(model.head_bias.shape), feature_grads)
 
 
@@ -297,7 +296,6 @@ def kl_align_loss(
     m = model.num_modalities
     n, h = cache.logits.shape[-2:]
     loss, g_mm = cross_entropy(cache.logits, labels)
-    ledger.record("softmax_loss", n * h)
 
     zs = fusion.partial_logits(model, cache)
     zs -= zs.max(axis=-1, keepdims=True)
@@ -319,8 +317,7 @@ def kl_align_loss(
     partial_grads = (kl_weight / n)[:, None, None] * dz
     loss += kl_weight * addend
 
-    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, g_mm, ledger,
-                                                          partial_grads)
+    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, g_mm, partial_grads)
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 

@@ -193,7 +193,7 @@ class FlopsLedger:
         * ``matmul_forward`` with shape (p, q, r): 2pqr, plus pr if ``bias``;
         * ``matmul_backward`` with shape (p, q, r): 4pqr;
         * ``matmul`` with shape (p, q, r): 2pqr counted as backward-side work
-          when ``bias`` is False (used for extra gradient products);
+          (used for extra gradient products);
         * ``elementwise`` with an element count: 1 per element;
         * ``softmax_loss`` with a logit count: 5 per logit.
         """

@@ -20,7 +20,9 @@ order (weighted by any sample-weights hook) into one (R, N) index block;
 per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
 objective range, then one encoder backward of the whole stack),
 ``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
-``_charge_epoch`` (all FLOPs but the hooks' own) and ``_validate`` once.
+``_charge_epoch`` and ``_validate`` once. ``_charge_epoch`` charges every
+FLOP but the hooks' own extra work, every objective's fused loss and head
+backward included, into each run's ``TrainLog.flops``, the run's one ledger.
 Every stochastic choice is a deterministic function of ``(run.seed, epoch,
 batch index)``, so a run is bitwise reproducible.
 
@@ -90,10 +92,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Run:
-    """One run of a ``fit``: its data, initial model, seed, method and FLOPs ledger.
+    """One run of a ``fit``: its data, initial model, seed and method.
 
     ``spec`` is a ``methods.MethodSpec``, range-checked when it was built.
-    The ledger, fresh unless given, holds the run's FLOPs when ``fit`` returns.
     """
 
     train: Dataset
@@ -101,7 +102,6 @@ class Run:
     model: FusionModel
     seed: int  # every stochastic choice of the run derives from it
     spec: MethodSpec
-    ledger: FlopsLedger = dataclasses.field(default_factory=FlopsLedger)
 
 
 @dataclass
@@ -116,8 +116,11 @@ class EpochRecord:
 
 @dataclass
 class TrainLog:
+    """A run's epoch records, best epoch and FLOPs: ``flops`` is the run's one ledger."""
+
     records: list[EpochRecord]
     best_epoch: int = -1
+    flops: FlopsLedger = dataclasses.field(default_factory=FlopsLedger)
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,9 @@ class Plan:
 
     The hook ranges' row views alias the carry's model buffer, so a carry is
     restored in place (``flat[...] = saved``), never replaced. A hook
-    records a range's work in the range's ledger, counted once as one run's;
-    ``_charge_epoch`` adds those ledgers to their runs' at each epoch's end
-    and zeroes them.
+    records its work beyond the shared charges in its range's ledger,
+    counted once as one run's; ``_charge_epoch`` adds those ledgers to their
+    runs' logs at each epoch's end and zeroes them.
     """
 
     cfg: TrainConfig
@@ -143,17 +146,17 @@ class Plan:
 class Carry:
     """What training changes: with the plan, all of a stack's progress.
 
-    It holds no scratch: the gradient buffer each step overwrites belongs to
-    ``_epoch`` and the shared FLOPs ledgers to the plan, so saving a carry
-    saves exactly what a resume needs.
+    Each run's FLOPs ledger is its log's. The carry holds no scratch: the
+    gradient buffer each step overwrites belongs to ``_epoch`` and the
+    range ledgers, which read zero at every epoch boundary, to the plan, so
+    saving a carry saves exactly what a resume needs.
     """
 
     model: FusionModel  # the stack, (R, P) in model.flat
     velocity: np.ndarray  # shaped like model.flat
     running_scores: np.ndarray | None  # (R, m); None before the first batch
     best: np.ndarray  # each run's best-validation parameters
-    logs: list[TrainLog]
-    ledgers: list[FlopsLedger]  # each run's own
+    logs: list[TrainLog]  # each run's records and FLOPs
     epoch: int  # the next epoch to train
 
 
@@ -261,7 +264,6 @@ def assemble_grads(
     model: FusionModel,
     cache: ForwardCache,
     fused_grad: np.ndarray,
-    ledger: FlopsLedger,
     partial_grads: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
     """Turn logit-space gradients into head, bias, and feature gradients.
@@ -269,9 +271,9 @@ def assemble_grads(
     ``fused_grad`` is dL/d(logits); ``partial_grads`` an optional extra
     dL/d(partial logits), stacked like them. The two are combined per modality
     before the head products since both multiply the same feature block.
+    Its FLOPs are the head backward, which ``_charge_epoch`` charges.
     """
     m = model.num_modalities
-    n, h = fused_grad.shape[-2:]
     head_grads = []
     feature_grads = []
     bias_grad = fused_grad.sum(axis=-2)
@@ -282,21 +284,13 @@ def assemble_grads(
             bias_grad = bias_grad + partial_grads[i].sum(axis=-2) / m
         head_grads.append(eff.swapaxes(-1, -2) @ cache.features[i])
         feature_grads.append(eff @ model.head_blocks[i])
-        ledger.record("matmul_backward", (n, cache.features[i].shape[-1], h))
     return head_grads, bias_grad, feature_grads
 
 
-def baseline_loss(
-    model: FusionModel,
-    cache: ForwardCache,
-    labels: np.ndarray,
-    ledger: FlopsLedger,
-) -> LossBundle:
+def baseline_loss(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> LossBundle:
     """Plain multimodal cross-entropy on the fused logits."""
     loss, grad = cross_entropy(cache.logits, labels)
-    n, h = cache.logits.shape[-2:]
-    ledger.record("softmax_loss", n * h)
-    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, grad, ledger)
+    head_grads, bias_grad, feature_grads = assemble_grads(model, cache, grad)
     return LossBundle(loss, head_grads, bias_grad, feature_grads)
 
 
@@ -341,7 +335,7 @@ def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
         if name is not None or field == "objective":
             # looked up once per fit, so an attribute swapped before fit sees every call
             hook = group[0].hook(field) or (
-                lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y, led))
+                lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y))
             out.append((hook, rows, model.like(model.flat[rows]), FlopsLedger()))
     return out
 
@@ -371,7 +365,7 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
                 if factor is not None:
                     factors.setdefault(i, np.ones(features[i].shape))[rows] = factor
             for r, i in np.argwhere(applied) + (rows.start, 0):
-                carry.ledgers[r].record("elementwise", features[i][0].size)
+                carry.logs[r].flops.record("elementwise", features[i][0].size)
     for i, factor in factors.items():
         # a new array: features[i] is also the encoder cache's last pre-activation
         features[i] = features[i] * factor
@@ -413,9 +407,13 @@ def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
     """Charge each run the epoch's shared work, n rows in ``steps`` steps, and its validation,
     then move each range ledger's work to its runs'. Each charge is linear in its rows."""
     model, m, h = carry.model, carry.model.num_modalities, carry.model.num_classes
-    for run, ledger in zip(plan.runs, carry.ledgers):
+    for run, log in zip(plan.runs, carry.logs):
+        ledger = log.flops
         fusion.charge_forward(model, n + run.val.num_samples, ledger)  # training's and validation's
-        for enc in model.encoders:  # backward
+        ledger.record("softmax_loss", n * h)  # every objective's loss on the fused logits
+        for blk in model.head_blocks:  # the head backward
+            ledger.record("matmul_backward", (n, blk.shape[-1], h))
+        for enc in model.encoders:  # the encoder backward
             for layer in enc.layers:
                 d_out, d_in = layer.weight.shape[-2:]
                 ledger.record("matmul_backward", (n, d_in, d_out))
@@ -431,8 +429,8 @@ def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
         ledger.record("elementwise", sum(blk[0].size for blk in view.head_blocks))
     for _, rows, _, led in itertools.chain(*plan.hooks.values()):
         for kind in _FLOP_KINDS:
-            for target in carry.ledgers[rows]:
-                setattr(target, kind, getattr(target, kind) + getattr(led, kind))
+            for log in carry.logs[rows]:
+                setattr(log.flops, kind, getattr(log.flops, kind) + getattr(led, kind))
             # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
             setattr(led, kind, 0)
 
@@ -444,12 +442,12 @@ def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None
     shown = carry.model.flat.copy() if deployers else carry.model.flat
     for deploy, rows, view, _ in deployers:
         shown[rows] = deploy(view).flat
-    for r, (run, log, ledger) in enumerate(zip(plan.runs, carry.logs, carry.ledgers)):
+    for r, (run, log) in enumerate(zip(plan.runs, carry.logs)):
         # per run: a stacked pass takes no less time and holds R runs' activations
         val_acc = evaluate_accuracy(carry.model.like(shown[r]), run.val)
         log.records.append(EpochRecord(carry.epoch, lr, float(loss_sum[r]) / run.train.num_samples,
                                        val_acc, tuple(float(s) for s in carry.running_scores[r]),
-                                       ledger.total))
+                                       log.flops.total))
         if log.best_epoch < 0 or val_acc > log.records[log.best_epoch].val_accuracy:
             carry.best[r] = shown[r]
             log.best_epoch = carry.epoch
@@ -487,8 +485,8 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
     The result is a list of (model, log) pairs in ``runs``' order, each
     bitwise equal to training that run alone: the R runs train together,
     and they must agree in train-set shape and model layout; their seeds and
-    methods may differ. Each run's work is charged to its own ``ledger``.
-    Validation accuracy ties break toward the earlier epoch. A non-finite
+    methods may differ. Each run's FLOPs go to its log's ``flops``, fresh
+    for each fit. Validation accuracy ties break toward the earlier epoch. A non-finite
     training loss aborts with DivergenceError, non-finite logits with
     NumericError, and numpy does not warn on the way. With ``cfg.epochs == 0``
     each input model is returned unchanged with an empty log; no runs give
@@ -510,7 +508,7 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
     stack = runs[0].model.like(np.stack([run.model.flat for run in runs]))
     logs = [TrainLog(records=[]) for _ in runs]
     carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None, best=stack.flat.copy(),
-                  logs=logs, ledgers=[run.ledger for run in runs], epoch=0)
+                  logs=logs, epoch=0)
     trains = {id(run.train): run.train for run in runs}.values()  # each distinct set, in order
     sources = [(t, np.flatnonzero([run.train is t for run in runs])) for t in trains]
     plan = Plan(

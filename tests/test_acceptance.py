@@ -76,7 +76,7 @@ def test_c1_gradient_exactness():
         batch = [rng.standard_normal((5, d)) for d in dims]
         labels = rng.integers(0, h, 5)
         cache = fusion.forward(model, batch)
-        bundle = trainer.baseline_loss(model, cache, labels, FlopsLedger())
+        bundle = trainer.baseline_loss(model, cache, labels)
         grads = model_gradient(model, cache, bundle)
 
         def loss_fn():

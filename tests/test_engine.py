@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import pathlib
 from collections import Counter
 
@@ -58,8 +59,8 @@ def cell(kind, value, seed, m=2, pair=None):
 
 
 def alone(run):
-    """``run`` trained by itself, on a fresh ledger: its (model, log)."""
-    [(best, log)] = fit(CFG, [dataclasses.replace(run, ledger=FlopsLedger())])
+    """``run`` trained by itself: its (model, log)."""
+    [(best, log)] = fit(CFG, [run])
     return best, log
 
 
@@ -119,40 +120,58 @@ def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch, m):
 
 
 def test_each_run_keeps_its_own_ledger():
-    """Runs built without a ledger each get a fresh one, charged with that run's work alone."""
+    """Each run's log gets a fresh ledger, charged with that run's work alone."""
     # gradmod's FLOPs exceed baseline's, and fit sorts baseline to the stack's top
     cells = [cell("gradmod", METHODS["gradmod"].default, 1), cell("baseline", None, 2)]
     stacked = fit(CFG, cells)
-    assert cells[0].ledger is not cells[1].ledger
-    assert cells[0].ledger.total != cells[1].ledger.total
+    (_, first), (_, second) = stacked
+    assert first.flops is not second.flops
+    assert first.flops.total != second.flops.total
     for run, (_, log) in zip(cells, stacked):
-        solo = dataclasses.replace(run, ledger=FlopsLedger())
-        fit(CFG, [solo])
-        assert run.ledger.total == solo.ledger.total
-        assert log.records[-1].flops_total == run.ledger.total
+        _, solo = alone(run)
+        assert log.flops.total == solo.flops.total
+        assert log.records[-1].flops_total == log.flops.total
 
 
-@pytest.mark.parametrize("kind, m", [(kind, m) for kind in ("baseline", "gradmod") for m in (2, 3)])
+@pytest.mark.parametrize("kind, m", [(kind, m) for kind in (
+    "baseline", "gradmod", "unimodal_blend", "kl_align", "cosine", "resample") for m in (2, 3)])
 def test_ledger_matches_a_hand_count(kind, m):
-    """Each run's ledger is the sum of its steps' charges, counted by hand from the architecture.
+    """Each run's ledger is the sum of its charges, counted by hand from the architecture.
 
-    Per batch of n rows: encode and head, the plain loss, the encoder
-    backward, gradmod's scores and gradient scale, and SGD; per epoch, a
-    forward over the run's validation rows. 160 train rows in batches of 48
-    leave a short last batch, and the 20 validation rows are neither.
+    Per batch of n rows: encode and head, the fused loss and the head
+    backward, the encoder backward and SGD, plus the kind's own work as its
+    hooks record it; per epoch, a forward over the run's validation rows,
+    cosine's deploy, and resample's forward over the train rows. 160 train
+    rows in batches of 48 leave a short last batch, and the 20 validation
+    rows are neither. The feature transforms are left out: their charge
+    depends on which modality a draw makes dominant.
     """
     cfg = dataclasses.replace(CFG, epochs=2, batch_size=48)
     runs = [cell(kind, METHODS[kind].default, seed, m) for seed in (1, 2)]
-    fit(cfg, runs)
-    h, layers = 3, [(d, 8) for d in (6, 6, 5)[:m]] + [(8, 4)] * m  # (d_in, d_out) per layer
+    ledgers = [log.flops for _, log in fit(cfg, runs)]
+    h, d = 3, 4  # classes, and each encoder's feature width
+    layers = [(q, 8) for q in (6, 6, 5)[:m]] + [(8, d)] * m  # (d_in, d_out) per layer
     encoder_params = sum(q * r + r for q, r in layers)
 
     def forward(n):  # every encoder layer's activation is charged, the last one's too
         return Counter(forward_matmul=sum(2 * n * q * r + n * r for q, r in layers)
-                       + m * 2 * n * 4 * h,
+                       + m * 2 * n * d * h,
                        elementwise=sum(n * r for _, r in layers) + m * n * h)
 
-    for run in runs:
+    def own(n):  # the kind's hooks' per-batch charges beyond the fused loss and head backward
+        if kind == "gradmod":  # the scores and the gradient scale
+            return Counter(softmax_loss=5 * m * n * h, elementwise=m * (n * h + n) + encoder_params)
+        if kind == "unimodal_blend":  # the unimodal losses, dW(uni) and the conflict guard
+            return Counter(softmax_loss=5 * m * n * h, backward_matmul=m * 2 * n * d * h,
+                           elementwise=m * 4 * d * h)
+        if kind == "kl_align":  # the partial log-softmax and each pair's divergences
+            return Counter(softmax_loss=5 * m * n * h, elementwise=math.comb(m, 2) * 10 * n * h)
+        if kind == "cosine":  # the cosine products, norms, scaling and self terms
+            return Counter(forward_matmul=m * 2 * n * d * h,
+                           elementwise=m * (3 * (n * d + h * d) + 3 * n * h))
+        return Counter()
+
+    for run, ledger in zip(runs, ledgers):
         n_train, n_val = run.train.num_samples, run.val.num_samples
         assert n_train % cfg.batch_size and n_val not in (n_train, cfg.batch_size)
         want = Counter()
@@ -160,20 +179,23 @@ def test_ledger_matches_a_hand_count(kind, m):
             for start in range(0, n_train, cfg.batch_size):
                 n = min(cfg.batch_size, n_train - start)
                 want += forward(n)
-                want += Counter(softmax_loss=5 * n * h, backward_matmul=m * 4 * n * 4 * h)
+                want += Counter(softmax_loss=5 * n * h, backward_matmul=m * 4 * n * d * h)
                 want += Counter(backward_matmul=sum(4 * n * q * r for q, r in layers),
                                 elementwise=m * n * 8)
-                if kind == "gradmod":
-                    want += Counter(softmax_loss=5 * m * n * h,
-                                    elementwise=m * (n * h + n) + encoder_params)
-                want += Counter(elementwise=6 * (encoder_params + m * h * 4 + h))
+                want += own(n)
+                want += Counter(elementwise=6 * (encoder_params + m * h * d + h))
             want += forward(n_val)
+            if kind == "cosine":  # deploy normalizes each head row
+                want += Counter(elementwise=m * h * d)
+            if kind == "resample":  # the weights' forward, contributions and exp
+                want += forward(n_train) + Counter(softmax_loss=5 * m * n_train * h,
+                                                   elementwise=3 * n_train)
         for f in dataclasses.fields(FlopsLedger):
-            assert getattr(run.ledger, f.name) == want[f.name], f.name
+            assert getattr(ledger, f.name) == want[f.name], f.name
 
 
 def test_shared_ledgers_end_each_fit_empty(monkeypatch):
-    """Every ledger ``fit`` records into is one of the runs' own, or reads zero when it returns.
+    """Every ledger ``fit`` records into is one of the runs' logs', or reads zero when it returns.
 
     Work charged to many runs at once is added to each of their ledgers at an
     epoch's end and its ledger zeroed in place, so a sum over every ledger
@@ -188,8 +210,7 @@ def test_shared_ledgers_end_each_fit_empty(monkeypatch):
 
     monkeypatch.setattr(FlopsLedger, "record", noting)
     cells = [cell(kind, METHODS[kind].default, seed) for kind in METHODS for seed in (1, 2)]
-    fit(CFG, cells)
-    owned = {id(run.ledger) for run in cells}
+    owned = {id(log.flops) for _, log in fit(CFG, cells)}
     assert owned < seen.keys()  # the shared ledgers were recorded into too
     assert [led for key, led in seen.items() if key not in owned and led != FlopsLedger()] == []
 
@@ -202,7 +223,7 @@ def restore(carry, saved):
             now.flat[...] = old.flat
         elif isinstance(now, np.ndarray):
             now[...] = old
-        elif isinstance(now, list):  # logs and ledgers, which fit's caller holds
+        elif isinstance(now, list):  # the logs, which fit's caller holds
             for obj, value in zip(now, old):
                 vars(obj).update(vars(value))
         else:  # the epoch, and running scores (None before the first batch)
@@ -233,16 +254,14 @@ def test_carry_is_all_of_a_stacks_progress(monkeypatch, m):
     outcomes = []
     for epoch_fn in (saving, resuming):
         monkeypatch.setattr(trainer, "_epoch", epoch_fn)
-        fresh = [dataclasses.replace(run, ledger=FlopsLedger()) for run in cells]
-        outcomes.append((fit(dataclasses.replace(CFG, epochs=4), fresh),
-                         [run.ledger for run in fresh]))
+        outcomes.append(fit(dataclasses.replace(CFG, epochs=4), cells))
     assert resumed_epochs == [2, 3]
-    (whole, whole_ledgers), (resumed, resumed_ledgers) = outcomes
-    assert repr(resumed_ledgers) == repr(whole_ledgers)
+    whole, resumed = outcomes
     for (best, log), (again, again_log) in zip(whole, resumed):
         assert again.flat.tobytes() == best.flat.tobytes()
         assert again_log.best_epoch == log.best_epoch
         assert repr(again_log.records) == repr(log.records)
+        assert repr(again_log.flops) == repr(log.flops)
 
 
 @pytest.mark.parametrize("kind", [k for k in METHODS if k != "baseline"])
@@ -275,11 +294,11 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
 
     Every model view walks ``fusion._blocks``, so an extra epoch may add one
     walk per run (its validation view), one for its gradient buffer and one
-    per deploy range, and no more at any batch count. The ledgers ``fit``
-    builds it builds through ``trainer.FlopsLedger``, and as many for any
-    batch count. Every FLOPs convention is linear in the rows of its pass, so
-    outside the plain loss and the method hooks, which record per call, an
-    extra epoch records as often at any batch count.
+    per deploy range, and no more at any batch count. The range ledgers
+    ``fit`` builds it builds through ``trainer.FlopsLedger``, and as many for
+    any batch count. Every FLOPs convention is linear in the rows of its pass,
+    so outside the method hooks, which record per call, an extra epoch
+    records as often at any batch count.
     """
     walks, ledgers, records, inside = [], [], [], []
     real = fusion._blocks
@@ -291,16 +310,16 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
     entry = METHODS[kind]
     hooks = [getattr(entry, f) for f in ("objective", "grad_scale", "feature_transform",
                                          "sample_weights", "deploy")]
-    for owner, name in [(trainer, "baseline_loss")] + [(methods, h) for h in hooks if h]:
+    for name in filter(None, hooks):
 
-        def hooked(*args, real=getattr(owner, name), **kwargs):
+        def hooked(*args, real=getattr(methods, name), **kwargs):
             inside.append(1)
             try:
                 return real(*args, **kwargs)
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(owner, name, hooked)
+        monkeypatch.setattr(methods, name, hooked)
     extra = []
     for batch_size in (16, 32):
         counts = []
@@ -313,7 +332,7 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
         extra.append(tuple(b - a for a, b in zip(*counts)))
     (walks_16, *rest_16), (walks_32, *rest_32) = extra
     assert walks_16 == walks_32 <= len(cells) + 1 + (entry.deploy is not None)
-    assert rest_16 == rest_32  # ledgers built, and records outside the loss and the hooks
+    assert rest_16 == rest_32  # ledgers built, and records outside the hooks
 
 
 def test_failing_cell_fails_alone(monkeypatch):
@@ -382,7 +401,7 @@ def test_training_bits_pinned(m):
             runs.append(Run(train, val, model, 100 + seed, spec))
     stacked = fit(TrainConfig(epochs=4), runs)
     digest = hashlib.sha256()
-    for run, (best, log) in zip(runs, stacked):
+    for best, log in stacked:
         digest.update(best.flat.tobytes())
-        digest.update(f"{log.records!r} {run.ledger!r} {log.best_epoch}".encode())
+        digest.update(f"{log.records!r} {log.flops!r} {log.best_epoch}".encode())
     assert digest.hexdigest() == PINNED_BITS[m]

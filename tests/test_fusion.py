@@ -184,6 +184,9 @@ class TestCheckpoint:
         ("zero_size", 2, "must chain at least two positive sizes"),
         ("one_class", 2, "need at least 2 classes"),
         ("junk_header", 2, "bad header token 'junk'"),
+        ("no_header", 2, "missing header"),
+        ("non_integer_header", 2, "bad header: invalid literal for int"),
+        ("arch_for_other_m", 2, "arch lists 2 encoders for m=3"),
     ])
     def test_rejects_any_other_block_list(self, tmp_path, case, line, message):
         path = tmp_path / "m.mmck"
@@ -209,6 +212,12 @@ class TestCheckpoint:
             lines = lines[:-1]
         elif case == "junk_header":
             lines[1] += " junk"
+        elif case == "no_header":
+            lines = lines[:1]
+        elif case == "non_integer_header":
+            lines[1] = lines[1].replace("H=3", "H=3.0")
+        elif case == "arch_for_other_m":
+            lines[1] = lines[1].replace("m=2", "m=3")
         elif case == "zero_size":
             lines[1] = lines[1].replace("arch=5,8,6", "arch=5,0,6")
         else:

@@ -563,6 +563,14 @@ class TestCompareTable:
         assert lines == ["baseline", "kl_align", "gradmod", "resample"]
         assert "*" in text and "+" in text
 
+    def test_reports_without_shapley_print_no_imbalance(self):
+        reports = [harness.run_experiment(parse_config_text(TINY).with_key("method.kind", kind)
+                                          .with_key("seeds", (1,)).with_key("eval.shapley", False))
+                   for kind in ("baseline", "gradmod")]
+        text, csv_text = harness.compare_table(reports)
+        for lines in (text.splitlines()[2:], csv_text.splitlines()[1:]):
+            assert [line.replace(",", " ").split()[4] for line in lines] == ["-", "-"]
+
     def test_conflicting_datasets_rejected(self):
         a = self.make_report("baseline")
         other = parse_config_text(TINY.replace("dataset.samples = 300", "dataset.samples = 320"))
@@ -615,6 +623,28 @@ class TestCli:
             "table", "--reports", str(out / "report.json"), "--out", str(tmp_path / "tbl"),
         ]) == 0
         assert (tmp_path / "tbl" / "table.csv").exists()
+
+    def test_evaluate_out_writes_the_printed_json(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert cli.main(["train", "--config", TINY, "--seeds", "1", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", TINY, "--checkpoint",
+                         str(runs / "ckpt_baseline_seed1.mmck"), "--run-seed", "1",
+                         "--out", str(tmp_path / "ev")]) == 0
+        printed = capsys.readouterr().out
+        assert '"subset_values"' in printed
+        assert (tmp_path / "ev" / "evaluate.json").read_text() == printed
+
+    @pytest.mark.parametrize("header, message", [
+        (None, "missing header"),
+        ("m=2 H=3 seed=0 arch=6,8,4;6,8,four", "bad header"),
+        ("m=3 H=3 seed=0 arch=6,8,4;6,8,4", "arch lists 2 encoders for m=3"),
+    ])
+    def test_bad_checkpoint_header_exits_1(self, tmp_path, capsys, header, message):
+        ckpt = tmp_path / "m.mmck"
+        ckpt.write_text("MMCK v1\n" + ("" if header is None else header + "\n"))
+        assert cli.main(["evaluate", "--config", TINY, "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line 2: {message}")
 
     def test_sweep_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

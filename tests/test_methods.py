@@ -282,7 +282,7 @@ class TestKlAlignLoss:
     def test_zero_weight_matches_baseline(self):
         model, batch, labels = one_run(5)
         cache = fusion.forward(model, batch)
-        base = trainer.baseline_loss(model, cache, labels, FlopsLedger())
+        base = trainer.baseline_loss(model, cache, labels)
         bundle = kl_align_loss(model, cache, labels, np.array([0.0]), FlopsLedger())
         assert bundle.loss == pytest.approx(base.loss)
         for a, b in zip(bundle.head_grads, base.head_grads):
@@ -297,7 +297,7 @@ class TestKlAlignLoss:
         twin_model.head_bias[:] = model.head_bias
         model, twin, labels = stack([(twin_model, [batch[0], batch[0].copy()], labels)])
         cache = fusion.forward(model, twin)
-        base = trainer.baseline_loss(model, cache, labels, FlopsLedger())
+        base = trainer.baseline_loss(model, cache, labels)
         bundle = kl_align_loss(model, cache, labels, np.array([1.0]), FlopsLedger())
         assert bundle.loss == pytest.approx(base.loss)
 
@@ -380,7 +380,7 @@ class TestUnimodalBlend:
     def test_zero_weight_matches_baseline(self):
         model, batch, labels = one_run(12)
         cache = fusion.forward(model, batch)
-        base = trainer.baseline_loss(model, cache, labels, FlopsLedger())
+        base = trainer.baseline_loss(model, cache, labels)
         bundle = unimodal_blend_loss(model, cache, labels, np.array([0.0]), FlopsLedger())
         assert bundle.loss == pytest.approx(base.loss)
         for a, b in zip(bundle.head_grads, base.head_grads):

@@ -42,7 +42,7 @@ def plan_and_carry(stack, kinds=("baseline",)):
     plan = Plan(TrainConfig(), [], [], np.array([spec.value for spec in specs], float), hooks,
                 spans)
     carry = Carry(stack, np.zeros_like(stack.flat), None, stack.flat.copy(),
-                  [TrainLog([]) for _ in specs], [FlopsLedger() for _ in specs], 0)
+                  [TrainLog([]) for _ in specs], 0)
     return plan, carry
 
 
@@ -248,7 +248,7 @@ class TestGradientsThroughModel:
             batch = [rng.standard_normal((6, d)) for d in dims]
             labels = rng.integers(0, 3, 6)
             cache = fusion.forward(model, batch)
-            bundle = baseline_loss(model, cache, labels, FlopsLedger())
+            bundle = baseline_loss(model, cache, labels)
             grads = model_gradient(model, cache, bundle)
 
             def loss_fn():
@@ -347,10 +347,9 @@ class TestFit:
         data = tiny_data(3)
         tr, va, _ = split(data, (0.8, 0.1, 0.1), 0)
         model = init_model([[6, 8, 5], [6, 8, 5]], 3, 1)
-        run = Run(tr, va, model, 2, MethodSpec())
-        [(_, log)] = fit(TrainConfig(epochs=3), [run])
+        [(_, log)] = fit(TrainConfig(epochs=3), [Run(tr, va, model, 2, MethodSpec())])
         assert len(log.records) == 3
-        assert log.records[-1].flops_total == run.ledger.total
+        assert log.records[-1].flops_total == log.flops.total
         assert all(len(r.scores) == 2 for r in log.records)
 
     def test_flops_monotone(self):
