@@ -125,10 +125,15 @@ CATALOGUE = [
     Mutant("interleaved-sets-rows-misplaced", "src/balancelab/trainer.py",
            "x[rows] = f.take(idx[rows], axis=0)", "x[rows] = f.take(idx[:len(rows)], axis=0)",
            ("tests/test_engine.py::test_runs_sharing_a_train_set_match_each_run_alone",)),
-    Mutant("mmds-field-shares-unchecked", "src/balancelab/datagen.py",
-           'if len(parts) != m + 1 or [p.count(" ") for p in parts[1:]] != spaces:',
-           "if len(parts) != m + 1:",
-           ("tests/test_datagen.py::test_load_matches_the_reference_reader_on_mutants",)),
+    Mutant("mmds-field-rows-unchecked", "src/balancelab/datagen.py",
+           "[f.shape for f in fields] == [(len(lines), d) for d in dims]",
+           "[f.shape[1] for f in fields] == list(dims)",
+           ("tests/test_datagen.py::TestSaveLoad::"
+            "test_faults_the_one_call_parse_alone_would_miss",)),
+    Mutant("mmds-bulk-control-characters-unchecked", "src/balancelab/datagen.py",
+           " and not any(c in text for c in _LINE_BREAKS):", ":",
+           ("tests/test_datagen.py::TestSaveLoad::"
+            "test_faults_the_one_call_parse_alone_would_miss",)),
     Mutant("mmds-chunk-offset-dropped", "src/balancelab/datagen.py",
            "_parse_chunk(lines, 3 + count, ", "_parse_chunk(lines, 3, ",
            ("tests/test_datagen.py::TestSaveLoad::test_fault_names_its_line_across_chunks",

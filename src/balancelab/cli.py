@@ -71,9 +71,11 @@ def _cmd_evaluate(args) -> int:
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
     model = harness.read_input("--checkpoint", fusion.load_model, args.checkpoint)
-    if model.num_classes != test_set.num_classes:
+    input_dims = tuple(sizes[0] for sizes in model.arch)
+    if (model.num_classes, input_dims) != (test_set.num_classes, test_set.dims):
         raise ConfigError(f"--checkpoint {args.checkpoint!r}: a {model.num_classes}-class "
-                          f"model, but the config's data has {test_set.num_classes} classes")
+                          f"model of input dims {input_dims}, but the config's data has "
+                          f"{test_set.num_classes} classes of dims {test_set.dims}")
     perf = metrics.evaluate_performance(model, test_set)
     out = {
         "checkpoint": args.checkpoint,

@@ -16,7 +16,8 @@ Dataset file format (text, one record per line)::
     <label>|<v1 ... v_d1>|<v1 ... v_d2>|...
 
 Values are decimal with 17 significant digits, which round-trips float64
-bitwise.
+bitwise. ``load`` also reads other blank layouts: tabs or runs of spaces
+between values, blanks around a field, CRLF line ends, no final newline.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import numpy as np
 from .errors import FormatError, SpecError
 
 FLOAT_FMT = "%.17g"  # checkpoints (fusion.save_model) write with it too
-CHUNK_LINES = 1024  # records that load parses, and save formats, at a time
+CHUNK_LINES = 1024  # records per chunk that save formats and load parses, a loadtxt per modality
 # str.splitlines() ends a line at these, readline() does not: a record holding one is rejected
 _LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
-_OTHER_SPACE = "\t\x1f" + _LINE_BREAKS  # whitespace save never writes
 
 
 @dataclass(frozen=True)
@@ -339,53 +339,31 @@ def _record(line: str, lineno: int, m: int, num_classes: int,
     return label, values
 
 
-def _plain_labels(lines: list[str], m: int, num_classes: int,
-                  dims: tuple[int, ...]) -> list[int] | None:
-    """The labels of records laid out as :func:`save` writes them, or None if any is not.
-
-    In that layout a record has m '|'s, an int label in 0..H-1, and dims[i] - 1
-    spaces and no other whitespace in field i. A field with s spaces as its only
-    whitespace holds at most s + 1 values, so once a row is known to hold
-    1 + sum(dims) values, these counts pin every field's share.
-    """
-    text = "".join(lines)
-    if any(c in text for c in _OTHER_SPACE):
-        return None
-    spaces = [d - 1 for d in dims]
-    labels = []
-    for line in lines:
-        parts = line.split("|")
-        if len(parts) != m + 1 or [p.count(" ") for p in parts[1:]] != spaces:
-            return None
-        try:
-            label = int(parts[0])
-        except ValueError:
-            return None
-        if not 0 <= label < num_classes:
-            return None
-        labels.append(label)
-    return labels
-
-
 def _parse_chunk(lines: list[str], first: int, m: int, num_classes: int,
                  dims: tuple[int, ...]) -> tuple[list[int], np.ndarray]:
     """Labels and (len(lines), sum(dims)) values of the records from line ``first`` on.
 
-    Records laid out as :func:`save` writes them take one ``np.loadtxt`` call,
-    whose values equal ``float()``'s bit for bit. Any other chunk is parsed
-    record by record, which reads what ``float()`` reads and names the first
-    bad line.
+    Each record is split at '|' once; then modality i's fields take one
+    ``np.loadtxt`` call for the whole chunk, whose values equal ``float()``'s
+    bit for bit, and its array must be (len(lines), dims[i]). A chunk failing
+    any check is parsed record by record, which reads what ``float()`` reads
+    (``1_0`` too) and names the first bad line.
     """
-    labels = _plain_labels(lines, m, num_classes, dims)
-    if labels is not None:
+    rows = [line.split("|") for line in lines]
+    text = "".join(lines)
+    if all(len(parts) == m + 1 for parts in rows) and not any(c in text for c in _LINE_BREAKS):
+        label_column, *columns = zip(*rows)
         try:
-            values = np.loadtxt([line.replace("|", " ") for line in lines],
-                                comments=None, ndmin=2)
+            labels = list(map(int, label_column))
+            # loadtxt warns on a column without values; its empty stand-in fails the shape check
+            fields = [np.loadtxt(column, comments=None, ndmin=2) if any(map(str.strip, column))
+                      else np.empty((0, 0)) for column in columns]
         except ValueError:
             pass
         else:
-            if values.shape[1] == 1 + sum(dims):
-                return labels, values[:, 1:]
+            if (all(0 <= label < num_classes for label in labels)
+                    and [f.shape for f in fields] == [(len(lines), d) for d in dims]):
+                return labels, np.hstack(fields)
     records = [_record(line, first + k, m, num_classes, dims) for k, line in enumerate(lines)]
     return [label for label, _ in records], np.array([values for _, values in records])
 
@@ -393,8 +371,9 @@ def _parse_chunk(lines: list[str], first: int, m: int, num_classes: int,
 def load(path) -> Dataset:
     """Read an MMDS v1 file; inverse of :func:`save` bit for bit.
 
-    Records are read and parsed :data:`CHUNK_LINES` at a time. A wrong record
-    count is reported (on line 2) before any fault inside a record.
+    Records are read and parsed :data:`CHUNK_LINES` at a time, by
+    :func:`_parse_chunk`. A wrong record count is reported (on line 2)
+    before any fault inside a record.
     """
     with open(path, "r", encoding="ascii") as fh:
         m, num_classes, n, dims = _read_header(fh)

@@ -171,13 +171,21 @@ def derived_seeds(master_seed: int, run_seed: int) -> tuple[int, int, int, int]:
 
 
 def read_input(name: str, load, path):
-    """``load(path)``; a file that cannot be read is a ConfigError naming ``name``."""
+    """``load(path)``, its errors prefixed ``{name} {path!r}: ``.
+
+    A file that cannot be read is a ConfigError; a malformed one stays a
+    FormatError and keeps its ``line``.
+    """
     try:
         return load(path)
     except OSError as exc:
         raise ConfigError(f"{name} {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{name} {path!r}: not {exc.encoding} text") from None
+    except FormatError as exc:
+        named = FormatError(f"{name} {path!r}: {exc}")
+        named.line = exc.line
+        raise named from None
 
 
 def make_output_dir(name: str, path) -> None:
@@ -560,14 +568,14 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
 
 
 def load_report(path) -> RunReport:
-    """Rebuild a RunReport from a report.json file; a malformed one is a FormatError naming it."""
+    """Rebuild a RunReport from a report.json file; a malformed one is a FormatError."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             d = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not JSON ({exc})") from None
+            raise FormatError(f"not JSON ({exc})") from None
     if not isinstance(d, dict):
-        raise FormatError(f"{path}: not a report, its top level is a JSON {type(d).__name__}")
+        raise FormatError(f"not a report, its top level is a JSON {type(d).__name__}")
 
     def rows_of(key: str) -> list[RunRow]:
         if not isinstance(d[key], list) or not all(isinstance(r, dict) for r in d[key]):
@@ -584,11 +592,11 @@ def load_report(path) -> RunReport:
         for row in rows + aggregates:
             row.check_shape(m)
     except KeyError as exc:
-        raise FormatError(f"{path}: not a report, missing key {exc}") from None
+        raise FormatError(f"not a report, missing key {exc}") from None
     except ConfigError as exc:
-        raise FormatError(f"{path}: not a report, its config is invalid: {exc}") from None
+        raise FormatError(f"not a report, its config is invalid: {exc}") from None
     except FormatError as exc:
-        raise FormatError(f"{path}: not a report, {exc}") from None
+        raise FormatError(f"not a report, {exc}") from None
     return RunReport(
         rows, aggregates, m, cfg,
         sweep_param=d.get("sweep_param", ""),

@@ -271,10 +271,14 @@ class TestSaveLoad:
         ("1,1", "0|1|2\n  \n1|3|4\n", 4, "expected 3 '|'-fields, got 1"),
         # str.splitlines() would end the line at the form feed
         ("1,1", "0|1|2\x0c1|3|4\n\n", 3, "control character inside the record"),
-        # a tab and a double space keep both fields' space counts and the row's total
+        # a tab and a double space: the row holds 1 + 6 values, only field 0's width is wrong
         ("3,3", "0|1\t2 3 4|5  6\n", 3, "modality 0 has 4 values, header declares 3"),
-        # the field's space count is right, and the only row sets loadtxt's width
+        # the chunk's only row, so no other row sets the field's width
         ("3,1", "0|1  2|3\n", 3, "modality 0 has 2 values, header declares 3"),
+        # loadtxt skips a blank row, so the widths alone would pass this record
+        ("1,1", "0|1|2\n1| | \n", 4, "modality 0 has 0 values, header declares 1"),
+        # loadtxt splits at \x0b as str.split does, with the field count right
+        ("2,1", "0|1\x0b2|3\n1|4 5|6\n", 3, "control character inside the record"),
     ])
     def test_faults_the_one_call_parse_alone_would_miss(self, tmp_path, dims, body, line,
                                                         message):
@@ -283,6 +287,27 @@ class TestSaveLoad:
         with pytest.raises(FormatError) as err:
             load(path)
         assert str(err.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("chunk_lines", [datagen.CHUNK_LINES, 5])
+    def test_other_layouts_take_the_bulk_parse(self, tmp_path, monkeypatch, chunk_lines):
+        """Tabs, runs of blanks, blanks around fields, CRLF and no final newline load in bulk."""
+        monkeypatch.setattr(datagen, "CHUNK_LINES", chunk_lines)
+        calls = []
+        record = datagen._record
+        monkeypatch.setattr(datagen, "_record", lambda *args: calls.append(1) or record(*args))
+        saved = tmp_path / "saved.mmds"
+        save(generate(SyntheticSpec(3, 3, (3, 1, 2), (2.0, 1.0, 1.0), 1.0, 14, 5)), saved)
+        lines = saved.read_text().splitlines()
+        for k in range(2, len(lines)):
+            blank, pad = ("\t", "  ", " \t ")[k % 3], ("", " ", "\t ")[k % 2]
+            lines[k] = "|".join(pad + blank.join(f.split(" ")) + pad for f in lines[k].split("|"))
+        path = tmp_path / "d.mmds"
+        path.write_bytes("\r\n".join(lines).encode("ascii"))
+        back, expected = load(path), mmds_load(path)
+        assert calls == []
+        assert back.labels.tobytes() == expected.labels.tobytes()
+        for fa, fb in zip(back.features, expected.features):
+            assert fa.tobytes() == fb.tobytes()
 
 
 MUTANT_LABELS = ("-1", "3", "1.0", "x")  # the file has H = 3
@@ -380,7 +405,8 @@ def test_load_matches_the_reference_reader_on_mutants(tmp_path, monkeypatch, cap
         seen.add(expected[0])
         if expected[0] == "rejected":
             rc = cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", "unread.mmck"])
-            assert (rc, capsys.readouterr().err) == (1, f"error: {expected[2]}\n"), seed
+            assert (rc, capsys.readouterr().err) == (
+                1, f"error: dataset.path {str(path)!r}: {expected[2]}\n"), seed
     assert seen == {"loaded", "rejected"}
 
 

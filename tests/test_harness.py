@@ -347,9 +347,10 @@ class TestLoadReport:
         rows = [dict(r) for r in two_seed_report["rows"]]
         rows[1][name] = value
         path.write_text(json.dumps({**two_seed_report, "rows": rows}))
-        message = f"{path}: not a report, row field {name!r} has the wrong type: {value!r}"
+        message = (f"--reports {str(path)!r}: not a report, row field {name!r} has the wrong "
+                   f"type: {value!r}")
         with pytest.raises(FormatError) as err:
-            harness.load_report(path)
+            harness.read_input("--reports", harness.load_report, str(path))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("key, k, name, value", [
@@ -362,8 +363,8 @@ class TestLoadReport:
         rows[k][name] = value
         path.write_text(json.dumps({**two_seed_report, key: rows}))
         with pytest.raises(FormatError) as err:
-            harness.load_report(path)
-        assert str(err.value).startswith(f"{path}: not a report, row has phi ")
+            harness.read_input("--reports", harness.load_report, str(path))
+        assert str(err.value).startswith(f"--reports {str(path)!r}: not a report, row has phi ")
 
 
 class TestRunSweep:
@@ -644,7 +645,8 @@ class TestCli:
         ckpt = tmp_path / "m.mmck"
         ckpt.write_text("MMCK v1\n" + ("" if header is None else header + "\n"))
         assert cli.main(["evaluate", "--config", TINY, "--checkpoint", str(ckpt)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: line 2: {message}")
+        assert capsys.readouterr().err.startswith(f"error: --checkpoint {str(ckpt)!r}: line 2: "
+                                                  f"{message}")
 
     def test_sweep_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -658,18 +660,27 @@ class TestCli:
         assert report["sweep_param"] == "method.alpha"
         assert len(report["rows"]) == 2
 
-    def test_checkpoint_of_another_class_count_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("trained_on, model", [
+        (TINY + "dataset.classes = 5\n", "a 5-class model of input dims (6, 6),"),
+        (TINY.replace("dataset.dims = 6,6\ndataset.signal = 3.0,1.0\n",
+                      "dataset.modalities = 3\ndataset.dims = 6,6,6\ndataset.signal = 3,1,1\n"),
+         "a 4-class model of input dims (6, 6, 6),"),
+        (TINY.replace("dataset.dims = 6,6", "dataset.dims = 6,8"),
+         "a 4-class model of input dims (6, 8),"),
+    ], ids=["classes", "modalities", "input-dim"])
+    def test_checkpoint_of_another_layout_exits_1(self, tmp_path, capsys, trained_on, model):
+        """The checkpoint's class count and input dims are checked against the data before use."""
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(TINY)
         runs = tmp_path / "runs"
-        assert cli.main(["train", "--config", TINY + "dataset.classes = 5\n", "--seeds", "1",
-                         "--out", str(runs)]) == 0
+        assert cli.main(["train", "--config", trained_on, "--seeds", "1", "--out", str(runs)]) == 0
         ckpt = runs / "ckpt_baseline_seed1.mmck"
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                          "--run-seed", "1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --checkpoint '{ckpt}'") and "5-class" in err
+        assert capsys.readouterr().err == (
+            f"error: --checkpoint '{ckpt}': {model} but the config's data has 4 classes of "
+            "dims (6, 6)\n")
 
     def test_diverging_runs_print_only_the_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -704,7 +715,8 @@ class TestCli:
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(f'dataset.path = "{path}"\n')
         rc = cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", "unread.mmck"])
-        assert (rc, capsys.readouterr().err) == (1, "error: line 5002: bad float in modality 0\n")
+        assert (rc, capsys.readouterr().err) == (
+            1, f"error: dataset.path {str(path)!r}: line 5002: bad float in modality 0\n")
 
     @pytest.mark.parametrize("case", ["missing_checkpoint", "binary_checkpoint", "missing_report",
                                       "report_without_config", "report_not_json",
