@@ -138,6 +138,14 @@ CATALOGUE = [
            "_parse_chunk(lines, 3 + count, ", "_parse_chunk(lines, 3, ",
            ("tests/test_datagen.py::TestSaveLoad::test_fault_names_its_line_across_chunks",
             "tests/test_harness.py::TestCli::test_bad_float_deep_in_a_file_exits_1_naming_its_line")),
+    Mutant("mmds-cache-digest-unchecked", "src/balancelab/datagen.py",
+           "if arrays[0].tobytes() != digest:", "if False:",
+           ("tests/test_datagen.py::TestSidecar::"
+            "test_a_changed_value_of_the_same_size_is_parsed_again",)),
+    Mutant("mmds-cache-shape-unchecked", "src/balancelab/datagen.py",
+           "if any((a.dtype, a.shape) != (np.dtype(t), s)",
+           "if False and any((a.dtype, a.shape) != (np.dtype(t), s)",
+           ("tests/test_datagen.py::TestSidecar::test_a_bad_sidecar_is_ignored_and_rewritten",)),
 ]
 
 

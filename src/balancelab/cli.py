@@ -30,7 +30,10 @@ ENV_SEED = "BALANCELAB_SEED"
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = harness.read_input("--config", parse_config, args.config)
+    if os.path.exists(args.config):
+        cfg = harness.read_input("--config", parse_config, args.config)
+    else:  # literal config text, whose errors name their own line and key
+        cfg = parse_config(args.config)
     if os.environ.get(ENV_SEED):
         cfg = cfg.with_key("seed", coerce(ENV_SEED, "int", os.environ[ENV_SEED]))
     if getattr(args, "master_seed", None) is not None:

@@ -18,11 +18,20 @@ Dataset file format (text, one record per line)::
 Values are decimal with 17 significant digits, which round-trips float64
 bitwise. ``load`` also reads other blank layouts: tabs or runs of spaces
 between values, blanks around a field, CRLF line ends, no final newline.
+
+``load`` keeps each regular file's parse in a binary sidecar ``<path>.cache``
+next to it, keyed by the sha256 of the file's bytes, so a later load of the
+same bytes skips the text parse. The sidecar is safe to delete. None is
+written for a path that is not a regular file (a FIFO, ``/dev/stdin``), for
+a file that fails to parse, or where the directory is not writable.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import stat
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
@@ -368,15 +377,76 @@ def _parse_chunk(lines: list[str], first: int, m: int, num_classes: int,
     return [label for label, _ in records], np.array([values for _, values in records])
 
 
+def _sha256(raw) -> bytes:
+    """The sha256 of a binary file's bytes from its start, read a block at a time."""
+    raw.seek(0)
+    digest = hashlib.sha256()
+    while block := raw.read(1 << 18):
+        digest.update(block)
+    return digest.digest()
+
+
+def _read_cache(path: str, digest: bytes, n: int,
+                dims: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """The labels and features a sidecar holds, or None unless it is readable,
+    records ``digest`` and holds the dtypes and shapes of the header ``(n, dims)``."""
+    expected = [(np.uint8, (len(digest),)), (np.int64, (n,)), *((np.float64, (n, d)) for d in dims)]
+    try:
+        with open(path, "rb") as fh:
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in expected]
+    except (OSError, ValueError):
+        return None
+    if arrays[0].tobytes() != digest:
+        return None
+    if any((a.dtype, a.shape) != (np.dtype(t), s) for a, (t, s) in zip(arrays, expected)):
+        return None
+    return arrays[1], arrays[2:]
+
+
+def _write_cache(path: str, digest: bytes, data: Dataset) -> None:
+    """Write the sidecar: digest, labels, then each modality's features, one ``np.save`` each.
+
+    It goes through a temporary file and ``os.replace``, so a reader sees a
+    whole sidecar or none; a location that cannot be written is skipped.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for array in (np.frombuffer(digest, np.uint8), data.labels, *data.features):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
 def load(path) -> Dataset:
     """Read an MMDS v1 file; inverse of :func:`save` bit for bit.
 
     Records are read and parsed :data:`CHUNK_LINES` at a time, by
     :func:`_parse_chunk`. A wrong record count is reported (on line 2)
     before any fault inside a record.
+
+    For a regular file, the sidecar ``<path>.cache`` records the sha256 of
+    the bytes parsed beside the arrays. When it records the digest of the
+    file as it is now, and holds the header's dtypes and shapes, its arrays
+    are returned with no parse. Otherwise the file is parsed, hashed again,
+    and the sidecar (re)written if the two digests agree. A missing,
+    truncated, foreign or stale sidecar is ignored; deleting one costs one
+    parse. A path that is not a regular file, or a file that fails to
+    parse, is never cached.
     """
     with open(path, "r", encoding="ascii") as fh:
+        cache = f"{os.fspath(path)}.cache" if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+        if cache is not None:
+            digest = _sha256(fh.buffer)
+            fh.seek(0)
         m, num_classes, n, dims = _read_header(fh)
+        cached = _read_cache(cache, digest, n, dims) if cache is not None else None
+        if cached is not None:
+            return Dataset(cached[1], cached[0], num_classes)
         labels: list[int] = []
         tables = [np.empty((0, sum(dims)))]  # so that N = 0 gives (0, d) features
         count = 0
@@ -391,8 +461,13 @@ def load(path) -> Dataset:
             labels += chunk_labels
             tables.append(values)
             count += len(lines)
+        # the digest must be of the bytes parsed: a file that changed meanwhile is not cached
+        unchanged = cache is not None and _sha256(fh.buffer) == digest
     if count != n:
         raise FormatError(f"header declares N={n} but file has {count} records", line=2)
     bounds = [0, *accumulate(dims)]
     features = [np.concatenate([t[:, a:b] for t in tables]) for a, b in zip(bounds, bounds[1:])]
-    return Dataset(features, labels, num_classes)
+    data = Dataset(features, labels, num_classes)
+    if unchanged:
+        _write_cache(cache, digest, data)
+    return data

@@ -173,11 +173,14 @@ def derived_seeds(master_seed: int, run_seed: int) -> tuple[int, int, int, int]:
 def read_input(name: str, load, path):
     """``load(path)``, its errors prefixed ``{name} {path!r}: ``.
 
-    A file that cannot be read is a ConfigError; a malformed one stays a
-    FormatError and keeps its ``line``.
+    A file that cannot be read is a ConfigError, as is one whose content
+    ``load`` rejects as a ConfigError; a malformed one stays a FormatError
+    and keeps its ``line``.
     """
     try:
         return load(path)
+    except ConfigError as exc:
+        raise ConfigError(f"{name} {path!r}: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"{name} {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

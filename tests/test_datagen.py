@@ -1,3 +1,7 @@
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -310,6 +314,154 @@ class TestSaveLoad:
             assert fa.tobytes() == fb.tobytes()
 
 
+def _counted_parses(monkeypatch) -> list[int]:
+    """A list that grows by one at each ``datagen._parse_chunk`` call from now on."""
+    calls = []
+    parse = datagen._parse_chunk
+    monkeypatch.setattr(datagen, "_parse_chunk", lambda *args: calls.append(1) or parse(*args))
+    return calls
+
+
+def _one_digit_changed(text: str) -> str:
+    """``text`` with the first digit after its first '|' changed, so its length stays."""
+    k = next(j for j in range(text.index("|"), len(text)) if text[j].isdigit())
+    return text[:k] + str((int(text[k]) + 1) % 10) + text[k + 1:]
+
+
+class TestSidecar:
+    SPEC = SyntheticSpec(3, 3, (3, 1, 2), (2.0, 1.0, 1.0), 1.0, 40, 5)
+
+    def _saved(self, directory):
+        path = directory / "d.mmds"
+        save(generate(self.SPEC), path)
+        return path
+
+    def test_second_load_reads_the_sidecar(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        expected = _outcome(mmds_load, path)
+        assert _outcome(load, path) == expected
+        calls = _counted_parses(monkeypatch)
+        assert _outcome(load, path) == expected
+        assert calls == []
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
+
+    def test_a_changed_value_of_the_same_size_is_parsed_again(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        before = _outcome(load, path)
+        cache = tmp_path / "d.mmds.cache"
+        old_cache = cache.read_bytes()
+        text = path.read_text()
+        path.write_text(_one_digit_changed(text))
+        assert len(path.read_text()) == len(text)
+        calls = _counted_parses(monkeypatch)
+        after = _outcome(load, path)
+        assert calls and after == _outcome(mmds_load, path) != before
+        assert cache.read_bytes() != old_cache
+        calls.clear()
+        assert _outcome(load, path) == after and calls == []
+
+    def test_a_file_changed_during_its_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        expected = _outcome(mmds_load, path)
+        text = path.read_text()
+        parse = datagen._parse_chunk
+
+        def rewrite_then_parse(*args):
+            path.write_text(_one_digit_changed(text))
+            return parse(*args)
+
+        monkeypatch.setattr(datagen, "_parse_chunk", rewrite_then_parse)
+        assert _outcome(load, path) == expected  # the whole file was read before the rewrite
+        assert not (tmp_path / "d.mmds.cache").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "random bytes", "unrelated npy",
+                                        "transposed arrays", "32-bit arrays"])
+    def test_a_bad_sidecar_is_ignored_and_rewritten(self, tmp_path, monkeypatch, damage):
+        """The last two record the file's own digest, so only the dtype and shape check
+        rejects them."""
+        path = self._saved(tmp_path)
+        expected = _outcome(load, path)
+        cache = tmp_path / "d.mmds.cache"
+        good = cache.read_bytes()
+        if damage == "truncated":
+            cache.write_bytes(good[:len(good) // 2])
+        elif damage == "random bytes":
+            cache.write_bytes(np.random.default_rng(0).bytes(len(good)))
+        elif damage == "unrelated npy":
+            with open(cache, "wb") as fh:
+                np.save(fh, np.arange(12.0).reshape(3, 4))
+        else:
+            digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+            data = generate(self.SPEC)
+            with open(cache, "wb") as fh:
+                np.save(fh, digest)
+                if damage == "transposed arrays":
+                    for array in (data.labels, *(np.ascontiguousarray(f.T)
+                                                 for f in data.features)):
+                        np.save(fh, array)
+                else:
+                    for array in (data.labels.astype(np.int32), *data.features):
+                        np.save(fh, array.astype(np.float32) if array.ndim == 2 else array)
+        calls = _counted_parses(monkeypatch)
+        assert _outcome(load, path) == expected == _outcome(mmds_load, path)
+        assert calls
+        assert cache.read_bytes() == good
+
+    def test_an_unwritable_sidecar_location_is_skipped(self, tmp_path):
+        """A directory where the sidecar would go: the load still parses, raises nothing, and
+        leaves no temporary file (this holds when tests run as root, unlike a read-only mode)."""
+        path = self._saved(tmp_path)
+        (tmp_path / "d.mmds.cache").mkdir()
+        expected = _outcome(mmds_load, path)
+        assert _outcome(load, path) == expected
+        assert _outcome(load, path) == expected
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
+        assert os.listdir(tmp_path / "d.mmds.cache") == []
+
+    def test_a_file_that_fails_to_parse_is_never_cached(self, tmp_path):
+        path = self._saved(tmp_path)
+        load(path)
+        cache = tmp_path / "d.mmds.cache"
+        old_cache = cache.read_bytes()
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[6].split("|")
+        fields[2] = "abc"  # modality 1's one value
+        lines[6] = "|".join(fields)
+        path.write_text("".join(lines))
+        never_valid = tmp_path / "bad.mmds"
+        never_valid.write_text("".join(lines))
+        for bad in (path, never_valid):
+            for _ in range(2):
+                with pytest.raises(FormatError) as err:
+                    load(bad)
+                assert str(err.value) == "line 7: bad float in modality 1"
+                assert _outcome(mmds_load, bad) == ("rejected", 7, str(err.value))
+        assert cache.read_bytes() == old_cache
+        assert sorted(os.listdir(tmp_path)) == ["bad.mmds", "d.mmds", "d.mmds.cache"]
+
+    def test_equal_files_get_byte_identical_sidecars(self, tmp_path):
+        caches = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            path = self._saved(tmp_path / name)
+            load(path)
+            caches.append((tmp_path / name / "d.mmds.cache").read_bytes())
+        assert caches[0] == caches[1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_loads_as_today_and_is_never_cached(self, tmp_path):
+        saved = self._saved(tmp_path)
+        fifo = tmp_path / "pipe.mmds"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(saved.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        assert _outcome(load, fifo) == _outcome(mmds_load, saved)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert not (tmp_path / "pipe.mmds.cache").exists()
+
+
 MUTANT_LABELS = ("-1", "3", "1.0", "x")  # the file has H = 3
 MUTANT_TOKENS = ("abc", "#", "1_0", "nan")
 
@@ -397,11 +549,16 @@ def test_load_matches_the_reference_reader_on_mutants(tmp_path, monkeypatch, cap
     path = tmp_path / "mutant.mmds"
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(f'dataset.path = "{path}"\n')
+    calls = _counted_parses(monkeypatch)
     seen = set()
     for seed in range(312):
         path.write_text(_mutant(lines, seed), newline="")
         expected = _outcome(mmds_load, path)
-        assert _outcome(load, path) == expected, (seed, path.read_text())
+        # an accepted mutant is parsed, then read from its sidecar; a rejected one never is
+        for parsed in (True, expected[0] == "rejected"):
+            calls.clear()
+            assert _outcome(load, path) == expected, (seed, path.read_text())
+            assert bool(calls) == parsed, seed
         seen.add(expected[0])
         if expected[0] == "rejected":
             rc = cli.main(["evaluate", "--config", str(cfg_path), "--checkpoint", "unread.mmck"])

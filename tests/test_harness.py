@@ -761,6 +761,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
 
+    @pytest.mark.parametrize("from_file", [True, False], ids=["file", "text"])
+    def test_bad_config_line_exits_1_naming_its_source(self, tmp_path, capsys, from_file):
+        """A config file's error names ``--config`` and the file; literal text names its line."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("bogus = 1\n")
+        source = str(cfg_path) if from_file else "bogus = 1\n"
+        assert cli.main(["train", "--config", source, "--out", str(tmp_path / "o")]) == 1
+        prefix = f"--config {str(cfg_path)!r}: " if from_file else ""
+        assert capsys.readouterr().err == f"error: {prefix}line 1: unknown key 'bogus'\n"
+
     @pytest.mark.parametrize("command, empty", [
         pytest.param(command, empty, id=command + ("-empty" if empty else ""))
         for empty in (False, True)
@@ -806,7 +816,9 @@ class TestCli:
         out = tmp_path / "o"
         rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {key}: must be non-negative, got ")
+        source = f"--config {str(cfg_path)!r}: " if cfg_line else ""  # a flag or env var is not
+        assert capsys.readouterr().err.startswith(
+            f"error: {source}{key}: must be non-negative, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, key, value", [
@@ -830,7 +842,7 @@ class TestCli:
         assert cli.main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         section, name = key.split(".")
-        assert err.startswith(f"error: {section}.") and name in err
+        assert err.startswith(f"error: --config {str(cfg_path)!r}: {section}.") and name in err
         assert not out.exists()
 
     @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
