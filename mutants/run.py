@@ -99,9 +99,9 @@ CATALOGUE = [
     Mutant("one-run-charge-to-run-0", "src/balancelab/trainer.py",
            "carry.logs[r].flops", "carry.logs[0].flops",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
-    Mutant("range-ledger-not-emptied", "src/balancelab/trainer.py",
-           "            setattr(led, kind, 0)\n", "            pass\n",
-           ("tests/test_engine.py::test_shared_ledgers_end_each_fit_empty",)),
+    Mutant("hook-work-charged-to-one-run", "src/balancelab/trainer.py",
+           "for ledger in self:", "for ledger in self[:1]:",
+           ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
     Mutant("epoch-steps-floor", "src/balancelab/trainer.py",
            "-(-order.shape[1] // cfg.batch_size)", "order.shape[1] // cfg.batch_size",
            ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),

@@ -12,7 +12,8 @@ Master-seed precedence: ``--master-seed`` flag, then the ``BALANCELAB_SEED``
 environment variable, then the config ``seed`` key. ``--seeds`` replaces the
 config seed list; ``evaluate`` reads one run seed, from ``--run-seed``. Each
 subcommand accepts only the flags it reads. Exit code is 0 only when every
-run succeeded.
+run succeeded; a user error, or an output that cannot be written, exits 1
+with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -177,6 +178,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except BalanceLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that cannot be written; inputs go through read_input
+        where = "" if exc.filename is None else f"{exc.filename!r}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

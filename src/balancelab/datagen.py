@@ -115,9 +115,10 @@ class Dataset:
         return tuple(f.shape[1] for f in self.features)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
+        """The rows ``idx``, an index array, which already takes each as a new array."""
         return Dataset(
-            [f[idx].copy() for f in self.features],
-            self.labels[idx].copy(),
+            [f[idx] for f in self.features],
+            self.labels[idx],
             self.num_classes,
         )
 

@@ -194,7 +194,11 @@ def forward(model: FusionModel, batch: list[np.ndarray]) -> ForwardCache:
 
 
 def charge_forward(model: FusionModel, n: int, ledger) -> None:
-    """Record in ``ledger``, a FlopsLedger, one run's FLOPs of :func:`forward` over n rows."""
+    """Record in ``ledger`` one run's FLOPs of :func:`forward` over n rows.
+
+    Any object with ``FlopsLedger``'s ``record`` will do, such as the
+    trainer's list of several runs' ledgers, each of which it charges.
+    """
     for layer in [l for enc in model.encoders for l in enc.layers]:
         d_out, d_in = layer.weight.shape[-2:]
         ledger.record("matmul_forward", (n, d_in, d_out), bias=True)

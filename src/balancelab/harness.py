@@ -24,13 +24,16 @@ evaluated after its stack has trained, so an interrupted call resumes
 without recomputing those cells, but it retrains every cell of a stack
 still training. A cell file whose config fingerprint differs, that cannot
 be read, whose row has the wrong shape for the call's modality count, or
-whose asked-for checkpoint is missing, is recomputed.
+whose asked-for checkpoint is missing, is recomputed. Cell files and
+checkpoints are written whole or not at all (``_write_whole``), so an
+interrupted write leaves nothing to reuse.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -251,7 +254,8 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
     for cell, (best, log) in zip(cells, trained):
         test_set = prepared[cell.seed][2]
         if cell.ckpt is not None:
-            fusion.save_model(best, cell.ckpt)
+            with _write_whole(cell.ckpt) as tmp:
+                fusion.save_model(best, tmp)
         perf = metrics.evaluate_performance(best, test_set)
         rep = metrics.shapley(best, test_set) if cfg.shapley_enabled else None
         yield cell, RunRow(
@@ -306,14 +310,28 @@ def _read_cell(path, fingerprint: str, m: int) -> tuple[RunRow | None, str]:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
 
 
-def _write_cell(path, row_dict: dict) -> None:
-    """Write via a temporary file so an interrupted write leaves no partial cell."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+@contextlib.contextmanager
+def _write_whole(path):
+    """A temporary path beside ``path`` to write, moved onto ``path`` when the block ends.
+
+    So ``path`` is written whole or not at all: an interrupted or failed
+    write leaves neither a partial file nor the temporary one.
+    """
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_cell(path, row_dict: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with _write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
         json.dump(row_dict, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _stack_worker(cfg: ExperimentConfig, cells: list[_Cell], sweep_param: str,

@@ -8,8 +8,9 @@ and the strength of its parameter.
 
 Every hook takes a stack of R runs along a leading run axis, as
 ``fusion.forward`` does, and ``value``, the (R,) array of their strengths;
-a run's slice of a result is bitwise what the run alone (R = 1) gives, and
-a ``ledger`` records one run's work. An objective records only its work
+a run's slice of a result is bitwise what the run alone (R = 1) gives.
+``ledger`` is the ledgers of the runs the call serves, and one ``record``
+of one run's work charges each of them. An objective records only its work
 beyond the loss on the fused logits and the head backward, which every
 objective has and the trainer charges once per epoch. ``trainer.fit`` calls
 each hook once per group of runs that share it, per batch unless noted:

@@ -12,19 +12,19 @@ hook once per group, per batch for objectives, gradient scales and feature
 transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-``fit`` builds a ``Plan``, fixed while it trains (the sorted runs and
-their hook ranges, each with the FLOPs ledger of its hook's calls),
-and a ``Carry``, the stack's progress, then calls ``_epoch`` until the
-carry's epoch reaches ``cfg.epochs``. An epoch stacks every run's batch
-order (weighted by any sample-weights hook) into one (R, N) index block;
-per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
+``fit`` builds a ``Plan``, fixed while it trains (the sorted runs and their
+hook ranges), and a ``Carry``, the stack's progress, then calls ``_epoch``
+until the carry's epoch reaches ``cfg.epochs``. An epoch stacks every run's
+batch order (weighted by any sample-weights hook) into one (R, N) index
+block; per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
 objective range, then one encoder backward of the whole stack),
 ``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
-``_charge_epoch`` and ``_validate`` once. ``_charge_epoch`` charges every
-FLOP but the hooks' own extra work, every objective's fused loss and head
-backward included, into each run's ``TrainLog.flops``, the run's one ledger.
-Every stochastic choice is a deterministic function of ``(run.seed, epoch,
-batch index)``, so a run is bitwise reproducible.
+``_charge_epoch`` and ``_validate`` once. A run's ``TrainLog.flops`` is its
+one ledger: ``_charge_epoch`` charges it the epoch's work the trainer does,
+every objective's fused loss and head backward included, and a hook records
+its own work straight into the ledgers of the runs it serves. Every
+stochastic choice is a deterministic function of ``(run.seed, epoch, batch
+index)``, so a run is bitwise reproducible.
 
 A step costs numpy dispatch more than arithmetic, so it makes few calls.
 ``_gather`` takes each modality once per train set, however many runs
@@ -60,7 +60,6 @@ if TYPE_CHECKING:  # methods imports this module
     from .methods import MethodSpec
 
 SCORE_SMOOTHING = 0.7  # running score = 0.7 * old + 0.3 * batch
-_FLOP_KINDS = tuple(f.name for f in dataclasses.fields(FlopsLedger))
 
 
 @dataclass
@@ -128,17 +127,15 @@ class Plan:
     """What ``fit`` derives from its inputs, runs sorted by active entry; fixed while it trains.
 
     The hook ranges' row views alias the carry's model buffer, so a carry is
-    restored in place (``flat[...] = saved``), never replaced. A hook
-    records its work beyond the shared charges in its range's ledger,
-    counted once as one run's; ``_charge_epoch`` adds those ledgers to their
-    runs' logs at each epoch's end and zeroes them.
+    restored in place (``flat[...] = saved``), never replaced. Besides those
+    views the plan holds no mutable state.
     """
 
     cfg: TrainConfig
     runs: list[Run]  # sorted by active entry, objective-free first
     sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
     values: np.ndarray  # each run's method strength (baseline: nan)
-    hooks: dict[str, list[tuple]]  # (hook, rows, model view, ledger) per range, per hook field
+    hooks: dict[str, list[tuple]]  # (hook, rows, model view) per range, per hook field
     spans: list[slice]  # each encoder's span of flat
 
 
@@ -147,9 +144,8 @@ class Carry:
     """What training changes: with the plan, all of a stack's progress.
 
     Each run's FLOPs ledger is its log's. The carry holds no scratch: the
-    gradient buffer each step overwrites belongs to ``_epoch`` and the
-    range ledgers, which read zero at every epoch boundary, to the plan, so
-    saving a carry saves exactly what a resume needs.
+    gradient buffer each step overwrites belongs to ``_epoch``, so saving a
+    carry saves exactly what a resume needs.
     """
 
     model: FusionModel  # the stack, (R, P) in model.flat
@@ -325,8 +321,16 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
                         cache.logits[rows])
 
 
+class _Ledgers(list):
+    """A range's runs' own ledgers, handed to its hook: one ``record`` charges each run."""
+
+    def record(self, *args, **kwargs) -> None:
+        for ledger in self:
+            ledger.record(*args, **kwargs)
+
+
 def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
-    """(hook, rows, rows of the stack, the range's FLOPs ledger) per row range."""
+    """(hook, rows, rows of the stack) per row range."""
     out, start = [], 0
     for name, group in itertools.groupby(actives, key=lambda a: getattr(a, field)):
         group = list(group)
@@ -336,7 +340,7 @@ def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
             # looked up once per fit, so an attribute swapped before fit sees every call
             hook = group[0].hook(field) or (
                 lambda mdl, cache, y, _, led: baseline_loss(mdl, cache, y))
-            out.append((hook, rows, model.like(model.flat[rows]), FlopsLedger()))
+            out.append((hook, rows, model.like(model.flat[rows])))
     return out
 
 
@@ -357,7 +361,7 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
     # per modality a transform touched: its factor over the stack (rows left alone: ones)
     factors: dict[int, np.ndarray] = {}
     if carry.running_scores is not None:
-        for transform, rows, _, _ in plan.hooks["feature_transform"]:
+        for transform, rows, _ in plan.hooks["feature_transform"]:
             rngs = [np.random.default_rng([run.seed, carry.epoch, b, 1]) for run in plan.runs[rows]]
             made, applied = transform([f[rows] for f in features], carry.running_scores[rows],
                                       plan.values[rows], rngs)
@@ -383,8 +387,9 @@ def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int
     """Each range's objective into its rows of ``grads`` and of the stack's feature gradients,
     then one backward; adds loss * n to loss_sum."""
     feature_grads = [np.empty(f.shape) for f in cache.features]
-    for objective, rows, view, ledger in plan.hooks["objective"]:
-        bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows], ledger)
+    for objective, rows, view in plan.hooks["objective"]:
+        bundle = objective(view, _cache_rows(cache, rows), yb[rows], plan.values[rows],
+                           _Ledgers(log.flops for log in carry.logs[rows]))
         finite = np.isfinite(bundle.loss)
         if not finite.all():
             raise DivergenceError(carry.epoch, b, float(bundle.loss[np.argmin(finite)]))
@@ -397,18 +402,18 @@ def _objectives(plan: Plan, carry: Carry, cache: ForwardCache, factors: dict[int
 
 def _scale_grads(plan: Plan, carry: Carry, grads: FusionModel) -> None:
     """Scale each encoder's gradient in a range's rows by the range's grad-scale hook."""
-    for grad_scale, rows, _, _ in plan.hooks["grad_scale"]:
+    for grad_scale, rows, _ in plan.hooks["grad_scale"]:
         kappa = grad_scale(carry.running_scores[rows], plan.values[rows])
         for i, span in enumerate(plan.spans):
             grads.flat[rows, span] *= kappa[:, i, None]
 
 
 def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
-    """Charge each run the epoch's shared work, n rows in ``steps`` steps, and its validation,
-    then move each range ledger's work to its runs'. Each charge is linear in its rows."""
+    """Charge each run the epoch's work the trainer does, n rows in ``steps`` steps, and its
+    validation, its hooks' share included. Each charge is linear in its rows."""
     model, m, h = carry.model, carry.model.num_modalities, carry.model.num_classes
     for run, log in zip(plan.runs, carry.logs):
-        ledger = log.flops
+        ledger, active = log.flops, run.spec.active()
         fusion.charge_forward(model, n + run.val.num_samples, ledger)  # training's and validation's
         ledger.record("softmax_loss", n * h)  # every objective's loss on the fused logits
         for blk in model.head_blocks:  # the head backward
@@ -420,19 +425,13 @@ def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
             for layer in enc.layers[:-1]:
                 ledger.record("elementwise", n * layer.weight.shape[-2])
         ledger.record("elementwise", steps * 6 * model.flat.shape[-1])  # SGD
-    for _, _, _, ledger in plan.hooks["grad_scale"] + plan.hooks["feature_transform"]:
-        ledger.record("softmax_loss", m * n * h)  # the scores: partial softmax + mean per modality
-        ledger.record("elementwise", m * (n * h + n))
-    for _, _, _, ledger in plan.hooks["grad_scale"]:
-        ledger.record("elementwise", steps * sum(span.stop - span.start for span in plan.spans))
-    for _, _, view, ledger in plan.hooks["deploy"]:
-        ledger.record("elementwise", sum(blk[0].size for blk in view.head_blocks))
-    for _, rows, _, led in itertools.chain(*plan.hooks.values()):
-        for kind in _FLOP_KINDS:
-            for log in carry.logs[rows]:
-                setattr(log.flops, kind, getattr(log.flops, kind) + getattr(led, kind))
-            # zeroed in place, not replaced: perfbench's tracer sums every ledger it saw
-            setattr(led, kind, 0)
+        if active.grad_scale or active.feature_transform:  # the scores it reads
+            ledger.record("softmax_loss", m * n * h)  # partial softmax + mean per modality
+            ledger.record("elementwise", m * (n * h + n))
+        if active.grad_scale:
+            ledger.record("elementwise", steps * sum(s.stop - s.start for s in plan.spans))
+        if active.deploy:
+            ledger.record("elementwise", sum(blk[0].size for blk in model.head_blocks))
 
 
 def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
@@ -440,7 +439,7 @@ def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None
     deployers = plan.hooks["deploy"]
     # select on the deployed form so validation ranks what evaluation will see
     shown = carry.model.flat.copy() if deployers else carry.model.flat
-    for deploy, rows, view, _ in deployers:
+    for deploy, rows, view in deployers:
         shown[rows] = deploy(view).flat
     for r, (run, log) in enumerate(zip(plan.runs, carry.logs)):
         # per run: a stacked pass takes no less time and holds R runs' activations
@@ -458,9 +457,10 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     cfg, epoch = plan.cfg, carry.epoch
     lr = step_lr(cfg, epoch)
     weights = [None] * len(plan.runs)
-    for sample_weights, rows, view, ledger in plan.hooks["sample_weights"]:
+    for sample_weights, rows, view in plan.hooks["sample_weights"]:
         trains = [run.train for run in plan.runs[rows]]
-        weights[rows] = sample_weights(view, trains, plan.values[rows], ledger)
+        weights[rows] = sample_weights(view, trains, plan.values[rows],
+                                       _Ledgers(log.flops for log in carry.logs[rows]))
     orders = []
     for run, w in zip(plan.runs, weights):
         batch_seed = int(np.random.SeedSequence([run.seed, epoch, 0]).generate_state(1)[0])

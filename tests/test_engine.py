@@ -194,12 +194,12 @@ def test_ledger_matches_a_hand_count(kind, m):
             assert getattr(ledger, f.name) == want[f.name], f.name
 
 
-def test_shared_ledgers_end_each_fit_empty(monkeypatch):
-    """Every ledger ``fit`` records into is one of the runs' logs', or reads zero when it returns.
+def test_every_ledger_fit_records_into_is_a_runs_own(monkeypatch):
+    """Every ledger ``fit`` records into is one of its runs' logs', so a run's FLOPs have one home.
 
-    Work charged to many runs at once is added to each of their ledgers at an
-    epoch's end and its ledger zeroed in place, so a sum over every ledger
-    that saw a record (perfbench's tracer takes one) counts each FLOP once.
+    A hook serving many runs records into each of their ledgers, and no
+    staging ledger is charged, so a sum over every ledger that saw a record
+    (perfbench's tracer takes one) counts each FLOP once.
     """
     seen = {}
     real = FlopsLedger.record
@@ -211,8 +211,7 @@ def test_shared_ledgers_end_each_fit_empty(monkeypatch):
     monkeypatch.setattr(FlopsLedger, "record", noting)
     cells = [cell(kind, METHODS[kind].default, seed) for kind in METHODS for seed in (1, 2)]
     owned = {id(log.flops) for _, log in fit(CFG, cells)}
-    assert owned < seen.keys()  # the shared ledgers were recorded into too
-    assert [led for key, led in seen.items() if key not in owned and led != FlopsLedger()] == []
+    assert seen.keys() == owned
 
 
 def restore(carry, saved):
@@ -289,16 +288,17 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["gradmod", "cosine"])
 def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
-    """Row views, encoder spans, hook lookups and FLOPs ledgers are built once per fit,
-    and the FLOPs of work many steps share are charged once per epoch.
+    """Row views, encoder spans and hook lookups are built once per fit, no FLOPs ledger
+    beyond the runs' own is built, and the FLOPs of work many steps share are charged once
+    per epoch.
 
     Every model view walks ``fusion._blocks``, so an extra epoch may add one
     walk per run (its validation view), one for its gradient buffer and one
-    per deploy range, and no more at any batch count. The range ledgers
-    ``fit`` builds it builds through ``trainer.FlopsLedger``, and as many for
-    any batch count. Every FLOPs convention is linear in the rows of its pass,
-    so outside the method hooks, which record per call, an extra epoch
-    records as often at any batch count.
+    per deploy range, and no more at any batch count. A ledger the trainer
+    builds it builds through ``trainer.FlopsLedger``, and it builds none:
+    each run's is its log's. Every FLOPs convention is linear in the rows of
+    its pass, so outside the method hooks, which record per call, an extra
+    epoch records as often at any batch count.
     """
     walks, ledgers, records, inside = [], [], [], []
     real = fusion._blocks
@@ -325,14 +325,15 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
         counts = []
         for epochs in (1, 2):
             cells = [cell(kind, entry.default, seed) for seed in (1, 2, 3, 4, 5)]
-            for seen in (walks, ledgers, records):
+            for seen in (walks, records):
                 seen.clear()
             fit(dataclasses.replace(CFG, epochs=epochs, batch_size=batch_size), cells)
-            counts.append((len(walks), len(ledgers), len(records)))
+            counts.append((len(walks), len(records)))
         extra.append(tuple(b - a for a, b in zip(*counts)))
-    (walks_16, *rest_16), (walks_32, *rest_32) = extra
+    (walks_16, records_16), (walks_32, records_32) = extra
     assert walks_16 == walks_32 <= len(cells) + 1 + (entry.deploy is not None)
-    assert rest_16 == rest_32  # ledgers built, and records outside the hooks
+    assert records_16 == records_32  # records outside the hooks
+    assert ledgers == []  # in any of the four fits
 
 
 def test_failing_cell_fails_alone(monkeypatch):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from balancelab import cli, config, harness, trainer
+from balancelab import cli, config, fusion, harness, trainer
 from balancelab.config import ExperimentConfig, coerce, parse_config, parse_config_text
 from balancelab.datagen import SyntheticSpec
 from balancelab.errors import BalanceLabError, ConfigError, FormatError, SpecError
@@ -469,6 +470,33 @@ class TestRunSweep:
         assert (out / "run.log").read_text().count("cached cell has no checkpoint") == 2
         assert [r.to_dict() for r in again.rows] == [r.to_dict() for r in first.rows]
 
+    def test_interrupted_checkpoint_write_is_recomputed(self, tmp_path, monkeypatch):
+        """A checkpoint is written whole or not at all, so one cut short is never reused."""
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        harness.run_experiment(cfg, out_dir=str(out))
+        harness.run_experiment(cfg, out_dir=str(whole), save_checkpoints=True)
+        real = fusion.save_model
+
+        def interrupted(model, path):  # the first checkpoint's write, cut to half
+            real(model, path)
+            os.truncate(path, os.path.getsize(path) // 2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fusion, "save_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_experiment(cfg, out_dir=str(out), save_checkpoints=True)
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == ["cells", "report.csv", "report.json",
+                                                         "run.log"]
+        logged = len((out / "run.log").read_text().splitlines())
+        harness.run_experiment(cfg, out_dir=str(out), save_checkpoints=True)
+        assert "recomputing cell gradmod seed=1 value=None: cached cell has no checkpoint" in (
+            (out / "run.log").read_text().splitlines()[logged])
+        for seed in (1, 2):
+            name = f"ckpt_gradmod_seed{seed}.mmck"
+            assert (out / name).read_bytes() == (whole / name).read_bytes()
+
     def test_cache_key_pinned(self):
         # cells cached by earlier versions stay valid only while these hold; a change
         # that alters the key on purpose updates the literals
@@ -635,6 +663,31 @@ class TestCli:
         printed = capsys.readouterr().out
         assert '"subset_values"' in printed
         assert (tmp_path / "ev" / "evaluate.json").read_text() == printed
+
+    @pytest.mark.parametrize("command, output", [
+        ("generate", "dataset.mmds"), ("train", "report.csv"), ("sweep", "report.csv"),
+        ("evaluate", "evaluate.json"), ("table", "table.txt")])
+    def test_output_that_cannot_be_written_exits_1(self, tmp_path, capsys, command, output):
+        """An output whose name a directory holds is one error line naming it, not a traceback."""
+        runs = tmp_path / "runs"
+        if command in ("evaluate", "table"):  # their inputs: a checkpoint, a report
+            assert cli.main(["train", "--config", TINY, "--seeds", "1", "--out", str(runs)]) == 0
+        argv = {
+            "generate": ["generate", "--config", TINY],
+            "train": ["train", "--config", TINY, "--seeds", "1"],
+            "sweep": ["sweep", "--config", TINY + "method.kind = gradmod\n", "--param",
+                      "method.alpha", "--values", "0,1", "--seeds", "1"],
+            "evaluate": ["evaluate", "--config", TINY, "--checkpoint",
+                         str(runs / "ckpt_baseline_seed1.mmck"), "--run-seed", "1"],
+            "table": ["table", "--reports", str(runs / "report.json")],
+        }[command]
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {str(out / output)!r}: {os.strerror(errno.EISDIR)}\n"
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("header, message", [
         (None, "missing header"),

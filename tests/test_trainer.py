@@ -288,7 +288,7 @@ class TestGradientsThroughModel:
                 cache = transformed()
                 return sum(objective(view, trainer._cache_rows(cache, rows), labels[rows],
                                      plan.values[rows], FlopsLedger()).loss.sum()
-                           for objective, rows, view, _ in plan.hooks["objective"])
+                           for objective, rows, view in plan.hooks["objective"])
 
             assert len(plan.hooks["objective"]) == runs
             assert fd_max_rel_error(loss_fn, [stack.flat], [grads.flat]) < 1e-5
