@@ -146,6 +146,10 @@ CATALOGUE = [
            "if any((a.dtype, a.shape) != (np.dtype(t), s)",
            "if False and any((a.dtype, a.shape) != (np.dtype(t), s)",
            ("tests/test_datagen.py::TestSidecar::test_a_bad_sidecar_is_ignored_and_rewritten",)),
+    Mutant("shapley-accuracy-from-a-subset", "src/balancelab/metrics.py",
+           "return Evaluation(*scores, values,",
+           "return Evaluation(values[frozenset({0})], scores[1], values,",
+           ("tests/test_metrics.py::TestShapley::test_reading_matches_evaluate_performance",)),
 ]
 
 

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .datagen import Dataset, SyntheticSpec, generate, load, save, split
 from .fusion import FusionModel, init_model, load_model, save_model
 from .methods import MethodSpec
-from .metrics import FlopsLedger, ShapleyReport, imbalance, shapley, value_function
+from .metrics import Evaluation, FlopsLedger, imbalance, shapley, value_function
 from .trainer import Run, TrainConfig, TrainLog, fit
 
 __all__ = [
@@ -26,8 +26,8 @@ __all__ = [
     "load_model",
     "save_model",
     "MethodSpec",
+    "Evaluation",
     "FlopsLedger",
-    "ShapleyReport",
     "imbalance",
     "shapley",
     "value_function",

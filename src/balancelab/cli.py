@@ -71,6 +71,7 @@ def _cmd_evaluate(args) -> int:
     if args.run_seed is not None:
         cfg = cfg.with_key("seeds", (coerce("--run-seed", "int", args.run_seed),))
     run_seed = cfg.seeds[0]
+    harness._modality_count(cfg)  # train's Shapley rule, from the header alone
     data_seed, split_seed, _, _ = harness.derived_seeds(cfg.master_seed, run_seed)
     data = harness.load_run_data(cfg, data_seed)
     _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
@@ -80,20 +81,20 @@ def _cmd_evaluate(args) -> int:
         raise ConfigError(f"--checkpoint {args.checkpoint!r}: a {model.num_classes}-class "
                           f"model of input dims {input_dims}, but the config's data has "
                           f"{test_set.num_classes} classes of dims {test_set.dims}")
-    perf = metrics.evaluate_performance(model, test_set)
+    read = metrics.shapley if cfg.shapley_enabled else metrics.evaluate_performance
+    ev = read(model, test_set)
     out = {
         "checkpoint": args.checkpoint,
         "run_seed": run_seed,
-        "acc": perf.accuracy,
-        "macro_f1": perf.macro_f1,
+        "acc": ev.accuracy,
+        "macro_f1": ev.macro_f1,
     }
-    if cfg.shapley_enabled:
-        rep = metrics.shapley(model, test_set)
-        out["phi"] = [float(p) for p in rep.phi]
-        out["imbalance"] = rep.imbalance
+    if ev.phi is not None:
+        out["phi"] = list(ev.phi)
+        out["imbalance"] = ev.imbalance
         out["subset_values"] = {
             "+".join(str(i + 1) for i in sorted(k)) or "none": v
-            for k, v in rep.subset_values.items()
+            for k, v in ev.subset_values.items()
         }
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)

@@ -28,6 +28,7 @@ a file that fails to parse, or where the directory is not writable.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -123,7 +124,7 @@ class Dataset:
         )
 
     def select_modalities(self, keep: list[int]) -> "Dataset":
-        """View of the dataset restricted to the given modality indices."""
+        """A copy of the dataset restricted to the given modality indices."""
         return Dataset(
             [self.features[i].copy() for i in keep],
             self.labels.copy(),
@@ -404,23 +405,29 @@ def _read_cache(path: str, digest: bytes, n: int,
     return arrays[1], arrays[2:]
 
 
-def _write_cache(path: str, digest: bytes, data: Dataset) -> None:
-    """Write the sidecar: digest, labels, then each modality's features, one ``np.save`` each.
+@contextlib.contextmanager
+def write_whole(path):
+    """A temporary path beside ``path`` to write, moved onto ``path`` when the block ends.
 
-    It goes through a temporary file and ``os.replace``, so a reader sees a
-    whole sidecar or none; a location that cannot be written is skipped.
+    So ``path`` is written whole or not at all: an interrupted or failed
+    write leaves neither a partial file nor the temporary one.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            for array in (np.frombuffer(digest, np.uint8), data.labels, *data.features):
-                np.save(fh, array, allow_pickle=False)
+        yield tmp
         os.replace(tmp, path)
-    except OSError:
-        try:
+    except BaseException:
+        if os.path.exists(tmp):
             os.remove(tmp)
-        except OSError:
-            pass
+        raise
+
+
+def _write_cache(path: str, digest: bytes, data: Dataset) -> None:
+    """Write the sidecar whole (``write_whole``): digest, labels, then each modality's
+    features, one ``np.save`` each. A location that cannot be written is skipped."""
+    with contextlib.suppress(OSError), write_whole(path) as tmp, open(tmp, "wb") as fh:
+        for array in (np.frombuffer(digest, np.uint8), data.labels, *data.features):
+            np.save(fh, array, allow_pickle=False)
 
 
 def load(path) -> Dataset:

@@ -25,7 +25,7 @@ without recomputing those cells, but it retrains every cell of a stack
 still training. A cell file whose config fingerprint differs, that cannot
 be read, whose row has the wrong shape for the call's modality count, or
 whose asked-for checkpoint is missing, is recomputed. Cell files and
-checkpoints are written whole or not at all (``_write_whole``), so an
+checkpoints are written whole or not at all (``datagen.write_whole``), so an
 interrupted write leaves nothing to reuse.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
@@ -33,7 +33,6 @@ Reports serialize to CSV and JSON with no timestamps (those go to the
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -206,10 +205,15 @@ def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
 
 
 def _modality_count(cfg: ExperimentConfig) -> int:
-    """The config's modality count, or for a dataset file its header's."""
+    """The config's modality count, or for a dataset file its header's, which
+    ``eval.shapley`` needs to be 2 or 3 (a config's always is)."""
     if cfg.dataset_path is None:
         return cfg.get("dataset.modalities")
-    return read_input("dataset.path", datagen.read_header, cfg.dataset_path)[0]
+    m = read_input("dataset.path", datagen.read_header, cfg.dataset_path)[0]
+    if cfg.shapley_enabled and m not in (2, 3):
+        raise ConfigError(f"dataset.path {cfg.dataset_path!r}: eval.shapley needs 2 or 3 "
+                          f"modalities, the file has {m} (set eval.shapley = false)")
+    return m
 
 
 @dataclass(frozen=True)
@@ -230,9 +234,10 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
     Each run seed's split is made once and only the split is kept (a
     dataset file, the same data for every seed, is read once); every cell
     trains as one ``trainer.Run`` of one ``trainer.fit`` stack under the
-    config's recipe, then saves its checkpoint if it has a path, evaluates
-    and computes Shapley contributions on its own. Yields ``(cell, row)`` as
-    each cell is evaluated.
+    config's recipe, then saves its checkpoint if it has a path and is read
+    on its own test split with one forward pass (``metrics.shapley``, or
+    ``metrics.evaluate_performance`` under ``eval.shapley = false``).
+    Yields ``(cell, row)`` as each cell is evaluated.
     """
     prepared = {}
     file_data = None
@@ -254,18 +259,18 @@ def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
     for cell, (best, log) in zip(cells, trained):
         test_set = prepared[cell.seed][2]
         if cell.ckpt is not None:
-            with _write_whole(cell.ckpt) as tmp:
+            with datagen.write_whole(cell.ckpt) as tmp:
                 fusion.save_model(best, tmp)
-        perf = metrics.evaluate_performance(best, test_set)
-        rep = metrics.shapley(best, test_set) if cfg.shapley_enabled else None
+        read = metrics.shapley if cfg.shapley_enabled else metrics.evaluate_performance
+        ev = read(best, test_set)
         yield cell, RunRow(
             method=cell.spec.kind,
             seed=cell.seed,
             sweep_value=cell.sweep_value,
-            acc=perf.accuracy,
-            macro_f1=perf.macro_f1,
-            phi=None if rep is None else tuple(float(p) for p in rep.phi),
-            imbalance=None if rep is None else rep.imbalance,
+            acc=ev.accuracy,
+            macro_f1=ev.macro_f1,
+            phi=ev.phi,
+            imbalance=ev.imbalance,
             flops_total=log.flops.total,
             best_epoch=log.best_epoch,
         )
@@ -310,26 +315,9 @@ def _read_cell(path, fingerprint: str, m: int) -> tuple[RunRow | None, str]:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
 
 
-@contextlib.contextmanager
-def _write_whole(path):
-    """A temporary path beside ``path`` to write, moved onto ``path`` when the block ends.
-
-    So ``path`` is written whole or not at all: an interrupted or failed
-    write leaves neither a partial file nor the temporary one.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def _write_cell(path, row_dict: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with _write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+    with datagen.write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
         json.dump(row_dict, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -481,9 +469,6 @@ def _report(cfg: ExperimentConfig, sweep_param: str, specs: list[MethodSpec], ou
         raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
                           f"(seed {repeated[0]}, value {value}) twice")
     m = _modality_count(cfg)
-    if cfg.shapley_enabled and m not in (2, 3):
-        raise ConfigError(f"dataset.path {cfg.dataset_path!r}: eval.shapley needs 2 or 3 "
-                          f"modalities, the file has {m} (set eval.shapley = false)")
     rows, errors = _run_cells(cfg, cells, sweep_param, m, out_dir, jobs, ckpt_dir)
     aggregates = _aggregate(rows)
     means = [r for r in aggregates if r.seed == "mean"]

@@ -1,5 +1,10 @@
 """Performance, Shapley-based modality contribution, and FLOPs accounting.
 
+A model's reading on a dataset is one ``Evaluation`` from one forward pass:
+accuracy and macro-F1 (``evaluate_performance``), plus, from ``shapley``,
+every subset value, the contributions and the imbalance index. Validation
+reads accuracy alone (``evaluate_accuracy``).
+
 The value function v(A) is the masked-evaluation accuracy of the model when
 only the modalities in subset A are active: the features of every other
 modality are zeroed, so v on the empty set is the accuracy of the pure bias
@@ -80,18 +85,30 @@ def macro_f1(preds: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
 
 
 @dataclass
-class PerfReport:
+class Evaluation:
+    """One reading of a model on a dataset; the subset fields are None unless from ``shapley``."""
+
     accuracy: float
     macro_f1: float
+    subset_values: dict[frozenset[int], float] | None = None
+    phi: tuple[float, ...] | None = None
+    imbalance: float | None = None
 
 
-def evaluate_performance(model: FusionModel, data: Dataset) -> PerfReport:
-    cache = fusion.forward(model, data.features)
-    preds = fusion.predict(cache.logits)
-    return PerfReport(
-        accuracy(preds, data.labels),
-        macro_f1(preds, data.labels, data.num_classes),
-    )
+def _scores(logits: np.ndarray, data: Dataset) -> tuple[float, float]:
+    """Accuracy and macro-F1 of the predictions ``logits`` give for ``data``."""
+    preds = fusion.predict(logits)
+    return accuracy(preds, data.labels), macro_f1(preds, data.labels, data.num_classes)
+
+
+def evaluate_accuracy(model: FusionModel, data: Dataset) -> float:
+    """Accuracy alone, from one forward pass; validation reads this each epoch."""
+    return accuracy(fusion.predict(fusion.forward(model, data.features).logits), data.labels)
+
+
+def evaluate_performance(model: FusionModel, data: Dataset) -> Evaluation:
+    """Accuracy and macro-F1 from one forward pass."""
+    return Evaluation(*_scores(fusion.forward(model, data.features).logits, data))
 
 
 def _subset_accuracy(model: FusionModel, cache: ForwardCache, labels: np.ndarray,
@@ -113,15 +130,6 @@ def value_function(model: FusionModel, data: Dataset, subset: tuple[bool, ...]) 
         )
     cache = fusion.forward(model, data.features)
     return _subset_accuracy(model, cache, data.labels, [i for i, on in enumerate(subset) if on])
-
-
-@dataclass
-class ShapleyReport:
-    """Per-modality contributions, the full subset-value table, and the index."""
-
-    phi: tuple[float, ...]
-    subset_values: dict[frozenset[int], float]
-    imbalance: float
 
 
 def imbalance(phi) -> float:
@@ -156,22 +164,25 @@ def shapley_from_values(values: dict[frozenset[int], float], m: int) -> tuple[fl
     return tuple(math.fsum(ms) * scale for ms in marginals)
 
 
-def shapley(model: FusionModel, data: Dataset) -> ShapleyReport:
-    """Modality contributions on ``data`` via exhaustive masked evaluation.
+def shapley(model: FusionModel, data: Dataset) -> Evaluation:
+    """The whole reading of a model on ``data`` from one forward pass.
 
-    Evaluates v once per subset, all 2^m of them from one forward pass,
-    before the permutation average.
+    Accuracy and macro-F1 as ``evaluate_performance`` gives them, v for
+    every one of the 2^m subsets (v of the full set is the accuracy), the
+    contributions averaged over all orderings, and the imbalance index.
     """
     m = model.num_modalities
     if m not in (2, 3):
         raise ContractError(f"shapley supports 2 or 3 modalities, got {m}")
     cache = fusion.forward(model, data.features)
+    scores = _scores(cache.logits, data)
     values: dict[frozenset[int], float] = {}
-    for bits in range(1 << m):
+    for bits in range((1 << m) - 1):  # the full set last, its v the accuracy just read
         kept = [i for i in range(m) if bits >> i & 1]
         values[frozenset(kept)] = _subset_accuracy(model, cache, data.labels, kept)
+    values[frozenset(range(m))] = scores[0]
     phi = shapley_from_values(values, m)
-    return ShapleyReport(phi, values, imbalance(phi))
+    return Evaluation(*scores, values, phi, imbalance(phi))
 
 
 @dataclass

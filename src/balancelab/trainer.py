@@ -53,7 +53,7 @@ from . import datagen, fusion
 from .datagen import Dataset
 from .errors import ContractError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
-from .metrics import FlopsLedger, accuracy
+from .metrics import FlopsLedger, evaluate_accuracy
 from .numkit import mlp_backward
 
 if TYPE_CHECKING:  # methods imports this module
@@ -308,11 +308,6 @@ def _backward_into_model(
     """Backpropagate ``feature_grads`` through the encoders into ``grads`` (laid out like model)."""
     for i, fgrad in enumerate(feature_grads):
         mlp_backward(model.encoders[i], cache.enc_caches[i], fgrad, grads.encoders[i])
-
-
-def evaluate_accuracy(model: FusionModel, data: Dataset) -> float:
-    cache = fusion.forward(model, data.features)
-    return accuracy(fusion.predict(cache.logits), data.labels)
 
 
 def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:

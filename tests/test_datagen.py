@@ -418,6 +418,27 @@ class TestSidecar:
         assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
         assert os.listdir(tmp_path / "d.mmds.cache") == []
 
+    def test_an_interrupted_sidecar_write_leaves_no_file(self, tmp_path, monkeypatch):
+        """An interrupt between two of the sidecar's arrays leaves neither the sidecar nor its
+        temporary file, and the next load parses and writes it whole."""
+        path = self._saved(tmp_path)
+        save_array = np.save
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return save_array(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load(path)
+        assert os.listdir(tmp_path) == ["d.mmds"]
+        monkeypatch.setattr(np, "save", save_array)
+        assert _outcome(load, path) == _outcome(mmds_load, path)
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
+
     def test_a_file_that_fails_to_parse_is_never_cached(self, tmp_path):
         path = self._saved(tmp_path)
         load(path)

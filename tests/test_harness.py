@@ -128,6 +128,14 @@ class TestParseConfig:
         assert cfg.method_spec() == MethodSpec("gradmod")
 
 
+def _counted_forwards(monkeypatch) -> list:
+    """One entry per ``fusion.forward`` call from here on."""
+    calls = []
+    real = fusion.forward
+    monkeypatch.setattr(fusion, "forward", lambda *args: calls.append(None) or real(*args))
+    return calls
+
+
 class TestRunExperiment:
     def test_tiny_run_schema(self, tmp_path):
         cfg = parse_config_text(TINY).with_key("seeds", (1,))
@@ -140,6 +148,16 @@ class TestRunExperiment:
         assert row.flops_total > 0 and row.best_epoch >= 0
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("shapley", [True, False])
+    def test_one_evaluation_forward_per_cell(self, monkeypatch, shapley):
+        """Validation makes one forward per run and epoch; each cell's evaluation adds one."""
+        cfg = parse_config_text(TINY).with_key("eval.shapley", shapley)
+        calls = _counted_forwards(monkeypatch)
+        report = harness.run_experiment(cfg)
+        cells = len(report.rows)
+        assert cells == len(cfg.seeds) == 2
+        assert len(calls) == cells * cfg.get("train.epochs") + cells
 
     @pytest.mark.parametrize("shapley", [True, False])
     def test_aggregates_are_mean_and_population_std(self, shapley):
@@ -513,7 +531,7 @@ class TestRunSweep:
 
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
         out = tmp_path / "out"
-        real = metrics.evaluate_performance
+        real = metrics.shapley
         calls = []
 
         def interrupted(*args, **kwargs):
@@ -522,12 +540,12 @@ class TestRunSweep:
                 raise KeyboardInterrupt
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(metrics, "evaluate_performance", interrupted)
+        monkeypatch.setattr(metrics, "shapley", interrupted)
         with pytest.raises(KeyboardInterrupt):
             harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
         # the first cell was written before the second was evaluated
         assert os.listdir(out / "cells") == ["gradmod__seed1__0p0.json"]
-        monkeypatch.setattr(metrics, "evaluate_performance", real)
+        monkeypatch.setattr(metrics, "shapley", real)
         resumed = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0], out_dir=str(out))
         fresh = harness.run_sweep(cfg, "method.alpha", [0.0, 1.0])
         assert [r.to_dict() for r in resumed.rows] == [r.to_dict() for r in fresh.rows]
@@ -700,6 +718,42 @@ class TestCli:
         assert cli.main(["evaluate", "--config", TINY, "--checkpoint", str(ckpt)]) == 1
         assert capsys.readouterr().err.startswith(f"error: --checkpoint {str(ckpt)!r}: line 2: "
                                                   f"{message}")
+
+    @pytest.mark.parametrize("shapley", [True, False])
+    def test_evaluate_reads_the_model_with_one_forward(self, tmp_path, monkeypatch, capsys,
+                                                       shapley):
+        config = TINY + f"eval.shapley = {str(shapley).lower()}\n"
+        runs = tmp_path / "runs"
+        assert cli.main(["train", "--config", config, "--seeds", "1", "--out", str(runs)]) == 0
+        calls = _counted_forwards(monkeypatch)
+        assert cli.main(["evaluate", "--config", config, "--checkpoint",
+                         str(runs / "ckpt_baseline_seed1.mmck"), "--run-seed", "1"]) == 0
+        assert len(calls) == 1
+        assert ('"subset_values"' in capsys.readouterr().out) == shapley
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_evaluate_applies_trains_shapley_rule_from_the_header(self, tmp_path, monkeypatch,
+                                                                   capsys, m):
+        """The same line as train's, before the file body, the checkpoint or any forward."""
+        from balancelab import datagen
+
+        data = datagen.generate(parse_config_text(TINY).synthetic_spec())
+        path = tmp_path / "d.mmds"
+        datagen.save(datagen.Dataset((data.features * 2)[:m], data.labels, data.num_classes),
+                     path)
+
+        def unread(path):
+            raise AssertionError("the header alone decides this")
+
+        monkeypatch.setattr(datagen, "load", unread)
+        monkeypatch.setattr(fusion, "load_model", unread)
+        calls = _counted_forwards(monkeypatch)
+        rc = cli.main(["evaluate", "--config", f'dataset.path = "{path}"\n',
+                       "--checkpoint", str(tmp_path / "m.mmck")])
+        assert rc == 1 and calls == []
+        assert capsys.readouterr().err == (
+            f"error: dataset.path {str(path)!r}: eval.shapley needs 2 or 3 modalities, "
+            f"the file has {m} (set eval.shapley = false)\n")
 
     def test_sweep_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -9,6 +9,7 @@ from balancelab.errors import ContractError
 from balancelab.metrics import (
     FlopsLedger,
     accuracy,
+    evaluate_performance,
     imbalance,
     macro_f1,
     shapley,
@@ -186,6 +187,18 @@ class TestShapley:
             expected = masked_accuracy(model, data, subset)
             assert v == expected
             assert value_function(model, data, tuple(i in subset for i in range(m))) == expected
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reading_matches_evaluate_performance(self, m):
+        """shapley's accuracy and macro-F1 are evaluate_performance's bit for bit, and the
+        accuracy is v of the full set."""
+        model, data = trained_like_model(6, m=m)
+        model.head_bias[:] = np.random.default_rng(m).standard_normal(3)
+        ev = shapley(model, data)
+        perf = evaluate_performance(model, data)
+        assert (ev.accuracy, ev.macro_f1) == (perf.accuracy, perf.macro_f1)
+        assert ev.accuracy == ev.subset_values[frozenset(range(m))]
+        assert (perf.subset_values, perf.phi, perf.imbalance) == (None, None, None)
 
     def test_one_forward_per_call(self, monkeypatch):
         model, data = trained_like_model(5, m=3)
