@@ -150,6 +150,15 @@ CATALOGUE = [
            "return Evaluation(*scores, values,",
            "return Evaluation(values[frozenset({0})], scores[1], values,",
            ("tests/test_metrics.py::TestShapley::test_reading_matches_evaluate_performance",)),
+    Mutant("relu-mask-open-at-zero", "src/balancelab/numkit.py",
+           "dz *= cache.inputs[t] > 0.0", "dz *= cache.inputs[t] >= 0.0",
+           ("tests/test_numkit.py::TestMlpBackward::"
+            "test_zero_pre_activation_passes_no_gradient",
+            "tests/test_numkit.py::TestMlpBackward::test_matches_finite_differences")),
+    Mutant("split-parts-unsorted", "src/balancelab/datagen.py",
+           "data.subset(np.sort(np.concatenate(b)))", "data.subset(np.concatenate(b))",
+           ("tests/test_datagen.py::TestSplit::test_matches_the_list_oracle",
+            "tests/test_engine.py::test_training_bits_pinned")),
 ]
 
 

@@ -116,10 +116,10 @@ class Dataset:
         return tuple(f.shape[1] for f in self.features)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        """The rows ``idx``, an index array, which already takes each as a new array."""
+        """The rows ``idx``, an integer index array, each gathered into a new array."""
         return Dataset(
-            [f[idx] for f in self.features],
-            self.labels[idx],
+            [f.take(idx, axis=0) for f in self.features],
+            self.labels.take(idx),
             self.num_classes,
         )
 
@@ -204,28 +204,25 @@ def split(
         raise SpecError(f"split sizes {sizes} include an empty split for N={n}")
 
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[], [], []]
-    leftover: list[int] = []
+    buckets: list[list[np.ndarray]] = [[], [], []]
+    leftover = []
     for h in range(data.num_classes):
         idx = np.flatnonzero(data.labels == h)
         idx = idx[rng.permutation(idx.size)]
-        base = [int(np.floor(f * idx.size)) for f in fractions]
         pos = 0
-        for s in range(3):
-            buckets[s].extend(idx[pos : pos + base[s]].tolist())
-            pos += base[s]
-        leftover.extend(idx[pos:].tolist())
+        for s, f in enumerate(fractions):
+            base = int(np.floor(f * idx.size))
+            buckets[s].append(idx[pos : pos + base])
+            pos += base
+        leftover.append(idx[pos:])
     # top up deficits in split order from the leftover pool
+    pool = np.concatenate(leftover)
     pos = 0
     for s in range(3):
-        need = sizes[s] - len(buckets[s])
-        buckets[s].extend(leftover[pos : pos + need])
+        need = sizes[s] - sum(part.size for part in buckets[s])
+        buckets[s].append(pool[pos : pos + need])
         pos += need
-    parts = []
-    for s in range(3):
-        order = np.array(sorted(buckets[s]), dtype=np.int64)
-        parts.append(data.subset(order))
-    return parts[0], parts[1], parts[2]
+    return tuple(data.subset(np.sort(np.concatenate(b))) for b in buckets)
 
 
 def batches(

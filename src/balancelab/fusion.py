@@ -158,8 +158,9 @@ def encode(model: FusionModel, batch: list[np.ndarray]) -> tuple[list[np.ndarray
     """Each encoder's features for a batch (one matrix per modality), and its cache.
 
     A stacked model takes a stacked batch, (R, B, d_i) per modality.
-    ``features[i]`` is ``enc_caches[i]``'s last pre-activation array itself,
-    so copy it before changing it. Its FLOPs are :func:`charge_forward`'s.
+    ``features[i]`` is ``enc_caches[i].output`` itself, the one pre-activation
+    the cache keeps (hidden layers are rectified in place), so copy it before
+    changing it. Its FLOPs are :func:`charge_forward`'s.
     """
     m = model.num_modalities
     if len(batch) != m:

@@ -115,8 +115,8 @@ def _subset_accuracy(model: FusionModel, cache: ForwardCache, labels: np.ndarray
                      kept) -> float:
     """v(A) for the modality indices ``kept`` (ascending) from an unmasked pass."""
     logits = np.broadcast_to(model.head_bias, cache.logits.shape)
-    for i in kept:
-        logits = logits + cache.block_products[i]
+    for n, i in enumerate(kept):  # the first sum makes the one array the others add into
+        logits = np.add(logits, cache.block_products[i], out=logits if n else None)
     return accuracy(fusion.predict(logits), labels)
 
 

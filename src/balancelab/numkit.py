@@ -10,9 +10,9 @@ Conventions used throughout the package:
   ``(R, d_out, d_in)`` and batches ``(R, B, d)``: R models then run in
   lockstep, and each run's slice is computed bit for bit as it would be
   alone.
-- Hidden layers use the rectifier; the output layer is affine (identity).
-  The rectifier subgradient at exactly 0 is defined as 0, so bit-exact
-  reproducibility does not depend on how ties are broken.
+- Hidden layers use the rectifier, applied in place; the output layer is
+  affine (identity). The rectifier subgradient at exactly 0 is defined as
+  0, so bit-exact reproducibility does not depend on how ties are broken.
 
 ``mlp_forward`` is pure; ``mlp_backward`` writes parameter gradients, and
 nothing else, into the container it is given.
@@ -73,13 +73,15 @@ class MlpParams:
 class MlpCache:
     """Intermediate values from one forward pass, sufficient for exact backward.
 
-    ``inputs[t]`` is the batch fed into layer t; ``preacts[t]`` the affine
-    output of layer t before any activation. ``shapes`` records the layer
-    shapes so a mismatched cache can be rejected in backward.
+    ``inputs[t]`` is the batch fed into layer t; for t >= 1, layer t-1's
+    rectified output, made in place over its affine output, so no hidden
+    pre-activation is kept: it is > 0 exactly where that pre-activation is.
+    ``output`` is the last layer's affine output. ``shapes`` records the
+    layer shapes so a mismatched cache can be rejected in backward.
     """
 
     inputs: list[np.ndarray]
-    preacts: list[np.ndarray]
+    output: np.ndarray
     shapes: tuple[tuple[int, int], ...]
 
 
@@ -95,17 +97,15 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]
             f"input has {x.shape[-1]} features, first layer expects {params.input_dim}"
         )
     inputs: list[np.ndarray] = []
-    preacts: list[np.ndarray] = []
     h = x
-    last = len(params.layers) - 1
     for t, layer in enumerate(params.layers):
+        if t:
+            np.maximum(h, 0.0, out=h)  # rectify layer t-1's output in place
         inputs.append(h)
-        z = h @ layer.weight.swapaxes(-1, -2)
-        z += layer.bias[..., None, :]
-        preacts.append(z)
-        h = z if t == last else np.maximum(z, 0.0)
+        h = h @ layer.weight.swapaxes(-1, -2)
+        h += layer.bias[..., None, :]
     shapes = tuple(l.weight.shape[-2:] for l in params.layers)
-    return h, MlpCache(inputs, preacts, shapes)
+    return h, MlpCache(inputs, h, shapes)
 
 
 def mlp_backward(
@@ -123,10 +123,10 @@ def mlp_backward(
         raise ContractError(
             f"cache built for layer shapes {cache.shapes}, params have {shapes}"
         )
-    if output_grad.shape != cache.preacts[-1].shape:
+    if output_grad.shape != cache.output.shape:
         raise ContractError(
             f"output_grad shape {output_grad.shape} does not match forward "
-            f"output {cache.preacts[-1].shape}"
+            f"output {cache.output.shape}"
         )
     dz = output_grad
     for t in range(len(params.layers) - 1, -1, -1):
@@ -134,5 +134,5 @@ def mlp_backward(
         dz.sum(axis=-2, out=out.layers[t].bias)
         if t:
             dz = dz @ params.layers[t].weight
-            dz *= cache.preacts[t - 1] > 0.0  # the product just made, never output_grad
+            dz *= cache.inputs[t] > 0.0  # the product just made, never output_grad
 

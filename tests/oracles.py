@@ -6,8 +6,9 @@ uses the true generative means, the Shapley check uses the
 subset-weighted formula instead of permutation averaging, masked evaluation
 zeroes features between the encoders and the head, the modality scores take one
 softmax per modality, the cosine and KL references restate their
-methods' definitions directly, and the MMDS reader and writer parse and
-format one record, one value at a time.
+methods' definitions directly, the MMDS reader and writer parse and
+format one record, one value at a time, and the split moves its indices
+through Python lists.
 """
 
 import itertools
@@ -15,9 +16,9 @@ import math
 
 import numpy as np
 
-from balancelab import fusion, metrics, trainer
+from balancelab import datagen, fusion, metrics, trainer
 from balancelab.datagen import FLOAT_FMT, Dataset, header_fields
-from balancelab.errors import FormatError
+from balancelab.errors import FormatError, SpecError
 from balancelab.numkit import LayerParams, MlpParams
 
 
@@ -176,6 +177,42 @@ def symmetric_kl(p, q):
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     return float(np.sum(p * np.log(p / q)) + np.sum(q * np.log(q / p)))
+
+
+def split_lists(data, fractions, seed):
+    """``datagen.split``'s train/val/test parts, each index moved through a list.
+
+    Each class's seeded shuffle gives floor(f * count) indices to each
+    split in turn; the rest, class by class, top the splits up in order to
+    their largest-remainder sizes, and each part takes its rows ascending.
+    """
+    datagen.check_fractions(fractions)
+    n = data.num_samples
+    sizes = datagen._largest_remainder(tuple(fractions), n)
+    if any(s == 0 for s in sizes):
+        raise SpecError(f"split sizes {sizes} include an empty split for N={n}")
+    rng = np.random.default_rng(seed)
+    buckets, leftover = [[], [], []], []
+    for h in range(data.num_classes):
+        idx = np.flatnonzero(data.labels == h)
+        idx = idx[rng.permutation(idx.size)]
+        pos = 0
+        for s in range(3):
+            base = int(np.floor(fractions[s] * idx.size))
+            buckets[s].extend(idx[pos : pos + base].tolist())
+            pos += base
+        leftover.extend(idx[pos:].tolist())
+    pos = 0
+    for s in range(3):
+        need = sizes[s] - len(buckets[s])
+        buckets[s].extend(leftover[pos : pos + need])
+        pos += need
+    parts = []
+    for bucket in buckets:
+        order = np.array(sorted(bucket), dtype=np.int64)
+        parts.append(Dataset([f[order] for f in data.features], data.labels[order],
+                             data.num_classes))
+    return parts
 
 
 def mmds_save(data, path):

@@ -10,7 +10,7 @@ from balancelab.datagen import (Dataset, SyntheticSpec, batches, generate, load,
                                 save, split)
 from balancelab.errors import FormatError, SpecError
 
-from oracles import bayes_accuracy, class_means, mmds_load, mmds_save
+from oracles import bayes_accuracy, class_means, mmds_load, mmds_save, split_lists
 
 SPEC = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 400, 7)
 
@@ -114,6 +114,37 @@ class TestSplit:
             assert counts.min() > 0
             # every split mirrors the dataset's class proportions closely
             assert np.abs(counts - frac * class_counts).max() <= 2.0
+
+    @pytest.mark.parametrize("n", [7, 13, 37, 100, 4000, 10_000])
+    def test_matches_the_list_oracle(self, n):
+        """Same rows in the same order, or the same error, over H, fractions and seeds."""
+        topped_up = 0
+        for h in range(2, 11):
+            for seed in (0, 1, 2):
+                rng = np.random.default_rng([n, h, seed])
+                labels = rng.choice(h, size=n, p=rng.dirichlet(np.ones(h)))
+                # column 0 holds each row's index, so equal bytes mean equal index order
+                data = Dataset([np.arange(n, dtype=np.float64)[:, None],
+                                rng.standard_normal((n, 2))], labels, h)
+                for fractions in ((0.8, 0.1, 0.1), (0.98, 0.01, 0.01), (0.6, 0.2, 0.2),
+                                  (1 / 3, 1 / 3, 1 / 3), (0.5, 0.3, 0.2)):
+                    try:
+                        want = split_lists(data, fractions, seed)
+                    except SpecError as error:
+                        with pytest.raises(SpecError) as got:
+                            split(data, fractions, seed)
+                        assert str(got.value) == str(error)
+                        continue
+                    got = split(data, fractions, seed)
+                    for a, b in zip(got, want, strict=True):
+                        assert a.num_classes == b.num_classes
+                        assert (a.labels.dtype, a.labels.tobytes()) == (b.labels.dtype,
+                                                                       b.labels.tobytes())
+                        for fa, fb in zip(a.features, b.features, strict=True):
+                            assert (fa.shape, fa.tobytes()) == (fb.shape, fb.tobytes())
+                    counts = np.bincount(labels, minlength=h)
+                    topped_up += sum(int(np.floor(f * c)) for f in fractions for c in counts) < n
+        assert topped_up  # some cases take rows from the leftover pool
 
 
 class TestBatches:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,23 @@ class TestMlpForward:
             ]
         )
         out, cache = mlp_forward(params, np.array([[-1.0]]))
-        assert cache.preacts[0][0, 0] == -1.0
+        assert cache.inputs[1][0, 0] == 0.0
         assert out[0, 0] == 0.75
+
+    def test_cache_holds_layer_inputs_and_output_only(self):
+        rng = np.random.default_rng(6)
+        params = random_mlp([4, 7, 5, 3], rng)
+        x = rng.standard_normal((9, 4))
+        before = x.tobytes()
+        out, cache = mlp_forward(params, x)
+        assert [f.name for f in dataclasses.fields(cache)] == ["inputs", "output", "shapes"]
+        assert x.tobytes() == before and cache.inputs[0] is x and cache.output is out
+        h = x
+        for t, layer in enumerate(params.layers[:-1]):
+            h = np.maximum(h @ layer.weight.T + layer.bias, 0.0)
+            # the rectified output of layer t, with no negative pre-activation kept
+            assert cache.inputs[t + 1].tobytes() == h.tobytes()
+        assert len(cache.inputs) == len(params.layers)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -106,6 +123,23 @@ class TestMlpBackward:
                 return float((out * direction).sum())
 
             assert fd_max_rel_error(loss, layer_arrays(params), layer_arrays(grads), 1e-5) < 1e-5
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+    def test_zero_pre_activation_passes_no_gradient(self, zero):
+        params = MlpParams(
+            [
+                LayerParams(np.array([[1.0]]), np.array([-2.0])),
+                LayerParams(np.array([[1.5]]), np.array([0.25])),
+            ]
+        )
+        out, cache = mlp_forward(params, np.array([[2.0]]))
+        assert cache.inputs[1][0, 0] == 0.0  # the pre-activation 2 * 1 - 2 is exactly +0.0
+        # matmul and the bias add here never form -0.0, so rectify that one by hand
+        np.maximum(np.array([[zero]]), 0.0, out=cache.inputs[1])
+        grads = mlp_copy(params)
+        mlp_backward(params, cache, np.ones_like(out), grads)
+        assert grads.layers[0].weight[0, 0] == 0.0 and grads.layers[0].bias[0] == 0.0
+        assert grads.layers[1].weight[0, 0] == 0.0 and grads.layers[1].bias[0] == 1.0
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(5)
