@@ -159,6 +159,15 @@ CATALOGUE = [
            "data.subset(np.sort(np.concatenate(b)))", "data.subset(np.concatenate(b))",
            ("tests/test_datagen.py::TestSplit::test_matches_the_list_oracle",
             "tests/test_engine.py::test_training_bits_pinned")),
+    Mutant("save-hashes-records-only", "src/balancelab/datagen.py",
+           "digest = hashlib.sha256(head)", "digest = hashlib.sha256()",
+           ("tests/test_datagen.py::TestSaveLeavesTheSidecar::"
+            "test_a_saved_file_loads_with_no_parse",
+            "tests/test_datagen.py::TestSaveLeavesTheSidecar::test_a_stale_sidecar_is_replaced")),
+    Mutant("save-caches-nan", "src/balancelab/datagen.py",
+           "if regular and not any(np.isnan(f).any() for f in data.features):", "if regular:",
+           ("tests/test_datagen.py::TestSaveLeavesTheSidecar::"
+            "test_a_nan_is_read_as_the_parse_reads_it",)),
 ]
 
 

@@ -16,14 +16,18 @@ Dataset file format (text, one record per line)::
     <label>|<v1 ... v_d1>|<v1 ... v_d2>|...
 
 Values are decimal with 17 significant digits, which round-trips float64
-bitwise. ``load`` also reads other blank layouts: tabs or runs of spaces
-between values, blanks around a field, CRLF line ends, no final newline.
+bitwise; a NaN is written ``nan``, so it reads back as the default quiet NaN
+whatever its sign and payload were. ``load`` also reads other blank layouts:
+tabs or runs of spaces between values, blanks around a field, CRLF line
+ends, no final newline.
 
 ``load`` keeps each regular file's parse in a binary sidecar ``<path>.cache``
 next to it, keyed by the sha256 of the file's bytes, so a later load of the
-same bytes skips the text parse. The sidecar is safe to delete. None is
-written for a path that is not a regular file (a FIFO, ``/dev/stdin``), for
-a file that fails to parse, or where the directory is not writable.
+same bytes skips the text parse. ``save`` hashes the bytes it writes and
+leaves the same sidecar, so a file it wrote is never parsed. The sidecar is
+safe to delete. None is written for a path that is not a regular file (a
+FIFO, ``/dev/stdin``), for a file that fails to parse, where the directory
+is not writable, or by ``save`` for data holding a NaN.
 """
 
 from __future__ import annotations
@@ -258,20 +262,35 @@ def batches(
 
 
 def save(data: Dataset, path) -> None:
-    """Write the dataset in the MMDS v1 text format, one format string per record."""
+    """Write the dataset in the MMDS v1 text format, one format string per record.
+
+    :func:`load` reads every value back bit for bit, except that each NaN
+    comes back as the default quiet NaN (``%.17g`` drops a NaN's sign and
+    payload). Every byte written goes through one sha256, and a regular file
+    gets the sidecar ``<path>.cache`` that its first load would write, so no
+    load parses the text just written. No sidecar is left for data holding a
+    NaN (the parse's bits are not the data's), for a path that is not a
+    regular file, or where the sidecar cannot be written; :func:`load`'s digest
+    check then rejects any sidecar of earlier bytes still there.
+    """
     dims = ",".join(str(d) for d in data.dims)
     record = "|".join(["%d"] + [" ".join([FLOAT_FMT] * d) for d in data.dims]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("MMDS v1\n")
-        fh.write(
-            f"m={data.num_modalities} H={data.num_classes} N={data.num_samples} dims={dims}\n"
-        )
+    head = (f"MMDS v1\nm={data.num_modalities} H={data.num_classes} N={data.num_samples} "
+            f"dims={dims}\n").encode("ascii")
+    digest = hashlib.sha256(head)
+    with open(path, "wb") as fh:
+        fh.write(head)
         # a chunk at a time: tolist() of the whole table would hold every value as a Python float
         for start in range(0, data.num_samples, CHUNK_LINES):
             rows = slice(start, start + CHUNK_LINES)
             values = np.hstack([f[rows] for f in data.features]).tolist()
-            fh.write("".join([record % (label, *row)
-                              for label, row in zip(data.labels[rows].tolist(), values)]))
+            chunk = "".join([record % (label, *row) for label, row
+                             in zip(data.labels[rows].tolist(), values)]).encode("ascii")
+            digest.update(chunk)
+            fh.write(chunk)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    if regular and not any(np.isnan(f).any() for f in data.features):
+        _write_cache(f"{os.fspath(path)}.cache", digest.digest(), data)
 
 
 def header_fields(line: str) -> dict[str, str]:
@@ -428,7 +447,8 @@ def _write_cache(path: str, digest: bytes, data: Dataset) -> None:
 
 
 def load(path) -> Dataset:
-    """Read an MMDS v1 file; inverse of :func:`save` bit for bit.
+    """Read an MMDS v1 file; inverse of :func:`save` bit for bit, but for a NaN's sign
+    and payload (every NaN reads as the default quiet NaN).
 
     Records are read and parsed :data:`CHUNK_LINES` at a time, by
     :func:`_parse_chunk`. A wrong record count is reported (on line 2)

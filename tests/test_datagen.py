@@ -362,13 +362,17 @@ def _one_digit_changed(text: str) -> str:
 class TestSidecar:
     SPEC = SyntheticSpec(3, 3, (3, 1, 2), (2.0, 1.0, 1.0), 1.0, 40, 5)
 
-    def _saved(self, directory):
+    def _saved(self, directory, sidecar=True):
+        """``d.mmds`` saved in ``directory``; without the sidecar that ``save`` leaves
+        unless ``sidecar``, so that the first load parses and writes its own."""
         path = directory / "d.mmds"
         save(generate(self.SPEC), path)
+        if not sidecar:
+            os.remove(directory / "d.mmds.cache")
         return path
 
     def test_second_load_reads_the_sidecar(self, tmp_path, monkeypatch):
-        path = self._saved(tmp_path)
+        path = self._saved(tmp_path, sidecar=False)
         expected = _outcome(mmds_load, path)
         assert _outcome(load, path) == expected
         calls = _counted_parses(monkeypatch)
@@ -392,7 +396,7 @@ class TestSidecar:
         assert _outcome(load, path) == after and calls == []
 
     def test_a_file_changed_during_its_parse_is_not_cached(self, tmp_path, monkeypatch):
-        path = self._saved(tmp_path)
+        path = self._saved(tmp_path, sidecar=False)
         expected = _outcome(mmds_load, path)
         text = path.read_text()
         parse = datagen._parse_chunk
@@ -441,7 +445,7 @@ class TestSidecar:
     def test_an_unwritable_sidecar_location_is_skipped(self, tmp_path):
         """A directory where the sidecar would go: the load still parses, raises nothing, and
         leaves no temporary file (this holds when tests run as root, unlike a read-only mode)."""
-        path = self._saved(tmp_path)
+        path = self._saved(tmp_path, sidecar=False)
         (tmp_path / "d.mmds.cache").mkdir()
         expected = _outcome(mmds_load, path)
         assert _outcome(load, path) == expected
@@ -452,7 +456,7 @@ class TestSidecar:
     def test_an_interrupted_sidecar_write_leaves_no_file(self, tmp_path, monkeypatch):
         """An interrupt between two of the sidecar's arrays leaves neither the sidecar nor its
         temporary file, and the next load parses and writes it whole."""
-        path = self._saved(tmp_path)
+        path = self._saved(tmp_path, sidecar=False)
         save_array = np.save
         calls = []
 
@@ -495,7 +499,7 @@ class TestSidecar:
         caches = []
         for name in ("a", "b"):
             (tmp_path / name).mkdir()
-            path = self._saved(tmp_path / name)
+            path = self._saved(tmp_path / name, sidecar=False)
             load(path)
             caches.append((tmp_path / name / "d.mmds.cache").read_bytes())
         assert caches[0] == caches[1]
@@ -512,6 +516,127 @@ class TestSidecar:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert not (tmp_path / "pipe.mmds.cache").exists()
+
+
+def _spec(m: int, n: int, seed: int = 5) -> SyntheticSpec:
+    return SyntheticSpec(m, 3, (3, 1, 2)[:m], (2.0, 1.0, 1.0)[:m], 1.0, n, seed)
+
+
+def _with_bits(data: Dataset, bits: dict[tuple[int, int, int], int]) -> Dataset:
+    """``data`` with the value at each (modality, row, column) key set to the float64 of
+    the given bit pattern."""
+    features = [f.copy() for f in data.features]
+    for (i, row, col), pattern in bits.items():
+        features[i][row, col] = np.array(pattern, np.uint64).view(np.float64)
+    return Dataset(features, data.labels, data.num_classes)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+class TestSaveLeavesTheSidecar:
+    """``save`` leaves the sidecar that the first ``load`` would write."""
+
+    @pytest.mark.parametrize("n", [0, datagen.CHUNK_LINES + 9])
+    def test_a_saved_file_loads_with_no_parse(self, tmp_path, monkeypatch, m, n):
+        """Infinities, signed zeros and subnormals keep the sidecar too."""
+        dims = _spec(m, 3).dims
+        data = (Dataset([np.empty((0, d)) for d in dims], np.empty(0, np.int64), 3) if n == 0
+                else _with_bits(generate(_spec(m, n)), {
+                    (0, 0, 0): 0x7FF0000000000000, (0, 0, 1): 0xFFF0000000000000,
+                    (m - 1, 1, 0): 0x8000000000000000, (m - 1, n - 1, 0): 0x0000000000000001}))
+        path = tmp_path / "d.mmds"
+        save(data, path)
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
+        calls = _counted_parses(monkeypatch)
+        back = _outcome(load, path)
+        assert calls == []
+        assert back == _outcome(mmds_load, path) == _outcome(lambda _: data, path)
+
+    def test_the_saved_sidecar_is_the_one_load_writes(self, tmp_path, monkeypatch, m):
+        path = tmp_path / "d.mmds"
+        save(generate(_spec(m, datagen.CHUNK_LINES + 9)), path)
+        cache = tmp_path / "d.mmds.cache"
+        saved = cache.read_bytes()
+        cache.unlink()
+        calls = _counted_parses(monkeypatch)
+        load(path)
+        assert calls
+        assert cache.read_bytes() == saved
+
+    def test_a_directory_at_the_sidecar_path_is_skipped(self, tmp_path, m):
+        """``save`` writes the text, raises nothing and leaves no temporary file."""
+        data = generate(_spec(m, 40))
+        (tmp_path / "d.mmds.cache").mkdir()
+        save(data, tmp_path / "d.mmds")
+        mmds_save(data, tmp_path / "ref.mmds")
+        assert (tmp_path / "d.mmds").read_bytes() == (tmp_path / "ref.mmds").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache", "ref.mmds"]
+        assert os.listdir(tmp_path / "d.mmds.cache") == []
+
+    def test_an_interrupted_sidecar_write_keeps_the_whole_text(self, tmp_path, monkeypatch, m):
+        """An interrupt between two of the sidecar's arrays leaves the complete text file
+        and neither the sidecar nor its temporary file."""
+        data = generate(_spec(m, datagen.CHUNK_LINES + 9))
+        save_array = np.save
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return save_array(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save(data, tmp_path / "d.mmds")
+        monkeypatch.setattr(np, "save", save_array)
+        assert os.listdir(tmp_path) == ["d.mmds"]
+        mmds_save(data, tmp_path / "ref.mmds")
+        assert (tmp_path / "d.mmds").read_bytes() == (tmp_path / "ref.mmds").read_bytes()
+
+    def test_an_interrupt_while_the_records_are_written_leaves_no_sidecar(self, tmp_path,
+                                                                         monkeypatch, m):
+        data = generate(_spec(m, datagen.CHUNK_LINES + 9))
+        hstack = np.hstack
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # the second chunk
+                raise KeyboardInterrupt
+            return hstack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "hstack", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save(data, tmp_path / "d.mmds")
+        assert os.listdir(tmp_path) == ["d.mmds"]
+
+    def test_a_stale_sidecar_is_replaced(self, tmp_path, monkeypatch, m):
+        path = tmp_path / "d.mmds"
+        save(generate(_spec(m, 40, seed=1)), path)
+        before = _outcome(load, path)
+        save(generate(_spec(m, 40, seed=2)), path)
+        calls = _counted_parses(monkeypatch)
+        after = _outcome(load, path)
+        assert calls == []
+        assert after == _outcome(mmds_load, path) != before
+
+    def test_a_nan_is_read_as_the_parse_reads_it(self, tmp_path, monkeypatch, m):
+        """``nan`` on disk reads as the default quiet NaN, whatever the saved NaN's sign and
+        payload; so ``save`` leaves no sidecar, and both the parse and the sidecar that the
+        parse writes give the reference reader's bits."""
+        data = _with_bits(generate(_spec(m, 40)), {(0, 3, 1): 0xFFF8000000000000,
+                                                   (m - 1, 5, 0): 0x7FF8000000000123})
+        path = tmp_path / "d.mmds"
+        save(data, path)
+        assert os.listdir(tmp_path) == ["d.mmds"]
+        expected = _outcome(mmds_load, path)
+        assert expected != _outcome(lambda _: data, path)
+        calls = _counted_parses(monkeypatch)
+        for parsed in (True, False):
+            calls.clear()
+            assert _outcome(load, path) == expected
+            assert bool(calls) == parsed
+        assert sorted(os.listdir(tmp_path)) == ["d.mmds", "d.mmds.cache"]
 
 
 MUTANT_LABELS = ("-1", "3", "1.0", "x")  # the file has H = 3
