@@ -168,6 +168,21 @@ CATALOGUE = [
            "if regular and not any(np.isnan(f).any() for f in data.features):", "if regular:",
            ("tests/test_datagen.py::TestSaveLeavesTheSidecar::"
             "test_a_nan_is_read_as_the_parse_reads_it",)),
+    Mutant("stack-ignores-recipe", "src/balancelab/harness.py",
+           "trainer.fit(members[0].cfg.train_config(), ",
+           "trainer.fit(cells[0].cfg.train_config(), ",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_each_cell_equals_run_experiment_at_its_value",
+            "tests/test_harness.py::TestRunSweep::"
+            "test_jobs_split_a_sweep_of_several_recipes_without_changing_reports")),
+    Mutant("sweep-cells-use-base-config", "src/balancelab/harness.py",
+           "_Cell(seed, cell_cfg, sweep_param,", "_Cell(seed, cfg, sweep_param,",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_each_cell_equals_run_experiment_at_its_value",)),
+    Mutant("with-key-skips-kind", "src/balancelab/config.py",
+           "kind = kind_of(key)\n        if not _is_kind(value, kind):",
+           "kind = kind_of(key)\n        if False:",
+           ("tests/test_harness.py::TestParseConfig::test_with_key_checks_the_kind",)),
 ]
 
 

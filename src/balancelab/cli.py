@@ -6,11 +6,14 @@ Subcommands::
     balancelab train    --config cfg --out dir      run the configured method
     balancelab evaluate --config cfg --checkpoint f         metrics for a checkpoint
     balancelab sweep    --config cfg --param method.alpha --values 0,1,2
+    balancelab sweep    --config cfg --param train.lr --values 0.001,0.01
     balancelab table    --reports a.json b.json     cross-method comparison
 
 Master-seed precedence: ``--master-seed`` flag, then the ``BALANCELAB_SEED``
 environment variable, then the config ``seed`` key. ``--seeds`` replaces the
-config seed list; ``evaluate`` reads one run seed, from ``--run-seed``. Each
+config seed list; ``evaluate`` reads one run seed, from ``--run-seed``.
+``sweep`` sets ``--param``, any int or float config key a cell reads, to
+each value in turn, one config per value, each run over every seed. Each
 subcommand accepts only the flags it reads. Exit code is 0 only when every
 run succeeded; a user error, or an output that cannot be written, exits 1
 with one ``error:`` line.
@@ -23,7 +26,7 @@ import json
 import os
 import sys
 
-from . import datagen, fusion, harness, metrics
+from . import datagen, fusion, harness
 from .config import ExperimentConfig, coerce, parse_config
 from .errors import BalanceLabError, ConfigError
 
@@ -71,18 +74,15 @@ def _cmd_evaluate(args) -> int:
     if args.run_seed is not None:
         cfg = cfg.with_key("seeds", (coerce("--run-seed", "int", args.run_seed),))
     run_seed = cfg.seeds[0]
-    harness._modality_count(cfg)  # train's Shapley rule, from the header alone
-    data_seed, split_seed, _, _ = harness.derived_seeds(cfg.master_seed, run_seed)
-    data = harness.load_run_data(cfg, data_seed)
-    _, _, test_set = datagen.split(data, cfg.fractions, split_seed)
+    harness.modality_count(cfg)  # train's Shapley rule, from the header alone
+    _, _, test_set = harness.run_splits(cfg, run_seed)
     model = harness.read_input("--checkpoint", fusion.load_model, args.checkpoint)
     input_dims = tuple(sizes[0] for sizes in model.arch)
     if (model.num_classes, input_dims) != (test_set.num_classes, test_set.dims):
         raise ConfigError(f"--checkpoint {args.checkpoint!r}: a {model.num_classes}-class "
                           f"model of input dims {input_dims}, but the config's data has "
                           f"{test_set.num_classes} classes of dims {test_set.dims}")
-    read = metrics.shapley if cfg.shapley_enabled else metrics.evaluate_performance
-    ev = read(model, test_set)
+    ev = harness.evaluate_model(cfg, model, test_set)
     out = {
         "checkpoint": args.checkpoint,
         "run_seed": run_seed,
@@ -155,9 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-seed", default=None, help="run seed whose test split to use")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="grid-sweep one method parameter")
+    p = sub.add_parser("sweep", help="grid-sweep one numeric config key")
     common(p)
-    p.add_argument("--param", required=True, help="e.g. method.alpha")
+    p.add_argument("--param", required=True,
+                   help="an int or float config key, e.g. method.alpha or train.lr")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=_cmd_sweep)
 
@@ -181,7 +182,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an output that cannot be written; inputs go through read_input
-        where = "" if exc.filename is None else f"{exc.filename!r}: "
+        name = exc.filename if exc.filename2 is None else exc.filename2  # a rename's target
+        where = "" if name is None else f"{name!r}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 

@@ -175,9 +175,12 @@ class ExperimentConfig:
     # --- updates and serialization ---------------------------------------
 
     def with_key(self, key: str, value) -> "ExperimentConfig":
-        """This config with ``key`` set to ``value``, validated as a parsed config is."""
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown key {key!r}")
+        """This config with ``key`` set to ``value``, held to ``from_dict``'s kind check
+        and validated as a parsed config is."""
+        kind = kind_of(key)
+        if not _is_kind(value, kind):
+            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
+        value = _from_json(kind, value)
         cfg = ExperimentConfig(tuple((k, value if k == key else v) for k, v in self.values))
         _validate(cfg, explicit={key})
         return cfg
@@ -200,9 +203,7 @@ class ExperimentConfig:
         ConfigError.
         """
         for key, value in d.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"unknown key {key!r}")
-            kind = _SCHEMA[key][0]
+            kind = kind_of(key)
             if not _is_kind(value, kind):
                 raise ConfigError(f"{key}: expected {kind}, got {value!r}")
         cfg = ExperimentConfig(tuple((key, _from_json(kind, d[key]) if key in d else default)
@@ -211,17 +212,25 @@ class ExperimentConfig:
         return cfg
 
 
+def kind_of(key: str) -> str:
+    """The schema kind of ``key``: int, float, bool, str, ints or floats."""
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown key {key!r}")
+    return _SCHEMA[key][0]
+
+
 def _is_kind(value, kind: str) -> bool:
-    """Whether a JSON value can stand for a schema ``kind`` value (a float kind takes ints)."""
+    """Whether a JSON or parsed value can stand for a schema ``kind`` value (a float
+    kind takes ints; a list kind, a list or tuple)."""
     if kind in ("ints", "floats"):
-        return isinstance(value, list) and all(_is_kind(v, kind[:-1]) for v in value)
+        return isinstance(value, (list, tuple)) and all(_is_kind(v, kind[:-1]) for v in value)
     if kind == "bool" or isinstance(value, bool):
         return kind == "bool" and isinstance(value, bool)
     return isinstance(value, {"int": int, "float": (int, float), "str": str}[kind])
 
 
 def _from_json(kind: str, value):
-    """A JSON value of schema ``kind`` as the parser would hold it."""
+    """A value of schema ``kind`` as the parser would hold it."""
     if kind in ("ints", "floats"):
         return tuple(_from_json(kind[:-1], v) for v in value)
     return float(value) if kind == "float" else value

@@ -1,32 +1,35 @@
 """Config-driven experiment runner: seeded runs, sweeps, comparison tables.
 
-Every run is one (setting, seed) cell, a setting being one
-``MethodSpec(kind, value)``. A cell derives four independent generator
-seeds (data, split, init, train) from the pair (master seed, run seed),
-executes the full pipeline, and produces one report row. The report's
-columns are ``RunRow``'s fields in order, phi expanded to phi_1..phi_m;
-phi and imbalance are empty when ``eval.shapley = false``. Each (method,
-sweep value) group adds a mean row and a std row, the population sd (ddof 0).
+Every run is one (config, seed) cell. A cell derives four independent
+generator seeds (data, split, init, train) from the pair (master seed, run
+seed), executes the full pipeline under its own config, and produces one
+report row. The report's columns are ``RunRow``'s fields in order, phi
+expanded to phi_1..phi_m; phi and imbalance are empty when ``eval.shapley =
+false``. Each (method, sweep value) group adds a mean row and a std row, the
+population sd (ddof 0).
 
-``run_experiment`` (the configured setting) and ``run_sweep`` (one setting
-per value) share one report path: cells, then aggregates, then the written
-report. The modality count, which sets the report's phi columns, is read
-before any cell trains: ``dataset.modalities`` for synthetic data, the MMDS
-header (``datagen.read_header``) for a dataset file.
+``run_experiment`` (one cell config, the call's) and ``run_sweep`` (per
+value, the call's config with the swept key set by ``with_key``) share one
+report path: cells, then aggregates, then the written report. The modality
+count, which sets the report's phi columns, is read before any cell trains:
+``dataset.modalities`` for synthetic data, the MMDS header
+(``datagen.read_header``) for a dataset file.
 
-Each cell's record (its cell file, fingerprint and checkpoint path) is made
-once per call, and both the cache read and the worker's write use it. The
-uncached cells of one call share one config and shapes, so they train as
-one ``trainer.fit`` stack, one ``trainer.Run`` per cell (its split, initial
-model, train seed and setting); ``jobs`` (at least 1) splits the
-stack across worker processes. Each cell is written to ``<out>/cells/`` as soon as it is
-evaluated after its stack has trained, so an interrupted call resumes
-without recomputing those cells, but it retrains every cell of a stack
-still training. A cell file whose config fingerprint differs, that cannot
+Each cell's record (its config, cell file, fingerprint and checkpoint path)
+is made once per call, and both the cache read and the worker's write use
+it. The uncached cells train as one ``trainer.Run`` each (its split, initial
+model, train seed and method), in one ``trainer.fit`` stack per recipe,
+train-set shape and model layout; ``jobs`` (at least 1) splits the cells
+across worker processes. Each cell is written to ``<out>/cells/`` as soon
+as it is evaluated after its stack has trained, so an interrupted call
+resumes without recomputing those cells, but it retrains every cell of a
+stack still training. A stack that raises (one diverging ``train.lr``, say)
+retrains its unfinished cells one by one, so a failing cell fails alone. A
+cell file whose fingerprint (of the cell's own config) differs, that cannot
 be read, whose row has the wrong shape for the call's modality count, or
-whose asked-for checkpoint is missing, is recomputed. Cell files and
-checkpoints are written whole or not at all (``datagen.write_whole``), so an
-interrupted write leaves nothing to reuse.
+whose asked-for checkpoint is missing, is recomputed. Cell files,
+checkpoints and reports are written whole or not at all
+(``datagen.write_whole``), so an interrupted write leaves nothing to reuse.
 Reports serialize to CSV and JSON with no timestamps (those go to the
 ``run.log`` sidecar), so identical configs reproduce identical bytes.
 """
@@ -45,9 +48,9 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import datagen, fusion, metrics, trainer
-from .config import ExperimentConfig
+from .config import ExperimentConfig, kind_of
 from .errors import BalanceLabError, ConfigError, FormatError
-from .methods import METHODS, MethodSpec
+from .methods import METHODS
 
 _NUMBER = (int, float)
 # each balance point, and the marker its sweep value's mean row carries
@@ -149,11 +152,16 @@ class RunReport:
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="ascii") as fh:
+        csv_path = os.path.join(out_dir, "report.csv")
+        with datagen.write_whole(csv_path) as tmp, open(tmp, "w", encoding="ascii") as fh:
             fh.write(self.csv_text())
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
-            json.dump(self.json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "report.json"), self.json_dict())
+
+
+def _write_json(path, d: dict) -> None:
+    with datagen.write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+        json.dump(d, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _log(out_dir, message: str) -> None:
@@ -204,7 +212,20 @@ def load_run_data(cfg: ExperimentConfig, data_seed: int) -> datagen.Dataset:
     return datagen.generate(cfg.synthetic_spec(seed=data_seed))
 
 
-def _modality_count(cfg: ExperimentConfig) -> int:
+def run_splits(cfg: ExperimentConfig, run_seed: int, file_data=None):
+    """A run seed's (train, val, test) splits; ``file_data`` is a dataset file already read."""
+    data_seed, split_seed, _, _ = derived_seeds(cfg.master_seed, run_seed)
+    data = load_run_data(cfg, data_seed) if file_data is None else file_data
+    return datagen.split(data, cfg.fractions, split_seed)
+
+
+def evaluate_model(cfg: ExperimentConfig, model, data: datagen.Dataset) -> metrics.Evaluation:
+    """One forward's reading: ``metrics.shapley``, or without it ``evaluate_performance``."""
+    read = metrics.shapley if cfg.shapley_enabled else metrics.evaluate_performance
+    return read(model, data)
+
+
+def modality_count(cfg: ExperimentConfig) -> int:
     """The config's modality count, or for a dataset file its header's, which
     ``eval.shapley`` needs to be 2 or 3 (a config's always is)."""
     if cfg.dataset_path is None:
@@ -218,67 +239,66 @@ def _modality_count(cfg: ExperimentConfig) -> int:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (setting, seed) cell and where its results go; made once per call."""
+    """One (config, seed) cell and where its results go; made once per call."""
 
     seed: int
-    spec: MethodSpec
-    sweep_value: float | None = None  # the spec's value in a sweep, None in an experiment
+    cfg: ExperimentConfig  # the call's config, with the cell's sweep value set
+    sweep_param: str = ""
+    sweep_value: float | None = None  # None outside a sweep
     path: str | None = None  # its cell file, None without an output directory
     fingerprint: str = ""
     ckpt: str | None = None  # its checkpoint file, None when none is asked for
 
+    def __str__(self) -> str:
+        return f"cell {self.cfg.get('method.kind')} seed={self.seed} value={self.sweep_value}"
 
-def _train_cells(cfg: ExperimentConfig, cells: list[_Cell]):
-    """Execute cells of one config together.
 
-    Each run seed's split is made once and only the split is kept (a
-    dataset file, the same data for every seed, is read once); every cell
-    trains as one ``trainer.Run`` of one ``trainer.fit`` stack under the
-    config's recipe, then saves its checkpoint if it has a path and is read
-    on its own test split with one forward pass (``metrics.shapley``, or
-    ``metrics.evaluate_performance`` under ``eval.shapley = false``).
-    Yields ``(cell, row)`` as each cell is evaluated.
+def _train_cells(cells: list[_Cell]):
+    """Execute cells, each under its own config.
+
+    Each split (of one run seed and data config) is made once and only the
+    split is kept; a dataset file, the same for every cell of a call, is
+    read once. Every cell trains as one ``trainer.Run``, in one
+    ``trainer.fit`` stack per group of one recipe, train-set shape and model
+    layout, the groups in order of their first cell. After its stack, each
+    cell saves its checkpoint if it has a path and is read on its own test
+    split (``evaluate_model``). Yields ``(cell, row)`` as each cell is evaluated.
     """
-    prepared = {}
-    file_data = None
-    runs = []
+    first = cells[0].cfg  # a file config's data takes no seed, and no sweep sets its file
+    file_data = None if first.dataset_path is None else load_run_data(first, data_seed=0)
+    splits = {}
+    groups: dict[tuple, list] = {}
     for cell in cells:
-        data_seed, split_seed, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
-        if cell.seed not in prepared:
-            data = file_data if file_data is not None else load_run_data(cfg, data_seed)
-            if cfg.dataset_path is not None:
-                file_data = data
-            prepared[cell.seed] = datagen.split(data, cfg.fractions, split_seed)
-            del data
-        train_set, val_set, _ = prepared[cell.seed]
+        cfg = cell.cfg
+        where = (cell.seed, cfg.master_seed, cfg.fractions, cfg.synthetic_spec())
+        if where not in splits:
+            splits[where] = run_splits(cfg, cell.seed, file_data)
+        train_set, val_set, test_set = splits[where]
+        _, _, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
         model = fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
-        runs.append(trainer.Run(train_set, val_set, model, train_seed, cell.spec))
+        run = trainer.Run(train_set, val_set, model, train_seed, cfg.method_spec())
+        key = (dataclasses.astuple(cfg.train_config()), train_set.dims, train_set.num_samples,
+               model.arch, model.num_classes)
+        groups.setdefault(key, []).append((cell, run, test_set))
     del file_data
-    trained = trainer.fit(cfg.train_config(), runs)
 
-    for cell, (best, log) in zip(cells, trained):
-        test_set = prepared[cell.seed][2]
-        if cell.ckpt is not None:
-            with datagen.write_whole(cell.ckpt) as tmp:
-                fusion.save_model(best, tmp)
-        read = metrics.shapley if cfg.shapley_enabled else metrics.evaluate_performance
-        ev = read(best, test_set)
-        yield cell, RunRow(
-            method=cell.spec.kind,
-            seed=cell.seed,
-            sweep_value=cell.sweep_value,
-            acc=ev.accuracy,
-            macro_f1=ev.macro_f1,
-            phi=ev.phi,
-            imbalance=ev.imbalance,
-            flops_total=log.flops.total,
-            best_epoch=log.best_epoch,
-        )
+    for group in groups.values():
+        members, runs, test_sets = zip(*group)
+        trained = trainer.fit(members[0].cfg.train_config(), list(runs))
+        for cell, test_set, (best, log) in zip(members, test_sets, trained):
+            if cell.ckpt is not None:
+                with datagen.write_whole(cell.ckpt) as tmp:
+                    fusion.save_model(best, tmp)
+            ev = evaluate_model(cell.cfg, best, test_set)
+            yield cell, RunRow(
+                method=cell.cfg.get("method.kind"), seed=cell.seed, sweep_param=cell.sweep_param,
+                sweep_value=cell.sweep_value, acc=ev.accuracy, macro_f1=ev.macro_f1, phi=ev.phi,
+                imbalance=ev.imbalance, flops_total=log.flops.total, best_epoch=log.best_epoch)
 
 
 def run_single(cfg: ExperimentConfig, run_seed: int) -> RunRow:
     """Execute one cell of the configured method and return its report row."""
-    return next(_train_cells(cfg, [_Cell(run_seed, cfg.method_spec())]))[1]
+    return next(_train_cells([_Cell(run_seed, cfg)]))[1]
 
 
 def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
@@ -287,16 +307,18 @@ def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
     return os.path.join(out_dir, "cells", f"{method_kind}__seed{run_seed}__{tag}.json")
 
 
-def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str, spec: MethodSpec) -> str:
-    """sha256 of everything that decides a cell's result besides its run seed.
+def _cell_fingerprint(cfg: ExperimentConfig, sweep_param: str) -> str:
+    """sha256 of everything that decides a cell's result besides its run seed:
+    the cell's own config and the key it sweeps.
 
     The seed list and output directory are left out: adding seeds or moving
     the directory changes no existing cell. So are the config's ``method.*``
-    keys: the cell's own setting stands for them, so a key the cell never
-    reads (another kind's strength, or the one a sweep replaces) changes none.
+    keys: the cell's method (kind and strength) stands for them, so a key
+    the cell never reads (another kind's strength) changes none.
     """
     kept = {k: v for k, v in cfg.to_dict().items()
             if k not in ("seeds", "output.dir") and not k.startswith("method.")}
+    spec = cfg.method_spec()
     text = json.dumps([kept, sweep_param, spec.kind, spec.value, _VERSION], sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -315,15 +337,7 @@ def _read_cell(path, fingerprint: str, m: int) -> tuple[RunRow | None, str]:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
 
 
-def _write_cell(path, row_dict: dict) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with datagen.write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
-        json.dump(row_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _stack_worker(cfg: ExperimentConfig, cells: list[_Cell], sweep_param: str,
-                  out_dir) -> list[tuple[RunRow | None, str]]:
+def _stack_worker(cells: list[_Cell], out_dir) -> list[tuple[RunRow | None, str]]:
     """Train one stack of cells; top-level so it can run in a pool.
 
     Each cell with a file path is written, under its fingerprint, as soon
@@ -333,19 +347,18 @@ def _stack_worker(cfg: ExperimentConfig, cells: list[_Cell], sweep_param: str,
     """
     outs: dict[_Cell, tuple[RunRow | None, str]] = {}
     try:
-        for cell, row in _train_cells(cfg, cells):
-            row.sweep_param = sweep_param
+        for cell, row in _train_cells(cells):
             outs[cell] = (row, "")
             if cell.path is not None:
-                _write_cell(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
-                _log(out_dir, f"finished cell {cell.spec.kind} seed={cell.seed} "
-                              f"value={cell.sweep_value}")
+                os.makedirs(os.path.dirname(cell.path), exist_ok=True)
+                _write_json(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
+                _log(out_dir, f"finished {cell}")
     except Exception as exc:  # noqa: BLE001 - per-cell isolation
         if len(cells) == 1:
             return [(None, str(exc))]
         for cell in cells:
             if cell not in outs:
-                [outs[cell]] = _stack_worker(cfg, [cell], sweep_param, out_dir)
+                [outs[cell]] = _stack_worker([cell], out_dir)
     return [outs[cell] for cell in cells]
 
 
@@ -370,55 +383,34 @@ def _aggregate(rows: list[RunRow]) -> list[RunRow]:
     return out
 
 
-def _run_cells(
-    cfg: ExperimentConfig,
-    cells: list[tuple[int, MethodSpec]],
-    sweep_param: str,
-    m: int,
-    out_dir,
-    jobs: int,
-    ckpt_dir=None,
-) -> tuple[list[RunRow], list[dict]]:
-    """Run (seed, setting) cells of m modalities, reusing completed cell files of the same config.
+def _run_cells(cells: list[_Cell], m: int, out_dir, jobs: int) -> tuple[list[RunRow], list[dict]]:
+    """Run cells of m modalities, reusing completed cell files of the same config.
 
-    The cells left to compute train as one stack, split into ``jobs``
-    contiguous stacks when ``jobs > 1``. Returns the rows in cell order and
-    the failed cells.
+    The cells left to compute are split into ``jobs`` contiguous stacks,
+    each trained in one process. Returns the rows in cell order and the
+    failed cells.
     """
-    if ckpt_dir is not None:
-        os.makedirs(ckpt_dir, exist_ok=True)
-    records = []
-    for seed, spec in cells:
-        value = spec.value if sweep_param else None
-        fingerprint = _cell_fingerprint(cfg, sweep_param, spec)
-        path = None if out_dir is None else _cell_path(out_dir, spec.kind, seed, value)
-        ckpt_name = f"ckpt_{spec.kind}_seed{seed}.mmck"
-        ckpt = None if ckpt_dir is None else os.path.join(ckpt_dir, ckpt_name)
-        records.append(_Cell(seed, spec, value, path, fingerprint, ckpt))
-
     rows: dict[_Cell, RunRow] = {}
     todo = []
-    for cell in records:
-        name = f"cell {cell.spec.kind} seed={cell.seed} value={cell.sweep_value}"
+    for cell in cells:
         if cell.path is not None and os.path.exists(cell.path):
             row, problem = _read_cell(cell.path, cell.fingerprint, m)
             if row is not None and cell.ckpt is not None and not os.path.exists(cell.ckpt):
                 row, problem = None, "has no checkpoint"
             if row is not None:
                 rows[cell] = row
-                _log(out_dir, f"reused {name}")
+                _log(out_dir, f"reused {cell}")
                 continue
-            _log(out_dir, f"recomputing {name}: cached cell {problem}")
+            _log(out_dir, f"recomputing {cell}: cached cell {problem}")
         todo.append(cell)
 
     # contiguous stacks in cell order, so errors list in the same order for any jobs
     n_stacks = min(jobs, len(todo))
     stacks = [todo[k * len(todo) // n_stacks:(k + 1) * len(todo) // n_stacks]
               for k in range(n_stacks)]
-    payloads = [(cfg, stack, sweep_param, out_dir) for stack in stacks]
     if n_stacks > 1:
         with ProcessPoolExecutor(max_workers=n_stacks) as pool:
-            futures = [pool.submit(_stack_worker, *payload) for payload in payloads]
+            futures = [pool.submit(_stack_worker, stack, out_dir) for stack in stacks]
             results = []
             for stack, fut in zip(stacks, futures):
                 try:
@@ -426,7 +418,7 @@ def _run_cells(
                 except Exception as exc:  # noqa: BLE001 - a lost worker fails its cells
                     results.append([(None, str(exc))] * len(stack))
     else:
-        results = [_stack_worker(*payload) for payload in payloads]
+        results = [_stack_worker(stack, out_dir) for stack in stacks]
 
     errors = []
     for stack, outs in zip(stacks, results):
@@ -437,7 +429,7 @@ def _run_cells(
                 errors.append({"seed": cell.seed, "sweep_value": cell.sweep_value, "error": error})
                 _log(out_dir, f"cell failed seed={cell.seed} value={cell.sweep_value}: {error}")
 
-    return [rows[cell] for cell in records if cell in rows], errors
+    return [rows[cell] for cell in cells if cell in rows], errors
 
 
 def _balance_points(means: list[RunRow], values: list) -> dict:
@@ -453,26 +445,36 @@ def _balance_points(means: list[RunRow], values: list) -> dict:
     return points
 
 
-def _report(cfg: ExperimentConfig, sweep_param: str, specs: list[MethodSpec], out_dir,
+def _report(cfg: ExperimentConfig, sweep_param: str, settings: list[tuple], out_dir,
             jobs: int, ckpt_dir=None) -> RunReport:
-    """Run every (setting, seed) cell, aggregate, and write report.csv/.json.
+    """Run every (config, seed) cell, aggregate, and write report.csv/.json.
 
-    A sweep's report carries its balance points. Raises when every cell
-    failed, after writing the report that lists the failures.
+    ``settings`` holds one (sweep value, config) pair per setting (value
+    None outside a sweep), each run over ``cfg``'s seeds. Raises when every
+    cell failed, after writing the report that lists the failures.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    cells = [(s, spec) for spec in specs for s in cfg.seeds]
-    repeated = next((c for k, c in enumerate(cells) if c in cells[:k]), None)
+    pairs = [(s, value) for value, _ in settings for s in cfg.seeds]
+    repeated = next((p for k, p in enumerate(pairs) if p in pairs[:k]), None)
     if repeated is not None:
-        value = repeated[1].value if sweep_param else None
         raise ConfigError(f"run seeds and sweep values must be distinct, got cell "
-                          f"(seed {repeated[0]}, value {value}) twice")
-    m = _modality_count(cfg)
-    rows, errors = _run_cells(cfg, cells, sweep_param, m, out_dir, jobs, ckpt_dir)
+                          f"(seed {repeated[0]}, value {repeated[1]}) twice")
+    m = modality_count(cfg)
+    if ckpt_dir is not None:
+        os.makedirs(ckpt_dir, exist_ok=True)
+    cells = []
+    for value, cell_cfg in settings:
+        kind, fingerprint = cell_cfg.get("method.kind"), _cell_fingerprint(cell_cfg, sweep_param)
+        for seed in cfg.seeds:
+            path = None if out_dir is None else _cell_path(out_dir, kind, seed, value)
+            name = f"ckpt_{kind}_seed{seed}.mmck"
+            ckpt = None if ckpt_dir is None else os.path.join(ckpt_dir, name)
+            cells.append(_Cell(seed, cell_cfg, sweep_param, value, path, fingerprint, ckpt))
+    rows, errors = _run_cells(cells, m, out_dir, jobs)
     aggregates = _aggregate(rows)
     means = [r for r in aggregates if r.seed == "mean"]
-    points = _balance_points(means, [s.value for s in specs]) if sweep_param and means else None
+    points = _balance_points(means, [v for v, _ in settings]) if sweep_param and means else None
     report = RunReport(rows, aggregates, m, cfg, sweep_param, points, errors)
     if out_dir is not None:
         report.write(out_dir)
@@ -486,7 +488,7 @@ def run_experiment(
 ) -> RunReport:
     """Run the configured method over every seed; write report.csv/.json."""
     ckpt_dir = out_dir if save_checkpoints else None
-    return _report(cfg, "", [cfg.method_spec()], out_dir, jobs, ckpt_dir)
+    return _report(cfg, "", [(None, cfg)], out_dir, jobs, ckpt_dir)
 
 
 def run_sweep(
@@ -496,18 +498,26 @@ def run_sweep(
     out_dir=None,
     jobs: int = 1,
 ) -> RunReport:
-    """One run per (value, seed); marks the argmin-imbalance and
-    argmax-accuracy settings among the per-value means."""
-    spec = cfg.method_spec()
-    param = spec.method.param
-    if param_path != f"method.{param}":
-        reads = f"can sweep only method.{param}" if param else "has no parameter to sweep"
-        raise ConfigError(f"method {spec.kind} {reads}, got {param_path!r}")
+    """One run per (value, seed), under ``cfg.with_key(param_path, value)``, each
+    built before any cell trains; marks the argmin-imbalance and
+    argmax-accuracy settings among the per-value means. ``param_path`` is any
+    int or float key a cell reads: not ``dataset.seed``, nor another
+    method's ``method.*`` key."""
+    kind = kind_of(param_path)
+    own = f"method.{cfg.method_spec().method.param}"
+    if kind not in ("int", "float"):
+        raise ConfigError(f"can sweep only an int or float key, {param_path} is {kind}")
+    if param_path == "dataset.seed" or param_path.startswith("method.") and param_path != own:
+        raise ConfigError(f"no cell reads {param_path}: each run derives its own data seed, "
+                          "and a method reads only its own method.* key")
     if not values:
         raise ConfigError("need at least one sweep value")
-    # every setting is built, so range-checked, before any cell trains
-    specs = [dataclasses.replace(spec, value=float(v)) for v in values]
-    return _report(cfg, param_path, specs, out_dir, jobs)
+    settings = []
+    for v in values:
+        if kind == "int" and not float(v).is_integer():
+            raise ConfigError(f"{param_path}: expected int, got {v!r}")
+        settings.append((float(v), cfg.with_key(param_path, int(v) if kind == "int" else v)))
+    return _report(cfg, param_path, settings, out_dir, jobs)
 
 
 def compare_table(reports: list[RunReport]) -> tuple[str, str]:

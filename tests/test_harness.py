@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import os
+import re
+import shutil
 import warnings
 
 import numpy as np
@@ -23,6 +25,8 @@ train.epochs = 4
 train.batch_size = 32
 seeds = 1,2
 """
+TINY3 = TINY.replace("dataset.dims = 6,6\ndataset.signal = 3.0,1.0\n",
+                     "dataset.modalities = 3\ndataset.dims = 6,6,6\ndataset.signal = 3.0,1.0,1.0\n")
 
 
 class TestParseConfig:
@@ -120,6 +124,19 @@ class TestParseConfig:
         """resample's neutral value, ``inf``, is a valid strength; float() parses it."""
         cfg = parse_config_text("method.kind = resample\nmethod.tau = inf\n")
         assert cfg.method_spec().value == math.inf
+
+    def test_with_key_checks_the_kind(self):
+        """As ``from_dict`` does: a float kind takes an int, a list kind a list or tuple."""
+        cfg = parse_config_text("")
+        for key, value in [("train.epochs", 2.5), ("train.epochs", True), ("seed", 1.5),
+                           ("eval.shapley", 1.0), ("train.lr", "0.1"), ("seeds", (1.5,)),
+                           ("dataset.signal", 3.0)]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected "):
+                cfg.with_key(key, value)
+        lr = cfg.with_key("train.lr", 1).get("train.lr")
+        assert lr == 1.0 and isinstance(lr, float)
+        assert cfg.with_key("seeds", [3, 4]).seeds == (3, 4)
+        assert cfg.with_key("dataset.signal", [2, 1]).get("dataset.signal") == (2.0, 1.0)
 
     def test_method_spec_of_any_kind(self):
         cfg = parse_config_text("method.kind = gradmod\nmethod.tau = 0.7\n")
@@ -229,6 +246,21 @@ class TestRunExperiment:
         assert "cached cell unreadable" in (out / "run.log").read_text()
         assert json.loads(cell.read_text())["acc"] == first.rows[0].acc
         assert (out / "report.csv").read_bytes() == csv
+
+    def test_interrupted_report_write_keeps_the_earlier_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        report = harness.run_experiment(parse_config_text(TINY), out_dir=str(out))
+        before = (out / "report.json").read_bytes()
+
+        def interrupted(obj, fh, **kwargs):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            report.write(str(out))
+        assert (out / "report.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
 
     def test_dataset_file_config(self, tmp_path):
         from balancelab import datagen
@@ -411,21 +443,75 @@ class TestRunSweep:
 
     def test_bad_param_path(self):
         cfg = parse_config_text(TINY)
-        with pytest.raises(ConfigError):
-            harness.run_sweep(cfg, "train.lr", [0.1])
-        with pytest.raises(ConfigError):
-            harness.run_sweep(cfg, "method.kind", [1.0])
+        for key in ("bogus", "method.kind", "eval.shapley", "seeds", "output.dir"):
+            with pytest.raises(ConfigError):
+                harness.run_sweep(cfg, key, [1.0])
+        # each run derives its own data seed, so no cell reads dataset.seed
+        with pytest.raises(ConfigError, match="no cell reads dataset.seed"):
+            harness.run_sweep(cfg, "dataset.seed", [1.0, 2.0])
         # a parameter the active method never reads would train identical cells
         with pytest.raises(ConfigError):
             harness.run_sweep(cfg, "method.alpha", [0.0, 4.0])
         with pytest.raises(ConfigError):
             harness.run_sweep(cfg.with_key("method.kind", "gradmod"), "method.tau", [1.0])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("key, values, stacks", [
+        ("train.lr", [1e-3, 3e-2], [2, 2]),
+        ("train.epochs", [2.0, 3.0], [2, 2]),
+        ("dataset.sigma", [0.5, 1.5], [4]),
+        ("model.feature_dim", [3.0, 5.0], [2, 2]),
+        ("dataset.classes", [3.0, 5.0], [2, 2]),
+    ])
+    def test_each_cell_equals_run_experiment_at_its_value(self, monkeypatch, m, key, values,
+                                                          stacks):
+        """One fit per group of one recipe, train-set shape and model layout, bit for bit."""
+        cfg = parse_config_text(TINY if m == 2 else TINY3).with_key("method.kind", "gradmod")
+        sizes = []
+        real = trainer.fit
+        monkeypatch.setattr(trainer, "fit",
+                            lambda c, runs: sizes.append(len(runs)) or real(c, runs))
+        sweep = harness.run_sweep(cfg, key, values)
+        assert sizes == stacks
+        monkeypatch.undo()
+        for value in values:
+            alone = harness.run_experiment(
+                cfg.with_key(key, int(value) if config.kind_of(key) == "int" else value))
+            # repr is exact for floats
+            assert repr([r.to_dict() for r in sweep.rows if r.sweep_value == value]) == repr(
+                [{**r.to_dict(), "sweep_param": key, "sweep_value": value} for r in alone.rows])
+
+    def test_jobs_split_a_sweep_of_several_recipes_without_changing_reports(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        for jobs in (1, 2):
+            harness.run_sweep(cfg, "train.lr", [1e-3, 1e-2, 3e-2],
+                              out_dir=str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+        for name in ("report.csv", "report.json"):
+            one, two = (tmp_path / f"jobs{jobs}" / name for jobs in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+
+    def test_cached_cell_reused_only_at_its_key_and_value(self, tmp_path, monkeypatch):
+        cfg = parse_config_text(TINY).with_key("seeds", (1,))
+        out = tmp_path / "out"
+        first = harness.run_sweep(cfg, "train.lr", [0.01], out_dir=str(out))
+        fits = []
+        real = trainer.fit
+        monkeypatch.setattr(trainer, "fit", lambda *args: fits.append(1) or real(*args))
+        again = harness.run_sweep(cfg, "train.lr", [0.01], out_dir=str(out))
+        assert fits == [] and again.rows == first.rows
+        # the cell file of lr 0.01, read at another lr or under another key of that value
+        cells = out / "cells"
+        shutil.copy(cells / "baseline__seed1__0p01.json", cells / "baseline__seed1__0p02.json")
+        harness.run_sweep(cfg, "train.lr", [0.02], out_dir=str(out))
+        harness.run_sweep(cfg, "train.momentum", [0.01], out_dir=str(out))
+        assert fits == [1, 1]
+        assert (out / "run.log").read_text().count("computed under a different config") == 2
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_out_of_range_value_fails_before_any_cell_trains(self, tmp_path, jobs):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
         out = tmp_path / "out"
-        with pytest.raises(SpecError, match="alpha must be in"):
+        with pytest.raises(ConfigError, match=r"^method\.\*: alpha must be in"):
             harness.run_sweep(cfg, "method.alpha", [1.0, -1.0], out_dir=str(out), jobs=jobs)
         assert not (out / "report.json").exists()
         assert not (out / "cells").exists()
@@ -452,7 +538,7 @@ class TestRunSweep:
             assert cli.main(["sweep", "--config", str(cfg_path), "--param",
                              f"method.{entry.param}", f"--values={value!r}", "--out", str(out),
                              "--seeds", "1"]) == 1
-            assert f"error: {message}" in capsys.readouterr().err
+            assert f"error: method.*: {message}" in capsys.readouterr().err
             assert not (out / "report.json").exists()
 
     def test_resume_reuses_cells(self, tmp_path, monkeypatch):
@@ -519,9 +605,9 @@ class TestRunSweep:
         # cells cached by earlier versions stay valid only while these hold; a change
         # that alters the key on purpose updates the literals
         cfg = parse_config_text("method.kind = gradmod\n")
-        assert harness._cell_fingerprint(cfg, "method.alpha", MethodSpec("gradmod", 0.5)) == (
+        assert harness._cell_fingerprint(cfg.with_key("method.alpha", 0.5), "method.alpha") == (
             "21580ec4d54949b0c191775b22926c29024539dda441b00b7c7382f8ecb9f6f3")
-        assert harness._cell_fingerprint(cfg, "", cfg.method_spec()) == (
+        assert harness._cell_fingerprint(cfg, "") == (
             "f222c322664fbed691751f06d2c04e9b9902f0d6084b7b4ffd549a7b91dfc75e")
         assert harness._cell_path("out", "gradmod", 3, 0.5) == os.path.join(
             "out", "cells", "gradmod__seed3__0p5.json")
@@ -563,19 +649,15 @@ class TestRunSweep:
 
     def test_fingerprint_covers_every_section_but_seeds_and_out_dir(self):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
-        spec = MethodSpec("gradmod", 1.0)
-        base = harness._cell_fingerprint(cfg, "method.alpha", spec)
+        base = harness._cell_fingerprint(cfg, "method.alpha")
         changed = {"dataset.samples": 301, "model.feature_dim": 5, "train.epochs": 3,
-                   "eval.shapley": False, "seed": 9}
+                   "eval.shapley": False, "seed": 9, "method.alpha": 2.0}
         for key, value in changed.items():
-            assert harness._cell_fingerprint(
-                cfg.with_key(key, value), "method.alpha", spec) != base, key
-        assert harness._cell_fingerprint(cfg, "method.alpha", MethodSpec("gradmod", 2.0)) != base
-        # the cell's own setting stands for the method.* keys
-        for key, value in {"seeds": (7,), "output.dir": "elsewhere", "method.alpha": 0.5,
-                           "method.tau": 2.0}.items():
-            assert harness._cell_fingerprint(
-                cfg.with_key(key, value), "method.alpha", spec) == base, key
+            assert harness._cell_fingerprint(cfg.with_key(key, value), "method.alpha") != base, key
+        assert harness._cell_fingerprint(cfg, "train.lr") != base
+        # the cell's own method stands for the method.* keys
+        for key, value in {"seeds": (7,), "output.dir": "elsewhere", "method.tau": 2.0}.items():
+            assert harness._cell_fingerprint(cfg.with_key(key, value), "method.alpha") == base, key
 
     def test_method_keys_the_cell_never_reads_keep_its_cache(self, tmp_path, monkeypatch):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
@@ -754,6 +836,35 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: dataset.path {str(path)!r}: eval.shapley needs 2 or 3 modalities, "
             f"the file has {m} (set eval.shapley = false)\n")
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("train.epochs", "2.5", "train.epochs: expected int, got 2.5"),
+        ("train.epochs", "2,nan", "train.epochs: expected int, got nan"),
+        ("train.epochs", "inf", "train.epochs: expected int, got inf"),
+        ("eval.shapley", "1", "can sweep only an int or float key, eval.shapley is bool"),
+        ("method.kind", "1", "can sweep only an int or float key, method.kind is str"),
+        ("seeds", "1", "can sweep only an int or float key, seeds is ints"),
+    ])
+    def test_sweep_value_the_key_cannot_hold_exits_1(self, tmp_path, monkeypatch, capsys, key,
+                                                     values, message):
+        monkeypatch.setattr(trainer, "fit", lambda *args: pytest.fail("a cell trained"))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", TINY, "--param", key, "--values", values,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "cells").exists()
+
+    def test_synthetic_key_sweep_on_a_dataset_file_exits_1(self, tmp_path, capsys):
+        from balancelab import datagen
+
+        path = tmp_path / "d.mmds"
+        datagen.save(datagen.generate(parse_config_text(TINY).synthetic_spec()), path)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", f'dataset.path = "{path}"\nseeds = 1\n', "--param",
+                         "dataset.sigma", "--values", "0.5,1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: dataset.path excludes synthetic dataset keys, got ['dataset.sigma']")
+        assert not (out / "cells").exists()
 
     def test_sweep_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -955,9 +1066,9 @@ class TestCli:
     @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
     @pytest.mark.parametrize("argv, flag, value, message", [
         pytest.param(["sweep", "--param", "method.alpha", "--seeds", "1"], "--values", "-1e-3",
-                     "error: alpha must be in ", id="values-1e-3"),
+                     "error: method.*: alpha must be in ", id="values-1e-3"),
         pytest.param(["sweep", "--param", "method.alpha", "--seeds", "1"], "--values", "-1,2",
-                     "error: alpha must be in ", id="values-1,2"),
+                     "error: method.*: alpha must be in ", id="values-1,2"),
         pytest.param(["train"], "--seeds", "-1,2", "error: seeds: must be non-negative, got ",
                      id="seeds-1,2"),
     ])
