@@ -180,9 +180,24 @@ CATALOGUE = [
            ("tests/test_harness.py::TestRunSweep::"
             "test_each_cell_equals_run_experiment_at_its_value",)),
     Mutant("with-key-skips-kind", "src/balancelab/config.py",
-           "kind = kind_of(key)\n        if not _is_kind(value, kind):",
-           "kind = kind_of(key)\n        if False:",
+           "kind = kind_of(key)\n            if not _is_kind(value, kind):",
+           "kind = kind_of(key)\n            if False:",
            ("tests/test_harness.py::TestParseConfig::test_with_key_checks_the_kind",)),
+    Mutant("stack-key-drops-classes", "src/balancelab/trainer.py",
+           "run.model.arch, run.model.num_classes\n", "run.model.arch\n",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_each_cell_equals_run_experiment_at_its_value",
+            "tests/test_engine.py::test_runs_of_another_stack_key_cannot_share_a_fit")),
+    Mutant("stack-failure-unstacks-the-rest", "src/balancelab/harness.py",
+           "queue[:0] = [[entry] for entry in stack if",
+           "queue[:] = [[entry] for entry in stack + sum(queue, []) if",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_failing_value_fails_alone_and_the_rest_stay_stacked",)),
+    Mutant("setup-failure-fails-the-worker", "src/balancelab/harness.py",
+           "            outs[cell] = (None, str(exc))\n            continue\n",
+           "            return [(None, str(exc))] * len(cells)\n",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_failing_value_fails_alone_and_the_rest_stay_stacked",)),
 ]
 
 

@@ -175,15 +175,8 @@ class ExperimentConfig:
     # --- updates and serialization ---------------------------------------
 
     def with_key(self, key: str, value) -> "ExperimentConfig":
-        """This config with ``key`` set to ``value``, held to ``from_dict``'s kind check
-        and validated as a parsed config is."""
-        kind = kind_of(key)
-        if not _is_kind(value, kind):
-            raise ConfigError(f"{key}: expected {kind}, got {value!r}")
-        value = _from_json(kind, value)
-        cfg = ExperimentConfig(tuple((k, value if k == key else v) for k, v in self.values))
-        _validate(cfg, explicit={key})
-        return cfg
+        """This config with ``key`` set to ``value``, held to ``from_dict``'s rules."""
+        return ExperimentConfig.from_dict({**self.to_dict(), key: value})
 
     def to_dict(self) -> dict:
         has_path = self.dataset_path is not None
@@ -250,12 +243,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        kind, _ = _SCHEMA[key]
-        seen[key] = coerce(key, kind, raw_val)
-    values = tuple((k, seen.get(k, default)) for k, (kind, default) in _SCHEMA.items())
-    cfg = ExperimentConfig(values)
-    _validate(cfg, explicit=set(seen))
-    return cfg
+        seen[key] = coerce(key, kind_of(key), raw_val)
+    return ExperimentConfig.from_dict(seen)
 
 
 def parse_config(source) -> ExperimentConfig:

@@ -136,18 +136,24 @@ class Dataset:
         )
 
 
+def class_means(spec: SyntheticSpec, rng=None) -> list[np.ndarray]:
+    """The spec's unit-norm class means, one (H, d_i) array per modality: the first
+    draws of ``rng``, by default the spec's own generator, as in ``generate``."""
+    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    raws = [rng.standard_normal((spec.num_classes, d)) for d in spec.dims]
+    return [raw / np.linalg.norm(raw, axis=1, keepdims=True) for raw in raws]
+
+
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw one dataset from the spec. Identical specs give identical bytes.
 
-    Generator consumption order is fixed: class means per modality, then
-    labels, then per-modality noise. Labels are drawn uniformly and then
-    adjusted deterministically so every class appears at least once.
+    Generator consumption order is fixed: class means per modality
+    (``class_means``), then labels, then per-modality noise. Labels are drawn
+    uniformly and then adjusted deterministically so every class appears at
+    least once.
     """
     rng = np.random.default_rng(spec.seed)
-    means = []
-    for d in spec.dims:
-        raw = rng.standard_normal((spec.num_classes, d))
-        means.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    means = class_means(spec, rng)
     labels = rng.integers(0, spec.num_classes, size=spec.samples).astype(np.int64)
 
     counts = np.bincount(labels, minlength=spec.num_classes)

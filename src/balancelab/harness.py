@@ -18,13 +18,14 @@ count, which sets the report's phi columns, is read before any cell trains:
 Each cell's record (its config, cell file, fingerprint and checkpoint path)
 is made once per call, and both the cache read and the worker's write use
 it. The uncached cells train as one ``trainer.Run`` each (its split, initial
-model, train seed and method), in one ``trainer.fit`` stack per recipe,
-train-set shape and model layout; ``jobs`` (at least 1) splits the cells
-across worker processes. Each cell is written to ``<out>/cells/`` as soon
-as it is evaluated after its stack has trained, so an interrupted call
-resumes without recomputing those cells, but it retrains every cell of a
-stack still training. A stack that raises (one diverging ``train.lr``, say)
-retrains its unfinished cells one by one, so a failing cell fails alone. A
+model, train seed and method), in one ``trainer.fit`` stack per recipe and
+``trainer.stack_key`` (train-set shape and model layout); ``jobs`` (at least
+1) splits them into contiguous chunks, one worker process each. Each cell is
+written to ``<out>/cells/`` as soon as it is evaluated after its stack has
+trained, so an interrupted call resumes without recomputing those cells, but
+it retrains every cell of a stack still training. A cell whose set-up raises
+fails alone. A stack that raises (one diverging ``train.lr``, say) retrains
+only its own unfinished cells, one by one; later stacks still train whole. A
 cell file whose fingerprint (of the cell's own config) differs, that cannot
 be read, whose row has the wrong shape for the call's modality count, or
 whose asked-for checkpoint is missing, is recomputed. Cell files,
@@ -253,52 +254,77 @@ class _Cell:
         return f"cell {self.cfg.get('method.kind')} seed={self.seed} value={self.sweep_value}"
 
 
-def _train_cells(cells: list[_Cell]):
-    """Execute cells, each under its own config.
+def _train_cells(cells: list[_Cell], out_dir=None) -> list[tuple[RunRow | None, str]]:
+    """Train cells, each under its own config; top-level so it can run in a pool.
 
     Each split (of one run seed and data config) is made once and only the
     split is kept; a dataset file, the same for every cell of a call, is
-    read once. Every cell trains as one ``trainer.Run``, in one
-    ``trainer.fit`` stack per group of one recipe, train-set shape and model
-    layout, the groups in order of their first cell. After its stack, each
-    cell saves its checkpoint if it has a path and is read on its own test
-    split (``evaluate_model``). Yields ``(cell, row)`` as each cell is evaluated.
+    read once, and every cell fails if it cannot be. A cell whose set-up
+    raises fails alone; the others train in one ``trainer.fit`` stack per
+    recipe and ``trainer.stack_key``, in order of first cell. A stack that
+    raises puts back only its unfinished cells, as one-cell stacks. After its
+    stack, each cell saves its checkpoint, is read on its own test split
+    (``evaluate_model``) and is written to its cell file, each if asked for.
+    Returns, per cell, its row or its error text.
     """
+    outs: dict[_Cell, tuple[RunRow | None, str]] = {}
     first = cells[0].cfg  # a file config's data takes no seed, and no sweep sets its file
-    file_data = None if first.dataset_path is None else load_run_data(first, data_seed=0)
+    try:
+        file_data = None if first.dataset_path is None else load_run_data(first, data_seed=0)
+    except Exception as exc:  # noqa: BLE001 - a file that cannot be read fails every cell
+        return [(None, str(exc))] * len(cells)
     splits = {}
-    groups: dict[tuple, list] = {}
+    stacks: dict[tuple, list] = {}
     for cell in cells:
         cfg = cell.cfg
-        where = (cell.seed, cfg.master_seed, cfg.fractions, cfg.synthetic_spec())
-        if where not in splits:
-            splits[where] = run_splits(cfg, cell.seed, file_data)
-        train_set, val_set, test_set = splits[where]
-        _, _, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
-        model = fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
-        run = trainer.Run(train_set, val_set, model, train_seed, cfg.method_spec())
-        key = (dataclasses.astuple(cfg.train_config()), train_set.dims, train_set.num_samples,
-               model.arch, model.num_classes)
-        groups.setdefault(key, []).append((cell, run, test_set))
+        try:
+            where = (cell.seed, cfg.master_seed, cfg.fractions, cfg.synthetic_spec())
+            if where not in splits:
+                splits[where] = run_splits(cfg, cell.seed, file_data)
+            train_set, val_set, test_set = splits[where]
+            _, _, init_seed, train_seed = derived_seeds(cfg.master_seed, cell.seed)
+            model = fusion.init_model(cfg.arch(train_set.dims), train_set.num_classes, init_seed)
+            run = trainer.Run(train_set, val_set, model, train_seed, cfg.method_spec())
+        except Exception as exc:  # noqa: BLE001 - per-cell isolation
+            outs[cell] = (None, str(exc))
+            continue
+        key = (dataclasses.astuple(cfg.train_config()), trainer.stack_key(run))
+        stacks.setdefault(key, []).append((cell, run, test_set))
     del file_data
 
-    for group in groups.values():
-        members, runs, test_sets = zip(*group)
-        trained = trainer.fit(members[0].cfg.train_config(), list(runs))
-        for cell, test_set, (best, log) in zip(members, test_sets, trained):
-            if cell.ckpt is not None:
-                with datagen.write_whole(cell.ckpt) as tmp:
-                    fusion.save_model(best, tmp)
-            ev = evaluate_model(cell.cfg, best, test_set)
-            yield cell, RunRow(
-                method=cell.cfg.get("method.kind"), seed=cell.seed, sweep_param=cell.sweep_param,
-                sweep_value=cell.sweep_value, acc=ev.accuracy, macro_f1=ev.macro_f1, phi=ev.phi,
-                imbalance=ev.imbalance, flops_total=log.flops.total, best_epoch=log.best_epoch)
+    queue = list(stacks.values())
+    while queue:
+        stack = queue.pop(0)
+        members, runs, test_sets = zip(*stack)
+        try:
+            trained = trainer.fit(members[0].cfg.train_config(), list(runs))
+            for cell, test_set, (best, log) in zip(members, test_sets, trained):
+                if cell.ckpt is not None:
+                    with datagen.write_whole(cell.ckpt) as tmp:
+                        fusion.save_model(best, tmp)
+                ev = evaluate_model(cell.cfg, best, test_set)
+                row = RunRow(cell.cfg.get("method.kind"), cell.seed, cell.sweep_param,
+                             cell.sweep_value, ev.accuracy, ev.macro_f1, ev.phi, ev.imbalance,
+                             log.flops.total, log.best_epoch)
+                outs[cell] = (row, "")
+                if cell.path is not None:
+                    os.makedirs(os.path.dirname(cell.path), exist_ok=True)
+                    _write_json(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
+                    _log(out_dir, f"finished {cell}")
+        except Exception as exc:  # noqa: BLE001 - a stack fails only its own cells
+            if len(stack) == 1:
+                outs[members[0]] = (None, str(exc))
+            else:
+                queue[:0] = [[entry] for entry in stack if entry[0] not in outs]
+    return [outs[cell] for cell in cells]
 
 
 def run_single(cfg: ExperimentConfig, run_seed: int) -> RunRow:
-    """Execute one cell of the configured method and return its report row."""
-    return next(_train_cells([_Cell(run_seed, cfg)]))[1]
+    """One cell of the configured method: its report row, or BalanceLabError with its error."""
+    [(row, error)] = _train_cells([_Cell(run_seed, cfg)])
+    if row is None:
+        raise BalanceLabError(error)
+    return row
 
 
 def _cell_path(out_dir, method_kind: str, run_seed: int, sweep_value) -> str:
@@ -337,31 +363,6 @@ def _read_cell(path, fingerprint: str, m: int) -> tuple[RunRow | None, str]:
         return None, f"unreadable ({type(exc).__name__}: {exc})"
 
 
-def _stack_worker(cells: list[_Cell], out_dir) -> list[tuple[RunRow | None, str]]:
-    """Train one stack of cells; top-level so it can run in a pool.
-
-    Each cell with a file path is written, under its fingerprint, as soon
-    as it is evaluated. Returns, per cell, its row or its error text. If the
-    stack fails, the cells it did not finish are retrained one by one, so a
-    failing cell fails alone and the others keep their rows.
-    """
-    outs: dict[_Cell, tuple[RunRow | None, str]] = {}
-    try:
-        for cell, row in _train_cells(cells):
-            outs[cell] = (row, "")
-            if cell.path is not None:
-                os.makedirs(os.path.dirname(cell.path), exist_ok=True)
-                _write_json(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
-                _log(out_dir, f"finished {cell}")
-    except Exception as exc:  # noqa: BLE001 - per-cell isolation
-        if len(cells) == 1:
-            return [(None, str(exc))]
-        for cell in cells:
-            if cell not in outs:
-                [outs[cell]] = _stack_worker([cell], out_dir)
-    return [outs[cell] for cell in cells]
-
-
 def _aggregate(rows: list[RunRow]) -> list[RunRow]:
     """Mean and population-std rows per (method, sweep_value) group."""
     groups: dict[tuple[str, float | None], list[RunRow]] = {}
@@ -386,7 +387,7 @@ def _aggregate(rows: list[RunRow]) -> list[RunRow]:
 def _run_cells(cells: list[_Cell], m: int, out_dir, jobs: int) -> tuple[list[RunRow], list[dict]]:
     """Run cells of m modalities, reusing completed cell files of the same config.
 
-    The cells left to compute are split into ``jobs`` contiguous stacks,
+    The cells left to compute are split into ``jobs`` contiguous chunks,
     each trained in one process. Returns the rows in cell order and the
     failed cells.
     """
@@ -404,25 +405,25 @@ def _run_cells(cells: list[_Cell], m: int, out_dir, jobs: int) -> tuple[list[Run
             _log(out_dir, f"recomputing {cell}: cached cell {problem}")
         todo.append(cell)
 
-    # contiguous stacks in cell order, so errors list in the same order for any jobs
-    n_stacks = min(jobs, len(todo))
-    stacks = [todo[k * len(todo) // n_stacks:(k + 1) * len(todo) // n_stacks]
-              for k in range(n_stacks)]
-    if n_stacks > 1:
-        with ProcessPoolExecutor(max_workers=n_stacks) as pool:
-            futures = [pool.submit(_stack_worker, stack, out_dir) for stack in stacks]
+    # contiguous chunks in cell order, so errors list in the same order for any jobs
+    n_chunks = min(jobs, len(todo))
+    chunks = [todo[k * len(todo) // n_chunks:(k + 1) * len(todo) // n_chunks]
+              for k in range(n_chunks)]
+    if n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            futures = [pool.submit(_train_cells, chunk, out_dir) for chunk in chunks]
             results = []
-            for stack, fut in zip(stacks, futures):
+            for chunk, fut in zip(chunks, futures):
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # noqa: BLE001 - a lost worker fails its cells
-                    results.append([(None, str(exc))] * len(stack))
+                    results.append([(None, str(exc))] * len(chunk))
     else:
-        results = [_stack_worker(stack, out_dir) for stack in stacks]
+        results = [_train_cells(chunk, out_dir) for chunk in chunks]
 
     errors = []
-    for stack, outs in zip(stacks, results):
-        for cell, (row, error) in zip(stack, outs):
+    for chunk, outs in zip(chunks, results):
+        for cell, (row, error) in zip(chunk, outs):
             if row is not None:
                 rows[cell] = row
             else:

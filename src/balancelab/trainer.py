@@ -474,13 +474,18 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     carry.epoch += 1
 
 
+def stack_key(run: Run) -> tuple:
+    """What the runs of one ``fit`` share: train-set dims and row count, arch, class count."""
+    return run.train.dims, run.train.num_samples, run.model.arch, run.model.num_classes
+
+
 def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]:
     """Train each run under the one recipe ``cfg``; return each best-validation model and log.
 
     The result is a list of (model, log) pairs in ``runs``' order, each
     bitwise equal to training that run alone: the R runs train together,
-    and they must agree in train-set shape and model layout; their seeds and
-    methods may differ. Each run's FLOPs go to its log's ``flops``, fresh
+    and they must agree in ``stack_key`` (train-set shape and model layout);
+    their seeds and methods may differ. Each run's FLOPs go to its log's ``flops``, fresh
     for each fit. Validation accuracy ties break toward the earlier epoch. A non-finite
     training loss aborts with DivergenceError, non-finite logits with
     NumericError, and numpy does not warn on the way. With ``cfg.epochs == 0``
@@ -489,10 +494,8 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
     strength parameter sits at its neutral value run the exact baseline code
     path, so they are bitwise-identical to Baseline under the same seed.
     """
-    if len({(run.train.dims, run.train.num_samples) for run in runs}) > 1:
-        raise ShapeError("runs trained together need train sets of equal shapes")
-    if len({(run.model.arch, run.model.num_classes) for run in runs}) > 1:
-        raise ShapeError("runs trained together need models of one layout")
+    if len({stack_key(run) for run in runs}) > 1:
+        raise ShapeError("runs trained together need one train-set shape and model layout")
     if cfg.epochs == 0 or not runs:
         return [(run.model, TrainLog(records=[])) for run in runs]
 

@@ -102,25 +102,11 @@ def fd_max_rel_error(loss_fn, params, grads, eps=1e-6):
     return worst
 
 
-def class_means(spec):
-    """Unit-norm per-class mean directions, one (H, d_i) array per modality.
-
-    These are the first draws from the spec's generator, so they match the
-    means used inside ``datagen.generate`` exactly.
-    """
-    rng = np.random.default_rng(spec.seed)
-    means = []
-    for d in spec.dims:
-        raw = rng.standard_normal((spec.num_classes, d))
-        means.append(raw / np.linalg.norm(raw, axis=1, keepdims=True))
-    return means
-
-
 def bayes_accuracy(spec, modalities=None, n_samples=10_000, sample_seed=123_456):
     """Monte-Carlo accuracy of the Bayes classifier on true class means."""
     if modalities is None:
         modalities = list(range(spec.num_modalities))
-    means = class_means(spec)
+    means = datagen.class_means(spec)
     rng = np.random.default_rng(sample_seed)
     labels = rng.integers(0, spec.num_classes, size=n_samples)
     correct = 0

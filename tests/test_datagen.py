@@ -10,7 +10,7 @@ from balancelab.datagen import (Dataset, SyntheticSpec, batches, generate, load,
                                 save, split)
 from balancelab.errors import FormatError, SpecError
 
-from oracles import bayes_accuracy, class_means, mmds_load, mmds_save, split_lists
+from oracles import bayes_accuracy, mmds_load, mmds_save, split_lists
 
 SPEC = SyntheticSpec(2, 4, (12, 12), (3.0, 1.0), 1.0, 400, 7)
 
@@ -64,9 +64,10 @@ class TestGenerate:
     def test_class_conditional_means(self, seed):
         spec = SyntheticSpec(2, 4, (3, 3), (3.0, 1.0), 1.0, 4000, seed)
         data = generate(spec)
-        means = class_means(spec)
+        means = datagen.class_means(spec)
         bound = 3.0 * spec.sigma / np.sqrt(spec.samples / spec.num_classes)
         for i in range(2):
+            assert np.allclose(np.linalg.norm(means[i], axis=1), 1.0, rtol=0, atol=1e-12)
             for h in range(4):
                 emp = data.features[i][data.labels == h].mean(axis=0)
                 err = np.linalg.norm(emp - spec.signal[i] * means[i][h])

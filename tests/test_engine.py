@@ -14,6 +14,7 @@ import pytest
 from balancelab import fusion, harness, methods, trainer
 from balancelab.config import parse_config_text
 from balancelab.datagen import SyntheticSpec, generate, split
+from balancelab.errors import ShapeError
 from balancelab.fusion import init_model
 from balancelab.methods import METHODS, MethodSpec
 from balancelab.metrics import FlopsLedger
@@ -334,6 +335,19 @@ def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
     assert walks_16 == walks_32 <= len(cells) + 1 + (entry.deploy is not None)
     assert records_16 == records_32  # records outside the hooks
     assert ledgers == []  # in any of the four fits
+
+
+@pytest.mark.parametrize("change", [
+    lambda run: {"train": run.train.subset(np.arange(100))},  # fewer train rows
+    lambda run: {"model": init_model([[6, 9, 4]] * 2, 3, 12)},  # another arch
+    lambda run: {"model": init_model([[6, 8, 4]] * 2, 4, 12)},  # another class count
+], ids=["train-rows", "arch", "classes"])
+def test_runs_of_another_stack_key_cannot_share_a_fit(change):
+    run = cell("baseline", None, 1)
+    other = dataclasses.replace(cell("baseline", None, 2), **change(run))
+    assert trainer.stack_key(other) != trainer.stack_key(run)
+    with pytest.raises(ShapeError, match="one train-set shape and model layout"):
+        fit(CFG, [run, other])
 
 
 def test_failing_cell_fails_alone(monkeypatch):

@@ -138,6 +138,14 @@ class TestParseConfig:
         assert cfg.with_key("seeds", [3, 4]).seeds == (3, 4)
         assert cfg.with_key("dataset.signal", [2, 1]).get("dataset.signal") == (2.0, 1.0)
 
+    def test_with_key_holds_the_parsers_rules(self, tmp_path):
+        """``with_key`` builds through ``from_dict``: a key set later clashes as a parsed one."""
+        cfg = parse_config_text("")
+        with pytest.raises(ConfigError, match=r"^dataset\.path excludes synthetic dataset keys"):
+            cfg.with_key("dataset.path", str(tmp_path / "d.mmds"))
+        with pytest.raises(ConfigError, match="^seeds: need at least one seed$"):
+            cfg.with_key("seeds", ())
+
     def test_method_spec_of_any_kind(self):
         cfg = parse_config_text("method.kind = gradmod\nmethod.tau = 0.7\n")
         assert cfg.method_spec("resample") == MethodSpec("resample", 0.7)
@@ -486,6 +494,48 @@ class TestRunSweep:
         for jobs in (1, 2):
             harness.run_sweep(cfg, "train.lr", [1e-3, 1e-2, 3e-2],
                               out_dir=str(tmp_path / f"jobs{jobs}"), jobs=jobs)
+        for name in ("report.csv", "report.json"):
+            one, two = (tmp_path / f"jobs{jobs}" / name for jobs in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("key, values, bad, sizes", [
+        ("train.lr", [1e300, 1e-3, 1e-2], 1e300, [2, 1, 1, 2, 2]),  # the 1e300 stack diverges
+        ("dataset.samples", [200.0, 4.0, 300.0], 4.0, [2, 2]),  # 4 rows: an empty test split
+    ])
+    def test_failing_value_fails_alone_and_the_rest_stay_stacked(self, monkeypatch, key, values,
+                                                                 bad, sizes):
+        """A stack that raises retrains only its own cells one by one, and a cell whose set-up
+        raises fails alone; the other values train in their stacks, bit for bit."""
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        fits = []
+        real = trainer.fit
+        monkeypatch.setattr(trainer, "fit",
+                            lambda c, runs: fits.append(len(runs)) or real(c, runs))
+        sweep = harness.run_sweep(cfg, key, values)
+        assert fits == sizes
+        assert [(e["seed"], e["sweep_value"]) for e in sweep.errors] == [(1, bad), (2, bad)]
+        monkeypatch.undo()
+        value_cfg = {v: cfg.with_key(key, int(v) if config.kind_of(key) == "int" else v)
+                     for v in values}
+        with pytest.raises(BalanceLabError) as alone:
+            harness.run_experiment(value_cfg[bad])
+        errors = [{**e, "sweep_value": None} for e in sweep.errors]
+        assert str(alone.value) == f"all 2 runs failed: {errors}"
+        for value in (v for v in values if v != bad):
+            rows = harness.run_experiment(value_cfg[value]).rows
+            assert repr([r.to_dict() for r in sweep.rows if r.sweep_value == value]) == repr(
+                [{**r.to_dict(), "sweep_param": key, "sweep_value": value} for r in rows])
+
+    def test_jobs_split_a_failing_sweep_without_changing_reports(self, tmp_path):
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod")
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            report = harness.run_sweep(cfg, "train.lr", [1e300, 1e-3, 1e-2], out_dir=str(out),
+                                       jobs=jobs)
+            assert len(report.rows) == 4 and len(report.errors) == 2
+            healthy = {os.path.basename(harness._cell_path(out, r.method, r.seed, r.sweep_value))
+                       for r in report.rows}
+            assert {p.name for p in (out / "cells").iterdir()} == healthy
         for name in ("report.csv", "report.json"):
             one, two = (tmp_path / f"jobs{jobs}" / name for jobs in (1, 2))
             assert one.read_bytes() == two.read_bytes()
