@@ -41,8 +41,7 @@ CATALOGUE = [
             "test_strength_outside_its_range_rejected_everywhere",
             "tests/test_methods.py::TestMethodSpec::test_negative_strength")),
     Mutant("kappa-on-the-weaker-modality", "src/balancelab/methods.py",
-           "np.where(rho > 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)",
-           "np.where(rho < 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)",
+           "1e-12) if r > 1.0 else 1.0", "1e-12) if r < 1.0 else 1.0",
            ("tests/test_methods.py::TestGradModulation::test_worked_example",
             "tests/test_methods.py::TestGradModulation::test_range_and_ordering")),
     Mutant("weight-decay-dropped", "src/balancelab/trainer.py",
@@ -86,7 +85,7 @@ CATALOGUE = [
            ("tests/test_harness.py::TestRunExperiment::"
             "test_aggregates_are_mean_and_population_std",)),
     Mutant("gradmod-strength-x4", "src/balancelab/methods.py",
-           "    x = alpha[:, None] * (rho - 1.0)\n", "    x = 4.0 * alpha[:, None] * (rho - 1.0)\n",
+           "math.tanh(a * (r - 1.0))", "math.tanh(4.0 * a * (r - 1.0))",
            ("tests/test_methods.py::TestGradModulation::test_worked_example",)),
     Mutant("run-0-seed-for-every-run", "src/balancelab/trainer.py",
            "np.random.SeedSequence([run.seed, epoch, 0])",
@@ -118,12 +117,13 @@ CATALOGUE = [
            'ledger.record("softmax_loss", (1 + m) * n * h)  # the unimodal losses',
            ("tests/test_engine.py::test_ledger_matches_a_hand_count",)),
     Mutant("modality-gather-reversed", "src/balancelab/trainer.py",
-           "for x, f in zip(xs, train.features):", "for x, f in zip(xs, train.features[::-1]):",
+           "for f in plan.features]", "for f in plan.features[::-1]]",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",
             "tests/test_trainer.py::TestDominanceSuppression::"
             "test_weak_modality_starves_in_joint_training")),
     Mutant("interleaved-sets-rows-misplaced", "src/balancelab/trainer.py",
-           "x[rows] = f.take(idx[rows], axis=0)", "x[rows] = f.take(idx[:len(rows)], axis=0)",
+           "offsets=np.array([[start[id(run.train)]] for run in runs]),",
+           "offsets=np.array(sorted([[start[id(run.train)]] for run in runs])),",
            ("tests/test_engine.py::test_runs_sharing_a_train_set_match_each_run_alone",)),
     Mutant("mmds-field-rows-unchecked", "src/balancelab/datagen.py",
            "[f.shape for f in fields] == [(len(lines), d) for d in dims]",
@@ -189,8 +189,8 @@ CATALOGUE = [
             "test_each_cell_equals_run_experiment_at_its_value",
             "tests/test_engine.py::test_runs_of_another_stack_key_cannot_share_a_fit")),
     Mutant("stack-failure-unstacks-the-rest", "src/balancelab/harness.py",
-           "queue[:0] = [[entry] for entry in stack if",
-           "queue[:] = [[entry] for entry in stack + sum(queue, []) if",
+           "queue[:0] = [[entry] for entry in stack]",
+           "queue[:] = [[entry] for entry in stack + sum(queue, [])]",
            ("tests/test_harness.py::TestRunSweep::"
             "test_failing_value_fails_alone_and_the_rest_stay_stacked",)),
     Mutant("setup-failure-fails-the-worker", "src/balancelab/harness.py",
@@ -198,6 +198,17 @@ CATALOGUE = [
            "            return [(None, str(exc))] * len(cells)\n",
            ("tests/test_harness.py::TestRunSweep::"
             "test_failing_value_fails_alone_and_the_rest_stay_stacked",)),
+    Mutant("orders-shared-across-seeds", "src/balancelab/trainer.py",
+           "keys = [run.seed if w is None", "keys = [0 if w is None",
+           ("tests/test_engine.py::test_one_batch_order_per_unweighted_run_seed",
+            "tests/test_engine.py::test_stack_matches_each_cell_alone")),
+    Mutant("gather-offset-dropped", "src/balancelab/trainer.py",
+           "    order += plan.offsets\n", "",
+           ("tests/test_engine.py::test_runs_sharing_a_train_set_match_each_run_alone",
+            "tests/test_engine.py::test_mixed_stack_matches_each_cell_alone")),
+    Mutant("row-sum-einsum-on-one-column", "src/balancelab/numkit.py",
+           "    if x.shape[-1] == 1:\n", "    if False:\n",
+           ("tests/test_numkit.py::test_row_sum_is_numpys_sum_bit_for_bit",)),
 ]
 
 

@@ -261,11 +261,12 @@ def _train_cells(cells: list[_Cell], out_dir=None) -> list[tuple[RunRow | None, 
     split is kept; a dataset file, the same for every cell of a call, is
     read once, and every cell fails if it cannot be. A cell whose set-up
     raises fails alone; the others train in one ``trainer.fit`` stack per
-    recipe and ``trainer.stack_key``, in order of first cell. A stack that
-    raises puts back only its unfinished cells, as one-cell stacks. After its
-    stack, each cell saves its checkpoint, is read on its own test split
-    (``evaluate_model``) and is written to its cell file, each if asked for.
-    Returns, per cell, its row or its error text.
+    recipe and ``trainer.stack_key``, in order of first cell. A stack whose
+    ``fit`` raises puts back its cells, as one-cell stacks. After its stack,
+    each cell saves its checkpoint, is read on its own test split
+    (``evaluate_model``) and is written to its cell file, each if asked for;
+    a cell whose step there raises fails alone. Returns, per cell, its row or
+    its error text.
     """
     outs: dict[_Cell, tuple[RunRow | None, str]] = {}
     first = cells[0].cfg  # a file config's data takes no seed, and no sweep sets its file
@@ -298,7 +299,14 @@ def _train_cells(cells: list[_Cell], out_dir=None) -> list[tuple[RunRow | None, 
         members, runs, test_sets = zip(*stack)
         try:
             trained = trainer.fit(members[0].cfg.train_config(), list(runs))
-            for cell, test_set, (best, log) in zip(members, test_sets, trained):
+        except Exception as exc:  # noqa: BLE001 - a stack fails only its own cells
+            if len(stack) == 1:
+                outs[members[0]] = (None, str(exc))
+            else:
+                queue[:0] = [[entry] for entry in stack]
+            continue
+        for cell, test_set, (best, log) in zip(members, test_sets, trained):
+            try:
                 if cell.ckpt is not None:
                     with datagen.write_whole(cell.ckpt) as tmp:
                         fusion.save_model(best, tmp)
@@ -306,16 +314,13 @@ def _train_cells(cells: list[_Cell], out_dir=None) -> list[tuple[RunRow | None, 
                 row = RunRow(cell.cfg.get("method.kind"), cell.seed, cell.sweep_param,
                              cell.sweep_value, ev.accuracy, ev.macro_f1, ev.phi, ev.imbalance,
                              log.flops.total, log.best_epoch)
-                outs[cell] = (row, "")
                 if cell.path is not None:
                     os.makedirs(os.path.dirname(cell.path), exist_ok=True)
                     _write_json(cell.path, {**row.to_dict(), "fingerprint": cell.fingerprint})
                     _log(out_dir, f"finished {cell}")
-        except Exception as exc:  # noqa: BLE001 - a stack fails only its own cells
-            if len(stack) == 1:
-                outs[members[0]] = (None, str(exc))
-            else:
-                queue[:0] = [[entry] for entry in stack if entry[0] not in outs]
+                outs[cell] = (row, "")
+            except Exception as exc:  # noqa: BLE001 - a cell's own steps fail it alone
+                outs[cell] = (None, str(exc))
     return [outs[cell] for cell in cells]
 
 

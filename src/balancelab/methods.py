@@ -55,6 +55,7 @@ from .datagen import Dataset
 from .errors import SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger
+from .numkit import row_sum
 from .trainer import LossBundle, assemble_grads, cross_entropy, true_class_probs
 
 
@@ -189,7 +190,7 @@ def unimodal_blend_loss(
 
     head_grads: list[np.ndarray] = []
     feature_grads: list[np.ndarray] = []
-    bias_grad = g_mm.sum(axis=-2)
+    bias_grad = row_sum(g_mm)
     for i, g_i in enumerate(g_uni):
         loss += w_uni * loss_uni[i]
 
@@ -205,7 +206,7 @@ def unimodal_blend_loss(
             gw_uni[fire] -= (inner[fire] / norm_sq[fire])[:, None, None] * gw_mm[fire]
         head_grads.append(gw_mm + gw_uni)
         feature_grads.append((g_mm + g_i) @ model.head_blocks[i])
-        bias_grad = bias_grad + g_i.sum(axis=-2) / m
+        bias_grad = bias_grad + row_sum(g_i) / m
         d = cache.features[i].shape[-1]
         ledger.record("matmul", (n, d, h))       # dW(uni), separate for the guard
         ledger.record("elementwise", 4 * d * h)  # inner products + projection
@@ -342,10 +343,9 @@ def grad_modulation(scores, alpha: np.ndarray) -> np.ndarray:
     float64. Only encoders are rescaled; the head keeps its full gradient.
     """
     rho = _score_ratio(scores)
-    x = alpha[:, None] * (rho - 1.0)
     # math.tanh per element: np.tanh rounds differently on some inputs
-    tanh = np.array([math.tanh(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    return np.where(rho > 1.0, np.maximum(1.0 - tanh, 1e-12), 1.0)
+    return np.array([[max(1.0 - math.tanh(a * (r - 1.0)), 1e-12) if r > 1.0 else 1.0 for r in row]
+                     for a, row in zip(alpha.tolist(), rho.tolist())])
 
 
 # ---------------------------------------------------------------------------

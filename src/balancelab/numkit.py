@@ -16,6 +16,11 @@ Conventions used throughout the package:
 
 ``mlp_forward`` is pure; ``mlp_backward`` writes parameter gradients, and
 nothing else, into the container it is given.
+
+Bias gradients (here and in the trainer's and the methods' head bias) are
+batch sums taken by :func:`row_sum`, which adds each column's rows in order,
+first to last: bitwise numpy's own ``x.sum(axis=-2)`` in about half its
+time.
 """
 
 from __future__ import annotations
@@ -85,6 +90,19 @@ class MlpCache:
     shapes: tuple[tuple[int, int], ...]
 
 
+def row_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x.sum(axis=-2, out=out)``, bit for bit, for (B, d) or (R, B, d) ``x``.
+
+    For d >= 2 numpy sums the rows of each column in order, and einsum's
+    reduction does the same in fewer passes. A single column is a contiguous
+    axis, which numpy's sum adds pairwise and einsum does not, so at d = 1
+    it stays ``np.sum``.
+    """
+    if x.shape[-1] == 1:
+        return x.sum(axis=-2, out=out)
+    return np.einsum("...bd->...d", x, out=out)
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Run the MLP on a batch ``x`` of shape (B, d_in), or (R, B, d_in) for R runs.
 
@@ -131,7 +149,7 @@ def mlp_backward(
     dz = output_grad
     for t in range(len(params.layers) - 1, -1, -1):
         np.matmul(dz.swapaxes(-1, -2), cache.inputs[t], out=out.layers[t].weight)
-        dz.sum(axis=-2, out=out.layers[t].bias)
+        row_sum(dz, out=out.layers[t].bias)
         if t:
             dz = dz @ params.layers[t].weight
             dz *= cache.inputs[t] > 0.0  # the product just made, never output_grad

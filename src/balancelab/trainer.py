@@ -12,11 +12,12 @@ hook once per group, per batch for objectives, gradient scales and feature
 transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
 cross-entropy call. Only validation runs per run, once per epoch.
 
-``fit`` builds a ``Plan``, fixed while it trains (the sorted runs and their
-hook ranges), and a ``Carry``, the stack's progress, then calls ``_epoch``
-until the carry's epoch reaches ``cfg.epochs``. An epoch stacks every run's
-batch order (weighted by any sample-weights hook) into one (R, N) index
-block; per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
+``fit`` builds a ``Plan``, fixed while it trains (the sorted runs, their
+joined train sets and their hook ranges), and a ``Carry``, the stack's
+progress, then calls ``_epoch`` until the carry's epoch reaches
+``cfg.epochs``. An epoch stacks every run's batch order (weighted by any
+sample-weights hook) into one (R, N) index block of rows in the joined
+sets; per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
 objective range, then one encoder backward of the whole stack),
 ``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
 ``_charge_epoch`` and ``_validate`` once. A run's ``TrainLog.flops`` is its
@@ -26,12 +27,17 @@ its own work straight into the ledgers of the runs it serves. Every
 stochastic choice is a deterministic function of ``(run.seed, epoch, batch
 index)``, so a run is bitwise reproducible.
 
-A step costs numpy dispatch more than arithmetic, so it makes few calls.
-``_gather`` takes each modality once per train set, however many runs
-share it (the cells of one seed do), straight into those runs' rows.
+A step costs numpy dispatch more than arithmetic, so a stack's shared work
+is done once. ``fit`` joins each modality's distinct train sets once (the
+cells of one seed share one, which is not copied), and each run's batch
+order is offset to its own set, so ``_gather`` is one ``take`` per modality
+and one for the labels. The runs of one seed share one unweighted batch
+order per epoch.
 ``softmax`` reduces its short class axis as a chain of column ``np.maximum``
-and ``np.add`` calls, bitwise numpy's own reduction, and the losses reach
-true-class entries through one flat index.
+and ``np.add`` calls, bitwise numpy's own reduction; the running scores
+divide only the true-class entries by their row total, and the losses reach
+true-class entries through one flat index. Bias gradients are batch sums by
+``numkit.row_sum``.
 
 Per-modality performance scores (batch mean of the true-class probability
 under each modality's partial logits) are tracked as an exponential moving
@@ -54,7 +60,7 @@ from .datagen import Dataset
 from .errors import ContractError, DivergenceError, ShapeError, SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger, evaluate_accuracy
-from .numkit import mlp_backward
+from .numkit import mlp_backward, row_sum
 
 if TYPE_CHECKING:  # methods imports this module
     from .methods import MethodSpec
@@ -133,7 +139,9 @@ class Plan:
 
     cfg: TrainConfig
     runs: list[Run]  # sorted by active entry, objective-free first
-    sources: list[tuple[Dataset, np.ndarray]]  # each distinct train set and the stack rows on it
+    features: list[np.ndarray]  # per modality, the runs' distinct train sets joined (if > 1)
+    labels: np.ndarray  # their labels, joined the same way
+    offsets: np.ndarray  # (R, 1): each run's first row in the joined sets
     values: np.ndarray  # each run's method strength (baseline: nan)
     hooks: dict[str, list[tuple]]  # (hook, rows, model view) per range, per hook field
     spans: list[slice]  # each encoder's span of flat
@@ -164,15 +172,20 @@ def _fold(ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety.
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``e = exp(x - x.max(-1))`` and its row total ``e.sum(-1)``: softmax before its division.
 
-    Bitwise ``e = exp(x - x.max(-1))``, ``e / e.sum(-1)`` in fewer calls on a
-    short class axis: a max is exact in any order, and below 8 terms numpy's
-    sum adds left to right, as the ``np.add`` column chain does.
+    Bitwise numpy's max and sum in fewer calls on a short class axis: a max
+    is exact in any order, and below 8 terms numpy's sum adds left to right,
+    as the ``np.add`` column chain does.
     """
     e = np.exp(logits - _fold(np.maximum, logits)[..., None])
-    total = _fold(np.add, e) if e.shape[-1] < 8 else e.sum(axis=-1)
+    return e, (_fold(np.add, e) if e.shape[-1] < 8 else e.sum(axis=-1))
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max subtraction for overflow safety."""
+    e, total = _shifted_exp(logits)
     e /= total[..., None]
     return e
 
@@ -216,10 +229,14 @@ def step_lr(config: TrainConfig, epoch: int) -> float:
 
 
 def true_class_probs(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
-    """Each modality's true-class probability, (m, *labels.shape), from one softmax."""
-    probs = softmax(fusion.partial_logits(model, cache))
+    """Each modality's true-class probability, (m, *labels.shape), from one softmax.
+
+    Only the true-class entries are divided by their row total, each as
+    ``softmax`` divides it.
+    """
+    e, total = _shifted_exp(fusion.partial_logits(model, cache))
     # a C-ordered result, so batch means sum as they do for one modality
-    return probs.take(_true_index(labels, probs.shape))
+    return e.take(_true_index(labels, e.shape)) / total
 
 
 def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray) -> np.ndarray:
@@ -228,7 +245,7 @@ def modality_scores(model: FusionModel, cache: ForwardCache, labels: np.ndarray)
     :func:`true_class_probs`'s batch mean, modality axis last: (m,); (R, m) for (R, B) labels.
     """
     probs = true_class_probs(model, cache, labels)
-    return np.moveaxis(probs.sum(axis=-1) / probs.shape[-1], 0, -1)
+    return (probs.sum(axis=-1) / probs.shape[-1]).T
 
 
 def sgd_step(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray, lr: float,
@@ -272,12 +289,12 @@ def assemble_grads(
     m = model.num_modalities
     head_grads = []
     feature_grads = []
-    bias_grad = fused_grad.sum(axis=-2)
+    bias_grad = row_sum(fused_grad)
     for i in range(m):
         eff = fused_grad
         if partial_grads is not None:
             eff = fused_grad + partial_grads[i]
-            bias_grad = bias_grad + partial_grads[i].sum(axis=-2) / m
+            bias_grad = bias_grad + row_sum(partial_grads[i]) / m
         head_grads.append(eff.swapaxes(-1, -2) @ cache.features[i])
         feature_grads.append(eff @ model.head_blocks[i])
     return head_grads, bias_grad, feature_grads
@@ -340,14 +357,9 @@ def _ranges(model: FusionModel, actives: list, field: str) -> list[tuple]:
 
 
 def _gather(plan: Plan, idx: np.ndarray):
-    """Rows ``idx[r]`` of run r's train set, for every run: (per-modality features, labels)."""
-    xs = [np.empty(idx.shape + f.shape[1:]) for f in plan.sources[0][0].features]
-    y = np.empty(idx.shape, dtype=np.int64)
-    for train, rows in plan.sources:
-        for x, f in zip(xs, train.features):
-            x[rows] = f.take(idx[rows], axis=0)
-        y[rows] = train.labels.take(idx[rows])
-    return xs, y
+    """Rows ``idx`` of the joined train sets, each run's already offset to its own set:
+    (per-modality features, labels)."""
+    return [f.take(idx, axis=0) for f in plan.features], plan.labels.take(idx)
 
 
 def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: int):
@@ -456,11 +468,17 @@ def _epoch(plan: Plan, carry: Carry) -> None:
         trains = [run.train for run in plan.runs[rows]]
         weights[rows] = sample_weights(view, trains, plan.values[rows],
                                        _Ledgers(log.flops for log in carry.logs[rows]))
-    orders = []
-    for run, w in zip(plan.runs, weights):
-        batch_seed = int(np.random.SeedSequence([run.seed, epoch, 0]).generate_state(1)[0])
-        orders.append(np.concatenate(datagen.batches(run.train, cfg.batch_size, batch_seed, w)))
-    order = np.stack(orders)  # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size]
+    # an unweighted order depends on the run seed alone (stack_key fixes the row count), so
+    # the runs of one seed share it; a weighted order is its run's own
+    keys = [run.seed if w is None else (r,) for r, (run, w) in enumerate(zip(plan.runs, weights))]
+    orders: dict = {}
+    for key, run, w in zip(keys, plan.runs, weights):
+        if key not in orders:
+            batch_seed = int(np.random.SeedSequence([run.seed, epoch, 0]).generate_state(1)[0])
+            orders[key] = np.concatenate(datagen.batches(run.train, cfg.batch_size, batch_seed, w))
+    # (R, N): batch b of run r is order[r, b * batch_size:][:batch_size], offset to its set
+    order = np.stack([orders[key] for key in keys])
+    order += plan.offsets
     loss_sum = np.zeros(len(plan.runs))
     grads = carry.model.like(np.empty_like(carry.model.flat))  # scratch each step overwrites
     for b, start in enumerate(range(0, order.shape[1], cfg.batch_size)):
@@ -507,10 +525,14 @@ def fit(cfg: TrainConfig, runs: list[Run]) -> list[tuple[FusionModel, TrainLog]]
     logs = [TrainLog(records=[]) for _ in runs]
     carry = Carry(stack, np.zeros_like(stack.flat), running_scores=None, best=stack.flat.copy(),
                   logs=logs, epoch=0)
-    trains = {id(run.train): run.train for run in runs}.values()  # each distinct set, in order
-    sources = [(t, np.flatnonzero([run.train is t for run in runs])) for t in trains]
+    trains = list({id(run.train): run.train for run in runs}.values())  # each distinct set
+    start = {id(t): k * t.num_samples for k, t in enumerate(trains)}  # its first joined row
+    # one set (the cells of one seed) is taken from as it is; more are joined, one copy
+    *features, labels = [parts[0] if len(parts) == 1 else np.concatenate(parts)
+                         for parts in zip(*([*t.features, t.labels] for t in trains))]
     plan = Plan(
-        cfg, runs, sources, values=np.array([run.spec.value for run in runs], float),
+        cfg, runs, features, labels, offsets=np.array([[start[id(run.train)]] for run in runs]),
+        values=np.array([run.spec.value for run in runs], float),
         hooks={field: _ranges(stack, actives, field) for field in (
             "objective", "grad_scale", "feature_transform", "sample_weights", "deploy")},
         spans=[stack.encoder_span(i) for i in range(stack.num_modalities)])

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from balancelab import fusion, harness, methods, trainer
+from balancelab import datagen, fusion, harness, methods, trainer
 from balancelab.config import parse_config_text
 from balancelab.datagen import SyntheticSpec, generate, split
 from balancelab.errors import ShapeError
@@ -97,26 +97,54 @@ def test_mixed_stack_matches_each_cell_alone(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_runs_sharing_a_train_set_match_each_run_alone(monkeypatch, m):
-    """Runs of one seed share its train set, as a sweep's cells do; _gather takes once per set."""
-    pairs = {seed: sets(seed, m) for seed in (1, 2)}
+    """Runs of one seed share its train set, as a sweep's cells do; the plan joins each set once
+    and a run's batch rows are offset to its own set."""
+    pairs = {seed: sets(seed, m) for seed in (1, 2, 3)}
     cells = [cell("gradmod", alpha, seed, m, pairs[seed])
-             for alpha in (0.5, 0.0, 2.0) for seed in (2, 1)]
+             for alpha in (0.5, 0.0, 2.0) for seed in (2, 3, 1)]
     cells.insert(2, cell("baseline", None, 1, m, pairs[1]))
-    gathered = []
+    offsets = []
     real = trainer._gather
 
-    def counting(plan, idx):
-        gathered.append(tuple(tuple(rows) for _, rows in plan.sources))
+    def recording(plan, idx):
+        assert [len(f) for f in plan.features] == [len(plan.labels)] * m
+        offsets.append((len(plan.labels), tuple(plan.offsets.ravel().tolist())))
         return real(plan, idx)
 
-    monkeypatch.setattr(trainer, "_gather", counting)
+    monkeypatch.setattr(trainer, "_gather", recording)
     stacked = fit(CFG, cells)
-    # two sets, whose runs interleave in the stack
-    assert set(gathered) == {((0, 2, 4, 6), (1, 3, 5))}
+    # three sets, whose runs interleave in the stack: the baseline and neutral gradmod runs
+    # (on seeds 1, 2, 3, 1) sort ahead of the others (seeds 2, 3, 1, 2, 3, 1), and the sets
+    # are joined in order of their first run
+    n = cells[0].train.num_samples
+    assert set(offsets) == {(3 * n, tuple(n * k for k in (0, 1, 2, 0, 1, 2, 0, 1, 2, 0)))}
     for run, (best, log) in zip(cells, stacked):
         alone_best, alone_log = alone(run)
         assert best.flat.tobytes() == alone_best.flat.tobytes()
         assert log.best_epoch == alone_log.best_epoch
+        assert repr(log.records) == repr(alone_log.records)
+
+
+@pytest.mark.parametrize("kind, values, seeds, calls", [
+    ("gradmod", (0.0, 0.5, 1.0, 2.0, 4.0), (1,) * 5, 1),  # a sweep's cells of one seed
+    ("gradmod", (1.0,) * 3, (1, 2, 3), 3),
+    ("resample", (0.5, 1.0, 2.0), (1,) * 3, 3),  # weighted orders
+])
+def test_one_batch_order_per_unweighted_run_seed(monkeypatch, kind, values, seeds, calls):
+    """An unweighted order depends on the row count, which stack_key fixes, and the run seed
+    alone, so the runs of one seed share one ``datagen.batches`` call per epoch; a weighted
+    order is its run's own."""
+    pair = sets(1)
+    cells = [cell(kind, value, seed, pair=pair) for value, seed in zip(values, seeds)]
+    made = []
+    real = datagen.batches
+    monkeypatch.setattr(datagen, "batches", lambda *a, **k: made.append(1) or real(*a, **k))
+    stacked = fit(CFG, cells)
+    assert len(made) == calls * CFG.epochs
+    monkeypatch.undo()
+    for run, (best, log) in zip(cells, stacked):
+        alone_best, alone_log = alone(run)
+        assert best.flat.tobytes() == alone_best.flat.tobytes()
         assert repr(log.records) == repr(alone_log.records)
 
 

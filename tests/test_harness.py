@@ -362,6 +362,24 @@ class TestRunExperiment:
             rows = json.loads((out / "report.json").read_text())["rows"]
             assert [row["phi"] for row in rows] == [None, None]
 
+    def test_cell_file_that_cannot_be_written_fails_that_cell_alone(self, tmp_path, monkeypatch):
+        """A cell whose own step after its stack raises (here its cell-file write) fails alone:
+        its stack-mates keep their rows and files, and nothing trains again."""
+        cfg = parse_config_text(TINY + "method.kind = gradmod\n").with_key("seeds", (1, 2, 3))
+        out = tmp_path / "out"
+        (out / "cells" / "gradmod__seed1__none.json").mkdir(parents=True)
+        fits = []
+        real = trainer.fit
+        monkeypatch.setattr(trainer, "fit",
+                            lambda c, runs: fits.append(len(runs)) or real(c, runs))
+        report = harness.run_experiment(cfg, out_dir=str(out))
+        assert fits == [3]
+        assert [e["seed"] for e in report.errors] == [1]
+        assert [r.seed for r in report.rows] == [2, 3]
+        for seed in (2, 3):
+            assert json.loads((out / "cells" / f"gradmod__seed{seed}__none.json").read_text())[
+                "seed"] == seed
+
 
 class TestLoadReport:
     @pytest.mark.parametrize("shapley", [True, False])

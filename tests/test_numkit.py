@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from balancelab.errors import ContractError, ShapeError
-from balancelab.numkit import LayerParams, MlpParams, mlp_backward, mlp_forward
+from balancelab.numkit import LayerParams, MlpParams, mlp_backward, mlp_forward, row_sum
 
 from oracles import fd_max_rel_error, mlp_copy
 
@@ -150,6 +150,24 @@ class TestMlpBackward:
             mlp_backward(other, cache, np.zeros_like(out), mlp_copy(other))
         with pytest.raises(ContractError):
             mlp_backward(params, cache, np.zeros((2, 7)), mlp_copy(params))
+
+
+@pytest.mark.parametrize("runs", [None, 1, 2, 5, 40])
+def test_row_sum_is_numpys_sum_bit_for_bit(runs):
+    """Over batch sizes either side of numpy's unroll and pairwise block sizes, and d = 1,
+    whose single column numpy sums pairwise; ``out`` is a strided view, as a bias gradient is."""
+    rng = np.random.default_rng(7)
+    for b in (1, 2, 3, 7, 8, 9, 17, 63, 64, 65, 129, 400):
+        for d in (1, 2, 3, 4, 24, 33):
+            shape = (b, d) if runs is None else (runs, b, d)
+            # a wide dynamic range, so any change of summation order changes bits
+            x = rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
+            want = x.sum(axis=-2).view(np.int64)
+            assert np.array_equal(row_sum(x).view(np.int64), want), (shape, "fresh")
+            wide = np.full(shape[:-2] + (d + 5,), np.nan)
+            out = wide[..., 2:2 + d]
+            assert row_sum(x, out=out) is out
+            assert np.array_equal(out.view(np.int64), want), (shape, "strided out")
 
 
 class TestFiniteDiffCheck:

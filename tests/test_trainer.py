@@ -39,8 +39,8 @@ def plan_and_carry(stack, kinds=("baseline",)):
              for field in ("objective", "grad_scale", "feature_transform", "sample_weights",
                            "deploy")}
     spans = [stack.encoder_span(i) for i in range(stack.num_modalities)]
-    plan = Plan(TrainConfig(), [], [], np.array([spec.value for spec in specs], float), hooks,
-                spans)
+    plan = Plan(TrainConfig(), [], [], labels=None, offsets=None,
+                values=np.array([spec.value for spec in specs], float), hooks=hooks, spans=spans)
     carry = Carry(stack, np.zeros_like(stack.flat), None, stack.flat.copy(),
                   [TrainLog([]) for _ in specs], 0)
     return plan, carry
