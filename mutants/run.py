@@ -95,8 +95,9 @@ CATALOGUE = [
            "grads.flat[rows, span] *= kappa[:, i, None]",
            "grads.flat[rows, span] *= kappa[:1, i, None]",
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
-    Mutant("one-run-charge-to-run-0", "src/balancelab/trainer.py",
-           "carry.logs[r].flops", "carry.logs[0].flops",
+    Mutant("one-run-charge-to-run-0", "src/balancelab/methods.py",
+           'ledger[r].record("elementwise", n * d)  # the masked features',
+           'ledger[0].record("elementwise", n * d)  # the masked features',
            ("tests/test_engine.py::test_stack_matches_each_cell_alone",)),
     Mutant("hook-work-charged-to-one-run", "src/balancelab/trainer.py",
            "for ledger in self:", "for ledger in self[:1]:",
@@ -179,6 +180,14 @@ CATALOGUE = [
            "_Cell(seed, cell_cfg, sweep_param,", "_Cell(seed, cfg, sweep_param,",
            ("tests/test_harness.py::TestRunSweep::"
             "test_each_cell_equals_run_experiment_at_its_value",)),
+    Mutant("sweep-value-out-of-the-fingerprint", "src/balancelab/harness.py",
+           "_cell_fingerprint(cell_cfg, sweep_param)", "_cell_fingerprint(cfg, sweep_param)",
+           ("tests/test_harness.py::TestRunSweep::"
+            "test_cached_cell_reused_only_at_its_key_and_value",)),
+    Mutant("table-pairs-reports-of-other-seeds", "src/balancelab/harness.py",
+           'k in ("seed", "seeds", "eval.fractions")', 'k in ("seed", "eval.fractions")',
+           ("tests/test_harness.py::TestCompareTable::"
+            "test_reports_read_on_other_test_rows_rejected",)),
     Mutant("with-key-skips-kind", "src/balancelab/config.py",
            "kind = kind_of(key)\n            if not _is_kind(value, kind):",
            "kind = kind_of(key)\n            if False:",

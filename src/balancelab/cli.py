@@ -100,8 +100,7 @@ def _cmd_evaluate(args) -> int:
     print(text)
     if args.out is not None:
         harness.make_output_dir("--out", args.out)
-        with open(os.path.join(args.out, "evaluate.json"), "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        harness.write_text(os.path.join(args.out, "evaluate.json"), text + "\n")
     return 0
 
 
@@ -120,10 +119,8 @@ def _cmd_table(args) -> int:
     print(text, end="")
     if args.out is not None:
         harness.make_output_dir("--out", args.out)
-        with open(os.path.join(args.out, "table.txt"), "w", encoding="ascii") as fh:
-            fh.write(text)
-        with open(os.path.join(args.out, "table.csv"), "w", encoding="ascii") as fh:
-            fh.write(csv_text)
+        harness.write_text(os.path.join(args.out, "table.txt"), text)
+        harness.write_text(os.path.join(args.out, "table.csv"), csv_text)
     return 0
 
 

@@ -153,10 +153,14 @@ class RunReport:
 
     def write(self, out_dir) -> None:
         os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "report.csv")
-        with datagen.write_whole(csv_path) as tmp, open(tmp, "w", encoding="ascii") as fh:
-            fh.write(self.csv_text())
+        write_text(os.path.join(out_dir, "report.csv"), self.csv_text())
         _write_json(os.path.join(out_dir, "report.json"), self.json_dict())
+
+
+def write_text(path, text: str) -> None:
+    """ASCII ``text`` into ``path``, whole or not at all (``datagen.write_whole``)."""
+    with datagen.write_whole(path) as tmp, open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _write_json(path, d: dict) -> None:
@@ -533,19 +537,22 @@ def compare_table(reports: list[RunReport]) -> tuple[str, str]:
     strategy (objective, optimization, feed-forward, data). Best and
     second-best per column are marked with ``*`` and ``+``. A method has one
     row, so two of its settings (a sweep's values, or two reports of one
-    kind) are a ConfigError, as is a report with no successful run.
-    Returns (aligned_text, csv_text).
+    kind) are a ConfigError, as are a report with no successful run and
+    reports read on other test rows (``dataset.*``, ``seed``, ``seeds`` or
+    ``eval.fractions`` differ). Returns (aligned_text, csv_text).
     """
     if not reports:
         raise ConfigError("need at least one report")
-    ds0 = {k: v for k, v in reports[0].config.to_dict().items() if k.startswith("dataset.")}
     for rep in reports:
-        ds = {k: v for k, v in rep.config.to_dict().items() if k.startswith("dataset.")}
-        if ds != ds0:
-            raise ConfigError("reports were produced on different dataset specs")
         if all(r.seed != "mean" for r in rep.aggregates):
             raise ConfigError(f"the report of method {rep.config.get('method.kind')} holds "
                               "no successful run, so it has no row to compare")
+    test_rows = [{k: v for k, v in rep.config.to_dict().items() if k.startswith("dataset.")
+                  or k in ("seed", "seeds", "eval.fractions")} for rep in reports]
+    differ = sorted(k for k in set().union(*test_rows)
+                    if any(t.get(k) != test_rows[0].get(k) for t in test_rows))
+    if differ:
+        raise ConfigError(f"the reports were read on other test rows: {', '.join(differ)} differ")
 
     by_method: dict[str, RunRow] = {}
     for row in (r for rep in reports for r in rep.aggregates if r.seed == "mean"):

@@ -9,24 +9,25 @@ and the strength of its parameter.
 Every hook takes a stack of R runs along a leading run axis, as
 ``fusion.forward`` does, and ``value``, the (R,) array of their strengths;
 a run's slice of a result is bitwise what the run alone (R = 1) gives.
-``ledger`` is the ledgers of the runs the call serves, and one ``record``
-of one run's work charges each of them. An objective records only its work
-beyond the loss on the fused logits and the head backward, which every
-objective has and the trainer charges once per epoch. ``trainer.fit`` calls
-each hook once per group of runs that share it, per batch unless noted:
+A hook records its own work into ``ledger``, its runs' ledgers: ``ledger[r]``
+is run r's alone, and one ``record`` of one run's work charges each. The
+trainer charges the running scores, kappa's scaling, and the fused loss and
+head backward every objective has. ``trainer.fit`` calls each hook once per
+group of runs that share it, per batch unless noted:
 
 - ``objective(model, cache, labels, value, ledger) -> LossBundle`` replaces
   the plain cross-entropy;
 - ``grad_scale(scores, value) -> kappa`` scales run r's encoder i gradients
   by ``kappa[r, i]``;
-- ``feature_transform(features, scores, value, rngs) -> (factors, applied)``
+- ``feature_transform(features, scores, value, rngs, ledger) -> factors``
   multiplies modality i's features and their gradient by ``factors[i]``
   (None: identity) in training, between ``fusion.encode`` and
   ``fusion.head``; only modalities with a factor are touched. Run r draws
-  from ``rngs[r]``, and ``applied[r, i]`` marks what changed;
-- ``sample_weights(model, data, value, ledger) -> weights``: (R, N)
-  batch-sampler weights for the runs' train sets, per epoch;
-- ``deploy(model) -> model``: what validation and evaluation see, per epoch.
+  from ``rngs[r]`` and records the scaling it gets into ``ledger[r]``;
+- ``sample_weights(model, features, labels, value, ledger) -> weights``:
+  (R, N) batch-sampler weights for the runs' train rows, per epoch;
+- ``deploy(model, ledger) -> model``: what validation and evaluation see,
+  per epoch.
 
 Entries name their hooks by attribute of this module, and ``trainer.fit``
 looks each up with ``Method.hook`` once per call, never at import, so code
@@ -51,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion
-from .datagen import Dataset
 from .errors import SpecError
 from .fusion import ForwardCache, FusionModel
 from .metrics import FlopsLedger
@@ -265,7 +265,7 @@ def cosine_objective(
     return LossBundle(loss, head_grads, np.zeros(model.head_bias.shape), feature_grads)
 
 
-def cosine_deploy(model: FusionModel) -> FusionModel:
+def cosine_deploy(model: FusionModel, ledger: FlopsLedger) -> FusionModel:
     """Deployment form of a cosine-trained model.
 
     Cosine training constrains directions, not magnitudes, and never uses
@@ -278,6 +278,7 @@ def cosine_deploy(model: FusionModel) -> FusionModel:
     for blk in out.head_blocks:
         norms = np.maximum(np.linalg.norm(blk, axis=-1, keepdims=True), _COS_EPS)
         blk /= norms
+        ledger.record("elementwise", blk[0].size)
     out.head_bias[...] = 0.0
     return out
 
@@ -352,9 +353,8 @@ def grad_modulation(scores, alpha: np.ndarray) -> np.ndarray:
 # feed-forward hooks
 
 
-def feature_mask(
-    features: list[np.ndarray], scores, rho_mask: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[list[np.ndarray | None], np.ndarray]:
+def feature_mask(features: list[np.ndarray], scores, rho_mask: np.ndarray,
+                 rngs: list[np.random.Generator], ledger) -> list[np.ndarray | None]:
     """Zero a random fraction of the dominant modality's feature coordinates.
 
     Only each run's highest-running-score modality is touched; its zeroed
@@ -363,21 +363,19 @@ def feature_mask(
     """
     dom = np.argmax(scores, axis=-1)
     factors: list[np.ndarray | None] = [None] * len(features)
-    applied = np.zeros((len(rngs), len(features)), dtype=bool)
     for r in np.flatnonzero(rho_mask != 0.0):
         i = dom[r]
-        runs, _, d = features[i].shape
+        runs, n, d = features[i].shape
         coords = rngs[r].choice(d, size=int(np.ceil(rho_mask[r] * d)), replace=False)
         if factors[i] is None:
             factors[i] = np.ones((runs, 1, d))
         factors[i][r, 0, coords] = 0.0
-        applied[r, i] = True
-    return factors, applied
+        ledger[r].record("elementwise", n * d)  # the masked features
+    return factors
 
 
-def feature_drop(
-    features: list[np.ndarray], scores, p_max: np.ndarray, rngs: list[np.random.Generator]
-) -> tuple[list[np.ndarray | None], np.ndarray]:
+def feature_drop(features: list[np.ndarray], scores, p_max: np.ndarray,
+                 rngs: list[np.random.Generator], ledger) -> list[np.ndarray | None]:
     """Drop the dominant modality's whole feature vector per sample.
 
     The drop probability is ``p_max * clip(rho - 1, 0, 1)`` with rho the
@@ -393,16 +391,15 @@ def feature_drop(
         warnings.warn("feature_drop probability saturated; capping at 0.99")
         p = np.where(p >= 1.0, 0.99, p)
     factors: list[np.ndarray | None] = [None] * m
-    applied = np.zeros((runs, m), dtype=bool)
     for r in np.flatnonzero(p != 0.0):
         i = dom[r]
-        n = features[i].shape[-2]
+        _, n, d = features[i].shape
         dropped = rngs[r].random(n) < p[r]
         if factors[i] is None:
             factors[i] = np.ones((runs, n, 1))
         factors[i][r, :, 0] = np.where(dropped, 0.0, 1.0 / (1.0 - p[r]))
-        applied[r, i] = True
-    return factors, applied
+        ledger[r].record("elementwise", n * d)  # the scaled features
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +408,19 @@ def feature_drop(
 
 def resample_weights(
     model: FusionModel,
-    data: list[Dataset],
+    features: list[np.ndarray],
+    labels: np.ndarray,
     tau: np.ndarray,
     ledger: FlopsLedger,
 ) -> np.ndarray:
     """Sampling weights that favor samples where the weak modality is informative.
 
-    One forward over each run's data set, charged as one run's, yields each
+    One forward over each run's train rows, charged as one run's, yields each
     sample's per-modality contribution (true-class probability under the
     partial logits). The run's weakest modality is the one with the lowest
     mean contribution; sample k gets weight ``exp(contribution_k_weak / tau)``,
     normalized to mean 1. Larger tau flattens the weighting toward uniform.
     """
-    features = [np.stack([d.features[i] for d in data]) for i in range(model.num_modalities)]
-    labels = np.stack([d.labels for d in data])
     cache = fusion.forward(model, features)
     contribs = true_class_probs(model, cache, labels)  # (m, R, N)
     m, runs, n = contribs.shape

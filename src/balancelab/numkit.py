@@ -10,7 +10,7 @@ Conventions used throughout the package:
   ``(R, d_out, d_in)`` and batches ``(R, B, d)``: R models then run in
   lockstep, and each run's slice is computed bit for bit as it would be
   alone.
-- Hidden layers use the rectifier, applied in place; the output layer is
+- Hidden layers use the rectifier, in place; the output layer is
   affine (identity). The rectifier subgradient at exactly 0 is defined as
   0, so bit-exact reproducibility does not depend on how ties are broken.
 

@@ -9,8 +9,9 @@ slice is computed bit for bit as it would be alone, so a result never
 depends on which runs shared its stack. The method hooks take the same
 run axis: ``fit`` groups the runs by active registry entry and calls each
 hook once per group, per batch for objectives, gradient scales and feature
-transforms, per epoch for sample weights and deploy. Runs without an objective share one plain
-cross-entropy call. Only validation runs per run, once per epoch.
+transforms, per epoch for sample weights and deploy. Runs without an
+objective share one plain cross-entropy call. Only validation runs per
+run, once per epoch.
 
 ``fit`` builds a ``Plan``, fixed while it trains (the sorted runs, their
 joined train sets and their hook ranges), and a ``Carry``, the stack's
@@ -21,9 +22,9 @@ sets; per batch it calls ``_gather``, ``_forward``, ``_objectives`` (every
 objective range, then one encoder backward of the whole stack),
 ``_scale_grads`` and ``sgd_step`` on the epoch's gradient buffer, then
 ``_charge_epoch`` and ``_validate`` once. A run's ``TrainLog.flops`` is its
-one ledger: ``_charge_epoch`` charges it the epoch's work the trainer does,
-every objective's fused loss and head backward included, and a hook records
-its own work straight into the ledgers of the runs it serves. Every
+one ledger. The trainer records into it in one place, ``_charge_epoch``,
+which charges the epoch's work the trainer does (every objective's fused
+loss and head backward included); a hook records its own work. Every
 stochastic choice is a deterministic function of ``(run.seed, epoch, batch
 index)``, so a run is bitwise reproducible.
 
@@ -165,7 +166,7 @@ class Carry:
 
 
 def _fold(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc`` applied left to right across the last axis: ``ufunc(ufunc(x0, x1), x2)``..."""
+    """``ufunc`` folded left to right across the last axis: ``ufunc(ufunc(x0, x1), x2)``..."""
     out = x[..., 0]
     for k in range(1, x.shape[-1]):
         out = ufunc(out, x[..., k])
@@ -334,7 +335,8 @@ def _cache_rows(cache: ForwardCache, rows: slice) -> ForwardCache:
 
 
 class _Ledgers(list):
-    """A range's runs' own ledgers, handed to its hook: one ``record`` charges each run."""
+    """A range's runs' ledgers, handed to its hook: ``ledger[r]`` is run r's alone, and one
+    ``record`` charges each run."""
 
     def record(self, *args, **kwargs) -> None:
         for ledger in self:
@@ -370,13 +372,12 @@ def _forward(plan: Plan, carry: Carry, xb: list[np.ndarray], yb: np.ndarray, b: 
     if carry.running_scores is not None:
         for transform, rows, _ in plan.hooks["feature_transform"]:
             rngs = [np.random.default_rng([run.seed, carry.epoch, b, 1]) for run in plan.runs[rows]]
-            made, applied = transform([f[rows] for f in features], carry.running_scores[rows],
-                                      plan.values[rows], rngs)
+            made = transform([f[rows] for f in features], carry.running_scores[rows],
+                             plan.values[rows], rngs,
+                             _Ledgers(log.flops for log in carry.logs[rows]))
             for i, factor in enumerate(made):
                 if factor is not None:
                     factors.setdefault(i, np.ones(features[i].shape))[rows] = factor
-            for r, i in np.argwhere(applied) + (rows.start, 0):
-                carry.logs[r].flops.record("elementwise", features[i][0].size)
     for i, factor in factors.items():
         # a new array: features[i] is also the encoder cache's last pre-activation
         features[i] = features[i] * factor
@@ -417,7 +418,7 @@ def _scale_grads(plan: Plan, carry: Carry, grads: FusionModel) -> None:
 
 def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
     """Charge each run the epoch's work the trainer does, n rows in ``steps`` steps, and its
-    validation, its hooks' share included. Each charge is linear in its rows."""
+    validation; hooks record their own. Each charge is linear in its rows."""
     model, m, h = carry.model, carry.model.num_modalities, carry.model.num_classes
     for run, log in zip(plan.runs, carry.logs):
         ledger, active = log.flops, run.spec.active()
@@ -437,8 +438,6 @@ def _charge_epoch(plan: Plan, carry: Carry, n: int, steps: int) -> None:
             ledger.record("elementwise", m * (n * h + n))
         if active.grad_scale:
             ledger.record("elementwise", steps * sum(s.stop - s.start for s in plan.spans))
-        if active.deploy:
-            ledger.record("elementwise", sum(blk[0].size for blk in model.head_blocks))
 
 
 def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None:
@@ -446,8 +445,8 @@ def _validate(plan: Plan, carry: Carry, lr: float, loss_sum: np.ndarray) -> None
     deployers = plan.hooks["deploy"]
     # select on the deployed form so validation ranks what evaluation will see
     shown = carry.model.flat.copy() if deployers else carry.model.flat
-    for deploy, rows, view in deployers:
-        shown[rows] = deploy(view).flat
+    for deploy, rows, view in deployers:  # charged before the epoch's records read the totals
+        shown[rows] = deploy(view, _Ledgers(log.flops for log in carry.logs[rows])).flat
     for r, (run, log) in enumerate(zip(plan.runs, carry.logs)):
         # per run: a stacked pass takes no less time and holds R runs' activations
         val_acc = evaluate_accuracy(carry.model.like(shown[r]), run.val)
@@ -465,8 +464,8 @@ def _epoch(plan: Plan, carry: Carry) -> None:
     lr = step_lr(cfg, epoch)
     weights = [None] * len(plan.runs)
     for sample_weights, rows, view in plan.hooks["sample_weights"]:
-        trains = [run.train for run in plan.runs[rows]]
-        weights[rows] = sample_weights(view, trains, plan.values[rows],
+        xs, ys = _gather(plan, plan.offsets[rows] + np.arange(plan.runs[0].train.num_samples))
+        weights[rows] = sample_weights(view, xs, ys, plan.values[rows],
                                        _Ledgers(log.flops for log in carry.logs[rows]))
     # an unweighted order depends on the run seed alone (stack_key fixes the row count), so
     # the runs of one seed share it; a weighted order is its run's own

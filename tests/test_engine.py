@@ -162,8 +162,7 @@ def test_each_run_keeps_its_own_ledger():
         assert log.records[-1].flops_total == log.flops.total
 
 
-@pytest.mark.parametrize("kind, m", [(kind, m) for kind in (
-    "baseline", "gradmod", "unimodal_blend", "kl_align", "cosine", "resample") for m in (2, 3)])
+@pytest.mark.parametrize("kind, m", [(kind, m) for kind in METHODS for m in (2, 3)])
 def test_ledger_matches_a_hand_count(kind, m):
     """Each run's ledger is the sum of its charges, counted by hand from the architecture.
 
@@ -172,8 +171,10 @@ def test_ledger_matches_a_hand_count(kind, m):
     hooks record it; per epoch, a forward over the run's validation rows,
     cosine's deploy, and resample's forward over the train rows. 160 train
     rows in batches of 48 leave a short last batch, and the 20 validation
-    rows are neither. The feature transforms are left out: their charge
-    depends on which modality a draw makes dominant.
+    rows are neither. A feature transform scales one modality's n x d
+    features on every batch after the fit's first, which has no running
+    scores yet; every encoder ends in the same width d, so the charge is the
+    same whichever modality a draw makes dominant.
     """
     cfg = dataclasses.replace(CFG, epochs=2, batch_size=48)
     runs = [cell(kind, METHODS[kind].default, seed, m) for seed in (1, 2)]
@@ -187,9 +188,12 @@ def test_ledger_matches_a_hand_count(kind, m):
                        + m * 2 * n * d * h,
                        elementwise=sum(n * r for _, r in layers) + m * n * h)
 
-    def own(n):  # the kind's hooks' per-batch charges beyond the fused loss and head backward
+    def own(n, first):  # the kind's per-batch charges beyond the fused loss and head backward
+        scores = Counter(softmax_loss=5 * m * n * h, elementwise=m * (n * h + n))
         if kind == "gradmod":  # the scores and the gradient scale
-            return Counter(softmax_loss=5 * m * n * h, elementwise=m * (n * h + n) + encoder_params)
+            return scores + Counter(elementwise=encoder_params)
+        if kind in ("feature_mask", "feature_drop"):  # the scores, and the scaled features
+            return scores + Counter(elementwise=0 if first else n * d)
         if kind == "unimodal_blend":  # the unimodal losses, dW(uni) and the conflict guard
             return Counter(softmax_loss=5 * m * n * h, backward_matmul=m * 2 * n * d * h,
                            elementwise=m * 4 * d * h)
@@ -204,14 +208,14 @@ def test_ledger_matches_a_hand_count(kind, m):
         n_train, n_val = run.train.num_samples, run.val.num_samples
         assert n_train % cfg.batch_size and n_val not in (n_train, cfg.batch_size)
         want = Counter()
-        for _ in range(cfg.epochs):
+        for epoch in range(cfg.epochs):
             for start in range(0, n_train, cfg.batch_size):
                 n = min(cfg.batch_size, n_train - start)
                 want += forward(n)
                 want += Counter(softmax_loss=5 * n * h, backward_matmul=m * 4 * n * d * h)
                 want += Counter(backward_matmul=sum(4 * n * q * r for q, r in layers),
                                 elementwise=m * n * 8)
-                want += own(n)
+                want += own(n, first=epoch == start == 0)
                 want += Counter(elementwise=6 * (encoder_params + m * h * d + h))
             want += forward(n_val)
             if kind == "cosine":  # deploy normalizes each head row
@@ -315,7 +319,7 @@ def test_each_hook_called_once_per_stack_step(monkeypatch, kind):
     assert calls == expected
 
 
-@pytest.mark.parametrize("kind", ["gradmod", "cosine"])
+@pytest.mark.parametrize("kind", METHODS)
 def test_per_fit_work_is_not_redone_per_batch(monkeypatch, kind):
     """Row views, encoder spans and hook lookups are built once per fit, no FLOPs ledger
     beyond the runs' own is built, and the FLOPs of work many steps share are charged once

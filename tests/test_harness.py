@@ -785,6 +785,19 @@ class TestCompareTable:
         with pytest.raises(ConfigError, match="method gradmod holds no successful run"):
             harness.compare_table([self.make_report("baseline"), failed])
 
+    def test_reports_read_on_other_test_rows_rejected(self):
+        """Seeds, master seed and split fix a report's test rows; the recipe may differ."""
+        base = self.make_report("baseline")
+        cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
+        for key, value in {"seeds": (2,), "seed": 7, "eval.fractions": (0.7, 0.2, 0.1)}.items():
+            other = harness.run_experiment(cfg.with_key(key, value))
+            with pytest.raises(ConfigError, match=re.escape(f"other test rows: {key} differ")):
+                harness.compare_table([base, other])
+        tuned = harness.run_experiment(cfg.with_key("train.lr", 0.01)
+                                       .with_key("model.hidden", (6,)))
+        text, _ = harness.compare_table([base, tuned])
+        assert "gradmod" in text
+
     def test_two_settings_of_one_method_rejected(self):
         cfg = parse_config_text(TINY).with_key("method.kind", "gradmod").with_key("seeds", (1,))
         sweep = harness.run_sweep(cfg, "method.alpha", [0.0, 4.0])
@@ -856,6 +869,52 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {str(out / output)!r}: {os.strerror(errno.EISDIR)}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, output", [("evaluate", "evaluate.json"),
+                                                 ("table", "table.txt")])
+    def test_interrupted_output_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, capsys,
+                                                             command, output):
+        """An output written whole: a write interrupted halfway leaves the earlier file."""
+        runs, out = tmp_path / "runs", tmp_path / "out"
+        for kind in ("baseline", "gradmod"):
+            assert cli.main(["train", "--config", TINY + f"method.kind = {kind}\n", "--seeds", "1",
+                             "--out", str(runs / kind)]) == 0
+        evaluate = ["evaluate", "--config", TINY, "--checkpoint",
+                    str(runs / "baseline" / "ckpt_baseline_seed1.mmck")]
+        first, second = {
+            "evaluate": [[*evaluate, "--run-seed", seed] for seed in ("1", "2")],
+            "table": [["table", "--reports", *(str(runs / k / "report.json") for k in kinds)]
+                      for kinds in (["baseline"], ["baseline", "gradmod"])],
+        }[command]
+        assert cli.main([*first, "--out", str(out)]) == 0
+        before = (out / output).read_bytes()
+        real_open = open
+
+        class Halfway:
+            """A file for writing that takes half of its first write, then is interrupted."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr("builtins.open", lambda file, mode="r", *args, **kwargs: (
+            Halfway if "w" in mode else lambda fh: fh)(real_open(file, mode, *args, **kwargs)))
+        with pytest.raises(KeyboardInterrupt):
+            cli.main([*second, "--out", str(out)])
+        monkeypatch.undo()
+        assert (out / output).read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+        assert cli.main([*second, "--out", str(out)]) == 0  # uninterrupted, it writes another
+        assert (out / output).read_bytes() != before
 
     @pytest.mark.parametrize("header, message", [
         (None, "missing header"),

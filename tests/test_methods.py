@@ -157,77 +157,92 @@ class TestGradModulation:
             assert kappa[r].tobytes() == grad_modulation(scores[r:r + 1], alpha[r:r + 1]).tobytes()
 
 
+def ledgers(runs):
+    """One fresh ledger per run, as a transform's ``ledger[r]`` is run r's."""
+    return [FlopsLedger() for _ in range(runs)]
+
+
 class TestFeatureMask:
     def feats(self, rng, dims=(6, 6)):
         return [rng.standard_normal((1, 5, d)) for d in dims]
 
     def test_zero_fraction_identity(self):
-        rng = np.random.default_rng(1)
-        factors, applied = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([0.0]), [rng])
-        assert factors == [None, None] and not applied.any()
+        rng, [ledger] = np.random.default_rng(1), ledgers(1)
+        factors = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([0.0]), [rng], [ledger])
+        assert factors == [None, None] and ledger.total == 0
 
     def test_full_fraction_zeroes_dominant(self):
-        rng = np.random.default_rng(2)
-        factors, applied = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([1.0]), [rng])
+        rng, [ledger] = np.random.default_rng(2), ledgers(1)
+        factors = feature_mask(self.feats(rng), [[0.6, 0.4]], np.array([1.0]), [rng], [ledger])
         assert not factors[0].any() and factors[1] is None
-        assert applied.tolist() == [[True, False]]
+        assert ledger.elementwise == ledger.total == 5 * 6  # n * d of the masked features
 
     def test_tie_goes_to_lowest_index(self):
         rng = np.random.default_rng(3)
-        factors, applied = feature_mask(self.feats(rng), [[0.5, 0.5]], np.array([1.0]), [rng])
+        factors = feature_mask(self.feats(rng), [[0.5, 0.5]], np.array([1.0]), [rng], ledgers(1))
         assert not factors[0].any() and factors[1] is None
 
     def test_subset_size(self):
         rng = np.random.default_rng(4)
         feats = self.feats(rng, dims=(10, 10))
-        factors, applied = feature_mask(feats, [[0.9, 0.1]], np.array([0.25]), [rng])
+        factors = feature_mask(feats, [[0.9, 0.1]], np.array([0.25]), [rng], ledgers(1))
         zeroed = (factors[0] == 0.0).sum()
         assert zeroed == math.ceil(0.25 * 10)
 
     def test_each_run_draws_from_its_own_generator(self):
         feats = [np.ones((3, 5, 10)), np.ones((3, 5, 8))]
         scores = [[0.9, 0.1], [0.5, 0.5], [0.2, 0.7]]
-        factors, applied = feature_mask(feats, scores, np.array([0.3, 0.0, 0.5]),
-                                        [np.random.default_rng(s) for s in (7, 8, 9)])
-        assert applied.tolist() == [[True, False], [False, False], [False, True]]
+        runs = ledgers(3)
+        factors = feature_mask(feats, scores, np.array([0.3, 0.0, 0.5]),
+                               [np.random.default_rng(s) for s in (7, 8, 9)], runs)
+        # each run charged its own dominant modality's n * d, run 1 (strength 0) nothing
+        assert [ledger.total for ledger in runs] == [5 * 10, 0, 5 * 8]
         for r, i, rho in ((0, 0, 0.3), (2, 1, 0.5)):
-            alone, _ = feature_mask([f[r:r + 1] for f in feats], [scores[r]], np.array([rho]),
-                                    [np.random.default_rng(7 + r)])
+            alone = feature_mask([f[r:r + 1] for f in feats], [scores[r]], np.array([rho]),
+                                 [np.random.default_rng(7 + r)], ledgers(1))
             assert factors[i][r].tobytes() == alone[i][0].tobytes()
         assert (factors[0][1:] == 1.0).all() and (factors[1][:2] == 1.0).all()
 
 
 class TestFeatureDrop:
     def test_zero_ceiling_identity(self):
-        rng = np.random.default_rng(5)
+        rng, [ledger] = np.random.default_rng(5), ledgers(1)
         feats = [rng.standard_normal((1, 5, 4)) for _ in range(2)]
-        factors, applied = feature_drop(feats, [[0.8, 0.4]], np.array([0.0]), [rng])
-        assert factors == [None, None] and not applied.any()
+        factors = feature_drop(feats, [[0.8, 0.4]], np.array([0.0]), [rng], [ledger])
+        assert factors == [None, None] and ledger.total == 0
 
     def test_equal_scores_identity(self):
-        rng = np.random.default_rng(6)
+        rng, [ledger] = np.random.default_rng(6), ledgers(1)
         feats = [rng.standard_normal((1, 5, 4)) for _ in range(2)]
-        factors, applied = feature_drop(feats, [[0.5, 0.5]], np.array([0.7]), [rng])
-        assert factors == [None, None] and not applied.any()
+        factors = feature_drop(feats, [[0.5, 0.5]], np.array([0.7]), [rng], [ledger])
+        assert factors == [None, None] and ledger.total == 0
 
     def test_worked_probability_and_scaling(self):
         # scores (0.8, 0.4): rho = 2, p = 0.5 * min(1, 1) = 0.5
-        rng = np.random.default_rng(7)
+        rng, [ledger] = np.random.default_rng(7), ledgers(1)
         feats = [np.ones((1, 4000, 3)), np.ones((1, 4000, 3))]
-        factors, applied = feature_drop(feats, [[0.8, 0.4]], np.array([0.5]), [rng])
+        factors = feature_drop(feats, [[0.8, 0.4]], np.array([0.5]), [rng], [ledger])
         dropped = (factors[0][0, :, 0] == 0.0).mean()
         assert dropped == pytest.approx(0.5, abs=0.03)
         kept = factors[0][factors[0] > 0]
         assert kept == pytest.approx(2.0)  # 1 / (1 - p)
+        assert ledger.elementwise == ledger.total == 4000 * 3  # n * d of the scaled features
 
     def test_saturated_probability_warns(self):
         rng = np.random.default_rng(8)
         feats = [np.ones((1, 500, 3)), np.ones((1, 500, 3))]
         with pytest.warns(UserWarning):
-            factors, applied = feature_drop(feats, [[0.9, 0.2]], np.array([1.0]), [rng])
+            factors = feature_drop(feats, [[0.9, 0.2]], np.array([1.0]), [rng], ledgers(1))
         kept = factors[0][factors[0] > 0]
         assert kept.size > 0
         assert kept == pytest.approx(1.0 / (1.0 - 0.99))
+
+
+def one_run_weights(model, batch, labels, tau):
+    """``resample_weights`` for one run's train rows ``batch``, ``labels``."""
+    [w] = resample_weights(model.like(model.flat[None]), [x[None] for x in batch], labels[None],
+                           np.array([tau]), FlopsLedger())
+    return w
 
 
 class TestResampleWeights:
@@ -238,19 +253,11 @@ class TestResampleWeights:
             for layer in enc.layers:
                 layer.weight[:] = 0.0
                 layer.bias[:] = 0.0
-        data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3
-        )
-        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.4]), FlopsLedger())
-        assert w == pytest.approx(np.ones(6))
+        assert one_run_weights(model, batch, labels, 0.4) == pytest.approx(np.ones(6))
 
     def test_large_tau_flattens(self):
         model, batch, labels = small_model_and_batch(2)
-        data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3
-        )
-        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([1e9]), FlopsLedger())
-        assert np.abs(w - 1.0).max() < 1e-6
+        assert np.abs(one_run_weights(model, batch, labels, 1e9) - 1.0).max() < 1e-6
 
     def test_weight_ratio_worked_example(self):
         # contributions 0.9 and 0.1 at tau 0.4 give a ratio of e^2
@@ -258,10 +265,7 @@ class TestResampleWeights:
 
     def test_mean_one_normalization(self):
         model, batch, labels = small_model_and_batch(4)
-        data = type(generate(SyntheticSpec(2, 3, (5, 4), (1, 1), 1.0, 6, 0)))(
-            batch, labels, 3
-        )
-        [w] = resample_weights(model.like(model.flat[None]), [data], np.array([0.3]), FlopsLedger())
+        w = one_run_weights(model, batch, labels, 0.3)
         assert w.mean() == pytest.approx(1.0)
         assert np.all(w > 0)
 
